@@ -125,17 +125,16 @@ class _PipActor:
             else entries_or_ref
         )
         self.index = PolyTreeIndex(entries, buffer=0)
+        self.paths = pa.array(self.index.paths, pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = derive.world_lon(batch["event_id"].to_numpy(zero_copy_only=False))
         lat = derive.world_lat(batch["event_id"].to_numpy(zero_copy_only=False))
-        rows, polys, _ = self.index.verdicts(lon, lat, lon, lat)
+        rows, polys, _ = self.index.verdicts(lon, lat, lon, lat, codes=True)
         return pa.table(
             {
                 "event_id": batch["event_id"].take(pa.array(rows)),
-                "poly_path": pa.array(
-                    [self.index.paths[p] for p in polys.tolist()], pa.string()
-                ),
+                "poly_path": self.paths.take(pa.array(polys)),
             }
         )
 
@@ -678,7 +677,7 @@ class _GridPipActor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["event_id"].to_numpy(zero_copy_only=False)
         lon, lat = derive.world_lon(ids), derive.world_lat(ids)
-        _rows, polys, _verd = self.index.verdicts(lon, lat, lon, lat)
+        _rows, polys, _codes = self.index.verdicts(lon, lat, lon, lat, codes=True)
         # buffer=0 -> every assigned pair is keep; emit per-batch
         # PARTIAL per-polygon counts (bounded by the 1080-poly domain)
         counts = np.bincount(polys, minlength=self.n_polys)
@@ -775,7 +774,7 @@ class _SegClipActor:
             np.concatenate(ex2), np.concatenate(ey2),
             np.concatenate(owner),
         )
-        self.paths = [p for p, _mp in PIP_POLYS]
+        self.paths = pa.array([p for p, _mp in PIP_POLYS], pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["event_id"].to_numpy(zero_copy_only=False)
@@ -786,9 +785,7 @@ class _SegClipActor:
         return pa.table(
             {
                 "event_id": batch["event_id"].take(pa.array(si)),
-                "poly_path": pa.array(
-                    [self.paths[p] for p in poly.tolist()], pa.string()
-                ),
+                "poly_path": self.paths.take(pa.array(poly)),
                 "n_cross": pa.array(n_cross, pa.int64()),
             }
         )

@@ -21,6 +21,14 @@ via their covering cell ranges (vectorized), then only (row, polygon)
 candidate pairs run the exact integer predicates.  The polygon set is
 broadcast once via ``ray.put`` and read in the constructor — never
 re-shipped per batch.
+
+Refine is pair-segmented for points and boxes alike: every candidate
+pair expands to its polygon's edge slice of one CSR edge table, each
+predicate (point-in-polygon, box-vs-polygon, distance to the buffer)
+runs once on the flat expanded arrays, and the per-edge results fold
+back per pair.  The elementwise arithmetic is that of the per-polygon
+``geom`` predicates, so verdicts are bit-identical to them; the cost
+is O(candidate edges) rather than O(candidate polygons) numpy calls.
 """
 
 from __future__ import annotations
@@ -33,10 +41,10 @@ from ..functions.strtree import STRtree
 from ..geom import (
     BUFFER_DECIMICRO,
     MultiPolygon,
+    _det_sign,
+    _seg_seg_intersect,
+    _segs_dist2,
     boxes_intersect_buffered,
-    boxes_intersect_multipolygon,
-    points_in_buffered,
-    points_in_multipolygon,
 )
 
 
@@ -54,6 +62,10 @@ def parent_path(path: str) -> str | None:
 # ~linear in polys x cells while the tree bulk-load is one argsort
 STRTREE_POLYS = 256
 
+# verdict names indexed by the codes ``PolyTreeIndex.verdicts(codes=True)``
+# returns
+VERDICTS = ("delete", "keep")
+
 
 class PolyTreeIndex:
     """Cell-bucketed candidate index over a polygon tree (built per actor).
@@ -66,6 +78,10 @@ class PolyTreeIndex:
     ``STRTREE_POLYS`` polygons up).  Both sources yield candidate
     SUPERSETS refined by the same exact predicates, so verdicts are
     identical either way (pinned by tests/test_spatial_join.py)."""
+
+    # expanded (pair, edge) elements per refine chunk (_edge_chunks):
+    # bounds the refine's working arrays to a few MB each
+    chunk_edges = 1 << 19
 
     def __init__(
         self,
@@ -132,11 +148,11 @@ class PolyTreeIndex:
             bb[:, 0] - buffer, bb[:, 1] - buffer,
             bb[:, 2] + buffer, bb[:, 3] + buffer,
         )
-        # CSR edge table over ALL polygons for the pair-segmented PIP
-        # kernel (_points_in_polys_pairs): with many candidate polygons
-        # per batch, one vectorized pass over the expanded (pair, edge)
-        # array replaces ~n_polys small per-poly PIP calls whose FIXED
-        # numpy overhead (~0.2 ms each) dominated at 1k polygons.
+        # CSR edge table over ALL polygons for the pair-segmented refine
+        # kernels (_edge_chunks): with many candidate polygons per
+        # batch, one vectorized pass over the expanded (pair, edge)
+        # array replaces ~n_polys small per-poly predicate calls whose
+        # FIXED numpy overhead (~0.2 ms each) dominated at 1k polygons.
         self._edge_starts = np.zeros(len(self.polys) + 1, np.int64)
         ring_off = 0
         ex1, ey1, ex2, ey2, ering = [], [], [], [], []
@@ -164,6 +180,12 @@ class PolyTreeIndex:
             (self._ey2 > self._ey1).astype(np.int8)
             - (self._ey2 < self._ey1).astype(np.int8)
         )
+        # float64 copies for the buffer-distance kernels (exact: every
+        # coordinate and coordinate difference is far below 2**53)
+        self._fx1 = self._ex1.astype(np.float64)
+        self._fy1 = self._ey1.astype(np.float64)
+        self._fx2 = self._ex2.astype(np.float64)
+        self._fy2 = self._ey2.astype(np.float64)
         # ancestor bitmasks (multi-word for >64 polys) for vectorized
         # tree chaining: anc = ancestors only, path = ancestors | self
         n_polys = len(self.polys)
@@ -259,49 +281,26 @@ class PolyTreeIndex:
         uniq = np.unique(key)
         return uniq // len(self.polys), uniq % len(self.polys)
 
-    def candidates(self, minlon, minlat, maxlon, maxlat) -> list[np.ndarray]:
-        """Per row: array of candidate polygon indices (compat shim)."""
-        n = len(minlon)
-        row_i, poly_i = self.candidate_pairs(minlon, minlat, maxlon, maxlat)
-        out: list[np.ndarray] = [np.empty(0, np.int64)] * n
-        if len(row_i):
-            order = np.argsort(row_i, kind="stable")
-            row_s, poly_s = row_i[order], poly_i[order]
-            starts = np.searchsorted(row_s, np.arange(n))
-            ends = np.searchsorted(row_s, np.arange(n), side="right")
-            for i in range(n):
-                if ends[i] > starts[i]:
-                    out[i] = poly_s[starts[i] : ends[i]]
-        return out
-
-    def _points_in_polys_pairs(self, px, py, poly_i,
-                               chunk_edges: int = 1 << 19) -> np.ndarray:
-        """Boundary-inclusive PIP per (point, polygon) PAIR, one
-        vectorized pass: each pair expands to its polygon's CSR edge
-        slice; boundary/crossing predicates run on the flat expanded
-        array; per-(pair, ring) parity folds back with reduceat +
-        bincount.  Exactly geom.points_in_multipolygon's semantics
-        (same _det_sign exact-fallback), restructured so the cost is
-        O(total candidate edges), not O(candidate polygons) numpy-call
-        overhead."""
-        from ..geom import _det_sign
-
-        npairs = len(poly_i)
-        out = np.zeros(npairs, bool)
-        if npairs == 0:
-            return out
-        ecnt = self._edge_starts[poly_i + 1] - self._edge_starts[poly_i]
-        # chunk by pairs so the expanded array stays bounded (each
-        # chunk ends at the pair whose cumulative edge count crosses
-        # the next chunk_edges multiple)
+    def _edge_chunks(self, poly_i):
+        """Yield ``(s, e, rep, eidx)``: pairs ``[s, e)`` of ``poly_i``
+        expanded to their polygons' CSR edge slices.  ``eidx`` is the
+        global edge index of each expanded element, ``rep`` its pair's
+        offset from ``s``; ``rep`` ascends, so each pair's edges (and,
+        within them, each ring's) form one contiguous run.  A chunk
+        ends at the pair whose cumulative edge count crosses the next
+        multiple of ``chunk_edges``, which bounds the expanded arrays."""
+        if not len(poly_i):
+            return
+        starts = self._edge_starts[poly_i]
+        ecnt = self._edge_starts[poly_i + 1] - starts
         cum_all = np.cumsum(ecnt)
-        n_chunks = max(1, int(-(-int(cum_all[-1]) // chunk_edges)))
+        n_chunks = max(1, int(-(-int(cum_all[-1]) // self.chunk_edges)))
         cutpos = np.searchsorted(
-            cum_all, np.arange(1, n_chunks, dtype=np.int64) * chunk_edges,
+            cum_all, np.arange(1, n_chunks, dtype=np.int64) * self.chunk_edges,
             side="left",
         ) + 1
         cuts = np.unique(
-            np.concatenate(([0], cutpos, [npairs]))
+            np.concatenate(([0], cutpos, [len(poly_i)]))
         ).tolist()
         for s, e in zip(cuts[:-1], cuts[1:]):
             cnt = ecnt[s:e]
@@ -309,9 +308,18 @@ class PolyTreeIndex:
             if total == 0:
                 continue
             rep = np.repeat(np.arange(e - s), cnt)
-            cum = np.cumsum(cnt)
-            k = np.arange(total) - np.repeat(cum - cnt, cnt)
-            eidx = np.repeat(self._edge_starts[poly_i[s:e]], cnt) + k
+            # edge k of pair j: starts[j] + k, k = position - run start
+            first = starts[s:e] - (np.cumsum(cnt) - cnt)
+            yield s, e, rep, first[rep] + np.arange(total)
+
+    def _points_in_polys_pairs(self, px, py, poly_i) -> np.ndarray:
+        """Boundary-inclusive PIP per (point, polygon) PAIR:
+        boundary/crossing predicates run on the flat expanded (pair,
+        edge) arrays; per-(pair, ring) parity folds back with
+        reduceat.  Exactly geom.points_in_multipolygon's semantics
+        (same _det_sign exact fallback)."""
+        out = np.zeros(len(poly_i), bool)
+        for s, e, rep, eidx in self._edge_chunks(poly_i):
             P = px[s:e][rep]
             Q = py[s:e][rep]
             x1, y1 = self._ex1[eidx], self._ey1[eidx]
@@ -321,11 +329,9 @@ class PolyTreeIndex:
                 & (Q >= self._eloy[eidx]) & (Q <= self._ehiy[eidx])
             )
             sgn0 = _det_sign(x2 - x1, Q - y1, P - x1, y2 - y1)
-            on_b = inbox & (sgn0 == 0)
             cond = (y1 > Q) != (y2 > Q)
             crossing = cond & (sgn0 == self._eup[eidx])
-            # per-(pair, ring) parity: ring edges are contiguous within
-            # a pair's expanded slice, so segment boundaries are where
+            # per-(pair, ring) parity: segment boundaries are where
             # (pair, ring) changes
             ring = self._ering[eidx]
             bound = np.flatnonzero(
@@ -334,93 +340,113 @@ class PolyTreeIndex:
                 )
             )
             parity = np.add.reduceat(crossing.astype(np.int64), bound) % 2
-            seg_pair = rep[bound]
-            inside = np.bincount(
-                seg_pair, weights=parity, minlength=e - s
-            ) > 0
-            onb = np.bincount(
-                rep, weights=on_b.astype(np.int64), minlength=e - s
-            ) > 0
-            out[s:e] = inside | onb
+            hit = np.zeros(e - s, bool)
+            hit[rep[inbox & (sgn0 == 0)]] = True
+            hit[rep[bound][parity == 1]] = True
+            out[s:e] = hit
         return out
 
-    def verdicts(self, minlon, minlat, maxlon, maxlat):
-        """-> (row_idx, poly_idx, verdict) arrays for assigned pairs.
+    def _boxes_in_polys_pairs(self, x0, y0, x1, y1, poly_i) -> np.ndarray:
+        """Solid (possibly degenerate) box vs polygon per PAIR, by
+        geom.boxes_intersect_multipolygon's three tests: the box's min
+        corner lies in the polygon, a polygon vertex lies in the box,
+        or (pairs still open) a box side meets a polygon edge."""
+        out = self._points_in_polys_pairs(x0, y0, poly_i)
+        todo = np.flatnonzero(~out)
+        x0, y0, x1, y1 = x0[todo], y0[todo], x1[todo], y1[todo]
+        for s, e, rep, eidx in self._edge_chunks(poly_i[todo]):
+            bx0, by0 = x0[s:e][rep], y0[s:e][rep]
+            bx1, by1 = x1[s:e][rep], y1[s:e][rep]
+            vx, vy = self._ex1[eidx], self._ey1[eidx]
+            hit = np.zeros(e - s, bool)
+            hit[rep[(vx >= bx0) & (vx <= bx1) & (vy >= by0) & (vy <= by1)]] = True
+            live = ~hit[rep]
+            rep, eidx = rep[live], eidx[live]
+            edge = (self._ex1[eidx], self._ey1[eidx],
+                    self._ex2[eidx], self._ey2[eidx])
+            for side in _box_sides(bx0[live], by0[live], bx1[live], by1[live]):
+                hit[rep[_seg_seg_intersect(*side, *edge)]] = True
+            out[todo[s:e]] = hit
+        return out
 
-        Vectorized: per-polygon exact/buffered predicates over its
-        candidate rows, then bitmask tree-chaining (assigned iff every
-        ancestor non-drop; action delete iff any delete on the path)."""
+    def _boxes_near_polys_pairs(self, x0, y0, x1, y1, poly_i) -> np.ndarray:
+        """Per PAIR: some box side lies within ``buffer`` of a polygon
+        edge — the distance test of geom.boxes_intersect_buffered, for
+        pairs the exact box test rejected."""
+        out = np.zeros(len(poly_i), bool)
+        buf2 = float(self.buffer) ** 2
+        x0, y0, x1, y1 = (a.astype(np.float64) for a in (x0, y0, x1, y1))
+        for s, e, rep, eidx in self._edge_chunks(poly_i):
+            edge = (self._fx1[eidx], self._fy1[eidx],
+                    self._fx2[eidx], self._fy2[eidx])
+            hit = np.zeros(e - s, bool)
+            for side in _box_sides(x0[s:e][rep], y0[s:e][rep],
+                                   x1[s:e][rep], y1[s:e][rep]):
+                hit[rep[_segs_dist2(*side, *edge) <= buf2]] = True
+            out[s:e] = hit
+        return out
+
+    def _points_near_polys_pairs(self, px, py, poly_i) -> np.ndarray:
+        """Per PAIR: the point lies within ``buffer`` of a polygon edge
+        — geom.points_dist2_to_rings's formula per expanded edge, for
+        pairs the exact PIP test rejected."""
+        out = np.zeros(len(poly_i), bool)
+        buf2 = float(self.buffer) ** 2
+        px, py = px.astype(np.float64), py.astype(np.float64)
+        for s, e, rep, eidx in self._edge_chunks(poly_i):
+            P, Q = px[s:e][rep], py[s:e][rep]
+            x1, y1 = self._fx1[eidx], self._fy1[eidx]
+            dx = self._fx2[eidx] - x1
+            dy = self._fy2[eidx] - y1
+            L2 = dx * dx + dy * dy
+            L2safe = np.where(L2 == 0, 1.0, L2)
+            t = np.clip(((P - x1) * dx + (Q - y1) * dy) / L2safe, 0.0, 1.0)
+            d2 = (P - (x1 + t * dx)) ** 2 + (Q - (y1 + t * dy)) ** 2
+            hit = np.zeros(e - s, bool)
+            hit[rep[d2 <= buf2]] = True
+            out[s:e] = hit
+        return out
+
+    def verdicts(self, minlon, minlat, maxlon, maxlat, *, codes: bool = False):
+        """-> (row_idx, poly_idx, verdict) for assigned pairs, ordered
+        by (row, poly).  ``verdict`` is a list of "keep"/"delete", or
+        with ``codes`` an int8 array indexing ``VERDICTS`` (callers
+        that build Arrow columns then need no per-row strings).
+
+        Refine is one pair-segmented pass over every candidate pair
+        for point and box extents alike (exact test, then the buffered
+        test on the exact misses), then bitmask tree-chaining
+        (assigned iff every ancestor non-drop; action delete iff any
+        delete on the path)."""
         minlon = np.asarray(minlon, np.int64)
         minlat = np.asarray(minlat, np.int64)
         maxlon = np.asarray(maxlon, np.int64)
         maxlat = np.asarray(maxlat, np.int64)
         n = len(minlon)
         row_i, poly_i = self.candidate_pairs(minlon, minlat, maxlon, maxlat)
-        # sort candidates by polygon so each polygon's rows are one
-        # contiguous segment — the per-poly masking below is a slice,
-        # not an O(candidates) == scan per polygon (matters from ~1k
-        # polygons up, where the scan is O(polys x candidates))
-        if len(poly_i):
-            seg_order = np.argsort(poly_i, kind="stable")
-            row_i, poly_i = row_i[seg_order], poly_i[seg_order]
+        x0, y0 = minlon[row_i], minlat[row_i]
+        x1, y1 = maxlon[row_i], maxlat[row_i]
         vc = np.zeros(len(row_i), np.int8)  # 0 drop, 1 delete, 2 keep
-        is_point = (minlon[row_i] == maxlon[row_i]) & (minlat[row_i] == maxlat[row_i])
-        # point extents (the majority): ONE pair-segmented exact-PIP
-        # pass across every (point, polygon) candidate — no per-poly
-        # numpy-call overhead (matters at 1k polygons)
+        is_point = (x0 == x1) & (y0 == y1)
         pidx = np.flatnonzero(is_point)
-        if len(pidx):
-            exact_p = self._points_in_polys_pairs(
-                minlon[row_i[pidx]], minlat[row_i[pidx]], poly_i[pidx]
-            )
-            vc[pidx[exact_p]] = 2
-            if self.buffer > 0:
-                # buffered refine only for the non-exact remainder,
-                # per-poly (each segment contiguous: pidx ascending
-                # over poly-sorted pairs).  buffer==0 adds nothing —
-                # distance-0 points are already boundary-inclusive.
-                todo = pidx[~exact_p]
-                tp = poly_i[todo]
-                t_starts = np.flatnonzero(
-                    np.concatenate(([len(tp) > 0], tp[1:] != tp[:-1]))
-                )
-                t_ends = np.concatenate((t_starts[1:], [len(todo)]))
-                for s0, s1 in zip(t_starts.tolist(), t_ends.tolist()):
-                    sel = todo[s0:s1]
-                    rows = row_i[sel]
-                    buf = points_in_buffered(
-                        minlon[rows], minlat[rows], self.polys[int(tp[s0])],
-                        buffer=self.buffer,
-                    )
-                    vc[sel[buf]] = 1
-        # box extents: per-poly exact/buffered rectangle predicates,
-        # looping ONLY over polygons that actually have box candidates
+        exact = self._points_in_polys_pairs(x0[pidx], y0[pidx], poly_i[pidx])
+        vc[pidx[exact]] = 2
+        if self.buffer > 0:
+            # buffer==0 adds nothing for points: exact PIP is already
+            # boundary-inclusive
+            todo = pidx[~exact]
+            near = self._points_near_polys_pairs(x0[todo], y0[todo], poly_i[todo])
+            vc[todo[near]] = 1
         bidx = np.flatnonzero(~is_point)
-        if len(bidx):
-            bp = poly_i[bidx]  # ascending (pairs sorted by poly)
-            b_starts = np.flatnonzero(
-                np.concatenate(([True], bp[1:] != bp[:-1]))
-            )
-            b_ends = np.concatenate((b_starts[1:], [len(bidx)]))
-            for s0, s1 in zip(b_starts.tolist(), b_ends.tolist()):
-                sel = bidx[s0:s1]
-                mp = self.polys[int(bp[s0])]
-                rows = row_i[sel]
-                exact = boxes_intersect_multipolygon(
-                    minlon[rows], minlat[rows], maxlon[rows], maxlat[rows], mp
-                )
-                buf = exact.copy()
-                todo = ~exact
-                if todo.any():
-                    buf[todo] = boxes_intersect_buffered(
-                        minlon[rows][todo],
-                        minlat[rows][todo],
-                        maxlon[rows][todo],
-                        maxlat[rows][todo],
-                        mp,
-                        buffer=self.buffer,
-                    )
-                vc[sel] = np.where(exact, 2, np.where(buf, 1, 0)).astype(np.int8)
+        exact = self._boxes_in_polys_pairs(
+            x0[bidx], y0[bidx], x1[bidx], y1[bidx], poly_i[bidx]
+        )
+        vc[bidx[exact]] = 2
+        todo = bidx[~exact]
+        near = self._boxes_near_polys_pairs(
+            x0[todo], y0[todo], x1[todo], y1[todo], poly_i[todo]
+        )
+        vc[todo[near]] = 1
         nonzero = vc > 0
         row_i, poly_i, vc = row_i[nonzero], poly_i[nonzero], vc[nonzero]
         # per-row assigned/delete bitmasks (multi-word)
@@ -438,14 +464,15 @@ class PolyTreeIndex:
         any_del = np.any((deleted[row_i] & path) != 0, axis=1)
         row_o, poly_o, del_o = row_i[ok], poly_i[ok], any_del[ok]
         order = np.lexsort((poly_o, row_o))  # deterministic output order
-        verdicts = np.where(del_o[order], "delete", "keep")
-        return row_o[order], poly_o[order], verdicts.tolist()
+        code = (~del_o[order]).astype(np.int8)
+        if codes:
+            return row_o[order], poly_o[order], code
+        return row_o[order], poly_o[order], np.asarray(VERDICTS)[code].tolist()
 
 
-def _morton(x: int, y: int, res: int) -> int:
-    from ..cells import cell_from_xy
-
-    return int(cell_from_xy(np.array([x]), np.array([y]), res)[0])
+def _box_sides(x0, y0, x1, y1):
+    """The 4 sides of boxes as segments, in geom's order and orientation."""
+    return ((x0, y0, x1, y0), (x1, y0, x1, y1), (x1, y1, x0, y1), (x0, y1, x0, y0))
 
 
 def _morton_vec(x: np.ndarray, y: np.ndarray, res: int) -> np.ndarray:
@@ -500,20 +527,21 @@ class SpatialJoinActor:
             else entries_or_ref
         )
         self.index = PolyTreeIndex(entries, buffer=buffer, res=res)
+        self.paths = pa.array(self.index.paths, pa.string())
+        self.verdict_names = pa.array(VERDICTS, pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows, polys, verdicts = self.index.verdicts(
+        rows, polys, codes = self.index.verdicts(
             batch["minlon"].to_numpy(zero_copy_only=False),
             batch["minlat"].to_numpy(zero_copy_only=False),
             batch["maxlon"].to_numpy(zero_copy_only=False),
             batch["maxlat"].to_numpy(zero_copy_only=False),
+            codes=True,
         )
-        ids = batch["image_id"].take(pa.array(rows))
-        paths = pa.array([self.index.paths[p] for p in polys.tolist()], pa.string())
         return pa.table(
             {
-                "image_id": ids,
-                "poly_path": paths,
-                "verdict": pa.array(verdicts, pa.string()),
+                "image_id": batch["image_id"].take(pa.array(rows)),
+                "poly_path": self.paths.take(pa.array(polys)),
+                "verdict": self.verdict_names.take(pa.array(codes)),
             }
         )

@@ -5,6 +5,7 @@ import pyarrow as pa
 
 from osm_replication_rust_ray.geom import (
     BUFFER_DECIMICRO,
+    MultiPolygon,
     boxes_intersect_buffered,
     boxes_intersect_multipolygon,
 )
@@ -179,3 +180,110 @@ def test_all_exact_points_with_buffer():
     py = np.array(py, np.int64)
     rows, polys, verd = idx.verdicts(px, py, px, py)
     assert len(rows) >= 4 and all(v in ("keep", "delete") for v in verd)
+
+
+def _assignments(index, ext):
+    rows, polys, verdicts = index.verdicts(
+        ext["minlon"], ext["minlat"], ext["maxlon"], ext["maxlat"]
+    )
+    return {(int(r), index.paths[int(p)], v) for r, p, v in zip(rows, polys, verdicts)}
+
+
+def test_grid_boxes_match_brute_force():
+    """Payload BOX extents against the 1080-rectangle grid (STRtree
+    candidates, pair-segmented box refine) at the default buffer."""
+    from osm_replication_rust_ray.sources.synth import synth_polygon_grid
+
+    grid = synth_polygon_grid()
+    _, ext = _payload_extents(1000)
+    # box rows only: points take the point kernels, and the brute force
+    # over 1080 polygons would spend its time on their degenerate sides
+    box = (ext["minlon"] != ext["maxlon"]) | (ext["minlat"] != ext["maxlat"])
+    ext = {k: np.asarray(ext[k])[box] for k in ("minlon", "minlat", "maxlon", "maxlat")}
+    index = PolyTreeIndex(grid)
+    assert index.cand_mode == "strtree"
+    got = _assignments(index, ext)
+    assert got == brute_force_assignments(ext, grid)
+    assert {v for _, _, v in got} == {"keep", "delete"}
+
+
+# square [0, 1e7]^2 and a diamond with diagonal edges centred (3e7, 5e6)
+_E = 10_000_000
+_HAND_TREE = [
+    ("./sq", MultiPolygon.from_rings([([0, _E, _E, 0], [0, 0, _E, _E])])),
+    ("./dia", MultiPolygon.from_rings(
+        [([25_000_000, 30_000_000, 35_000_000, 30_000_000], [5_000_000, 0, 5_000_000, _E])]
+    )),
+]
+# (minlon, minlat, maxlon, maxlat) -> expected verdict per path
+_HAND_CASES = [
+    # degenerate line boxes crossing an edge: no vertex inside, min corner outside
+    ((-2_000_000, 5_000_000, 2_000_000, 5_000_000), {"./sq": "keep"}),
+    ((5_000_000, -2_000_000, 5_000_000, 2_000_000), {"./sq": "keep"}),
+    ((33_000_000, 1_000_000, 40_000_000, 1_000_000), {}),  # 1.41e6 from the diagonal
+    ((31_500_000, 1_000_000, 40_000_000, 1_000_000), {"./dia": "delete"}),
+    ((30_500_000, 1_000_000, 40_000_000, 1_000_000), {"./dia": "keep"}),
+    ((-3_000_000, 10_500_000, 5_000_000, 10_500_000), {"./sq": "delete"}),
+    ((35_000_000, 5_000_000, 35_000_000, 8_000_000), {"./dia": "keep"}),  # on a vertex
+    # boxes touching an edge or a vertex exactly
+    ((_E, 2_000_000, 12_000_000, 3_000_000), {"./sq": "keep"}),
+    ((_E, _E, 12_000_000, 12_000_000), {"./sq": "keep"}),
+    ((-2_000_000, -2_000_000, 0, 0), {"./sq": "keep"}),
+    # a box enclosing the whole polygon, and one strictly inside it
+    ((-1_000_000, -1_000_000, 11_000_000, 11_000_000), {"./sq": "keep"}),
+    ((1_000_000, 1_000_000, 2_000_000, 2_000_000), {"./sq": "keep"}),
+    # round join at the corner (1e7, 1e7): 989,949 in, 1,004,092 out
+    ((10_700_000, 10_700_000, 10_700_000, 10_700_000), {"./sq": "delete"}),
+    ((10_710_000, 10_710_000, 10_710_000, 10_710_000), {}),
+    ((10_700_000, 10_700_000, 10_900_000, 10_900_000), {"./sq": "delete"}),
+    ((10_710_000, 10_710_000, 10_900_000, 10_900_000), {}),
+]
+
+
+def _hand_ext():
+    arr = np.array([box for box, _ in _HAND_CASES], np.int64)
+    return {k: arr[:, j] for j, k in enumerate(("minlon", "minlat", "maxlon", "maxlat"))}
+
+
+def test_hand_built_boxes_and_buffer_edges():
+    ext = _hand_ext()
+    want = {
+        (i, path, verdict)
+        for i, (_, exp) in enumerate(_HAND_CASES)
+        for path, verdict in exp.items()
+    }
+    for mode in ("cells", "strtree"):
+        index = PolyTreeIndex(_HAND_TREE, candidates=mode)
+        got = _assignments(index, ext)
+        assert got == want, mode
+    assert brute_force_assignments(ext, _HAND_TREE) == want
+
+
+def test_multiring_boxes_match_brute_force_across_chunks():
+    """Boxes (a third of them degenerate lines) around the 9-ring
+    multipolygon of synth_polygon_tree; a tiny ``chunk_edges`` splits
+    the expanded edge arrays into many chunks, some ending inside one
+    polygon's edge run, and must not change a verdict."""
+    (path, mp), = [(p, mp) for p, mp in synth_polygon_tree() if mp.n_rings == 9]
+    tree = [("./" + path[: -len(".poly")], mp)]
+    x0, y0, x1, y1 = mp.bbox()
+    rng = np.random.default_rng(3)
+    n = 600
+    lon = rng.integers(x0 - 2 * BUFFER_DECIMICRO, x1 + 2 * BUFFER_DECIMICRO, n)
+    lat = rng.integers(y0 - 2 * BUFFER_DECIMICRO, y1 + 2 * BUFFER_DECIMICRO, n)
+    w = rng.integers(0, 30_000_000, n)
+    h = rng.integers(0, 30_000_000, n)
+    w[: n // 6] = 0
+    h[n // 6 : n // 3] = 0
+    ext = {"minlon": lon, "minlat": lat, "maxlon": lon + w, "maxlat": lat + h}
+    want = brute_force_assignments(ext, tree)
+    assert {v for _, _, v in want} == {"keep", "delete"}
+    index = PolyTreeIndex(tree)
+    assert _assignments(index, ext) == want
+    index.chunk_edges = 7  # < one ring's edge count
+    assert _assignments(index, ext) == want
+    # and on the hand-built set, where every pair has 4 edges
+    hand = PolyTreeIndex(_HAND_TREE)
+    full = _assignments(hand, _hand_ext())
+    hand.chunk_edges = 3
+    assert _assignments(hand, _hand_ext()) == full
