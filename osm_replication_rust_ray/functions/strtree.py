@@ -3,15 +3,10 @@
 The north-star spec calls for an "STRtree-backed point-in-polygon stage
 hosted in actor pools".  This is that tree: a bulk-loaded, fully packed
 R-tree (Leutenegger/Lopez/Edgington STR packing) whose BUILD and QUERY
-are both numpy-vectorized — no per-node Python in the hot path.  It
-complements the Morton-cell candidate index in
-``stages/spatial_join.PolyTreeIndex``:
-
-- cells win for point/small-box probes against a small polygon set
-  (one hash probe per covering cell);
-- the STRtree wins for LARGE extents and LARGE polygon sets, where the
-  cell index's conservative fallback (every polygon at a resolution
-  becomes a candidate) degrades to O(rows x polygons).
+are both numpy-vectorized — no per-node Python in the hot path.  It is
+the candidate source of ``stages/spatial_join.PolyTreeIndex``: built
+over the buffered polygon bboxes, it serves points, small boxes and
+continental extents alike, for a dozen polygons or thousands.
 
 Reference analogue: the reference prunes diff elements against each
 ``.poly`` bounding box one polygon at a time (src/diffs.rs:168-191,

@@ -112,7 +112,7 @@ def _pip_sql_expr(mp: MultiPolygon, px: str, py: str) -> str:
 # =====================================================================
 
 class _PipActor:
-    """Actor-pool PIP: candidates via covering-cell index, exact refine."""
+    """Actor-pool PIP: candidates via the STRtree index, exact refine."""
 
     def __init__(self, entries_or_ref):
         import ray
@@ -237,9 +237,9 @@ def q_polygon_raster(sf_dir: str, res: int = RASTER_RES):
     (no materialized grid), polygons broadcast once via ``ray.put``;
     per batch the kernel is one vectorized (cells x edges) parity
     pass per polygon, with a bbox prefilter cutting the edge work for
-    far-away batches.  At continental polygon counts the cell-cover /
-    STRtree candidate index of stages/spatial_join.py would replace
-    the per-polygon loop (same refine kernel)."""
+    far-away batches.  At continental polygon counts the STRtree
+    candidate index of stages/spatial_join.py would replace the
+    per-polygon loop (same refine kernel)."""
     import ray
     import ray.data as rd
 
@@ -658,20 +658,17 @@ WHERE {lon} - {half} <= maxx AND {lon} + {half} >= minx
 
 class _GridPipActor:
     """STRtree-candidate PIP under polygon-set LOAD (round-3 verdict
-    item #6): 1080 rectangle polygons force PolyTreeIndex's auto mode
-    onto the packed STRtree as the candidate source for EVERY row —
-    the north-star's "STRtree-backed point-in-polygon stage hosted in
-    actor pools" carrying the verdicts, not just the giant-extent
-    fallback.  The polygon set is generated deterministically in
-    ``__init__`` (once per actor; nothing shipped per batch)."""
+    item #6): 1080 rectangle polygons in PolyTreeIndex, whose packed
+    STRtree yields the candidates for every row — the north-star's
+    "STRtree-backed point-in-polygon stage hosted in actor pools".
+    The polygon set is generated deterministically in ``__init__``
+    (once per actor; nothing shipped per batch)."""
 
     def __init__(self):
         from ..sources.synth import synth_polygon_grid
         from ..stages.spatial_join import PolyTreeIndex
 
         self.index = PolyTreeIndex(synth_polygon_grid(), buffer=0)
-        if self.index.cand_mode != "strtree":
-            raise AssertionError("grid fixture must route via the STRtree")
         self.n_polys = len(self.index.polys)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -8453,15 +8450,14 @@ def sql_flagship_spatial() -> str:
         point_in_buffered_sql,
     )
     from ..geom import BUFFER_DECIMICRO
-    from ..sources.synth import chain_layers_sql, synth_polygon_tree
-    from ..stages.spatial_join import parent_path
+    from ..sources.synth import chain_layers_sql, polygon_tree_entries
+    from ..stages.spatial_join import polygon_chains
 
     n = ("(CASE WHEN (SELECT count(*) FROM events) >= 10000 "
          "THEN 50000 ELSE 5000 END)")
     base, layers = _synth_extent_layers(n)
     layers.append(("is_pt", "lo_x = hi_x AND lo_y = hi_y"))
-    entries = [("./" + rel[: -len(".poly")], mp) for rel, mp in synth_polygon_tree()]
-    have = {path for path, _mp in entries}
+    entries = polygon_tree_entries()
     buf = BUFFER_DECIMICRO
     for k, (_path, mp) in enumerate(entries):
         minx, miny, maxx, maxy = mp.bbox()
@@ -8487,14 +8483,9 @@ def sql_flagship_spatial() -> str:
             )
         )
     rows = chain_layers_sql(f"({base})", layers)
+    chains = polygon_chains([path for path, _mp in entries])
     branches = []
-    for k, (path, _mp) in enumerate(entries):
-        chain = [k]
-        par = parent_path(path)
-        while par is not None:
-            if par in have:
-                chain.append(next(j for j, (q, _m) in enumerate(entries) if q == par))
-            par = parent_path(par)
+    for (path, _mp), chain in zip(entries, chains):
         assigned = " AND ".join(f"vc{j} > 0" for j in chain)
         anydel = " OR ".join(f"vc{j} = 1" for j in chain)
         branches.append(
@@ -8592,27 +8583,21 @@ def sql_route_payload() -> str:
     with geom.boxes_intersect_multipolygon is pinned by
     tests/test_geom_sql.py)."""
     from ..functions.geom_sql import box_intersect_sql
-    from ..sources.synth import chain_layers_sql, synth_polygon_tree
-    from ..stages.spatial_join import parent_path
+    from ..sources.synth import chain_layers_sql, polygon_tree_entries
+    from ..stages.spatial_join import polygon_chains
 
     n = ("(CASE WHEN (SELECT count(*) FROM events) >= 10000 "
          "THEN 20000 ELSE 2000 END)")
     base, layers = _synth_extent_layers(n)
-    entries = [("./" + rel[: -len(".poly")], mp) for rel, mp in synth_polygon_tree()]
-    have = {path for path, _mp in entries}
+    entries = polygon_tree_entries()
     for k, (_path, mp) in enumerate(entries):
         layers.append(
             (f"ok{k}", box_intersect_sql(mp, "lo_x", "lo_y", "hi_x", "hi_y"))
         )
     rows = chain_layers_sql(f"({base})", layers)
+    chains = polygon_chains([path for path, _mp in entries])
     branches = []
-    for k, (path, _mp) in enumerate(entries):
-        chain = [k]
-        par = parent_path(path)
-        while par is not None:
-            if par in have:
-                chain.append(next(j for j, (q, _m) in enumerate(entries) if q == par))
-            par = parent_path(par)
+    for (path, _mp), chain in zip(entries, chains):
         cond = " AND ".join(f"ok{j}" for j in chain)
         branches.append(
             f"SELECT '{path}' AS partition_id, count(*) AS n_rows, "
@@ -16333,7 +16318,6 @@ QUERIES: dict[str, tuple] = {
     "video_motion": (q_video_motion, sql_video_motion()),
     "strtree_pairs": (q_strtree_pairs, sql_strtree_pairs()),
     # north-star STRtree-backed PIP stage under 1080-polygon load
-    # (STRtree carries the verdicts, not the cell covers)
     "strtree_pip": (q_strtree_pip, sql_strtree_pip()),
     # segment x polygon-edge proper-crossing join (vector clip
     # candidate step): STRtree candidates, identical int64 crossing

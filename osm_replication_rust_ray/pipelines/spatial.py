@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..cells import DEFAULT_RES, encode_cells
-from ..sources.synth import derive_extents, payload_dataset, synth_polygon_tree
+from ..sources.synth import derive_extents, payload_dataset, polygon_tree_entries
 from ..stages.spatial_join import SpatialJoinActor
 from ..tuning import est_tasks, join_partitions, pool_concurrency
 
@@ -57,9 +57,7 @@ def flagship_assignments(
     if concurrency is None:
         concurrency = pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=batch_size))
     ds = payload_with_extents(n_rows, with_bytes=with_bytes, parallelism=parallelism)
-    entries = synth_polygon_tree()
-    tree = [("./" + p[: -len(".poly")], mp) for p, mp in entries]
-    ref = ray.put(tree)
+    ref = ray.put(polygon_tree_entries())
     return ds.map_batches(
         SpatialJoinActor,
         fn_constructor_args=(ref,),
@@ -120,8 +118,6 @@ def route_payload_with_bytes(
     import pyarrow.compute as pc
     import ray
 
-    from ..sources.synth import payload_dataset, synth_polygon_tree
-    from ..stages.spatial_join import SpatialJoinActor
     from ..state.manifest import write_partitioned
 
     if concurrency is None:
@@ -137,8 +133,7 @@ def route_payload_with_bytes(
     skinny = skinny.map_batches(
         add_extents_and_cells, batch_format="pyarrow", batch_size=8192
     )
-    entries = [("./" + p[: -len(".poly")], mp) for p, mp in synth_polygon_tree()]
-    ref = ray.put(entries)
+    ref = ray.put(polygon_tree_entries())
     assignments = skinny.map_batches(
         SpatialJoinActor,
         fn_constructor_args=(ref,),

@@ -396,10 +396,10 @@ GRID_CELL_X, GRID_CELL_Y = 100_000_000, 60_000_000
 
 def synth_polygon_grid(n: int = GRID_NX * GRID_NY) -> list[tuple[str, MultiPolygon]]:
     """Deterministic FLAT set of ``n`` (<=1080) axis-aligned rectangle
-    polygons — the >=1k-polygon fixture that makes the packed STRtree
-    the candidate source inside PolyTreeIndex (round-3 verdict item
-    #6: prove the north-star "STRtree-backed PIP stage in actor
-    pools" under polygon-set load, not just on giant extents).
+    polygons — the >=1k-polygon fixture that loads PolyTreeIndex's
+    packed STRtree candidate source (round-3 verdict item #6: prove
+    the north-star "STRtree-backed PIP stage in actor pools" under
+    polygon-set load, not just on giant extents).
 
     One rectangle per world-grid cell, centered, with per-k half-
     widths varied by plain integer multiply/modulo so the set is
@@ -502,6 +502,12 @@ def synth_polygon_tree() -> list[tuple[str, MultiPolygon]]:
         [_regular_poly(-1_420_000_000, 560_000_000, 25_000_000, 9, 0.9)],
     )
     return out
+
+
+def polygon_tree_entries() -> list[tuple[str, MultiPolygon]]:
+    """``synth_polygon_tree`` as ``PolyTreeIndex`` entries: paths
+    relative to the tree root ("./region_a/urban"), without ".poly"."""
+    return [("./" + p[: -len(".poly")], mp) for p, mp in synth_polygon_tree()]
 
 
 def write_polygon_tree(root_dir: str) -> str:

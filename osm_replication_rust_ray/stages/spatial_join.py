@@ -14,13 +14,12 @@ with ONE multi-label pass:
     src/osmxml/filter.rs:231,256,294 chained through src/diffs.rs:174-185).
 
 Scale shape (north_rule): a `map_batches` ACTOR POOL — each actor
-builds, once in ``__init__``, the packed cell index (polygon covering
-cells at adaptive resolution, `cells.cover_multipolygon`) and the
-buffered-cover for candidate pruning; per batch, rows probe the index
-via their covering cell ranges (vectorized), then only (row, polygon)
-candidate pairs run the exact integer predicates.  The polygon set is
-broadcast once via ``ray.put`` and read in the constructor — never
-re-shipped per batch.
+builds, once in ``__init__``, a packed STRtree over the polygons'
+bboxes expanded by the buffer (`functions/strtree.py`, one argsort);
+per batch, each row's extent queries the tree (vectorized), then only
+the (row, polygon) candidate pairs run the exact integer predicates.
+The polygon set is broadcast once via ``ray.put`` and read in the
+constructor — never re-shipped per batch.
 
 Refine is pair-segmented for points and boxes alike: every candidate
 pair expands to its polygon's edge slice of one CSR edge table, each
@@ -36,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..cells import DEFAULT_RES, LAT_OFFSET, LON_OFFSET, LON_SPAN, cell_res, cell_xy, cover_multipolygon, xy_at_res
 from ..functions.strtree import STRtree
 from ..geom import (
     BUFFER_DECIMICRO,
@@ -44,23 +42,34 @@ from ..geom import (
     _det_sign,
     _seg_seg_intersect,
     _segs_dist2,
-    boxes_intersect_buffered,
 )
 
 
 def parent_path(path: str) -> str | None:
-    """'./a/b/c' -> './a/b', './a' -> None (tree root)."""
+    """'./a/b/c' -> './a/b', 'a/b' -> 'a', './a' and 'a' -> None (tree root)."""
     i = path.rfind("/")
-    if i <= 1:
+    if i <= 0 or path[:i] == ".":
         return None
     return path[:i]
 
 
-# polygon count past which the packed STRtree (log-depth, O(1) build
-# per poly) replaces the Morton-cell covers (O(cover cells) build per
-# poly) as the DEFAULT candidate source — measured: cover build is
-# ~linear in polys x cells while the tree bulk-load is one argsort
-STRTREE_POLYS = 256
+def polygon_chains(paths: list[str]) -> list[list[int]]:
+    """Per path, its own index in ``paths`` followed by the indices of
+    its ANCESTORS that carry a polygon, nearest first: file-less
+    directory levels pass the diff through unchanged
+    (src/diffs.rs:174-185)."""
+    idx = {p: i for i, p in enumerate(paths)}
+    chains = []
+    for k, p in enumerate(paths):
+        chain = [k]
+        par = parent_path(p)
+        while par is not None:
+            if par in idx:
+                chain.append(idx[par])
+            par = parent_path(par)
+        chains.append(chain)
+    return chains
+
 
 # verdict names indexed by the codes ``PolyTreeIndex.verdicts(codes=True)``
 # returns
@@ -68,16 +77,11 @@ VERDICTS = ("delete", "keep")
 
 
 class PolyTreeIndex:
-    """Cell-bucketed candidate index over a polygon tree (built per actor).
-
-    ``candidates`` picks the candidate source: "cells" (Morton cover
-    tables — wins for point probes against a SMALL polygon set),
-    "strtree" (packed R-tree over buffered polygon bboxes — wins for
-    large polygon sets and giant extents; the north-star's
-    "STRtree-backed PIP stage"), or "auto" (strtree from
-    ``STRTREE_POLYS`` polygons up).  Both sources yield candidate
-    SUPERSETS refined by the same exact predicates, so verdicts are
-    identical either way (pinned by tests/test_spatial_join.py)."""
+    """Candidate index over a polygon tree (built per actor): a packed
+    STRtree over the buffered polygon bboxes (the north-star's
+    "STRtree-backed PIP stage") yields a candidate SUPERSET of the
+    (row, polygon) pairs whose extent meets the buffered polygon, and
+    the exact predicates refine it."""
 
     # expanded (pair, edge) elements per refine chunk (_edge_chunks):
     # bounds the refine's working arrays to a few MB each
@@ -87,62 +91,11 @@ class PolyTreeIndex:
         self,
         entries: list[tuple[str, MultiPolygon]],
         buffer: int = BUFFER_DECIMICRO,
-        res: int = DEFAULT_RES,
-        max_cells: int = 4096,
-        candidates: str = "auto",
     ):
         self.entries = entries
         self.buffer = buffer
         self.paths = [p for p, _ in entries]
         self.polys = [mp for _, mp in entries]
-        self.parent_idx: list[int | None] = []
-        path_to_idx = {p: i for i, p in enumerate(self.paths)}
-        for p in self.paths:
-            # nearest ANCESTOR that has a polygon: file-less directory
-            # levels pass the diff through unchanged (src/diffs.rs:174-185)
-            par = parent_path(p)
-            while par is not None and par not in path_to_idx:
-                par = parent_path(par)
-            self.parent_idx.append(path_to_idx.get(par) if par else None)
-        if candidates not in ("auto", "cells", "strtree"):
-            raise ValueError(f"unknown candidate source {candidates!r}")
-        self.cand_mode = (
-            "strtree"
-            if candidates == "strtree"
-            or (candidates == "auto" and len(entries) >= STRTREE_POLYS)
-            else "cells"
-        )
-        # candidate index: per cover-res dict (cell -> set of poly idx),
-        # covers computed over the polygon EXPANDED by the buffer so
-        # delete-zone rows stay candidates.  Skipped entirely in
-        # strtree mode — the cover build is the expensive part of actor
-        # init and the tree replaces it wholesale.
-        self.by_res: dict[int, dict[int, list[int]]] = {}
-        if self.cand_mode == "cells":
-            for i, mp in enumerate(self.polys):
-                exp = _expand_mp_bbox_cover(mp, buffer, res, max_cells)
-                for c in exp.tolist():
-                    r = int(cell_res([c])[0])
-                    self.by_res.setdefault(r, {}).setdefault(c, []).append(i)
-        # CSR form per res for vectorized probing: sorted cell keys ->
-        # contiguous poly-id spans
-        self.res_tables: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for r, d in sorted(self.by_res.items()):
-            keys = np.array(sorted(d.keys()), dtype=np.int64)
-            offs = np.zeros(len(keys) + 1, np.int64)
-            ids_parts = []
-            for j, c in enumerate(keys.tolist()):
-                lst = d[c]
-                offs[j + 1] = offs[j] + len(lst)
-                ids_parts.append(np.asarray(lst, np.int64))
-            pids = (
-                np.concatenate(ids_parts) if ids_parts else np.empty(0, np.int64)
-            )
-            self.res_tables.append((r, keys, offs, pids))
-        # STRtree over the BUFFERED polygon bboxes: candidate source for
-        # giant extents (bbox overlap is a superset of buffered-polygon
-        # intersection, so routing a row through the tree instead of the
-        # cell tables preserves the exact downstream verdicts)
         bb = np.array([mp.bbox() for mp in self.polys], np.int64).reshape(-1, 4)
         self._bbox_tree = STRtree(
             bb[:, 0] - buffer, bb[:, 1] - buffer,
@@ -192,94 +145,21 @@ class PolyTreeIndex:
         self._n_words = max(1, (n_polys + 63) // 64)
         self._anc_mask = np.zeros((n_polys, self._n_words), np.uint64)
         self._path_mask = np.zeros((n_polys, self._n_words), np.uint64)
-        for p in range(n_polys):
-            a = self.parent_idx[p]
-            while a is not None:
+        for p, chain in enumerate(polygon_chains(self.paths)):
+            for a in chain[1:]:
                 self._anc_mask[p, a // 64] |= np.uint64(1 << (a % 64))
-                a = self.parent_idx[a]
             self._path_mask[p] = self._anc_mask[p]
             self._path_mask[p, p // 64] |= np.uint64(1 << (p % 64))
 
     def candidate_pairs(self, minlon, minlat, maxlon, maxlat):
-        """-> (row_idx, poly_idx) candidate pairs, deduplicated.
-
-        Fully vectorized for rows whose extent falls in ONE cover cell
-        per resolution (the overwhelming case: points and small boxes);
-        multi-cell extents take a small Python fallback.
-        """
-        minlon = np.asarray(minlon, np.int64)
-        minlat = np.asarray(minlat, np.int64)
-        maxlon = np.asarray(maxlon, np.int64)
-        maxlat = np.asarray(maxlat, np.int64)
-        n = len(minlon)
-        if self.cand_mode == "strtree":
-            # tree over BUFFERED poly bboxes -> closed-interval overlap
-            # is a superset of (buffered) polygon intersection; pairs
-            # are unique by construction (one visit per (query, leaf))
-            return self._bbox_tree.query(minlon, minlat, maxlon, maxlat)
-        pair_rows: list[np.ndarray] = []
-        pair_polys: list[np.ndarray] = []
-        giant_any = np.zeros(n, bool)
-        for r, keys, offs, pids in self.res_tables:
-            if not len(keys):
-                continue
-            x0, y0 = xy_at_res(minlon, minlat, r)
-            x1, y1 = xy_at_res(maxlon, maxlat, r)
-            sx = x1 - x0 + 1
-            sy = y1 - y0 + 1
-            span = sx * sy
-            # giant extents (rare) would explode the cell probe set:
-            # route them through the packed STRtree over buffered poly
-            # bboxes instead (below) — a conservative superset, refined
-            # by the exact predicates downstream
-            giant = span > 256
-            if giant.any():
-                giant_any |= giant
-                span = np.where(giant, 0, span)
-                sx = np.where(giant, 1, sx)
-            # vectorized probe of every (row, cover-cell) combination:
-            # rows repeated by their span, offsets unrolled arange-style
-            total = int(span.sum())
-            if total == 0:
-                continue
-            rep = np.repeat(np.arange(n), span)
-            cum = np.cumsum(span)
-            k = np.arange(total) - np.repeat(cum - span, span)
-            rsx = np.repeat(sx, span)
-            X = np.repeat(x0, span) + k % rsx
-            Y = np.repeat(y0, span) + k // rsx
-            cells = _morton_vec(X, Y, r)
-            pos = np.searchsorted(keys, cells)
-            posc = np.clip(pos, 0, len(keys) - 1)
-            hit = keys[posc] == cells
-            hrows, hpos = rep[hit], posc[hit]
-            counts = offs[hpos + 1] - offs[hpos]
-            tot2 = int(counts.sum())
-            if tot2:
-                starts = offs[hpos]
-                cum2 = np.cumsum(counts)
-                idx = (
-                    np.arange(tot2)
-                    - np.repeat(cum2 - counts, counts)
-                    + np.repeat(starts, counts)
-                )
-                pair_rows.append(np.repeat(hrows, counts))
-                pair_polys.append(pids[idx])
-        if giant_any.any():
-            g = np.nonzero(giant_any)[0]
-            tq, tp = self._bbox_tree.query(
-                minlon[g], minlat[g], maxlon[g], maxlat[g]
-            )
-            pair_rows.append(g[tq])
-            pair_polys.append(tp)
-        if not pair_rows:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        row_i = np.concatenate(pair_rows)
-        poly_i = np.concatenate(pair_polys)
-        # dedupe (row, poly)
-        key = row_i * np.int64(len(self.polys)) + poly_i
-        uniq = np.unique(key)
-        return uniq // len(self.polys), uniq % len(self.polys)
+        """-> (row_idx, poly_idx) candidate pairs, unique by construction
+        (one visit per (query, leaf)): closed-interval overlap with a
+        buffered polygon bbox, a superset of buffered-polygon
+        intersection."""
+        return self._bbox_tree.query(
+            np.asarray(minlon, np.int64), np.asarray(minlat, np.int64),
+            np.asarray(maxlon, np.int64), np.asarray(maxlat, np.int64),
+        )
 
     def _edge_chunks(self, poly_i):
         """Yield ``(s, e, rep, eidx)``: pairs ``[s, e)`` of ``poly_i``
@@ -475,41 +355,6 @@ def _box_sides(x0, y0, x1, y1):
     return ((x0, y0, x1, y0), (x1, y0, x1, y1), (x1, y1, x0, y1), (x0, y1, x0, y0))
 
 
-def _morton_vec(x: np.ndarray, y: np.ndarray, res: int) -> np.ndarray:
-    from ..cells import cell_from_xy
-
-    return cell_from_xy(x, y, res)
-
-
-def _expand_mp_bbox_cover(mp: MultiPolygon, buffer: int, res: int, max_cells: int):
-    """Covering cells of the buffered polygon: cover cells whose rect is
-    within ``buffer`` of the polygon (uses the buffered box predicate)."""
-    minx, miny, maxx, maxy = mp.bbox()
-    minx, miny = minx - buffer, miny - buffer
-    maxx, maxy = maxx + buffer, maxy + buffer
-    use = res
-    while True:
-        x0, y0 = xy_at_res([max(minx, -LON_OFFSET)], [max(miny, -LAT_OFFSET)], use)
-        x1, y1 = xy_at_res([min(maxx, LON_OFFSET)], [min(maxy, LAT_OFFSET)], use)
-        n = (int(x1[0]) - int(x0[0]) + 1) * (int(y1[0]) - int(y0[0]) + 1)
-        if n <= max_cells or use == 0:
-            break
-        use -= 1
-    xs = np.arange(int(x0[0]), int(x1[0]) + 1)
-    ys = np.arange(int(y0[0]), int(y1[0]) + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    gx, gy = gx.ravel(), gy.ravel()
-    den = np.int64(1 << use)
-    minlon = (gx * LON_SPAN) // den - LON_OFFSET
-    maxlon = ((gx + 1) * LON_SPAN) // den - LON_OFFSET
-    minlat = (gy * LON_SPAN) // den - LAT_OFFSET
-    maxlat = ((gy + 1) * LON_SPAN) // den - LAT_OFFSET
-    hit = boxes_intersect_buffered(minlon, minlat, maxlon, maxlat, mp, buffer=buffer)
-    from ..cells import cell_from_xy
-
-    return cell_from_xy(gx[hit], gy[hit], use)
-
-
 class SpatialJoinActor:
     """`map_batches` actor: payload batch (with extent columns) ->
     assignments (image_id, poly_path, verdict).
@@ -517,8 +362,7 @@ class SpatialJoinActor:
     Constructor takes either the entries list directly or a
     ``ray.ObjectRef`` to it (broadcast once with ``ray.put``)."""
 
-    def __init__(self, entries_or_ref, buffer: int = BUFFER_DECIMICRO,
-                 res: int = DEFAULT_RES):
+    def __init__(self, entries_or_ref):
         import ray
 
         entries = (
@@ -526,7 +370,7 @@ class SpatialJoinActor:
             if isinstance(entries_or_ref, ray.ObjectRef)
             else entries_or_ref
         )
-        self.index = PolyTreeIndex(entries, buffer=buffer, res=res)
+        self.index = PolyTreeIndex(entries)
         self.paths = pa.array(self.index.paths, pa.string())
         self.verdict_names = pa.array(VERDICTS, pa.string())
 

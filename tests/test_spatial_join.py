@@ -1,4 +1,4 @@
-"""Spatial join + kNN: cell-index results must equal brute force."""
+"""Spatial join + kNN: indexed results must equal brute force."""
 
 import numpy as np
 import pyarrow as pa
@@ -12,10 +12,15 @@ from osm_replication_rust_ray.geom import (
 from osm_replication_rust_ray.sources.synth import (
     derive_extents,
     payload_batch,
+    polygon_tree_entries,
     synth_polygon_tree,
 )
 from osm_replication_rust_ray.stages.knn import CellKNNIndex, brute_force_nn
-from osm_replication_rust_ray.stages.spatial_join import PolyTreeIndex, parent_path
+from osm_replication_rust_ray.stages.spatial_join import (
+    PolyTreeIndex,
+    parent_path,
+    polygon_chains,
+)
 
 
 def _payload_extents(n=3000):
@@ -109,28 +114,25 @@ def test_knn_matches_brute_force():
     assert (got_id[:, 0] == exp_id).all()
 
 
-def test_strtree_candidates_match_cells():
-    """Forced "strtree" and "cells" candidate sources yield IDENTICAL
-    verdicts (both are candidate supersets refined by the same exact
-    predicates) — the parity pin behind PolyTreeIndex's auto mode."""
-    t, ext = _payload_extents(4000)
-    tree = [(p[: -len(".poly")], mp) for p, mp in synth_polygon_tree()]
-    args = (ext["minlon"], ext["minlat"], ext["maxlon"], ext["maxlat"])
-    cells = PolyTreeIndex(tree, candidates="cells")
-    strtree = PolyTreeIndex(tree, candidates="strtree")
-    assert cells.cand_mode == "cells" and strtree.cand_mode == "strtree"
-    rc, pc_, vc = cells.verdicts(*args)
-    rs, ps, vs = strtree.verdicts(*args)
-    assert (rc == rs).all() and (pc_ == ps).all() and vc == vs
+def test_flagship_tree_payload_matches_brute_force():
+    """The flagship tree payload (points and boxes) through the shipped
+    entries helper — pins the 12-polygon tree set and its "./" paths."""
+    _, ext = _payload_extents(4000)
+    tree = polygon_tree_entries()
+    assert len(tree) == 12 and all(p.startswith("./") for p, _ in tree)
+    got = _assignments(PolyTreeIndex(tree), ext)
+    assert got == brute_force_assignments(ext, tree)
+    is_pt = (ext["minlon"] == ext["maxlon"]) & (ext["minlat"] == ext["maxlat"])
+    rows = {r for r, _, _ in got}
+    assert rows & set(np.flatnonzero(is_pt)) and rows - set(np.flatnonzero(is_pt))
 
 
-def test_auto_mode_picks_strtree_at_polygon_load():
+def test_disjoint_grid_assigns_each_point_at_most_once():
     from osm_replication_rust_ray.sources.synth import synth_polygon_grid
 
     grid = synth_polygon_grid()
     assert len(grid) == 1080
     idx = PolyTreeIndex(grid, buffer=0)
-    assert idx.cand_mode == "strtree"
     # rects are pairwise DISJOINT: at most one assignment per point
     rng = np.random.RandomState(7)
     px = rng.randint(-1_800_000_000, 1_800_000_001, 20000).astype(np.int64)
@@ -200,9 +202,7 @@ def test_grid_boxes_match_brute_force():
     # over 1080 polygons would spend its time on their degenerate sides
     box = (ext["minlon"] != ext["maxlon"]) | (ext["minlat"] != ext["maxlat"])
     ext = {k: np.asarray(ext[k])[box] for k in ("minlon", "minlat", "maxlon", "maxlat")}
-    index = PolyTreeIndex(grid)
-    assert index.cand_mode == "strtree"
-    got = _assignments(index, ext)
+    got = _assignments(PolyTreeIndex(grid), ext)
     assert got == brute_force_assignments(ext, grid)
     assert {v for _, _, v in got} == {"keep", "delete"}
 
@@ -252,11 +252,12 @@ def test_hand_built_boxes_and_buffer_edges():
         for i, (_, exp) in enumerate(_HAND_CASES)
         for path, verdict in exp.items()
     }
-    for mode in ("cells", "strtree"):
-        index = PolyTreeIndex(_HAND_TREE, candidates=mode)
-        got = _assignments(index, ext)
-        assert got == want, mode
+    assert _assignments(PolyTreeIndex(_HAND_TREE), ext) == want
     assert brute_force_assignments(ext, _HAND_TREE) == want
+    # one-character top-level directories chain like any other
+    assert parent_path("a/b") == "a" and parent_path("./a/b") == "./a"
+    assert parent_path("./a") is None and parent_path("a") is None
+    assert polygon_chains(["a", "a/b", "./a/b/c"]) == [[0], [1, 0], [2]]
 
 
 def test_multiring_boxes_match_brute_force_across_chunks():

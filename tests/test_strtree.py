@@ -1,6 +1,6 @@
-"""Packed STRtree: build invariants, brute-force query parity, and the
-giant-extent candidate path in PolyTreeIndex (verdicts must stay equal
-to brute force when extents overflow the cell-cover probe budget)."""
+"""Packed STRtree: build invariants, brute-force query parity, and
+PolyTreeIndex verdicts on giant extents (must stay equal to brute
+force when an extent spans most of the polygon tree)."""
 
 import numpy as np
 
@@ -93,9 +93,10 @@ def test_deterministic():
 
 
 def test_giant_extents_route_through_tree_with_equal_verdicts():
-    """Extents too large for the cell probe budget must still produce
-    EXACTLY the brute-force verdicts (the STRtree candidate superset is
-    refined by the exact predicates)."""
+    """Continental extents mixed with points: each box overlaps many
+    polygon bboxes and dwarfs its candidate polygons, and the verdicts
+    must still equal brute force EXACTLY (the STRtree candidate
+    superset is refined by the exact predicates)."""
     rng = np.random.default_rng(21)
     n = 200
     # half giant boxes (continental spans), half points
@@ -122,7 +123,7 @@ def test_giant_extents_route_through_tree_with_equal_verdicts():
         (int(r), index.paths[int(p)], v) for r, p, v in zip(rows, polys, verdicts)
     }
     assert got == brute_force_assignments(ext, tree)
-    # and the giant rows did produce assignments (the path is exercised)
+    # and the giant rows did produce assignments (the input is exercised)
     assert any(r < n // 2 for r, _, _ in got)
 
 
