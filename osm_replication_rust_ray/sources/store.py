@@ -10,10 +10,13 @@ relation JSON files).  The engine replaces this with an id-hash
     {dir}/relations/bucket=K/part.parquet  id, members, tags
 
 - bulk import (S5)   = write all buckets from a source table
-- random read (S6)   = Resolver: sorted-id numpy arrays + searchsorted
-                       (vectorized batch lookup; negative results are
-                       represented as misses, mirroring the negative
-                       caching of src/osmbin.rs:428,467)
+- random read (S6)   = Resolver: sorted-id numpy arrays + searchsorted;
+                       nodes as lat/lon columns, ways as CSR (offsets +
+                       flat int64 refs), relations as the Arrow members
+                       list decoded per lookup (vectorized batch lookup;
+                       negative results are represented as misses,
+                       mirroring the negative caching of
+                       src/osmbin.rs:428,467)
 - Δ-apply (update_*) = last-writer-wins upsert / tombstone delete at
                        bucket granularity (only touched buckets are
                        rewritten — the unit of resumability)
@@ -22,6 +25,13 @@ At cluster scale the Resolver is not loaded whole: callers first
 compute the (small) needed-id closure of a diff and load only matching
 buckets (`Resolver.from_store(..., needed=...)`), the engine-side
 equivalent of the reference's per-diff OsmCache (src/osmcache.rs:19-23).
+
+Every bucket read goes through ``ElementStore._read_bucket``, which keeps
+the table it read under the file's stat key (inode, size, mtime, ctime):
+a bucket unchanged since the last read is not read again, and one
+replaced by another process or ``ElementStore`` is.  The memo holds at
+most one table per bucket file the instance has read, so at most one
+copy of the store; ``apply_changes`` alone adds no entry.
 """
 
 from __future__ import annotations
@@ -49,6 +59,50 @@ def _bucket_of(ids: np.ndarray, n_buckets: int) -> np.ndarray:
     return (x % np.uint64(n_buckets)).astype(np.int64)
 
 
+def _stat_key(st: os.stat_result) -> tuple:
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _last_per_id(ids: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Row indices of the last row (greatest ``pos``) of each id, in
+    ascending id order."""
+    order = np.lexsort((pos, ids))
+    last = np.ones(len(order), dtype=bool)
+    sorted_ids = ids[order]
+    last[:-1] = sorted_ids[1:] != sorted_ids[:-1]
+    return order[last]
+
+
+def _lookup(sorted_ids: np.ndarray, ids: np.ndarray):
+    """(found, idx): membership of ``ids`` in ``sorted_ids`` and the
+    clipped position of each (meaningful where found)."""
+    if len(sorted_ids) == 0:
+        return np.zeros(len(ids), bool), np.zeros(len(ids), np.int64)
+    idx = np.searchsorted(sorted_ids, ids)
+    idx_c = np.clip(idx, 0, len(sorted_ids) - 1)
+    return (idx < len(sorted_ids)) & (sorted_ids[idx_c] == ids), idx_c
+
+
+def _find(sorted_ids: np.ndarray, eid: int) -> int:
+    """Position of ``eid`` in ``sorted_ids``, or -1."""
+    i = int(np.searchsorted(sorted_ids, eid))
+    return i if i < len(sorted_ids) and sorted_ids[i] == eid else -1
+
+
+def _id_sorted_lists(table: pa.Table | None, column: str):
+    """(ids, lists): the last row per id of ``table``'s list ``column``,
+    ascending by id, rows with a null list dropped."""
+    if table is None or table.num_rows == 0:
+        return np.empty(0, np.int64), pa.array([], pa.list_(pa.int64()))
+    ids = table["id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = _last_per_id(ids, np.arange(len(ids)))
+    lists = table[column].take(pa.array(keep)).combine_chunks()
+    valid = lists.is_valid().to_numpy(zero_copy_only=False)
+    if not valid.all():
+        keep, lists = keep[valid], lists.filter(pa.array(valid))
+    return ids[keep], lists
+
+
 class ElementStore:
     """Bucketed parquet store of nodes/ways/relations."""
 
@@ -60,6 +114,8 @@ class ElementStore:
                 self.n_buckets = json.load(f)["n_buckets"]
         else:
             self.n_buckets = n_buckets
+        # bucket path -> (stat key, table); see _read_bucket
+        self._memo: dict[str, tuple[tuple, pa.Table]] = {}
 
     # ---------------- import ----------------
     def init(self):
@@ -71,6 +127,37 @@ class ElementStore:
 
     def _bucket_path(self, etype: str, bucket: int) -> str:
         return os.path.join(self.dir, etype, f"bucket={bucket}", "part.parquet")
+
+    def _read_bucket(self, path: str, keep: bool = True) -> pa.Table | None:
+        """The bucket file at ``path`` (None if absent), memoized under its
+        stat key; ``keep=False`` uses a current entry but adds none."""
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            self._memo.pop(path, None)
+            return None
+        key = _stat_key(st)
+        hit = self._memo.get(path)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        # stat before read: a file replaced in between is re-read next time
+        with pq.ParquetFile(path) as f:
+            table = f.read()
+        if keep:
+            self._memo[path] = (key, table)
+        return table
+
+    def _write_bucket(self, path: str, table: pa.Table):
+        """tmp + atomic rename (mirrors src/diffs.rs:105-149); refreshes
+        the memo entry of an already memoized bucket, in the schema a
+        read of the file returns (Parquet renames list items)."""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + ".tmp"
+        pq.write_table(table, tmp)
+        os.replace(tmp, path)
+        if path in self._memo:
+            key = _stat_key(os.stat(path))
+            self._memo[path] = (key, table.cast(pq.read_schema(path)))
 
     def write_table(self, etype: str, table: pa.Table):
         """Bulk import: hash-partition ``table`` by id into buckets
@@ -89,9 +176,7 @@ class ElementStore:
             sub = sub.take(
                 pa.array(np.argsort(sub["id"].to_numpy(zero_copy_only=False)))
             )
-            path = self._bucket_path(etype, b)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            pq.write_table(sub, path)
+            self._write_bucket(self._bucket_path(etype, b), sub)
 
     def import_pbf(self, path: str):
         from .osmpbf import read_pbf
@@ -104,12 +189,9 @@ class ElementStore:
 
     # ---------------- read ----------------
     def read_type(self, etype: str, buckets: list[int] | None = None) -> pa.Table:
-        tabs = []
         rng = range(self.n_buckets) if buckets is None else sorted(set(buckets))
-        for b in rng:
-            path = self._bucket_path(etype, b)
-            if os.path.exists(path):
-                tabs.append(pq.read_table(path))
+        tabs = [self._read_bucket(self._bucket_path(etype, b)) for b in rng]
+        tabs = [t for t in tabs if t is not None]
         if not tabs:
             return None
         return pa.concat_tables(tabs)
@@ -136,12 +218,7 @@ class ElementStore:
                 continue
             ids = sub["id"].to_numpy(zero_copy_only=False)
             pos = sub["pos"].to_numpy(zero_copy_only=False)
-            # last occurrence per id
-            order = np.lexsort((pos, ids))
-            last = np.ones(len(order), dtype=bool)
-            sorted_ids = ids[order]
-            last[:-1] = sorted_ids[1:] != sorted_ids[:-1]
-            keep_idx = order[last]
+            keep_idx = _last_per_id(ids, pos)
             sub = sub.take(pa.array(keep_idx))
             ids = ids[keep_idx]
             buckets = _bucket_of(ids, self.n_buckets)
@@ -152,7 +229,7 @@ class ElementStore:
 
     def _apply_bucket(self, tname: str, bucket: int, chg: pa.Table):
         path = self._bucket_path(tname, bucket)
-        old = pq.read_table(path) if os.path.exists(path) else None
+        old = self._read_bucket(path, keep=False)
         chg_ids = chg["id"].to_numpy(zero_copy_only=False)
         keep_mask_new = ~np.asarray(
             pc.equal(chg["action"], "delete").to_numpy(zero_copy_only=False)
@@ -183,10 +260,7 @@ class ElementStore:
         merged = merged.take(
             pa.array(np.argsort(merged["id"].to_numpy(zero_copy_only=False)))
         )
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(merged, tmp)
-        os.replace(tmp, path)  # atomic, mirrors tmp+rename of src/diffs.rs:105-149
+        self._write_bucket(path, merged)
 
     def as_dataset(self, etype: str):
         """Ray-native bulk read of one element type: a streaming
@@ -198,6 +272,7 @@ class ElementStore:
         return ray.data.read_parquet(os.path.join(self.dir, etype))
 
     def destroy(self):
+        self._memo.clear()
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
@@ -206,6 +281,11 @@ class Resolver:
     src/osm.rs:197-247).  Lookup = sorted-array searchsorted; also
     counts lookups so tests can pin the reference's lookup-amplification
     invariants (src/osmxml/bbox.rs:269-271, src/osmxml/filter.rs:390-392).
+
+    Ways are CSR arrays (sorted ids, offsets, flat refs) and relations
+    sorted ids plus their Arrow ``members`` list, decoded per lookup.
+    The last row of a duplicate id wins; an id whose list is null reads
+    as missing.
     """
 
     def __init__(self, nodes: pa.Table | None, ways: pa.Table | None,
@@ -219,14 +299,14 @@ class Resolver:
         else:
             self._nid = np.empty(0, np.int64)
             self._nlat = self._nlon = np.empty(0, np.int64)
-        self._ways: dict[int, list[int]] = {}
-        if ways is not None and ways.num_rows:
-            for row in ways.to_pylist():
-                self._ways[row["id"]] = row["refs"]
-        self._relations: dict[int, list[dict]] = {}
-        if relations is not None and relations.num_rows:
-            for row in relations.to_pylist():
-                self._relations[row["id"]] = row["members"]
+        self._wid, refs = _id_sorted_lists(ways, "refs")
+        flat = pc.list_flatten(refs)
+        if flat.null_count:
+            raise ValueError("way refs hold a null node id")
+        self._wrefs = flat.to_numpy().astype(np.int64)
+        self._woff = np.zeros(len(self._wid) + 1, np.int64)
+        np.cumsum(pc.list_value_length(refs).to_numpy(), out=self._woff[1:])
+        self._rid, self._members = _id_sorted_lists(relations, "members")
         self.num_read_nodes = 0
         self.num_read_ways = 0
         self.num_read_relations = 0
@@ -253,20 +333,22 @@ class Resolver:
         if len(self._nid) == 0 or len(ids) == 0:
             z = np.zeros(len(ids), np.int64)
             return np.zeros(len(ids), bool), z, z
-        idx = np.searchsorted(self._nid, ids)
-        idx_c = np.clip(idx, 0, len(self._nid) - 1)
-        found = (idx < len(self._nid)) & (self._nid[idx_c] == ids)
+        found, idx_c = _lookup(self._nid, ids)
         lat = np.where(found, self._nlat[idx_c], 0)
         lon = np.where(found, self._nlon[idx_c], 0)
         return found, lat, lon
 
     def read_way(self, wid: int) -> list[int] | None:
         self.num_read_ways += 1
-        return self._ways.get(int(wid))
+        i = _find(self._wid, int(wid))
+        if i < 0:
+            return None
+        return self._wrefs[self._woff[i]:self._woff[i + 1]].tolist()
 
     def read_relation(self, rid: int) -> list[dict] | None:
         self.num_read_relations += 1
-        return self._relations.get(int(rid))
+        i = _find(self._rid, int(rid))
+        return None if i < 0 else self._members[i].as_py()
 
     # --- materialized joins (read_way_full / read_relation_full,
     #     src/osm.rs:203-246): element + resolved children; recursion
@@ -312,37 +394,36 @@ def check_store(store: ElementStore) -> pa.Table:
     resolve; returns a violations table (src_type, src_id, ref_type,
     ref_id).  Anti-join over sorted id arrays — no per-element probing.
     """
-    resolver = Resolver.from_store(store)
-    viol: dict[str, list] = {"src_type": [], "src_id": [], "ref_type": [], "ref_id": []}
-
-    way_ids = np.array(sorted(resolver._ways), np.int64)
-    for wid in way_ids.tolist():
-        refs = np.asarray(resolver._ways[wid], np.int64)
-        found, _, _ = resolver.read_nodes(refs)
-        for r in refs[~found].tolist():
-            viol["src_type"].append("way")
-            viol["src_id"].append(wid)
-            viol["ref_type"].append("node")
-            viol["ref_id"].append(int(r))
-    for rid, members in sorted(resolver._relations.items()):
-        for m in members:
-            ref, typ = int(m["ref"]), m["type"]
-            if typ == "node":
-                ok = bool(resolver.read_nodes(np.array([ref], np.int64))[0][0])
-            elif typ == "way":
-                ok = resolver.read_way(ref) is not None
-            else:
-                ok = resolver.read_relation(ref) is not None
-            if not ok:
-                viol["src_type"].append("relation")
-                viol["src_id"].append(rid)
-                viol["ref_type"].append(typ)
-                viol["ref_id"].append(ref)
+    r = Resolver.from_store(store)
+    # ways: one batched node lookup over every flat ref
+    w_bad = ~r.read_nodes(r._wrefs)[0]
+    w_src = np.repeat(r._wid, np.diff(r._woff))[w_bad]
+    # relations: one membership test per member type
+    m_src = np.repeat(r._rid, pc.list_value_length(r._members).to_numpy())
+    flat = pc.list_flatten(r._members)
+    if len(flat):
+        m_ref = pc.struct_field(flat, "ref").to_numpy(zero_copy_only=False)
+        m_type = pc.struct_field(flat, "type").cast(pa.string())
+    else:
+        m_ref, m_type = np.empty(0, np.int64), pa.array([], pa.string())
+    is_node = pc.equal(m_type, "node").fill_null(False).to_numpy(zero_copy_only=False)
+    is_way = pc.equal(m_type, "way").fill_null(False).to_numpy(zero_copy_only=False)
+    other = ~(is_node | is_way)
+    ok = np.zeros(len(m_ref), bool)
+    ok[is_node] = r.read_nodes(m_ref[is_node])[0]
+    ok[is_way] = _lookup(r._wid, m_ref[is_way])[0]
+    ok[other] = _lookup(r._rid, m_ref[other])[0]
+    m_bad = ~ok
+    n_w = int(w_bad.sum())
     return pa.table(
         {
-            "src_type": pa.array(viol["src_type"], pa.string()),
-            "src_id": pa.array(viol["src_id"], pa.int64()),
-            "ref_type": pa.array(viol["ref_type"], pa.string()),
-            "ref_id": pa.array(viol["ref_id"], pa.int64()),
+            "src_type": pa.array(["way"] * n_w + ["relation"] * int(m_bad.sum()), pa.string()),
+            "src_id": pa.array(np.concatenate([w_src, m_src[m_bad]]), pa.int64()),
+            "ref_type": pa.concat_arrays(
+                [pa.array(["node"] * n_w, pa.string()), m_type.filter(pa.array(m_bad))]
+            ),
+            "ref_id": pa.array(
+                np.concatenate([r._wrefs[w_bad], m_ref[m_bad]]).astype(np.int64), pa.int64()
+            ),
         }
     )

@@ -129,8 +129,10 @@ def write_partitioned(ds, out_dir: str, key_col: str,
       level — no recomputation of finished partitions)
     - each partition writes via tmp+rename, then its lineage record
       (rows / bytes / path) is staged; the manifest commits LAST
-    - key domain must be bounded (tile/tree routing); the per-group
-      write runs distributed via groupby().map_groups
+    - key domain must be bounded (tile/tree routing): more than
+      ``max_keys`` distinct pending keys raises before any partition is
+      written; the per-group write runs distributed via
+      groupby().map_groups
     - ``id_prefix`` scopes the lineage partition ids (e.g.
       ``"seq=3/"``) so callers that write the SAME key domain once per
       micro-batch don't have batch N's done-set swallow batch N+1's
@@ -139,6 +141,8 @@ def write_partitioned(ds, out_dir: str, key_col: str,
     Returns the list of PartitionRecords written this run.
     """
     import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
 
     done = {
         pid[len(id_prefix):]
@@ -147,8 +151,6 @@ def write_partitioned(ds, out_dir: str, key_col: str,
     }
 
     def drop_done(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if not done:
             return batch
         mask = pc.invert(
@@ -170,6 +172,21 @@ def write_partitioned(ds, out_dir: str, key_col: str,
             }
         )
 
+    @ray.remote
+    def pending_keys(block: pa.Table) -> pa.Array:
+        return pc.unique(drop_done(block)[key_col])
+
+    # key census before any write, one small task per block: a too-fine
+    # key raises with nothing written or staged
+    ds = ds.materialize()
+    keys = set()
+    for part in ray.get([pending_keys.remote(b) for b in ds.to_arrow_refs()]):
+        keys.update(part.to_pylist())
+    if len(keys) > max_keys:
+        raise ValueError(
+            f"{len(keys)} partitions exceeds max_keys={max_keys}; "
+            "use a coarser partition key"
+        )
     pending = ds.map_batches(drop_done, batch_format="pyarrow")
     lineage = pending.groupby(key_col).map_groups(
         write_group, batch_format="pyarrow"
@@ -183,11 +200,6 @@ def write_partitioned(ds, out_dir: str, key_col: str,
         )
         for r in lineage.take_all()
     ]
-    if len(records) > max_keys:
-        raise ValueError(
-            f"{len(records)} partitions exceeds max_keys={max_keys}; "
-            "use a coarser partition key"
-        )
     for rec in records:
         manifest.stage(rec)
     if commit:

@@ -86,6 +86,22 @@ def test_write_partitioned_partial_resume(tmp_path):
     assert m3.done() == {"a", "b"}
 
 
+def test_write_partitioned_checks_max_keys_before_writing(tmp_path):
+    out = str(tmp_path / "out")
+    m = CheckpointManifest(str(tmp_path / "ckpt"))
+    with pytest.raises(ValueError, match="2 partitions exceeds max_keys=1"):
+        write_partitioned(_toy_ds(), out, "k", m, sequence=1, max_keys=1)
+    assert [f for _d, _s, files in os.walk(out) for f in files] == []
+    assert m._staged == {}
+    assert not os.path.exists(m.path)
+    # the census counts pending keys only: with "a" done, "b" fits
+    m.stage(PartitionRecord("a", rows=67, bytes=1))
+    m.commit()
+    recs = write_partitioned(_toy_ds(), out, "k", m, sequence=2, max_keys=1)
+    assert [r.partition_id for r in recs] == ["b"]
+    assert CheckpointManifest(str(tmp_path / "ckpt")).sequence == 2
+
+
 def test_update_pipeline_end_to_end(tmp_path):
     from osm_replication_rust_ray.pipelines.update import run_update
 
