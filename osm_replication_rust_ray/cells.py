@@ -16,19 +16,13 @@ deterministic, vectorized:
   id >> 2 of the morton part = its res r-1 ancestor)
 - k_ring(cell, k): the (2k+1)^2 neighborhood at the same res (no
   anti-meridian wrap — planar semantics, documented)
-- cover_multipolygon: the cell set whose rectangles intersect the
-  polygon (boundary-inclusive, same predicate as the filter stage) —
-  used to equi-join rows to candidate polygons before exact PIP refine.
 
-Default join resolution DEFAULT_RES=9 → 512×512 grid over the world;
-polygon covers are computed per polygon at an adaptive res ≤ this.
+Default join resolution DEFAULT_RES=9 → 512×512 grid over the world.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .geom import MultiPolygon, boxes_intersect_multipolygon
 
 LON_OFFSET = 1_800_000_000
 LAT_OFFSET = 900_000_000
@@ -127,36 +121,6 @@ def k_ring(cell: int, k: int = 1) -> np.ndarray:
     ys = np.arange(max(0, y - k), min(n, y + k + 1))
     gx, gy = np.meshgrid(xs, ys)
     return cell_from_xy(gx.ravel(), gy.ravel(), res)
-
-
-def cover_multipolygon(
-    mp: MultiPolygon, res: int = DEFAULT_RES, max_cells: int = 4096
-) -> np.ndarray:
-    """Cell ids at ``res`` whose rect intersects the polygon.
-
-    Adaptive: drops to a coarser res until the polygon's bbox fits in
-    ``max_cells`` candidates.  Cells whose rect only touches the
-    border are INCLUDED (the join must not lose boundary rows)."""
-    minx, miny, maxx, maxy = mp.bbox()
-    use = res
-    while True:
-        x0, y0 = xy_at_res([minx], [miny], use)
-        x1, y1 = xy_at_res([maxx], [maxy], use)
-        n = (int(x1[0]) - int(x0[0]) + 1) * (int(y1[0]) - int(y0[0]) + 1)
-        if n <= max_cells or use == 0:
-            break
-        use -= 1
-    xs = np.arange(int(x0[0]), int(x1[0]) + 1)
-    ys = np.arange(int(y0[0]), int(y1[0]) + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    gx, gy = gx.ravel(), gy.ravel()
-    den = np.int64(1 << use)
-    minlon = (gx * LON_SPAN) // den - LON_OFFSET
-    maxlon = ((gx + 1) * LON_SPAN) // den - LON_OFFSET
-    minlat = (gy * LON_SPAN) // den - LAT_OFFSET
-    maxlat = ((gy + 1) * LON_SPAN) // den - LAT_OFFSET
-    hit = boxes_intersect_multipolygon(minlon, minlat, maxlon, maxlat, mp)
-    return cell_from_xy(gx[hit], gy[hit], use)
 
 
 # ---------------- geohash (base32 interleaved cells) -----------------------

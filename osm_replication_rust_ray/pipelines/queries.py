@@ -37,6 +37,7 @@ from ..functions.text import (
     token_counts,
 )
 from ..geom import MultiPolygon
+from ..stages.decode import ImageHarness, resize_bilinear_fixed
 from ..tuning import (
     est_tasks,
     join_partitions,
@@ -8725,6 +8726,39 @@ SELECT 'img' || lpad(CAST(r.i AS VARCHAR), 9, '0') AS image_id,
 FROM rows r JOIN probe p USING (i)"""
 
 
+def _image_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
+    """Image payload rows through ``actor`` as an actor pool at batch
+    128.  ``gate_rows`` replaces ``n_rows`` when ``events`` holds
+    exactly 10000 rows: it must mirror the oracle's ``CASE (SELECT
+    count(*) FROM events) WHEN 10000`` (a substring test on sf_dir
+    diverges from the SQL at any path containing "0.01")."""
+    from ..sources.synth import payload_dataset
+
+    if table_rows(sf_dir, "events") == 10000:
+        n_rows = gate_rows
+    return payload_dataset(n_rows, with_bytes=True).map_batches(
+        actor,
+        batch_format="pyarrow",
+        batch_size=128,
+        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
+    )
+
+
+def _clip_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
+    """Synthetic clip ids ``rd.range(n_rows)`` through ``actor`` as an
+    actor pool at batch 64; ``gate_rows`` as in ``_image_pool``."""
+    import ray.data as rd
+
+    if table_rows(sf_dir, "events") == 10000:
+        n_rows = gate_rows
+    return rd.range(n_rows).map_batches(
+        actor,
+        batch_format="pyarrow",
+        batch_size=64,
+        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
+    )
+
+
 def q_image_ops(sf_dir: str, n_rows: int = 500):
     """Multimodal actor-pool stage: decode -> nearest resize ->
     per-channel feature extraction over the payload (rows-only)."""
@@ -8815,18 +8849,9 @@ def q_patch_stats(sf_dir: str, n_rows: int = 120):
     sums/extrema keep the gate hash-exact against the pixel-regen
     oracle (same regen arithmetic as sql_image_ops, but over the FULL
     pixel stream, not the 8x8 thumb)."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import PatchStatsActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        PatchStatsActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(PatchStatsActor, sf_dir, n_rows, gate_rows=400)
 
 
 def q_hist_equalize(sf_dir: str, n_rows: int = 120):
@@ -8835,18 +8860,9 @@ def q_hist_equalize(sf_dir: str, n_rows: int = 120):
     formula is pure integer floor arithmetic, so the gate is
     hash-exact, no PSNR bound needed).  One row per image: pixel
     count, equalized sum, destination-position-weighted checksum."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import HistEqActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        HistEqActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(HistEqActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_hist_equalize() -> str:
@@ -8902,18 +8918,9 @@ def q_morph_ops(sf_dir: str, n_rows: int = 120):
     """3x3 morphological erosion + dilation over the image payload
     (stages/decode.MorphActor) — min/max neighborhood filters with
     replicate border, exact integer, position-weighted checksums."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import MorphActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        MorphActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(MorphActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_morph_ops() -> str:
@@ -8978,18 +8985,9 @@ def q_conv_ops(sf_dir: str, n_rows: int = 120):
     O(1)-per-pixel form) + Sobel gradient magnitude |gx|+|gy|, both on
     the valid interior so the oracle needs no border model;
     destination-position-weighted checksums pin placement."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ConvActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        ConvActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(ConvActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_conv_ops() -> str:
@@ -9058,20 +9056,11 @@ def q_blob_ops(sf_dir: str, n_rows: int = 120):
     min-pixel-index labels; per image foreground/blob counts, largest
     blob, and the label sum (partition-sensitive).  Each image is
     independent — an embarrassingly parallel actor pool, no shuffle."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import BlobActor
 
     # 200 (not the 400 of the other image gates): the oracle's
     # recursive min-label closure costs ~8 s / 100 images
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        BlobActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(BlobActor, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_blob_ops() -> str:
@@ -9144,18 +9133,9 @@ def q_otsu_ops(sf_dir: str, n_rows: int = 120):
     """Otsu automatic thresholding (stages/decode.OtsuActor): exact
     integer argmax of between-class variance over channel 0, smallest-t
     ties; emits the threshold plus class-0 count/sum per image."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import OtsuActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        OtsuActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(OtsuActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_otsu_ops() -> str:
@@ -9226,18 +9206,9 @@ def q_blend_ops(sf_dir: str, n_rows: int = 120):
     (stages/decode.BlendActor): out = (64*img + 192*wm) // 256, wm a
     deterministic coordinate pattern — exact integer blend,
     position-weighted checksums."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import BlendActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        BlendActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(BlendActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_blend_ops() -> str:
@@ -9325,38 +9296,17 @@ FROM ({grid})
 GROUP BY i, patch_r, patch_c"""
 
 
-class _BilinearActor:
+class _BilinearActor(ImageHarness):
     """map_batches actor: decode -> EXACT Q8.8 integer bilinear resize
     to 8x8 -> position-weighted checksum + extrema (one row per image;
     the checksum weight depends on the destination index so wrong
     interpolation PLACEMENT breaks the gate, like augment_ops)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.decode import decode_image, resize_bilinear_fixed
+    COLUMNS = ("chk_bilinear", "vmin", "vmax")
 
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        chk = np.empty(n, np.int64)
-        vmin = np.empty(n, np.int64)
-        vmax = np.empty(n, np.int64)
-        wvec = (np.arange(192, dtype=np.int64) * _AUG_WM) % _AUG_WP + 1
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            t = resize_bilinear_fixed(img, 8, 8).reshape(-1).astype(np.int64)
-            chk[i] = int((t * wvec).sum())
-            vmin[i] = int(t.min())
-            vmax[i] = int(t.max())
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "chk_bilinear": pa.array(chk, pa.int64()),
-                "vmin": pa.array(vmin, pa.int64()),
-                "vmax": pa.array(vmax, pa.int64()),
-            }
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        t = resize_bilinear_fixed(img, 8, 8)
+        return _aug_checksum(t), int(t.min()), int(t.max())
 
 
 def q_resize_bilinear(sf_dir: str, n_rows: int = 120):
@@ -9366,17 +9316,7 @@ def q_resize_bilinear(sf_dir: str, n_rows: int = 120):
     OUTPUT BYTE via a destination-position-weighted checksum whose SQL
     twin recomputes every blend from the four regenerated corner
     pixels."""
-    from ..sources.synth import payload_dataset
-
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        _BilinearActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(_BilinearActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_resize_bilinear() -> str:
@@ -9449,40 +9389,21 @@ def _aug_checksum(img: np.ndarray) -> int:
     return int((flat * w).sum())
 
 
-class _AugmentActor:
+class _AugmentActor(ImageHarness):
     """map_batches actor: decode -> three standard training-time
     augmentations (horizontal flip, 90-degree CCW rotation, center
     half crop), each verified by a position-weighted exact checksum
     (weight depends on the DESTINATION index, so the gate catches
     wrong placement, not just wrong values)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.decode import decode_image
+    COLUMNS = ("chk_flip", "chk_rot90", "chk_crop")
 
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        flips = np.empty(n, np.int64)
-        rots = np.empty(n, np.int64)
-        crops = np.empty(n, np.int64)
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            h, w = img.shape[:2]
-            flips[i] = _aug_checksum(img[:, ::-1, :])
-            rots[i] = _aug_checksum(np.rot90(img, 1))
-            crops[i] = _aug_checksum(
-                img[h // 4 : h // 4 + h // 2, w // 4 : w // 4 + w // 2]
-            )
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "chk_flip": pa.array(flips, pa.int64()),
-                "chk_rot90": pa.array(rots, pa.int64()),
-                "chk_crop": pa.array(crops, pa.int64()),
-            }
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        h, w = img.shape[:2]
+        return (_aug_checksum(img[:, ::-1, :]),
+                _aug_checksum(np.rot90(img, 1)),
+                _aug_checksum(img[h // 4 : h // 4 + h // 2,
+                                  w // 4 : w // 4 + w // 2]))
 
 
 def q_augment_ops(sf_dir: str, n_rows: int = 120):
@@ -9490,17 +9411,7 @@ def q_augment_ops(sf_dir: str, n_rows: int = 120):
     actor-pool stage, each output pinned by a destination-position-
     weighted exact checksum so the oracle verifies WHERE every source
     pixel landed — the augmentation analogue of the codec gates."""
-    from ..sources.synth import payload_dataset
-
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        _AugmentActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(_AugmentActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_augment_ops() -> str:
@@ -9890,20 +9801,9 @@ def q_flac_ops(sf_dir: str, n_rows: int = 300):
     count, the stream's frame count (ceil(n/block)), and the lossless
     roundtrip bit.  Variable clip lengths exercise short last frames
     and the explicit 16-bit blocksize header code."""
-    import ray.data as rd
-
     from ..stages.decode import FlacRoundtripActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1000
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        FlacRoundtripActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(FlacRoundtripActor, sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_flac_ops() -> str:
@@ -9929,20 +9829,9 @@ def q_adpcm_ops(sf_dir: str, n_rows: int = 300):
     WAV container dispatch, and emit SQL-predictable evidence — sample
     count, block count, the exact container size, and the SNR>=25dB
     quality bit (measured floor 27.1 dB on this corpus)."""
-    import ray.data as rd
-
     from ..stages.decode import AdpcmRoundtripActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1000
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        AdpcmRoundtripActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(AdpcmRoundtripActor, sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_adpcm_ops() -> str:
@@ -9972,20 +9861,9 @@ def q_g711_ops(sf_dir: str, n_rows: int = 300):
     and emit SQL-predictable evidence — sample count, the exact
     container size, the SNR>=30dB quality bit and the bit-exact
     stream-requantization bit."""
-    import ray.data as rd
-
     from ..stages.decode import G711RoundtripActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1000
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        G711RoundtripActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(G711RoundtripActor, sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_g711_ops() -> str:
@@ -10919,19 +10797,9 @@ def q_dominant_color(sf_dir: str, n_rows: int = 120):
     — an embarrassingly parallel actor pool, no shuffle; the oracle
     regenerates every pixel byte and replays the identical mode rule
     with a count-desc/code-asc window."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import DominantColorActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        DominantColorActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(DominantColorActor, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_dominant_color() -> str:
@@ -11156,20 +11024,9 @@ def q_silence_segments(sf_dir: str, n_rows: int = 150):
     clip is independent — embarrassingly parallel actor pool; the
     oracle regenerates every sample and reduces the same mask with a
     gaps-and-islands window."""
-    import ray.data as rd
-
     from ..stages.decode import SilenceSegmentsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        SilenceSegmentsActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(SilenceSegmentsActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_silence_segments() -> str:
@@ -11971,18 +11828,9 @@ def q_median_filter(sf_dir: str, n_rows: int = 120):
     the image payload — valid interior, exact integer order
     statistic; destination-position-weighted checksums pin window
     placement.  Embarrassingly parallel actor pool, no shuffle."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import MedianFilterActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        MedianFilterActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(MedianFilterActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_median_filter() -> str:
@@ -12088,18 +11936,9 @@ def q_image_moments(sf_dir: str, n_rows: int = 120):
     Embarrassingly parallel actor pool, no shuffle (the derived-
     attribute pass shape of the reference's bbox annotation,
     src/osmxml/bbox.rs:85-120)."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import MomentsActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        MomentsActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(MomentsActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_image_moments() -> str:
@@ -12126,18 +11965,9 @@ def q_bayer_dither(sf_dir: str, n_rows: int = 120):
     1 bit per channel under a pure-integer threshold ladder; the gate
     pins total set bits AND their destination positions.
     Embarrassingly parallel actor pool, no shuffle."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import DitherActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        DitherActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(DitherActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_bayer_dither() -> str:
@@ -12170,18 +12000,9 @@ def q_hough_lines(sf_dir: str, n_rows: int = 120):
     tie rule.  The per-image vote matrix is one vectorized bincount
     over packed (angle, rho-bin) keys.  Embarrassingly parallel actor
     pool, no shuffle."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import HoughActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        HoughActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(HoughActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_hough_lines() -> str:
@@ -12336,18 +12157,9 @@ def q_marching_squares(sf_dir: str, n_rows: int = 120):
     2x2-cell isoline case indices over the thresholded luma, one row
     per (image, case 1..15) — the exact contour-segment census.
     Vectorized shifts + bincount; embarrassingly parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import MarchingSquaresActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        MarchingSquaresActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(MarchingSquaresActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_marching_squares() -> str:
@@ -12381,18 +12193,9 @@ def q_lbp_texture(sf_dir: str, n_rows: int = 120):
     codes from neighbor>=center luma comparisons over the interior;
     per-image code sum + position-weighted checksum.  Eight shifted
     views; embarrassingly parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import LBPActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        LBPActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(LBPActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_lbp_texture() -> str:
@@ -12431,18 +12234,9 @@ def q_harris_corners(sf_dir: str, n_rows: int = 120):
     interior.  Per image: valid count, positive-response count,
     response sum and max — all int64-exact by construction.
     Embarrassingly parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import HarrisActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        HarrisActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(HarrisActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_harris_corners() -> str:
@@ -12708,19 +12502,9 @@ def q_pitch_lag(sf_dir: str, n_rows: int = 60):
     the triangle+noise PCM (make_tri_pcm) in lag range [16, 128],
     tie -> smallest lag, plus zero-lag energy.  Embarrassingly
     parallel actor pool; the oracle regenerates every sample."""
-    import ray.data as rd
-
     from ..stages.decode import PitchActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        PitchActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(PitchActor, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_pitch_lag() -> str:
@@ -12830,18 +12614,9 @@ def q_seam_cost(sf_dir: str, n_rows: int = 120):
     seam-carving dynamic program over the integer luma; per image the
     min bottom-row cost and its smallest argmin column.  h vectorized
     row sweeps per image, exact int64.  Embarrassingly parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import SeamActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        SeamActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(SeamActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_seam_cost() -> str:
@@ -13078,18 +12853,9 @@ def q_dist_transform(sf_dir: str, n_rows: int = 120):
     DistTransformActor): per pixel the city-block distance to the
     nearest foreground pixel, capped at 7 (6 BFS rounds).  Vectorized
     shifted mins; embarrassingly parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import DistTransformActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        DistTransformActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(DistTransformActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_dist_transform() -> str:
@@ -13130,18 +12896,9 @@ def q_hist_match(sf_dir: str, n_rows: int = 120):
 
     200 (not 400) at the sf0.01 gate: the oracle's min-g inequality
     join costs ~35M intermediate rows at 400 images."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import HistMatchActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        HistMatchActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(HistMatchActor, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_hist_match() -> str:
@@ -13346,19 +13103,9 @@ def q_ntt_spectrum(sf_dir: str, n_rows: int = 60):
     +-1 ring.  Fast radix-2 butterfly in the engine; the oracle
     computes coefficients from the DEFINITION (power-table scatter),
     so the transform is verified against the spec at gate scale."""
-    import ray.data as rd
-
     from ..stages.decode import NttActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        NttActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(NttActor, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_ntt_spectrum() -> str:
@@ -13413,18 +13160,9 @@ def q_canny_edges(sf_dir: str, n_rows: int = 120):
     8-connected rounds of a strong pixel).  The classical multi-stage
     vision composition, all vectorized shifts; embarrassingly
     parallel."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import CannyActor
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 400
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        CannyActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    return _image_pool(CannyActor, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_canny_edges() -> str:
@@ -13510,41 +13248,20 @@ def q_resample_audio(sf_dir: str, n_rows: int = 60):
     + v[ip+1]*r with ip = (7t)//5, r = (7t)%5 — no floats anywhere,
     so the SQL twin reproduces every sample.  Vectorized gather per
     clip; embarrassingly parallel actor pool."""
-    import ray.data as rd
+    from ..stages.decode import ClipHarness, make_tri_pcm
 
-    from ..stages.decode import make_tri_pcm
-
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
-
-    class Resample:
+    class Resample(ClipHarness):
         N_OUT = 365
+        COLUMNS = ("n_out", "s5", "possum5")
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["id"].to_numpy(zero_copy_only=False)
-            m = len(ids)
+        def kernel(self, i: int) -> tuple:
             t = np.arange(self.N_OUT, dtype=np.int64)
             ip, r = (7 * t) // 5, (7 * t) % 5
-            out = {k: np.empty(m, np.int64) for k in ("n_out", "s5", "possum5")}
-            for j, i in enumerate(ids):
-                v = make_tri_pcm(int(i), 512)
-                v5 = v[ip] * (5 - r) + v[ip + 1] * r
-                out["n_out"][j] = self.N_OUT
-                out["s5"][j] = v5.sum()
-                out["possum5"][j] = ((t + 1) * v5).sum()
-            return pa.table(
-                {"clip_id": pa.array(
-                    [f"clip{int(i):09d}" for i in ids], pa.string()),
-                 **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-            )
+            v = make_tri_pcm(i, 512)
+            v5 = v[ip] * (5 - r) + v[ip + 1] * r
+            return self.N_OUT, v5.sum(), ((t + 1) * v5).sum()
 
-    ds = rd.range(n_rows)
-    return ds.map_batches(
-        Resample,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return _clip_pool(Resample, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_resample_audio() -> str:

@@ -1,27 +1,36 @@
-"""Multimodal decode / verify stages (input_hint per-row invariant).
+"""Multimodal decode stages: codecs, media actors, and the two row
+harnesses most of the actors share.
 
 The payload table carries images as opaque ``bytes`` with typed
-metadata (w, h, fmt).  Decode runs as an actor-pool ``map_batches``
-stage; the Ray-side plumbing (schema, batch sizing, actor signature)
-is real, while codecs for formats whose libraries are absent in this
-container (avif/heic, lossy VP8) are stubbed behind
-``NotImplementedError``
-(BASELINE.json input_hint: PSNR >= 40 dB for lossy + caption equality).
+metadata (w, h, fmt).  ``decode_image`` turns one buffer into the
+codec's uint8 array, (h, w, 3) for the engine's RGB payloads; an
+opaque webp drops its alpha plane to match.  Formats:
 
-Supported here:
-- fmt="raw": w*h*3 RGB bytes, zero-copy reshape (lossless).
-- fmt="rle": simple deterministic byte-RLE stand-in for a lossy codec.
-- fmt="png": REAL PNG (stages/png.py — stdlib zlib + numpy unfilter,
-  all five scanline filters, CRC-checked chunks; lossless).
-- fmt="jpeg": REAL baseline JPEG (stages/jpeg.py — numpy DCT +
-  Annex-K Huffman; LOSSY, gated by the PSNR>=40dB invariant).
-- fmt="bmp": REAL 24-bit BI_RGB BMP (stages/bmp.py; lossless).
-- fmt="tiff": REAL uncompressed 8-bit RGB TIFF (stages/tiff.py;
-  lossless, both byte orders on decode).
+- raw: w*h*3 RGB bytes, zero-copy reshape (lossless).
+- rle: deterministic byte-RLE stand-in for a lossy codec.
+- png, bmp, tiff, gif, qoi, webp: real lossless codecs, one module
+  each under ``stages/`` (gif is lossless on <=256-colour content;
+  webp is VP8L lossless, its lossy VP8 form raises).
+- jpeg: real baseline JPEG (stages/jpeg.py), LOSSY — gated by the
+  PSNR >= 40 dB invariant (BASELINE.json input_hint).
 
-``PsnrCheckActor`` re-synthesizes the reference pixels from the row's
-deterministic generator and asserts PSNR/caption equality — the
-engine-side half of the reference-parity gate.
+Any other fmt (avif, heic, ...) raises ``NotImplementedError``: those
+codecs need an image library this engine does not ship.
+
+Harnesses.  ``ImageHarness`` owns the per-image loop of the
+one-row-per-image actors: it reads ``image_id/w/h/fmt/bytes``, decodes
+each image once, calls the subclass's ``kernel(img)`` and assembles
+the declared int64 ``COLUMNS`` after ``image_id``.  ``ClipHarness``
+does the same for the synthetic-clip actors: one ``kernel(i)`` per
+``id`` of an ``rd.range`` input, keyed ``clip{i:09d}``.  Kernels
+checksum their output streams with ``_sum_possum`` (value sum plus
+destination-position-weighted sum), which the SQL oracles recompute.
+Actors with another row shape (one row per patch, frame or case, or
+a batch-vectorized transform) keep their own ``__call__``.
+
+``DecodeStatsActor`` re-synthesizes the reference pixels from the
+row's deterministic generator and checks PSNR and caption equality —
+the engine-side half of the reference-parity gate.
 """
 
 from __future__ import annotations
@@ -65,76 +74,25 @@ def decode_rle(buf: bytes, w: int, h: int) -> np.ndarray:
     return flat.reshape(h, w, 3)
 
 
+# codecs with a module stages/<fmt>.py exposing decode_<fmt>(buf)
+_CODECS = ("png", "jpeg", "bmp", "tiff", "gif", "qoi", "webp")
+
+
 def decode_image(buf: bytes, w: int, h: int, fmt: str) -> np.ndarray:
     if fmt == "raw":
         return decode_raw(buf, w, h)
     if fmt == "rle":
         return decode_rle(buf, w, h)
-    if fmt == "png":
-        # real codec — stdlib zlib + numpy unfilter (stages/png.py)
-        from .png import decode_png
+    if fmt not in _CODECS:  # checked first: only allowlisted names import
+        raise NotImplementedError(f"codec for fmt={fmt!r} not available")
+    from importlib import import_module
 
-        img = decode_png(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"png decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "jpeg":
-        # real LOSSY codec — numpy DCT + Huffman (stages/jpeg.py); this
-        # is the format the PSNR>=40dB invariant actually bites on
-        from .jpeg import decode_jpeg
-
-        img = decode_jpeg(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"jpeg decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "bmp":
-        # real codec — 24-bit BI_RGB (stages/bmp.py; lossless)
-        from .bmp import decode_bmp
-
-        img = decode_bmp(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"bmp decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "tiff":
-        # real codec — uncompressed 8-bit RGB TIFF (stages/tiff.py)
-        from .tiff import decode_tiff
-
-        img = decode_tiff(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"tiff decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "gif":
-        # real codec — LZW + palette (stages/gif.py; lossless on
-        # <=256-color content; callers quantize true-color first)
-        from .gif import decode_gif
-
-        img = decode_gif(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"gif decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "qoi":
-        # real codec — QOI (stages/qoi.py; vectorized encode, full-spec
-        # decode incl. INDEX streams via the scalar reference path)
-        from .qoi import decode_qoi
-
-        img = decode_qoi(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"qoi decoded {img.shape[:2]} != ({h}, {w})")
-        return img
-    if fmt == "webp":
-        # real codec — VP8L lossless (stages/webp.py); lossy VP8 and
-        # the order-sensitive transform tables stay explicitly gated
-        from .webp import decode_webp
-
-        img = decode_webp(buf)
-        if img.shape[:2] != (h, w):
-            raise ValueError(f"webp decoded {img.shape[:2]} != ({h}, {w})")
-        if np.all(img[..., 3] == 255):
-            img = img[..., :3]  # opaque: match the RGB payload shape
-        return img
-    # avif/heic would go through an image library; absent in this
-    # container -> explicit stub (north-star allows a gated stub here)
-    raise NotImplementedError(f"codec for fmt={fmt!r} not available")
+    img = getattr(import_module(f".{fmt}", __package__), f"decode_{fmt}")(buf)
+    if img.shape[:2] != (h, w):
+        raise ValueError(f"{fmt} decoded {img.shape[:2]} != ({h}, {w})")
+    if fmt == "webp" and np.all(img[..., 3] == 255):
+        img = img[..., :3]  # opaque: match the RGB payload shape
+    return img
 
 
 def psnr_db(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,12 +161,81 @@ def channel_stats(img: np.ndarray) -> np.ndarray:
     return np.concatenate([mean, np.sqrt(var)])
 
 
+# ---------------- row harnesses (one kernel call per image / clip) ----------
+
+
+def _sum_possum(flat: np.ndarray) -> tuple:
+    """(sum, destination-position-weighted sum) of a flat int64 stream,
+    weight = index + 1: a value in the wrong place changes the second
+    number even when the first survives.  The oracles recompute both
+    as ``sum(v)`` and ``sum((bidx + 1) * v)``."""
+    pos = np.arange(flat.size, dtype=np.int64) + 1
+    return flat.sum(), (flat * pos).sum()
+
+
+class _RowHarness:
+    """Shared output side of the harnesses: one row tuple per input row
+    becomes the key column plus ``COLUMNS``, int64 unless ``TYPES``
+    names another type (declared, so a 0-row batch keeps the schema)."""
+
+    COLUMNS: tuple[str, ...] = ()
+    TYPES: dict[str, pa.DataType] = {}
+
+    def _table(self, key: str, keys: list[str], rows: list[tuple]) -> pa.Table:
+        return pa.table({
+            key: pa.array(keys, pa.string()),
+            **{name: pa.array([r[j] for r in rows],
+                              self.TYPES.get(name, pa.int64()))
+               for j, name in enumerate(self.COLUMNS)},
+        })
+
+
+class ImageHarness(_RowHarness):
+    """map_batches actor base for one output row per payload image:
+    reads ``image_id/w/h/fmt/bytes``, decodes each image once, and
+    calls ``kernel(img)`` for the row's ``COLUMNS`` values.  A kernel
+    that also needs the image id overrides ``row`` instead."""
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        raise NotImplementedError
+
+    def row(self, image_id: str, img: np.ndarray) -> tuple:
+        return self.kernel(img)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ids = batch["image_id"].to_pylist()
+        ws = batch["w"].to_numpy(zero_copy_only=False)
+        hs = batch["h"].to_numpy(zero_copy_only=False)
+        fmts = batch["fmt"].to_pylist()
+        bufs = batch["bytes"].to_pylist()
+        rows = [
+            self.row(ids[i],
+                     decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i]))
+            for i in range(len(bufs))
+        ]
+        return self._table("image_id", ids, rows)
+
+
+class ClipHarness(_RowHarness):
+    """map_batches actor base for one output row per synthetic clip:
+    reads the ``id`` column of an ``rd.range`` input, calls
+    ``kernel(i)`` per id and keys the row ``clip{i:09d}``."""
+
+    def kernel(self, i: int) -> tuple:
+        raise NotImplementedError
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ids = batch["id"].to_pylist()
+        return self._table("clip_id", [f"clip{i:09d}" for i in ids],
+                           [self.kernel(i) for i in ids])
+
+
 def decode_video(buf: bytes, w: int, h: int, n_frames: int,
                  fmt: str) -> np.ndarray:
     """-> (n_frames, h, w, 3) uint8.  Only the raw concatenated-frame
     layout ("rawv", sources/synth.make_video_bytes) decodes here —
     compressed codecs (h264/vp9/...) need ffmpeg, absent from this
-    container, and raise like the webp image stub."""
+    container, and raise like an unsupported image fmt."""
     if fmt != "rawv":
         raise NotImplementedError(f"video codec for fmt={fmt!r} not available")
     a = np.frombuffer(buf, np.uint8)
@@ -232,8 +259,7 @@ class VideoFrameActor:
     divided once in float64, so the DuckDB pixel-regen oracle
     (sql_video_frames) is bit-identical."""
 
-    def __init__(self, every_n: int = 4):
-        self.every_n = every_n
+    EVERY_N = 4
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["video_id"].to_pylist()
@@ -246,7 +272,7 @@ class VideoFrameActor:
         for j in range(len(bufs)):
             idx, frames = sample_frames(
                 bufs[j], int(ws[j]), int(hs[j]), int(nfs[j]), fmts[j],
-                every_n=self.every_n,
+                every_n=self.EVERY_N,
             )
             npix = float(ws[j]) * float(hs[j])
             s = frames.astype(np.int64).sum(axis=(1, 2))  # (k, 3)
@@ -282,8 +308,7 @@ class ImageOpsActor:
     binary payloads stay small (batch_size chosen by the caller so
     batch x concurrency fits worker heap — wide-binary-row rule)."""
 
-    def __init__(self, thumb: int = 8):
-        self.thumb = thumb
+    THUMB = 8
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["image_id"]
@@ -294,14 +319,14 @@ class ImageOpsActor:
         feats = np.empty((len(bufs), 6), np.float64)
         for i in range(len(bufs)):
             img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            small = resize_nearest(img, self.thumb, self.thumb)
+            small = resize_nearest(img, self.THUMB, self.THUMB)
             feats[i] = channel_stats(small)
         n = len(bufs)
         return pa.table(
             {
                 "image_id": ids,
-                "thumb_w": pa.array([self.thumb] * n, pa.int32()),
-                "thumb_h": pa.array([self.thumb] * n, pa.int32()),
+                "thumb_w": pa.array([self.THUMB] * n, pa.int32()),
+                "thumb_h": pa.array([self.THUMB] * n, pa.int32()),
                 "mean_r": pa.array(feats[:, 0], pa.float64()),
                 "mean_g": pa.array(feats[:, 1], pa.float64()),
                 "mean_b": pa.array(feats[:, 2], pa.float64()),
@@ -338,11 +363,10 @@ class PatchStatsActor:
     dispatch binds once per actor; the per-image work is a single numpy
     reshape + three axis reductions."""
 
-    def __init__(self, grid: int = 4):
-        self.grid = grid
+    GRID = 4
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        g = self.grid
+        g = self.GRID
         ids = batch["image_id"].to_pylist()
         ws = batch["w"].to_numpy(zero_copy_only=False)
         hs = batch["h"].to_numpy(zero_copy_only=False)
@@ -383,8 +407,7 @@ class DecodeStatsActor:
     holds: codec tables etc. belong in __init__) happens once per actor.
     """
 
-    def __init__(self, seed: int = 42):
-        self.seed = seed
+    SEED = 42
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..sources.synth import make_image_bytes, payload_batch
@@ -398,16 +421,14 @@ class DecodeStatsActor:
         idx = np.array([int(s[3:]) for s in ids], np.int64)
         # reference pixels + captions regenerated from the deterministic
         # source (stand-in for "compare against the reference pipeline")
-        ref = payload_batch(idx, self.seed, with_bytes=False)
+        ref = payload_batch(idx, self.SEED, with_bytes=False)
         ref_caps = ref["caption"].to_pylist()
         psnrs = np.empty(len(ids))
         for i in range(len(ids)):
             img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            want = decode_raw(
-                make_image_bytes(int(idx[i]), int(ws[i]), int(hs[i]), self.seed),
-                int(ws[i]),
-                int(hs[i]),
-            )
+            w, h = int(ws[i]), int(hs[i])
+            want = decode_raw(make_image_bytes(int(idx[i]), w, h, self.SEED),
+                              w, h)
             psnrs[i] = psnr_db(img, want)
         cap_ok = np.array([a == b for a, b in zip(caps, ref_caps)])
         return pa.table(
@@ -438,6 +459,21 @@ def make_audio_bytes(i: int, n_samples: int = 4096, seed: int = 42) -> bytes:
     noise = (noise_words.astype(np.float64) / 2**64 - 0.5) * 0.2
     pcm = np.clip((tone * 0.7 + noise) * 32767.0, -32768, 32767).astype("<i2")
     return pcm.tobytes()
+
+
+def _clip_len(i: int) -> int:
+    """Sample count of synthetic clip ``i`` (the audio oracles' ladder)."""
+    return 3000 + (i % 5) * 512
+
+
+def _clip_pcm(i: int, seed: int) -> np.ndarray:
+    return np.frombuffer(make_audio_bytes(i, _clip_len(i), seed), "<i2")
+
+
+def _snr_db(ref: np.ndarray, out: np.ndarray) -> float:
+    err = (out.astype(np.float64) - ref) ** 2
+    sig = float((ref.astype(np.float64) ** 2).mean())
+    return 10.0 * np.log10(sig / max(float(err.mean()), 1e-12))
 
 
 def decode_pcm16(buf: bytes) -> np.ndarray:
@@ -558,7 +594,7 @@ def audio_features(pcm: np.ndarray, n_bands: int = 4) -> np.ndarray:
     return np.array([rms, zcr] + [float(b.sum()) / total for b in bands])
 
 
-class AdpcmRoundtripActor:
+class AdpcmRoundtripActor(ClipHarness):
     """map_batches actor: generate the deterministic PCM clip, encode
     it as mono IMA-ADPCM WAV (stages/adpcm.py), decode it back through
     the standard WAV container dispatch, and emit SQL-predictable
@@ -570,44 +606,22 @@ class AdpcmRoundtripActor:
     the property that matters at 100 TB, where clips are minutes, not
     a quarter second."""
 
-    def __init__(self, seed: int = 42, snr_bar_db: float = 25.0):
-        self.seed = seed
-        self.bar = snr_bar_db
+    SEED = 42
+    SNR_BAR_DB = 25.0
+    COLUMNS = ("n_samples", "n_blocks", "wav_bytes", "snr_ok")
+    TYPES = {"snr_ok": pa.bool_()}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .adpcm import BLOCK_ALIGN, SAMPLES_PER_BLOCK, encode_wav_adpcm
+    def kernel(self, i: int) -> tuple:
+        from .adpcm import BLOCK_ALIGN, encode_wav_adpcm
 
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        n_samples = np.empty(len(ids), np.int64)
-        n_blocks = np.empty(len(ids), np.int64)
-        wav_bytes = np.empty(len(ids), np.int64)
-        snr_ok = np.empty(len(ids), np.bool_)
-        for j, i in enumerate(ids):
-            want = 3000 + (int(i) % 5) * 512
-            pcm = np.frombuffer(make_audio_bytes(int(i), want, self.seed), "<i2")
-            buf = encode_wav_adpcm(pcm)
-            out = decode_audio(buf, "wav")
-            n_samples[j] = len(out)
-            n_blocks[j] = len(buf[60:]) // BLOCK_ALIGN
-            wav_bytes[j] = len(buf)
-            err = (out.astype(np.float64) - pcm) ** 2
-            sig = float((pcm.astype(np.float64) ** 2).mean())
-            snr = 10.0 * np.log10(sig / max(float(err.mean()), 1e-12))
-            snr_ok[j] = snr >= self.bar
-        return pa.table(
-            {
-                "clip_id": pa.array(
-                    [f"clip{int(i):09d}" for i in ids], pa.string()
-                ),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "n_blocks": pa.array(n_blocks, pa.int64()),
-                "wav_bytes": pa.array(wav_bytes, pa.int64()),
-                "snr_ok": pa.array(snr_ok),
-            }
-        )
+        pcm = _clip_pcm(i, self.SEED)
+        buf = encode_wav_adpcm(pcm)
+        out = decode_audio(buf, "wav")
+        return (len(out), len(buf[60:]) // BLOCK_ALIGN, len(buf),
+                _snr_db(pcm, out) >= self.SNR_BAR_DB)
 
 
-class G711RoundtripActor:
+class G711RoundtripActor(ClipHarness):
     """map_batches actor: generate the deterministic PCM clip, encode
     it as a mono G.711 WAV (stages/g711.py; even clips mu-law fmt 7,
     odd clips A-law fmt 6), decode it back through the standard WAV
@@ -621,49 +635,25 @@ class G711RoundtripActor:
     codec is stateless per sample, so the kernels are whole-clip numpy
     with no per-sample Python at any clip length."""
 
-    def __init__(self, seed: int = 42, snr_bar_db: float = 30.0):
-        self.seed = seed
-        self.bar = snr_bar_db
+    SEED = 42
+    SNR_BAR_DB = 30.0
+    COLUMNS = ("law", "n_samples", "wav_bytes", "snr_ok", "requant_ok")
+    TYPES = {"law": pa.string(), "snr_ok": pa.bool_(),
+             "requant_ok": pa.bool_()}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def kernel(self, i: int) -> tuple:
         from .g711 import alaw_encode, encode_wav_g711, ulaw_encode
 
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        laws = []
-        n_samples = np.empty(len(ids), np.int64)
-        wav_bytes = np.empty(len(ids), np.int64)
-        snr_ok = np.empty(len(ids), np.bool_)
-        requant_ok = np.empty(len(ids), np.bool_)
-        for j, i in enumerate(ids):
-            law = "ulaw" if int(i) % 2 == 0 else "alaw"
-            laws.append(law)
-            want = 3000 + (int(i) % 5) * 512
-            pcm = np.frombuffer(make_audio_bytes(int(i), want, self.seed), "<i2")
-            buf = encode_wav_g711(pcm, law)
-            out = decode_audio(buf, "wav")
-            n_samples[j] = len(out)
-            wav_bytes[j] = len(buf)
-            err = (out.astype(np.float64) - pcm) ** 2
-            sig = float((pcm.astype(np.float64) ** 2).mean())
-            snr = 10.0 * np.log10(sig / max(float(err.mean()), 1e-12))
-            snr_ok[j] = snr >= self.bar
-            enc = ulaw_encode if law == "ulaw" else alaw_encode
-            requant_ok[j] = bytes(enc(out).tobytes()) == buf[58:58 + len(out)]
-        return pa.table(
-            {
-                "clip_id": pa.array(
-                    [f"clip{int(i):09d}" for i in ids], pa.string()
-                ),
-                "law": pa.array(laws, pa.string()),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "wav_bytes": pa.array(wav_bytes, pa.int64()),
-                "snr_ok": pa.array(snr_ok),
-                "requant_ok": pa.array(requant_ok),
-            }
-        )
+        law = "ulaw" if i % 2 == 0 else "alaw"
+        pcm = _clip_pcm(i, self.SEED)
+        buf = encode_wav_g711(pcm, law)
+        out = decode_audio(buf, "wav")
+        enc = ulaw_encode if law == "ulaw" else alaw_encode
+        return (law, len(out), len(buf), _snr_db(pcm, out) >= self.SNR_BAR_DB,
+                bytes(enc(out).tobytes()) == buf[58:58 + len(out)])
 
 
-class FlacRoundtripActor:
+class FlacRoundtripActor(ClipHarness):
     """map_batches actor: generate the deterministic PCM clip, encode
     it as real FLAC (stages/flac.py), decode it back, and emit the
     evidence columns the SQL oracle can predict — sample count, frame
@@ -672,37 +662,19 @@ class FlacRoundtripActor:
     STREAMINFO-MD5 checks run on every clip; reaching the output at
     all proves stream integrity."""
 
-    def __init__(self, block_size: int = 1024, seed: int = 42):
-        self.block_size = block_size
-        self.seed = seed
+    BLOCK_SIZE = 1024
+    SEED = 42
+    COLUMNS = ("n_samples", "n_frames", "lossless_ok")
+    TYPES = {"lossless_ok": pa.bool_()}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def kernel(self, i: int) -> tuple:
         from .flac import decode_flac, encode_flac
 
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        n_samples = np.empty(len(ids), np.int64)
-        n_frames = np.empty(len(ids), np.int64)
-        lossless = np.empty(len(ids), np.bool_)
-        for j, i in enumerate(ids):
-            want = 3000 + (int(i) % 5) * 512
-            pcm = np.frombuffer(make_audio_bytes(int(i), want, self.seed), "<i2")
-            out, frames = decode_flac(
-                encode_flac(pcm, block_size=self.block_size),
-                return_frames=True,
-            )
-            n_samples[j] = len(out)
-            n_frames[j] = frames
-            lossless[j] = np.array_equal(out, pcm)
-        return pa.table(
-            {
-                "clip_id": pa.array(
-                    [f"clip{int(i):09d}" for i in ids], pa.string()
-                ),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "n_frames": pa.array(n_frames, pa.int64()),
-                "lossless_ok": pa.array(lossless),
-            }
+        pcm = _clip_pcm(i, self.SEED)
+        out, frames = decode_flac(
+            encode_flac(pcm, block_size=self.BLOCK_SIZE), return_frames=True
         )
+        return len(out), frames, np.array_equal(out, pcm)
 
 
 class AudioOpsActor:
@@ -712,30 +684,29 @@ class AudioOpsActor:
     Identical plumbing rules to ImageOpsActor (small batches of binary
     payloads, setup once per actor)."""
 
-    def __init__(self, n_bands: int = 4):
-        self.n_bands = n_bands
+    N_BANDS = 4
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         bufs = batch["bytes"].to_pylist()
         fmts = batch["fmt"].to_pylist()
-        feats = np.empty((len(bufs), 2 + self.n_bands), np.float64)
+        feats = np.empty((len(bufs), 2 + self.N_BANDS), np.float64)
         ns = np.empty(len(bufs), np.int64)
         for i, (buf, fmt) in enumerate(zip(bufs, fmts)):
             pcm = decode_audio(buf, fmt)
             ns[i] = len(pcm)
-            feats[i] = audio_features(pcm, self.n_bands)
+            feats[i] = audio_features(pcm, self.N_BANDS)
         cols = {
             "clip_id": batch["clip_id"],
             "n_samples": pa.array(ns, pa.int64()),
             "rms": pa.array(feats[:, 0], pa.float64()),
             "zcr": pa.array(feats[:, 1], pa.float64()),
         }
-        for b in range(self.n_bands):
+        for b in range(self.N_BANDS):
             cols[f"band_{b}"] = pa.array(feats[:, 2 + b], pa.float64())
         return pa.table(cols)
 
 
-class HistEqActor:
+class HistEqActor(ImageHarness):
     """map_batches actor: global histogram equalization — the classic
     contrast-normalization preprocessing step, kept EXACT: the remap is
     the integer CDF formula eq(v) = ((cdf(v) - cdf_min) * 255)
@@ -746,46 +717,25 @@ class HistEqActor:
     Emits per image: pixel count, equalized sum, and a
     destination-position-weighted checksum (weight bidx+1) — a wrong
     LUT *or* wrong pixel placement breaks the gate, not just wrong
-    totals.  Codec dispatch binds once per actor; per-image work is
-    one bincount + one cumsum + one gather."""
+    totals.  Per-image work is one bincount + one cumsum + one
+    gather."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        n_px = np.empty(n, np.int64)
-        eq_sum = np.empty(n, np.int64)
-        eq_possum = np.empty(n, np.int64)
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            flat = img.reshape(-1).astype(np.int64)
-            hist = np.bincount(flat, minlength=256)
-            cdf = np.cumsum(hist)
-            npx = flat.size
-            cdf_min = int(cdf[np.flatnonzero(hist)[0]])
-            denom = npx - cdf_min
-            if denom == 0:  # constant image: define eq = 0 (oracle CASE)
-                lut = np.zeros(256, np.int64)
-            else:
-                lut = ((cdf - cdf_min) * 255) // denom
-            eq = lut[flat]
-            n_px[i] = npx
-            eq_sum[i] = eq.sum()
-            eq_possum[i] = (eq * (np.arange(npx, dtype=np.int64) + 1)).sum()
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_px": pa.array(n_px, pa.int64()),
-                "eq_sum": pa.array(eq_sum, pa.int64()),
-                "eq_possum": pa.array(eq_possum, pa.int64()),
-            }
-        )
+    COLUMNS = ("n_px", "eq_sum", "eq_possum")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        flat = img.reshape(-1).astype(np.int64)
+        hist = np.bincount(flat, minlength=256)
+        cdf = np.cumsum(hist)
+        cdf_min = int(cdf[np.flatnonzero(hist)[0]])
+        denom = flat.size - cdf_min
+        if denom == 0:  # constant image: define eq = 0 (oracle CASE)
+            lut = np.zeros(256, np.int64)
+        else:
+            lut = ((cdf - cdf_min) * 255) // denom
+        return (flat.size, *_sum_possum(lut[flat]))
 
 
-class MorphActor:
+class MorphActor(ImageHarness):
     """map_batches actor: 3x3 morphological erosion + dilation — the
     classic binary/grayscale cleanup filters (min / max over the 3x3
     neighborhood, per channel, replicate border).  For extrema the
@@ -797,6 +747,8 @@ class MorphActor:
     checksums of both outputs (weight bidx+1 over the interleaved RGB
     stream) — wrong window PLACEMENT breaks the gate, not just wrong
     extrema.  Pure numpy: one padded view + 9 shifted slices."""
+
+    COLUMNS = ("n_px", "ero_sum", "ero_possum", "dil_sum", "dil_possum")
 
     @staticmethod
     def _morph(img: np.ndarray):
@@ -815,33 +767,14 @@ class MorphActor:
                     np.maximum(dil, view, out=dil)
         return ero, dil
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_px", "ero_sum", "ero_possum", "dil_sum", "dil_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            ero, dil = self._morph(img)
-            e = ero.reshape(-1).astype(np.int64)
-            d = dil.reshape(-1).astype(np.int64)
-            pos = np.arange(e.size, dtype=np.int64) + 1
-            out["n_px"][i] = e.size
-            out["ero_sum"][i] = e.sum()
-            out["ero_possum"][i] = (e * pos).sum()
-            out["dil_sum"][i] = d.sum()
-            out["dil_possum"][i] = (d * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        ero, dil = self._morph(img)
+        e = ero.reshape(-1).astype(np.int64)
+        d = dil.reshape(-1).astype(np.int64)
+        return (e.size, *_sum_possum(e), *_sum_possum(d))
 
 
-class MedianFilterActor:
+class MedianFilterActor(ImageHarness):
     """map_batches actor: 3x3 MEDIAN filter (the rank/order-statistic
     denoiser, completing the neighborhood-filter family next to
     MorphActor's min/max and ConvActor's linear kernels) over the
@@ -854,6 +787,8 @@ class MedianFilterActor:
     destination-position-weighted checksums (placement-sensitive,
     like every image gate)."""
 
+    COLUMNS = ("n_val", "med_sum", "med_possum")
+
     @staticmethod
     def _median3(img: np.ndarray) -> np.ndarray:
         h, w, c = img.shape
@@ -863,29 +798,12 @@ class MedianFilterActor:
         # 9 ints -> the middle order statistic is exact
         return np.median(stack, axis=0).astype(np.int64)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_val", "med_sum", "med_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            med = self._median3(img).reshape(-1)
-            pos = np.arange(med.size, dtype=np.int64) + 1
-            out["n_val"][i] = med.size
-            out["med_sum"][i] = med.sum()
-            out["med_possum"][i] = (med * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        med = self._median3(img).reshape(-1)
+        return (med.size, *_sum_possum(med))
 
 
-class ConvActor:
+class ConvActor(ImageHarness):
     """map_batches actor: 2-D convolution — 3x3 integer box blur
     (floor(window sum / 9)) and Sobel gradient magnitude (|gx| + |gy|,
     no sqrt so everything stays exact int), both over the VALID
@@ -897,6 +815,9 @@ class ConvActor:
     views with constant weights.  Emits per image the valid-pixel
     count and destination-position-weighted checksums of both outputs
     (wrong placement breaks the gate, not just wrong values)."""
+
+    COLUMNS = ("n_val", "blur_sum", "blur_possum",
+               "sobel_sum", "sobel_possum")
 
     @staticmethod
     def _conv(img: np.ndarray):
@@ -924,34 +845,13 @@ class ConvActor:
         sob = np.abs(gx) + np.abs(gy)
         return blur, sob
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_val", "blur_sum", "blur_possum",
-                "sobel_sum", "sobel_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            blur, sob = self._conv(img)
-            b = blur.reshape(-1)
-            s = sob.reshape(-1)
-            pos = np.arange(b.size, dtype=np.int64) + 1
-            out["n_val"][i] = b.size
-            out["blur_sum"][i] = b.sum()
-            out["blur_possum"][i] = (b * pos).sum()
-            out["sobel_sum"][i] = s.sum()
-            out["sobel_possum"][i] = (s * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        blur, sob = self._conv(img)
+        return (blur.size, *_sum_possum(blur.reshape(-1)),
+                *_sum_possum(sob.reshape(-1)))
 
 
-class OtsuActor:
+class OtsuActor(ImageHarness):
     """map_batches actor: Otsu's automatic threshold on channel 0 —
     maximize between-class variance  (S*c - n*s)^2 / (c*(n-c))  over
     thresholds t (class 0 = v <= t), kept EXACT: the squared term
@@ -961,6 +861,8 @@ class OtsuActor:
     smallest t; the oracle replays the identical cross-multiplied
     rational compare in HUGEINT.  Emits (image_id, n_px, otsu_t, c0,
     s0): the threshold plus class-0 count and sum pin the argmax."""
+
+    COLUMNS = ("n_px", "otsu_t", "c0", "s0")
 
     @staticmethod
     def _otsu(v: np.ndarray):
@@ -982,30 +884,12 @@ class OtsuActor:
             return -1, 0, 0
         return best_t, int(csum[best_t]), int(ssum[best_t])
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_px", "otsu_t", "c0", "s0")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            v = img[:, :, 0].reshape(-1)
-            t, c0, s0 = self._otsu(v)
-            out["n_px"][i] = v.size
-            out["otsu_t"][i] = t
-            out["c0"][i] = c0
-            out["s0"][i] = s0
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        v = img[:, :, 0].reshape(-1)
+        return (v.size, *self._otsu(v))
 
 
-class BlobActor:
+class BlobActor(ImageHarness):
     """map_batches actor: connected-component BLOB LABELING — the
     classic CV segmentation primitive.  Threshold channel 0 at >= 200
     (foreground density ~0.22, subcritical for site percolation on the
@@ -1020,6 +904,7 @@ class BlobActor:
     the stage is an embarrassingly parallel actor pool, no shuffle."""
 
     THRESH = 200
+    COLUMNS = ("n_fg", "n_blobs", "max_blob_px", "labelsum")
 
     @staticmethod
     def _label(img: np.ndarray):
@@ -1051,35 +936,15 @@ class BlobActor:
         labels = np.array([find(int(v)) for v in nodes], np.int64)
         return nodes, labels
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_fg", "n_blobs", "max_blob_px", "labelsum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            nodes, labels = self._label(img)
-            out["n_fg"][i] = len(nodes)
-            if len(nodes):
-                uniq, counts = np.unique(labels, return_counts=True)
-                out["n_blobs"][i] = len(uniq)
-                out["max_blob_px"][i] = counts.max()
-                out["labelsum"][i] = labels.sum()
-            else:
-                out["n_blobs"][i] = 0
-                out["max_blob_px"][i] = 0
-                out["labelsum"][i] = 0
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        nodes, labels = self._label(img)
+        if not len(nodes):
+            return 0, 0, 0, 0
+        uniq, counts = np.unique(labels, return_counts=True)
+        return len(nodes), len(uniq), counts.max(), labels.sum()
 
 
-class BlendActor:
+class BlendActor(ImageHarness):
     """map_batches actor: alpha compositing (watermark overlay) — the
     standard augmentation blend out = (a*img + (256-a)*wm) // 256 kept
     EXACT in integers (a = 64): the watermark is a deterministic
@@ -1089,35 +954,20 @@ class BlendActor:
 
     ALPHA = 64
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_px", "blend_sum", "blend_possum")}
+    COLUMNS = ("n_px", "blend_sum", "blend_possum")
+
+    def kernel(self, img: np.ndarray) -> tuple:
         a = self.ALPHA
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            h, w, _ = img.shape
-            yy, xx = np.mgrid[0:h, 0:w]
-            cc = np.arange(3)[None, None, :]
-            wm = (xx[:, :, None] * 7 + yy[:, :, None] * 13 + cc * 29) % 256
-            blend = (a * img.astype(np.int64) + (256 - a) * wm) // 256
-            flat = blend.reshape(-1)
-            pos = np.arange(flat.size, dtype=np.int64) + 1
-            out["n_px"][i] = flat.size
-            out["blend_sum"][i] = flat.sum()
-            out["blend_possum"][i] = (flat * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+        h, w, _ = img.shape
+        yy, xx = np.mgrid[0:h, 0:w]
+        cc = np.arange(3)[None, None, :]
+        wm = (xx[:, :, None] * 7 + yy[:, :, None] * 13 + cc * 29) % 256
+        blend = (a * img.astype(np.int64) + (256 - a) * wm) // 256
+        flat = blend.reshape(-1)
+        return (flat.size, *_sum_possum(flat))
 
 
-class DominantColorActor:
+class DominantColorActor(ImageHarness):
     """map_batches actor: DOMINANT COLOR per image — quantize every
     pixel to 4 bits per channel (a 4096-color cube, the classic
     palette-summary / thumbnail-indexing primitive) and report the
@@ -1128,31 +978,15 @@ class DominantColorActor:
     Emits (image_id, n_px, dom_code, dom_r, dom_g, dom_b, dom_cnt);
     dom_* are the cell's low corner (quantized value * 16)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_px", "dom_code", "dom_r", "dom_g", "dom_b", "dom_cnt")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            q = (img.reshape(-1, 3) >> 4).astype(np.int64)
-            codes = (q[:, 0] << 8) | (q[:, 1] << 4) | q[:, 2]
-            hist = np.bincount(codes, minlength=4096)
-            code = int(np.argmax(hist))
-            out["n_px"][i] = len(codes)
-            out["dom_code"][i] = code
-            out["dom_r"][i] = (code >> 8) * 16
-            out["dom_g"][i] = ((code >> 4) & 15) * 16
-            out["dom_b"][i] = (code & 15) * 16
-            out["dom_cnt"][i] = int(hist[code])
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_px", "dom_code", "dom_r", "dom_g", "dom_b", "dom_cnt")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        q = (img.reshape(-1, 3) >> 4).astype(np.int64)
+        codes = (q[:, 0] << 8) | (q[:, 1] << 4) | q[:, 2]
+        hist = np.bincount(codes, minlength=4096)
+        code = int(np.argmax(hist))
+        return (len(codes), code, (code >> 8) * 16, ((code >> 4) & 15) * 16,
+                (code & 15) * 16, int(hist[code]))
 
 
 def make_silence_pcm(i: int, n_samples: int, seed: int = 42) -> np.ndarray:
@@ -1175,7 +1009,7 @@ def make_silence_pcm(i: int, n_samples: int, seed: int = 42) -> np.ndarray:
     return (gain * loud + resid).astype(np.int16)
 
 
-class SilenceSegmentsActor:
+class SilenceSegmentsActor(ClipHarness):
     """map_batches actor: SILENCE SPLITTING — the audio-pipeline
     segmentation primitive (VAD front-end, clip trimming).  Per clip:
     generate the integer PCM, round-trip it through the engine's WAV
@@ -1188,29 +1022,18 @@ class SilenceSegmentsActor:
     THRESH = 100
     MIN_RUN = 150
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_samples", "n_silent", "n_segments", "longest_run")}
-        for j, i in enumerate(ids):
-            want = 3000 + (int(i) % 5) * 512
-            pcm = make_silence_pcm(int(i), want)
-            got = decode_audio(encode_wav(pcm), "wav")
-            mask = np.abs(got.astype(np.int64)) <= self.THRESH
-            edged = np.concatenate(([False], mask, [False]))
-            starts = np.flatnonzero(edged[1:] & ~edged[:-1])
-            ends = np.flatnonzero(~edged[1:] & edged[:-1])
-            runs = ends - starts
-            out["n_samples"][j] = len(got)
-            out["n_silent"][j] = int(mask.sum())
-            out["n_segments"][j] = int((runs >= self.MIN_RUN).sum())
-            out["longest_run"][j] = int(runs.max()) if len(runs) else 0
-        return pa.table(
-            {"clip_id": pa.array(
-                [f"clip{int(i):09d}" for i in ids], pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_samples", "n_silent", "n_segments", "longest_run")
+
+    def kernel(self, i: int) -> tuple:
+        pcm = make_silence_pcm(i, _clip_len(i))
+        got = decode_audio(encode_wav(pcm), "wav")
+        mask = np.abs(got.astype(np.int64)) <= self.THRESH
+        edged = np.concatenate(([False], mask, [False]))
+        starts = np.flatnonzero(edged[1:] & ~edged[:-1])
+        ends = np.flatnonzero(~edged[1:] & edged[:-1])
+        runs = ends - starts
+        return (len(got), int(mask.sum()), int((runs >= self.MIN_RUN).sum()),
+                int(runs.max()) if len(runs) else 0)
 
 
 def _luma_fixed(img: np.ndarray) -> np.ndarray:
@@ -1219,7 +1042,7 @@ def _luma_fixed(img: np.ndarray) -> np.ndarray:
     return 299 * v[:, :, 0] + 587 * v[:, :, 1] + 114 * v[:, :, 2]
 
 
-class MomentsActor:
+class MomentsActor(ImageHarness):
     """map_batches actor: IMAGE MOMENTS — the classical shape/intensity
     descriptors (centroid, orientation, spread all derive from these)
     over the x1000 integer luma plane.  Emits the six raw power sums
@@ -1231,33 +1054,18 @@ class MomentsActor:
     Embarrassingly parallel — no shuffle; mirrors the reference's
     per-element derived-attribute pass (src/osmxml/bbox.rs:85-120)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("m00", "m10", "m01", "sxx", "syy", "sxy")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            l = _luma_fixed(img)
-            h, w = l.shape
-            x = np.arange(w, dtype=np.int64)
-            y = np.arange(h, dtype=np.int64)
-            col = l.sum(axis=0)          # per-x luma sums
-            row = l.sum(axis=1)          # per-y luma sums
-            out["m00"][i] = l.sum()
-            out["m10"][i] = (col * x).sum()
-            out["m01"][i] = (row * y).sum()
-            out["sxx"][i] = (col * x * x).sum()
-            out["syy"][i] = (row * y * y).sum()
-            out["sxy"][i] = ((l * x[None, :]).sum(axis=1) * y).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("m00", "m10", "m01", "sxx", "syy", "sxy")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        l = _luma_fixed(img)
+        h, w = l.shape
+        x = np.arange(w, dtype=np.int64)
+        y = np.arange(h, dtype=np.int64)
+        col = l.sum(axis=0)          # per-x luma sums
+        row = l.sum(axis=1)          # per-y luma sums
+        return (l.sum(), (col * x).sum(), (row * y).sum(),
+                (col * x * x).sum(), (row * y * y).sum(),
+                ((l * x[None, :]).sum(axis=1) * y).sum())
 
 
 def _bayer8() -> np.ndarray:
@@ -1277,7 +1085,7 @@ def _bayer8() -> np.ndarray:
 BAYER8 = _bayer8()
 
 
-class DitherActor:
+class DitherActor(ImageHarness):
     """map_batches actor: ORDERED (Bayer) DITHERING to 1 bit per
     channel — the classic print/display quantizer.  Threshold rule is
     pure integer (bit = v*65 > (B(y%8, x%8)+1)*255, i.e. v above the
@@ -1286,31 +1094,16 @@ class DitherActor:
     the destination-position-weighted checksum (placement-sensitive).
     Embarrassingly parallel actor pool, no shuffle."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_pix", "ones", "possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            h, w, _ = img.shape
-            thr = BAYER8[np.arange(h)[:, None] % 8,
-                         np.arange(w)[None, :] % 8]
-            bit = (img.astype(np.int64) * 65
-                   > (thr[:, :, None] + 1) * 255).astype(np.int64)
-            flat = bit.reshape(-1)
-            pos = np.arange(flat.size, dtype=np.int64) + 1
-            out["n_pix"][i] = flat.size
-            out["ones"][i] = flat.sum()
-            out["possum"][i] = (flat * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_pix", "ones", "possum")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        h, w, _ = img.shape
+        thr = BAYER8[np.arange(h)[:, None] % 8,
+                     np.arange(w)[None, :] % 8]
+        bit = (img.astype(np.int64) * 65
+               > (thr[:, :, None] + 1) * 255).astype(np.int64)
+        flat = bit.reshape(-1)
+        return (flat.size, *_sum_possum(flat))
 
 
 # integer Hough tables: round(1024*cos(pi*k/8)), round(1024*sin(pi*k/8))
@@ -1321,7 +1114,7 @@ HOUGH_BINW = 256            # rho quantum at the x1024 trig scale
 HOUGH_MAXBIN = 2048         # > (63*1024*2 + OFF) / 256; packs (k, bin)
 
 
-class HoughActor:
+class HoughActor(ImageHarness):
     """map_batches actor: HOUGH LINE TRANSFORM — per image, threshold
     the x1000 integer luma (edge := luma > 127500), vote every edge
     pixel into 8 quantized line directions (integer cos/sin tables at
@@ -1333,41 +1126,22 @@ class HoughActor:
     packed (angle, rho-bin) keys — no per-pixel Python.  Zero-edge
     images emit (-1, -1, 0).  Embarrassingly parallel, no shuffle."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_edges", "best_k", "best_bin", "best_votes")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            l = _luma_fixed(img)
-            eys, exs = np.nonzero(l > 127500)
-            out["n_edges"][i] = eys.size
-            if eys.size == 0:
-                out["best_k"][i] = -1
-                out["best_bin"][i] = -1
-                out["best_votes"][i] = 0
-                continue
-            vals = (exs[None, :] * HOUGH_COS[:, None]
-                    + eys[None, :] * HOUGH_SIN[:, None] + HOUGH_OFF)
-            bins = vals // HOUGH_BINW
-            keys = (np.arange(8, dtype=np.int64)[:, None] * HOUGH_MAXBIN
-                    + bins).reshape(-1)
-            counts = np.bincount(keys)
-            top = counts.max()
-            # min key among maxima == (votes desc, k asc, bin asc)
-            best = int(np.flatnonzero(counts == top)[0])
-            out["best_k"][i] = best // HOUGH_MAXBIN
-            out["best_bin"][i] = best % HOUGH_MAXBIN
-            out["best_votes"][i] = int(top)
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_edges", "best_k", "best_bin", "best_votes")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        eys, exs = np.nonzero(_luma_fixed(img) > 127500)
+        if eys.size == 0:
+            return 0, -1, -1, 0
+        vals = (exs[None, :] * HOUGH_COS[:, None]
+                + eys[None, :] * HOUGH_SIN[:, None] + HOUGH_OFF)
+        bins = vals // HOUGH_BINW
+        keys = (np.arange(8, dtype=np.int64)[:, None] * HOUGH_MAXBIN
+                + bins).reshape(-1)
+        counts = np.bincount(keys)
+        top = counts.max()
+        # min key among maxima == (votes desc, k asc, bin asc)
+        best = int(np.flatnonzero(counts == top)[0])
+        return eys.size, best // HOUGH_MAXBIN, best % HOUGH_MAXBIN, int(top)
 
 
 class MarchingSquaresActor:
@@ -1409,7 +1183,7 @@ LBP_OFFS = [(-1, -1), (-1, 0), (-1, 1), (0, 1),
             (1, 1), (1, 0), (1, -1), (0, -1)]
 
 
-class LBPActor:
+class LBPActor(ImageHarness):
     """map_batches actor: LOCAL BINARY PATTERNS — the classical
     texture descriptor.  Per interior pixel, an 8-bit code from
     neighbor >= center comparisons on the x1000 integer luma
@@ -1417,36 +1191,20 @@ class LBPActor:
     count, code sum and destination-position-weighted code sum.
     Eight shifted views, no per-pixel Python."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_val", "code_sum", "code_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            l = _luma_fixed(img)
-            h, w = l.shape
-            center = l[1:h - 1, 1:w - 1]
-            code = np.zeros_like(center)
-            for j, (dy, dx) in enumerate(LBP_OFFS):
-                nb = l[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-                code += (nb >= center).astype(np.int64) << j
-            flat = code.reshape(-1)
-            pos = np.arange(flat.size, dtype=np.int64) + 1
-            out["n_val"][i] = flat.size
-            out["code_sum"][i] = flat.sum()
-            out["code_possum"][i] = (flat * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_val", "code_sum", "code_possum")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        l = _luma_fixed(img)
+        h, w = l.shape
+        center = l[1:h - 1, 1:w - 1]
+        code = np.zeros_like(center)
+        for j, (dy, dx) in enumerate(LBP_OFFS):
+            nb = l[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+            code += (nb >= center).astype(np.int64) << j
+        return (code.size, *_sum_possum(code.reshape(-1)))
 
 
-class HarrisActor:
+class HarrisActor(ImageHarness):
     """map_batches actor: HARRIS CORNER RESPONSE in exact integers —
     R16 = 16*(Sxx*Syy - Sxy^2) - (Sxx+Syy)^2 (k = 1/16) where S* are
     3x3 window sums of Sobel gradient products on the /1000 luma
@@ -1455,6 +1213,8 @@ class HarrisActor:
     (|R16| <= ~1.8e15, per-image sums <= ~3e18).  Emits per image the
     valid count, positive-response (corner) count, response sum and
     max.  Two passes of shifted views; embarrassingly parallel."""
+
+    COLUMNS = ("n_val", "n_corners", "r_sum", "r_max")
 
     @staticmethod
     def _grad(g: np.ndarray):
@@ -1480,32 +1240,16 @@ class HarrisActor:
         return sum(a[dy:h - 2 + dy, dx:w - 2 + dx]
                    for dy in range(3) for dx in range(3))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_val", "n_corners", "r_sum", "r_max")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            g = _luma_fixed(img) // 1000
-            ix, iy = self._grad(g)
-            sxx = self._winsum(ix * ix)
-            syy = self._winsum(iy * iy)
-            sxy = self._winsum(ix * iy)
-            r16 = 16 * (sxx * syy - sxy * sxy) - (sxx + syy) ** 2
-            flat = r16.reshape(-1)
-            out["n_val"][i] = flat.size
-            out["n_corners"][i] = int((flat > 0).sum())
-            out["r_sum"][i] = flat.sum()
-            out["r_max"][i] = flat.max() if flat.size else 0
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    def kernel(self, img: np.ndarray) -> tuple:
+        g = _luma_fixed(img) // 1000
+        ix, iy = self._grad(g)
+        sxx = self._winsum(ix * ix)
+        syy = self._winsum(iy * iy)
+        sxy = self._winsum(ix * iy)
+        r16 = 16 * (sxx * syy - sxy * sxy) - (sxx + syy) ** 2
+        flat = r16.reshape(-1)
+        return (flat.size, int((flat > 0).sum()), flat.sum(),
+                flat.max() if flat.size else 0)
 
 def make_tri_pcm(i: int, n_samples: int = 512, seed: int = 42) -> np.ndarray:
     """Deterministic INTEGER PCM with a real periodic component: a
@@ -1525,7 +1269,7 @@ def make_tri_pcm(i: int, n_samples: int = 512, seed: int = 42) -> np.ndarray:
     return tri + noise
 
 
-class PitchActor:
+class PitchActor(ClipHarness):
     """map_batches actor: AUTOCORRELATION PITCH DETECTION in exact
     integers — per clip, the lag in [16, 128] maximizing the CENTERED
     autocorrelation sum(c_t * c_{t+lag}) with c_t = N*v_t - sum(v)
@@ -1540,30 +1284,20 @@ class PitchActor:
     N = 512
     LAG_LO, LAG_HI = 16, 128
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        out = {k: np.empty(n, np.int64) for k in
-               ("best_lag", "best_score", "energy")}
-        for j, i in enumerate(ids):
-            v = make_tri_pcm(int(i), self.N)
-            c = self.N * v - v.sum()
-            best_lag, best_score = -1, None
-            for lag in range(self.LAG_LO, self.LAG_HI + 1):
-                s = int(np.dot(c[: self.N - lag], c[lag:]))
-                if best_score is None or s > best_score:
-                    best_lag, best_score = lag, s
-            out["best_lag"][j] = best_lag
-            out["best_score"][j] = best_score
-            out["energy"][j] = int(np.dot(c, c))
-        return pa.table(
-            {"clip_id": pa.array(
-                [f"clip{int(i):09d}" for i in ids], pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("best_lag", "best_score", "energy")
+
+    def kernel(self, i: int) -> tuple:
+        v = make_tri_pcm(i, self.N)
+        c = self.N * v - v.sum()
+        best_lag, best_score = -1, None
+        for lag in range(self.LAG_LO, self.LAG_HI + 1):
+            s = int(np.dot(c[: self.N - lag], c[lag:]))
+            if best_score is None or s > best_score:
+                best_lag, best_score = lag, s
+        return best_lag, best_score, int(np.dot(c, c))
 
 
-class SeamActor:
+class SeamActor(ImageHarness):
     """map_batches actor: MINIMUM VERTICAL SEAM COST (the seam-carving
     DP) over the x1000 integer luma — dp(y, x) = l(y, x) +
     min(dp(y-1, x-1..x+1)), edges clipped; per image the minimum
@@ -1574,31 +1308,19 @@ class SeamActor:
 
     BIG = np.int64(1) << 60
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in ("seam_cost", "end_x")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            l = _luma_fixed(img)
-            dp = l[0].copy()
-            for y in range(1, l.shape[0]):
-                left = np.concatenate(([self.BIG], dp[:-1]))
-                right = np.concatenate((dp[1:], [self.BIG]))
-                dp = l[y] + np.minimum(dp, np.minimum(left, right))
-            out["seam_cost"][i] = dp.min()
-            out["end_x"][i] = int(np.argmin(dp))  # first min = smallest x
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("seam_cost", "end_x")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        l = _luma_fixed(img)
+        dp = l[0].copy()
+        for y in range(1, l.shape[0]):
+            left = np.concatenate(([self.BIG], dp[:-1]))
+            right = np.concatenate((dp[1:], [self.BIG]))
+            dp = l[y] + np.minimum(dp, np.minimum(left, right))
+        return dp.min(), int(np.argmin(dp))  # first min = smallest x
 
 
-class DistTransformActor:
+class DistTransformActor(ImageHarness):
     """map_batches actor: L1 DISTANCE TRANSFORM saturated at 7 — per
     pixel the city-block distance to the nearest foreground pixel
     (luma > 127500), capped so the oracle's fixpoint is 6 bounded
@@ -1609,34 +1331,18 @@ class DistTransformActor:
     CAP = 7
     ROUNDS = 6
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_pix", "d_sum", "d_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            fg = _luma_fixed(img) > 127500
-            d = np.where(fg, 0, self.CAP).astype(np.int64)
-            for _ in range(self.ROUNDS):
-                p = np.pad(d, 1, constant_values=self.CAP)
-                nb = np.minimum(
-                    np.minimum(p[:-2, 1:-1], p[2:, 1:-1]),
-                    np.minimum(p[1:-1, :-2], p[1:-1, 2:]))
-                d = np.minimum(d, nb + 1)
-            flat = d.reshape(-1)
-            pos = np.arange(flat.size, dtype=np.int64) + 1
-            out["n_pix"][i] = flat.size
-            out["d_sum"][i] = flat.sum()
-            out["d_possum"][i] = (flat * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+    COLUMNS = ("n_pix", "d_sum", "d_possum")
+
+    def kernel(self, img: np.ndarray) -> tuple:
+        fg = _luma_fixed(img) > 127500
+        d = np.where(fg, 0, self.CAP).astype(np.int64)
+        for _ in range(self.ROUNDS):
+            p = np.pad(d, 1, constant_values=self.CAP)
+            nb = np.minimum(
+                np.minimum(p[:-2, 1:-1], p[2:, 1:-1]),
+                np.minimum(p[1:-1, :-2], p[1:-1, 2:]))
+            d = np.minimum(d, nb + 1)
+        return (d.size, *_sum_possum(d.reshape(-1)))
 
 
 def payload_dims(i: int) -> tuple[int, int]:
@@ -1646,7 +1352,7 @@ def payload_dims(i: int) -> tuple[int, int]:
     return w, h
 
 
-class HistMatchActor:
+class HistMatchActor(ImageHarness):
     """map_batches actor: HISTOGRAM MATCHING — remap each image's
     per-channel values so its histogram follows its partner image
     (j = i XOR 1, regenerated in the actor from the deterministic
@@ -1657,46 +1363,30 @@ class HistMatchActor:
     (sum + destination-position-weighted).  Embarrassingly parallel —
     the partner is REGENERATED, not shuffled."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    COLUMNS = ("n_pix", "m_sum", "m_possum")
+
+    def row(self, image_id: str, src: np.ndarray) -> tuple:
         from ..sources.synth import make_image_bytes
 
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_pix", "m_sum", "m_possum")}
-        for b in range(n):
-            i = int(ids[b][3:])
-            src = decode_image(bufs[b], int(ws[b]), int(hs[b]), fmts[b])
-            j = i ^ 1
-            wj, hj = payload_dims(j)
-            tgt = decode_raw(make_image_bytes(j, wj, hj), wj, hj)
-            n_s = np.int64(src.shape[0] * src.shape[1])
-            n_t = np.int64(tgt.shape[0] * tgt.shape[1])
-            flat_parts = []
-            for c in range(3):
-                hs_c = np.bincount(src[:, :, c].reshape(-1),
-                                   minlength=256).astype(np.int64)
-                ht_c = np.bincount(tgt[:, :, c].reshape(-1),
-                                   minlength=256).astype(np.int64)
-                cdf_s = np.cumsum(hs_c)
-                cdf_t = np.cumsum(ht_c)
-                # m(v) = min g: cdf_t[g] * n_s >= cdf_s[v] * n_t
-                lut = np.searchsorted(cdf_t * n_s, cdf_s * n_t,
-                                      side="left").astype(np.int64)
-                flat_parts.append(lut[src[:, :, c].astype(np.int64)])
-            m = np.stack(flat_parts, axis=2).reshape(-1)
-            pos = np.arange(m.size, dtype=np.int64) + 1
-            out["n_pix"][b] = m.size
-            out["m_sum"][b] = m.sum()
-            out["m_possum"][b] = (m * pos).sum()
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+        j = int(image_id[3:]) ^ 1
+        wj, hj = payload_dims(j)
+        tgt = decode_raw(make_image_bytes(j, wj, hj), wj, hj)
+        n_s = np.int64(src.shape[0] * src.shape[1])
+        n_t = np.int64(tgt.shape[0] * tgt.shape[1])
+        flat_parts = []
+        for c in range(3):
+            hs_c = np.bincount(src[:, :, c].reshape(-1),
+                               minlength=256).astype(np.int64)
+            ht_c = np.bincount(tgt[:, :, c].reshape(-1),
+                               minlength=256).astype(np.int64)
+            cdf_s = np.cumsum(hs_c)
+            cdf_t = np.cumsum(ht_c)
+            # m(v) = min g: cdf_t[g] * n_s >= cdf_s[v] * n_t
+            lut = np.searchsorted(cdf_t * n_s, cdf_s * n_t,
+                                  side="left").astype(np.int64)
+            flat_parts.append(lut[src[:, :, c].astype(np.int64)])
+        m = np.stack(flat_parts, axis=2).reshape(-1)
+        return (m.size, *_sum_possum(m))
 
 
 NTT_P = 65537           # Fermat prime 2^16 + 1
@@ -1752,7 +1442,7 @@ class NttActor:
         })
 
 
-class CannyActor:
+class CannyActor(ImageHarness):
     """map_batches actor: CANNY EDGES, exact-integer formulation —
     Sobel on the /1000 luma, L1 gradient magnitude, direction-
     quantized non-maximum suppression (4 classes by integer
@@ -1768,60 +1458,44 @@ class CannyActor:
 
     TH_HI, TH_LO, ROUNDS = 400, 150, 4
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out = {k: np.empty(n, np.int64) for k in
-               ("n_strong", "n_weak", "n_edges", "edge_possum")}
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            g = _luma_fixed(img) // 1000
-            gx, gy = HarrisActor._grad(g)
-            mag = np.abs(gx) + np.abs(gy)
-            hh, ww = mag.shape
-            # mag padded with 0 so border neighbors read 0
-            p = np.pad(mag, 1, constant_values=0)
+    COLUMNS = ("n_strong", "n_weak", "n_edges", "edge_possum")
 
-            def nb(dy, dx):
-                return p[1 + dy:1 + dy + hh, 1 + dx:1 + dx + ww]
+    def kernel(self, img: np.ndarray) -> tuple:
+        g = _luma_fixed(img) // 1000
+        gx, gy = HarrisActor._grad(g)
+        mag = np.abs(gx) + np.abs(gy)
+        hh, ww = mag.shape
+        # mag padded with 0 so border neighbors read 0
+        p = np.pad(mag, 1, constant_values=0)
 
-            agx, agy = np.abs(gx), np.abs(gy)
-            horiz = 2 * agy <= agx
-            vert = ~horiz & (2 * agx <= agy)
-            diag_main = ~horiz & ~vert & (gx * gy > 0)   # "\" direction
-            diag_anti = ~horiz & ~vert & ~diag_main      # "/" direction
-            keep = np.zeros_like(mag, dtype=bool)
-            for m, (ay, ax) in ((horiz, (0, -1)), (vert, (-1, 0)),
-                                (diag_main, (-1, -1)), (diag_anti, (-1, 1))):
-                na, nb_ = nb(ay, ax), nb(-ay, -ax)
-                keep |= m & (mag >= na) & (mag > nb_)
-            strong = keep & (mag >= self.TH_HI)
-            weak = keep & (mag >= self.TH_LO) & (mag < self.TH_HI)
-            lit = strong.copy()
-            for _ in range(self.ROUNDS):
-                q = np.pad(lit, 1, constant_values=False)
-                dil = np.zeros_like(lit)
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        if dy or dx:
-                            dil |= q[1 + dy:1 + dy + hh,
-                                     1 + dx:1 + dx + ww]
-                new = lit | (weak & dil)
-                if new.sum() == lit.sum():
-                    lit = new
-                    break
+        def nb(dy, dx):
+            return p[1 + dy:1 + dy + hh, 1 + dx:1 + dx + ww]
+
+        agx, agy = np.abs(gx), np.abs(gy)
+        horiz = 2 * agy <= agx
+        vert = ~horiz & (2 * agx <= agy)
+        diag_main = ~horiz & ~vert & (gx * gy > 0)   # "\" direction
+        diag_anti = ~horiz & ~vert & ~diag_main      # "/" direction
+        keep = np.zeros_like(mag, dtype=bool)
+        for m, (ay, ax) in ((horiz, (0, -1)), (vert, (-1, 0)),
+                            (diag_main, (-1, -1)), (diag_anti, (-1, 1))):
+            na, nb_ = nb(ay, ax), nb(-ay, -ax)
+            keep |= m & (mag >= na) & (mag > nb_)
+        strong = keep & (mag >= self.TH_HI)
+        weak = keep & (mag >= self.TH_LO) & (mag < self.TH_HI)
+        lit = strong.copy()
+        for _ in range(self.ROUNDS):
+            q = np.pad(lit, 1, constant_values=False)
+            dil = np.zeros_like(lit)
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if dy or dx:
+                        dil |= q[1 + dy:1 + dy + hh,
+                                 1 + dx:1 + dx + ww]
+            new = lit | (weak & dil)
+            if new.sum() == lit.sum():
                 lit = new
-            flat = lit.reshape(-1).astype(np.int64)
-            pos = np.arange(flat.size, dtype=np.int64) + 1
-            out["n_strong"][i] = int(strong.sum())
-            out["n_weak"][i] = int(weak.sum())
-            out["n_edges"][i] = int(lit.sum())
-            out["edge_possum"][i] = int((flat * pos).sum())
-        return pa.table(
-            {"image_id": pa.array(ids, pa.string()),
-             **{k: pa.array(v, pa.int64()) for k, v in out.items()}}
-        )
+                break
+            lit = new
+        return (int(strong.sum()), int(weak.sum()),
+                *_sum_possum(lit.reshape(-1).astype(np.int64)))

@@ -97,7 +97,9 @@ def parquet_null_counts(sf_dir: str, table: str,
     """Exact per-column null counts from parquet FOOTER statistics —
     a driver-side metadata read, no data pass ("prune at the read").
     None when any row group lacks a null-count stat (caller falls
-    back to an in-scan count)."""
+    back to an in-scan count), and None when a wanted column is nested:
+    its leaves' null counts include nulls inside the values, not only
+    top-level null rows."""
     import pyarrow.parquet as pq
 
     path = os.path.join(sf_dir, f"{table}.parquet")
@@ -114,10 +116,12 @@ def parquet_null_counts(sf_dir: str, table: str,
                 seen = set()
                 for i in range(rg.num_columns):
                     cc = rg.column(i)
-                    name = cc.path_in_schema.split(".")[0]
-                    if name in want and name not in seen:
+                    path = cc.path_in_schema
+                    name = path.split(".")[0]
+                    if name in want:
                         st = cc.statistics
-                        if st is None or not st.has_null_count:
+                        if (path != name or st is None
+                                or not st.has_null_count):
                             return None
                         out[name] += st.null_count
                         seen.add(name)

@@ -1,5 +1,5 @@
 """Cell index contract tests: hierarchy, prefix compatibility,
-determinism, covering correctness."""
+determinism."""
 
 import numpy as np
 
@@ -7,15 +7,10 @@ from osm_replication_rust_ray.cells import (
     cell_bounds,
     cell_res,
     cell_xy,
-    cover_multipolygon,
     encode_cells,
     k_ring,
     parent_cells,
 )
-from osm_replication_rust_ray.geom import MultiPolygon, points_in_multipolygon
-from osm_replication_rust_ray.sources.polyfile import read_multipolygon
-
-RES = "/root/reference/tests/resources"
 
 
 def test_encode_decode_roundtrip():
@@ -48,22 +43,6 @@ def test_k_ring():
     cx, cy = cell_xy([c])
     assert np.abs(x - cx[0]).max() <= 1
     assert np.abs(y - cy[0]).max() <= 1
-
-
-def test_cover_contains_all_member_points():
-    _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
-    cover = cover_multipolygon(mp, res=14, max_cells=10_000)
-    assert len(cover) > 0
-    cover_set = set(cover.tolist())
-    res = int(cell_res(cover[:1])[0])
-    # any point inside the polygon must land in a covered cell
-    minx, miny, maxx, maxy = mp.bbox()
-    rng = np.random.default_rng(3)
-    lon = rng.integers(minx, maxx + 1, 2000)
-    lat = rng.integers(miny, maxy + 1, 2000)
-    inside = points_in_multipolygon(lon, lat, mp)
-    cells = encode_cells(lon[inside], lat[inside], res)
-    assert set(cells.tolist()) <= cover_set
 
 
 def test_hilbert_bijective_unit_step():

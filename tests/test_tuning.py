@@ -12,6 +12,7 @@ from osm_replication_rust_ray.functions.similarity import (
 from osm_replication_rust_ray.tuning import (
     est_tasks,
     join_partitions,
+    parquet_null_counts,
     pool_concurrency,
     table_bytes,
     table_rows,
@@ -65,6 +66,25 @@ def test_table_bytes_and_rows():
     # unknown sizes fail toward the scale-safe plan (huge, not 0)
     assert table_rows(SF, "nope") == UNKNOWN_ROWS
     assert table_bytes(SF, "nope") == 0
+
+
+def test_parquet_null_counts_skips_nested_columns(tmp_path):
+    """A nested column's leaf null count also counts nulls inside the
+    lists ([[1, None], [None, None], None, [3]] has 4 leaf nulls, 1
+    null row), so the footer answer must be None (in-scan fallback)
+    while flat columns stay exact from the footer."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "a": pa.array([[1, None], [None, None], None, [3]],
+                      pa.list_(pa.int64())),
+        "b": pa.array([1, None, None, 4], pa.int64()),
+    }), tmp_path / "t.parquet")
+    sf = str(tmp_path)
+    assert parquet_null_counts(sf, "t", ["a"]) is None
+    assert parquet_null_counts(sf, "t", ["a", "b"]) is None
+    assert parquet_null_counts(sf, "t", ["b"]) == {"b": 2}
 
 
 def test_lsh_bits_scale_with_corpus():
