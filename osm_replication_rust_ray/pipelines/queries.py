@@ -54,6 +54,12 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _fill0(col) -> np.ndarray:
+    """An int64 column with nulls as 0, exact at every magnitude (no
+    float64 round trip)."""
+    return pc.fill_null(pc.cast(col, pa.int64()), 0).to_numpy(zero_copy_only=False)
+
+
 def _crossover_join(left, right, on: tuple, right_on: tuple | None,
                     n_part: int, est_rows: int, est_bytes: int):
     """See ``stages/dist.crossover_join`` — the shared metadata-driven
@@ -1632,6 +1638,21 @@ GROUP BY 1, 2, 3
 HAVING count(*) < {K_ANON}"""
 
 
+def _knn_others(scores: np.ndarray, ids: np.ndarray, me: np.ndarray,
+                k: int) -> np.ndarray:
+    """Column indices of each row's k best OTHER vectors, by (score
+    desc, id asc).  ``ids`` is the sorted corpus holding every ``me``.
+    Self is excluded by a leading sort key, not by a sentinel score:
+    no score value is out of reach at every dimension."""
+    self_pos = np.searchsorted(ids, me)
+    hit = ids[np.clip(self_pos, 0, len(ids) - 1)] == me
+    is_self = np.zeros(scores.shape, bool)
+    is_self[np.nonzero(hit)[0], self_pos[hit]] = True
+    ordk = np.lexsort((np.broadcast_to(ids, scores.shape), -scores, is_self),
+                      axis=1)
+    return ordk[:, :min(k, len(ids) - 1)]
+
+
 def q_knn_graph(sf_dir: str, k: int = 5):
     """Self-kNN GRAPH over the embedding table — the neighborhood
     structure SemDeDup / graph-curation / label-propagation pipelines
@@ -1665,19 +1686,11 @@ def q_knn_graph(sf_dir: str, k: int = 5):
         q = quant(np.stack(b["embedding"].to_numpy(zero_copy_only=False)))
         me = b["vec_id"].to_numpy(zero_copy_only=False)
         scores = q @ mat.T  # int64 exact
-        # exclude self; ties -> smaller id first: sort by (-score, id)
-        self_pos = np.searchsorted(ids, me)
-        rows = np.arange(len(me))
-        hit = ids[np.clip(self_pos, 0, len(ids) - 1)] == me
-        # sentinel below any possible score (|score| <= 2^20); NOT
-        # int64 min — negating that wraps in the -scores sort key
-        scores[rows[hit], self_pos[hit]] = -(1 << 21)
-        ordk = np.lexsort((np.broadcast_to(ids, scores.shape),
-                           -scores), axis=1)[:, :k]
-        out_q = np.repeat(me, k)
+        ordk = _knn_others(scores, ids, me, k)
+        out_q = np.repeat(me, ordk.shape[1])
         out_n = ids[ordk].reshape(-1)
         out_s = np.take_along_axis(scores, ordk, axis=1).reshape(-1)
-        out_r = np.tile(np.arange(1, k + 1, dtype=np.int64), len(me))
+        out_r = np.tile(np.arange(1, ordk.shape[1] + 1, dtype=np.int64), len(me))
         return pa.table({
             "vec_id": pa.array(out_q, pa.int64()),
             "nbr_id": pa.array(out_n, pa.int64()),
@@ -1725,13 +1738,8 @@ def q_knn_classify(sf_dir: str, k: int = 5):
         me = b["vec_id"].to_numpy(zero_copy_only=False)
         mine = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         scores = q @ mat.T
-        self_pos = np.searchsorted(ids, me)
         rows = np.arange(len(me))
-        hit = ids[np.clip(self_pos, 0, len(ids) - 1)] == me
-        scores[rows[hit], self_pos[hit]] = -(1 << 21)
-        ordk = np.lexsort((np.broadcast_to(ids, scores.shape),
-                           -scores), axis=1)[:, :k]
-        L = labs[ordk]  # (n, k) neighbor labels
+        L = labs[_knn_others(scores, ids, me, k)]  # (n, k) neighbor labels
         # majority with min-label ties: per row, each position's count
         # of equal labels, argmax of (count, -label) via packed key
         cnt = (L[:, :, None] == L[:, None, :]).sum(axis=1)
@@ -14732,10 +14740,7 @@ def q_hits_scores(sf_dir: str):
         ).map_batches(
             lambda b: pa.table({
                 "node": b["node"],
-                col: pa.array(
-                    np.nan_to_num(b[col].to_numpy(zero_copy_only=False)
-                                  .astype(np.float64)).astype(np.int64)
-                    * S // mx, pa.int64()),
+                col: pa.array(_fill0(b[col]) * S // mx, pa.int64()),
             }), batch_format="pyarrow")
         return reroot(filled)
 
@@ -15450,9 +15455,7 @@ def q_modularity(sf_dir: str):
     ).map_batches(
         lambda b: pa.table({
             "community": b["community"],
-            "deg": pa.array(np.nan_to_num(
-                b["deg"].to_numpy(zero_copy_only=False)
-                .astype(np.float64)).astype(np.int64), pa.int64()),
+            "deg": pa.array(_fill0(b["deg"]), pa.int64()),
         }), batch_format="pyarrow")
     d_sum = sorted_segment_aggregate(
         node_deg, "community", {"d_sum": ("deg", "sum")}).materialize()
@@ -15481,9 +15484,7 @@ def q_modularity(sf_dir: str):
 
     def finish(b: pa.Table) -> pa.Table:
         d = pc.cast(b["d_sum"], pa.int64()).to_numpy(zero_copy_only=False)
-        li = np.nan_to_num(
-            b["l_in"].to_numpy(zero_copy_only=False).astype(np.float64)
-        ).astype(np.int64)
+        li = _fill0(b["l_in"])
         return pa.table({
             "community": b["community"],
             "l_in": pa.array(li, pa.int64()),

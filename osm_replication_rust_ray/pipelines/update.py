@@ -63,10 +63,6 @@ def run_sequence(
     """
     import ray.data
 
-    # one resolver serves bbox AND filter phases — the engine analogue
-    # of the OsmCache handoff (src/update.rs:124-131, src/osmcache.rs)
-    import ray
-
     if distributed is None:
         distributed = changes.num_rows >= DIST_DIFF_ROWS and ray.is_initialized()
     if distributed:
@@ -74,19 +70,12 @@ def run_sequence(
             changes, store, tree_polys, tree_parent, out_dir, manifest,
             sequence,
         )
+    # one resolver serves bbox AND filter phases — the engine analogue
+    # of the OsmCache handoff (src/update.rs:124-131, src/osmcache.rs)
     resolver = Resolver.from_store(store)
     annotated = annotate_bbox(changes, resolver)
     nid_arr = closure_node_ids(annotated, resolver)
-    if ray.is_initialized():
-        from ..stages.filter import filter_tree_parallel
-
-        assignments = filter_tree_parallel(
-            annotated, tree_polys, tree_parent, resolver, nid_arr
-        )
-    else:
-        assignments = filter_tree(
-            annotated, tree_polys, tree_parent, resolver, nid_arr
-        )
+    assignments = filter_tree(annotated, tree_polys, tree_parent, resolver, nid_arr)
     # Phase order matches the reference (src/update.rs:122-144): diff
     # outputs land first, then the osmbin-analogue store mutation, then
     # the sequence pointer flips LAST.  Partition lineage commits as

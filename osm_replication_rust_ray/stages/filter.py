@@ -9,28 +9,31 @@ Classifies every diff element into a 3-way verdict against one polygon:
               no bbox annotation are silently dropped
               (src/osmxml/filter.rs:238-243,267-272)
 
-Two layers:
+One path, in process:
 
-1.  **Vectorized geometry precompute** (the hot path, numpy over Arrow
-    columns): point-in-polygon for every diff node's NEW position and
-    every needed store node's OLD position, against the exact and
-    buffered polygons, plus the bbox-vs-buffered-polygon prefilter for
-    ways/relations.  At planet scale this is the distributed part —
-    `map_batches` over the diff + the store semi-join.
+1.  **Vectorized prune + geometry** (numpy over Arrow columns): only
+    the diff nodes' NEW points and the store closure's OLD points that
+    lie inside the polygon's bbox widened by the buffer, and only the
+    way/relation boxes that overlap it, go through point-in-polygon
+    (exact and buffered) and the bbox-vs-buffered-polygon gate.  The
+    exact polygon and both buffers lie inside that rectangle, so
+    everything else is "not in" without a test.
 
 2.  **Per-diff evidence automaton** mirroring the reference's
     sequential memo sets (`PolyInfo::*_seen_in_poly`,
     src/osmxml/filter.rs:13-18) and `Iterator::any` short-circuit,
-    consuming only precomputed booleans.  A minute diff is bounded (the
-    reference holds these sets in RAM too), so this pass is cheap; it
-    also reproduces the reference's store-lookup counts exactly
-    (50 nodes / 7 ways / 2 relations on the saint_barthelemy fixture,
-    src/osmxml/filter.rs:390-392).
+    consuming only precomputed booleans.  `filter_elements` runs it on
+    the rows that can survive the prune; every other row drops without
+    touching a memo set, so the verdicts equal the full pass.  Over all
+    rows (`filter_verdicts`) it also reproduces the reference's
+    store-lookup counts exactly (50 nodes / 7 ways / 2 relations on the
+    saint_barthelemy fixture, src/osmxml/filter.rs:390-392).
 
 The polygon-tree driver (`filter_tree`) replaces the reference's
 recursive rayon fan-out (src/diffs.rs:168-191): each child filter runs
-on its parent's OUTPUT rows; geometry memberships are computed once per
-polygon and reused down the tree.
+on its parent's OUTPUT rows, in the calling process, one polygon after
+another.  Diffs of `DIST_DIFF_ROWS` elements or more take
+`stages/filter_dist.py` instead.
 """
 
 from __future__ import annotations
@@ -39,14 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..geom import (
     points_in_buffered_chordal,
     BUFFER_DECIMICRO,
     MultiPolygon,
     boxes_intersect_buffered,
-    boxes_intersect_multipolygon,
     points_in_buffered,
     points_in_multipolygon,
 )
@@ -87,53 +88,49 @@ def precompute_membership(
     chord/arc gap band) or "euclidean" (exact round-join dilation,
     the documented engine alternative).  The bbox prefilter stays
     Euclidean in both modes: it only gates candidacy and
-    Euclidean ⊇ chordal keeps it a valid superset."""
+    Euclidean ⊇ chordal keeps it a valid superset.
+
+    Only points inside ``mp.bbox()`` widened by ``buffer`` and boxes
+    overlapping that rectangle are tested; the exact polygon and both
+    buffers lie inside it, so the rest get no map entry ("not in")."""
     in_buffered_fn = (
         points_in_buffered_chordal if buffer_mode == "chordal"
         else points_in_buffered
     )
+    x0, y0, x1, y1 = mp.bbox()
+    x0, y0, x1, y1 = x0 - buffer, y0 - buffer, x1 + buffer, y1 + buffer
+
+    def points(keys, lon, lat):
+        near = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
+        keys, lon, lat = keys[near].tolist(), lon[near], lat[near]
+        ex = points_in_multipolygon(lon, lat, mp)
+        bf = in_buffered_fn(lon, lat, mp, buffer=buffer)
+        return dict(zip(keys, ex.tolist())), dict(zip(keys, bf.tolist()))
+
     etype = np.asarray(elements["etype"])
     pos = elements["pos"].to_numpy(zero_copy_only=False)
     nmask = etype == "node"
-    new_in_exact: dict[int, bool] = {}
-    new_in_buffered: dict[int, bool] = {}
-    if nmask.any():
-        lat = elements["lat"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
-        lon = elements["lon"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
-        ex = points_in_multipolygon(lon, lat, mp)
-        bf = in_buffered_fn(lon, lat, mp, buffer=buffer)
-        for p, e, b in zip(pos[nmask].tolist(), ex.tolist(), bf.tolist()):
-            new_in_exact[p] = e
-            new_in_buffered[p] = b
-    # old store positions
-    old_in_exact: dict[int, bool] = {}
-    old_in_buffered: dict[int, bool] = {}
+    lat = elements["lat"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
+    lon = elements["lon"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
+    new_in_exact, new_in_buffered = points(pos[nmask], lon, lat)
+    # old store positions (only ids found in the store)
     node_ids = np.asarray(node_ids, np.int64)
-    if len(node_ids):
-        found, olat, olon = resolver.read_nodes(node_ids)
-        resolver.num_read_nodes -= len(node_ids)  # precompute is not a "read"
-        f = np.nonzero(found)[0]
-        if len(f):
-            ex = points_in_multipolygon(olon[f], olat[f], mp)
-            bf = in_buffered_fn(olon[f], olat[f], mp, buffer=buffer)
-            for nid, e, b in zip(node_ids[f].tolist(), ex.tolist(), bf.tolist()):
-                old_in_exact[nid] = e
-                old_in_buffered[nid] = b
+    found, olat, olon = resolver.read_nodes(node_ids)
+    resolver.num_read_nodes -= len(node_ids)  # precompute is not a "read"
+    old_in_exact, old_in_buffered = points(node_ids[found], olon[found], olat[found])
     # bbox gate for ways/relations that carry a bbox annotation
-    bbox_hits: dict[int, bool] = {}
-    wr = ~nmask
-    if wr.any():
-        minlat = elements["minlat"].to_numpy(zero_copy_only=False)[wr]
-        valid = ~np.isnan(minlat.astype(np.float64))
-        if valid.any():
-            sub_pos = pos[wr][valid].tolist()
-            mnlat = minlat[valid].astype(np.int64)
-            mxlat = elements["maxlat"].to_numpy(zero_copy_only=False)[wr][valid].astype(np.int64)
-            mnlon = elements["minlon"].to_numpy(zero_copy_only=False)[wr][valid].astype(np.int64)
-            mxlon = elements["maxlon"].to_numpy(zero_copy_only=False)[wr][valid].astype(np.int64)
-            hits = boxes_intersect_buffered(mnlon, mnlat, mxlon, mxlat, mp, buffer=buffer)
-            for p, h in zip(sub_pos, hits.tolist()):
-                bbox_hits[p] = bool(h)
+    minlat = elements["minlat"].to_numpy(zero_copy_only=False)
+    wr = ~nmask & ~np.isnan(minlat.astype(np.float64))
+
+    def col(name):
+        return elements[name].to_numpy(zero_copy_only=False)[wr].astype(np.int64)
+
+    mnlon, mnlat, mxlon, mxlat = col("minlon"), col("minlat"), col("maxlon"), col("maxlat")
+    near = (mnlon <= x1) & (mxlon >= x0) & (mnlat <= y1) & (mxlat >= y0)
+    hits = boxes_intersect_buffered(
+        mnlon[near], mnlat[near], mxlon[near], mxlat[near], mp, buffer=buffer
+    )
+    bbox_hits = dict(zip(pos[wr][near].tolist(), hits.tolist()))
     return PolyMembership(new_in_exact, new_in_buffered, old_in_exact, old_in_buffered, bbox_hits)
 
 
@@ -282,76 +279,8 @@ def filter_verdicts(
     return out
 
 
-def filter_verdicts_fast(
-    elements: pa.Table, memb: PolyMembership, resolver: Resolver
-) -> np.ndarray:
-    """Same verdicts as ``filter_verdicts`` with the node majority
-    vectorized (production hot path; does NOT preserve the lookup-count
-    invariant — tests cross-check output equality).
-
-    Node ladder algebra: in_buffered(row) = old_buffered(id) OR
-    prefix-OR over this id's earlier-or-equal occurrences of
-    new_in_buffered — the memo set's only effect on node verdicts —
-    then keep iff new_in_exact(row). Way/relation rows replay the
-    automaton in file order with node memo side-effects applied at
-    their original positions (sets only grow, so state at each
-    way/relation position is identical)."""
-    import pandas as pd
-
-    etype = np.asarray(elements["etype"])
-    nmask = etype == "node"
-    poss = elements["pos"].to_numpy(zero_copy_only=False)
-    ids = elements["id"].to_numpy(zero_copy_only=False)
-    n = len(etype)
-    out = np.empty(n, dtype=object)
-
-    node_verdicts: dict[int, str] = {}
-    if nmask.any():
-        npos = poss[nmask]
-        nids = ids[nmask]
-        new_buf = np.array(
-            [memb.new_in_buffered.get(int(p), False) for p in npos], bool
-        )
-        new_ex = np.array(
-            [memb.new_in_exact.get(int(p), False) for p in npos], bool
-        )
-        old_buf = np.array(
-            [bool(memb.old_in_buffered.get(int(i), False)) for i in nids], bool
-        )
-        df = pd.DataFrame({"id": nids, "pos": npos, "nb": new_buf})
-        prefix_nb = (
-            df.sort_values(["id", "pos"], kind="stable")
-            .groupby("id", sort=False)["nb"]
-            .cummax()
-        )
-        prefix = np.empty(len(df), bool)
-        prefix[prefix_nb.index.to_numpy()] = prefix_nb.to_numpy()
-        in_buffered = prefix | old_buf
-        v = np.where(~in_buffered, "drop", np.where(new_ex, "keep", "delete"))
-        for p, s in zip(npos.tolist(), v.tolist()):
-            node_verdicts[p] = s
-
-    auto = _Automaton(memb, resolver)
-    etypes = etype.tolist()
-    refs = elements["refs"].to_pylist()
-    members = elements["members"].to_pylist()
-    for i in range(n):
-        t = etypes[i]
-        p = int(poss[i])
-        eid = int(ids[i])
-        if t == "node":
-            s = node_verdicts[p]
-            out[i] = s
-            if s == "keep":
-                auto.exact_sets.nodes_seen.add(eid)
-                auto.buff_sets.nodes_seen.add(eid)
-            elif s == "delete":
-                auto.buff_sets.nodes_seen.add(eid)
-        elif t == "way":
-            out[i] = auto.verdict_way(p, eid, refs[i])
-        else:
-            out[i] = auto.verdict_relation(p, eid, members[i])
-    return out
+def _true_keys(d: dict) -> np.ndarray:
+    return np.fromiter((k for k, v in d.items() if v), np.int64)
 
 
 def filter_elements(
@@ -360,7 +289,6 @@ def filter_elements(
     resolver: Resolver,
     node_ids: np.ndarray,
     buffer: int = BUFFER_DECIMICRO,
-    fast: bool = True,
     buffer_mode: str = "chordal",
 ) -> pa.Table:
     """One polygon filter: returns kept+deleted rows with the action
@@ -369,10 +297,28 @@ def filter_elements(
         elements, mp, resolver, node_ids, buffer=buffer,
         buffer_mode=buffer_mode,
     )
-    verdict_fn = filter_verdicts_fast if fast else filter_verdicts
-    verdicts = verdict_fn(elements, memb, resolver)
+    # Candidates: a node whose id has buffered evidence (a new point in
+    # any of its rows, or its old store point) — the buffered
+    # nodes_seen set only ever holds such ids — and a way/relation whose
+    # bbox gate hit.  Every other row drops without touching a memo
+    # set, so the automaton over the candidates alone gives the same
+    # verdicts (not the same lookup counts) as over every row.
+    etype = np.asarray(elements["etype"])
+    ids = elements["id"].to_numpy(zero_copy_only=False)
+    pos = elements["pos"].to_numpy(zero_copy_only=False)
+    hot_ids = np.concatenate([
+        ids[np.isin(pos, _true_keys(memb.new_in_buffered))],
+        _true_keys(memb.old_in_buffered),
+    ])
+    cand = np.where(
+        etype == "node",
+        np.isin(ids, hot_ids),
+        np.isin(pos, _true_keys(memb.bbox_hits_buffered)),
+    )
+    sub = elements.take(np.nonzero(cand)[0])
+    verdicts = filter_verdicts(sub, memb, resolver)
     keep_mask = verdicts != "drop"
-    sub = elements.filter(pa.array(keep_mask.astype(bool)))
+    sub = sub.filter(pa.array(keep_mask.astype(bool)))
     v = verdicts[keep_mask]
     action = np.asarray(sub["action"].to_pylist(), dtype=object)
     action[v == "delete"] = "delete"
@@ -398,32 +344,24 @@ def filter_tree(
     (element, tree path) the element survives to, exactly the union of
     the per-path .osc outputs."""
     results = []
+    empty = elements.slice(0, 0)
     outputs: dict[str | None, pa.Table] = {None: elements}
-    for path, _name, mp in tree_polys:
-        parent = tree_parent.get(path)
-        src = outputs.get(parent)
-        if src is None or src.num_rows == 0:
-            outputs[path] = src if src is not None else elements.slice(0, 0)
-            continue
-        filtered = filter_elements(src, mp, resolver, node_ids, buffer=buffer)
-        outputs[path] = filtered
-        if filtered.num_rows:
-            results.append(
-                pa.table(
-                    {
-                        "pos": filtered["pos"],
-                        "etype": filtered["etype"],
-                        "id": filtered["id"],
-                        "poly_path": pa.array(
-                            [path] * filtered.num_rows, pa.string()
-                        ),
-                        "action": filtered["action"],
-                    }
-                )
-            )
+    for path, _name, mp in tree_polys:  # topological (parents first)
+        src = outputs.get(tree_parent.get(path), empty)
+        out = src
+        if src.num_rows:
+            out = filter_elements(src, mp, resolver, node_ids, buffer=buffer)
+        outputs[path] = out
+        if out.num_rows:
+            results.append(_assignments_of(path, out))
     if not results:
         return _empty_assignments()
     return pa.concat_tables(results)
+
+
+# The benchmark tracer (perfbench/trace.py, MAIN_TARGETS) wraps this
+# name to time the tree filter; traced runs fail without it.
+filter_tree_parallel = filter_tree
 
 
 def _empty_assignments() -> pa.Table:
@@ -448,45 +386,3 @@ def _assignments_of(path: str, filtered: pa.Table) -> pa.Table:
             "action": filtered["action"],
         }
     )
-
-
-def filter_tree_parallel(
-    elements: pa.Table,
-    tree_polys: list[tuple[str, str, MultiPolygon]],
-    tree_parent: dict[str, str | None],
-    resolver: Resolver,
-    node_ids: np.ndarray,
-    buffer: int = BUFFER_DECIMICRO,
-) -> pa.Table:
-    """Ray-parallel tree walk: sibling polygons filter concurrently
-    (the reference's rayon par_iter, src/diffs.rs:187-190), with each
-    child consuming its parent's OUTPUT via object-store refs — the
-    chaining never touches the driver between levels.
-
-    The resolver is put to the object store once and shared read-only
-    by every task (the Arc<OsmCache> analogue, src/diffs.rs:123-131)."""
-    import ray
-
-    @ray.remote
-    def _one(parent_out: pa.Table, mp: MultiPolygon, resolver_: Resolver,
-             node_ids_: np.ndarray, buffer_: int) -> pa.Table:
-        if parent_out.num_rows == 0:
-            return parent_out
-        return filter_elements(parent_out, mp, resolver_, node_ids_, buffer=buffer_)
-
-    resolver_ref = ray.put(resolver)
-    node_ids_ref = ray.put(np.asarray(node_ids, np.int64))
-    root_ref = ray.put(elements)
-    out_refs: dict[str | None, object] = {None: root_ref}
-    for path, _name, mp in tree_polys:  # topological (parents first)
-        parent = tree_parent.get(path)
-        src = out_refs.get(parent, root_ref)
-        out_refs[path] = _one.remote(src, mp, resolver_ref, node_ids_ref, buffer)
-    results = []
-    for path, _name, _mp in tree_polys:
-        t = ray.get(out_refs[path])
-        if t.num_rows:
-            results.append(_assignments_of(path, t))
-    if not results:
-        return _empty_assignments()
-    return pa.concat_tables(results)

@@ -143,7 +143,7 @@ def run_replication(
     from ..sources.osmxml import elements_to_osc, parse_osm_xml
     from ..sources.store import Resolver
     from ..stages.bbox import annotate_bbox, closure_node_ids
-    from ..stages.filter import filter_tree, filter_tree_parallel
+    from ..stages.filter import filter_tree
     from ..state.manifest import write_partitioned
 
     state_file = os.path.join(dir_diffs, "planet", "minute", "state.txt")
@@ -153,8 +153,6 @@ def run_replication(
         remote = min(remote, max_state)  # clamp (src/update.rs:60-62)
     if cur == remote:
         return []
-
-    import ray
 
     done: list[int] = []
     manifest.acquire_lock()
@@ -186,14 +184,9 @@ def run_replication(
 
             # -- polygon-tree filter -> partitioned outputs (staged)
             nid_arr = closure_node_ids(annotated, resolver)
-            if ray.is_initialized():
-                assignments = filter_tree_parallel(
-                    annotated, tree_polys, tree_parent, resolver, nid_arr
-                )
-            else:
-                assignments = filter_tree(
-                    annotated, tree_polys, tree_parent, resolver, nid_arr
-                )
+            assignments = filter_tree(
+                annotated, tree_polys, tree_parent, resolver, nid_arr
+            )
             if assignments.num_rows:
                 import ray.data
 

@@ -1,9 +1,12 @@
 """Child process for the SIGKILL resume tests (test_manifest.py).
 
 Runs one replication micro-batch (pipelines/update.run_update) over the
-saint_barthelemy fixtures and SIGKILLs ITSELF at the crash point
-selected by ``$KILL_POINT``, leaving the on-disk store/manifest/output
-state exactly as a real mid-run death would:
+inputs selected by ``$RESUME_INPUTS`` (``fixture``, the default: the
+saint_barthelemy fixtures; ``synthetic``: a 4000-element synthetic
+store, a 2000-element synthetic diff and the 12-polygon synthetic tree)
+and SIGKILLs ITSELF at the crash point selected by ``$KILL_POINT``,
+leaving the on-disk store/manifest/output state exactly as a real
+mid-run death would:
 
 - ``after_write``: partition outputs + lineage are durable, the store
   mutation and the sequence-pointer commit never happen (the window
@@ -25,6 +28,36 @@ import sys
 RES = "/root/reference/tests/resources"
 
 
+def seed_store(kind: str, work: str):
+    """The pre-update store under ``{work}/db`` for input set ``kind``."""
+    from osm_replication_rust_ray.sources.store import ElementStore
+    from osm_replication_rust_ray.sources.synth import synth_store_elements
+
+    store = ElementStore(f"{work}/db", n_buckets=16)
+    if kind == "fixture":
+        store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
+    else:
+        store.init()
+        store.apply_changes(synth_store_elements(4000))
+    return store
+
+
+def load_inputs(kind: str, work: str):
+    """(changes, tree_polys, tree_parent) for input set ``kind``; the
+    synthetic tree is written under ``{work}/polys``."""
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
+    from osm_replication_rust_ray.sources.polyfile import read_multipolygon
+    from osm_replication_rust_ray.sources.synth import synth_changes, write_polygon_tree
+
+    if kind == "fixture":
+        name, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
+        changes = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
+        return changes, [("./stb", name, mp)], {"./stb": None}
+    tree, parent = _load_tree(write_polygon_tree(f"{work}/polys"))
+    return synth_changes(2000), tree, parent
+
+
 def main() -> None:
     import ray
 
@@ -37,8 +70,6 @@ def main() -> None:
         0, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     from osm_replication_rust_ray.pipelines.update import run_update
-    from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
-    from osm_replication_rust_ray.sources.polyfile import read_multipolygon
     from osm_replication_rust_ray.sources.store import ElementStore
     from osm_replication_rust_ray.state.manifest import CheckpointManifest
 
@@ -63,13 +94,9 @@ def main() -> None:
         raise SystemExit(f"unknown KILL_POINT {point!r}")
 
     store = ElementStore(f"{work}/db")
-    changes = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
-    name, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
+    changes, tree, parent = load_inputs(os.environ.get("RESUME_INPUTS", "fixture"), work)
     m = CheckpointManifest(f"{work}/ckpt")
-    run_update(
-        {1: changes}, store, [("./stb", name, mp)], {"./stb": None},
-        f"{work}/diffs", m,
-    )
+    run_update({1: changes}, store, tree, parent, f"{work}/diffs", m)
     print("NOT_KILLED")  # parent asserts this never prints
 
 

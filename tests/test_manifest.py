@@ -164,28 +164,25 @@ def _snapshot_bytes(root: str) -> dict[str, bytes]:
     return out
 
 
-def _kill_resume_case(tmp_path, kill_point: str):
+def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture"):
     """Clean run in-process; crashed run via a SIGKILLed subprocess at
-    ``kill_point``; then resume in-process and compare byte-for-byte."""
+    ``kill_point``; then resume in-process and compare byte-for-byte.
+    ``inputs`` picks the child's input set (resume_kill_child.py)."""
     import subprocess
     import sys
 
     import ray
 
     from osm_replication_rust_ray.pipelines.update import run_update
-
-    changes = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
-    name, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
-    tree, parent = [("./stb", name, mp)], {"./stb": None}
+    from resume_kill_child import load_inputs, seed_store
 
     def setup(work):
         os.makedirs(work)
-        store = ElementStore(f"{work}/db", n_buckets=16)
-        store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
-        return store
+        return seed_store(inputs, work)
 
     clean = str(tmp_path / "clean")
     store_c = setup(clean)
+    changes, tree, parent = load_inputs(inputs, clean)
     run_update(
         {1: changes}, store_c, tree, parent, f"{clean}/diffs",
         CheckpointManifest(f"{clean}/ckpt"),
@@ -201,6 +198,7 @@ def _kill_resume_case(tmp_path, kill_point: str):
         RAY_GCS=ray.get_runtime_context().gcs_address,
         WORK_DIR=crash,
         KILL_POINT=kill_point,
+        RESUME_INPUTS=inputs,
     )
     proc = subprocess.run(
         [sys.executable, os.path.join(os.path.dirname(__file__), "resume_kill_child.py")],
@@ -246,6 +244,17 @@ def test_resume_after_kill_between_apply_and_commit(ray_session, tmp_path):
     commit: apply_changes re-runs as an idempotent LWW upsert and the
     resumed state (outputs AND store buckets) is byte-identical."""
     _kill_resume_case(tmp_path, "after_apply")
+
+
+def test_resume_after_kill_between_write_and_apply_synthetic(ray_session, tmp_path):
+    """The after_write kill on synthetic inputs (no fixtures needed):
+    a 4000-element store, a 2000-element diff, the 12-polygon tree."""
+    _kill_resume_case(tmp_path, "after_write", inputs="synthetic")
+
+
+def test_resume_after_kill_between_apply_and_commit_synthetic(ray_session, tmp_path):
+    """The after_apply kill on the same synthetic inputs."""
+    _kill_resume_case(tmp_path, "after_apply", inputs="synthetic")
 
 
 def test_manifest_tmp_garbage_is_harmless(tmp_path):
