@@ -14890,6 +14890,32 @@ _RM_W = 7           # rolling-median window (rows)
 _RM_PACK = 1 << 33  # (user, rank) key packing
 
 
+def _user_counts(prepped, est_rows: int):
+    """Rows per user ``u`` of ``prepped`` as ascending (users, counts)
+    arrays, put into the object store once for the window scatter's
+    ``_row_counts`` lookups."""
+    import ray
+
+    from ..functions.agg import adaptive_group_aggregate
+
+    agg = adaptive_group_aggregate(
+        prepped.map_batches(lambda b: pa.table({
+            "u": b["u"], "one": pa.array(np.ones(len(b), np.int64))}),
+            batch_format="pyarrow"),
+        "u", {"n": ("one", "sum")}, est_rows=est_rows).to_pandas()
+    users = agg["u"].to_numpy(np.int64)
+    order = np.argsort(users)
+    return ray.put((users[order], agg["n"].to_numpy(np.int64)[order]))
+
+
+def _row_counts(ref, u: np.ndarray) -> np.ndarray:
+    """Row count of each user in ``u`` (all present) from ``_user_counts``."""
+    import ray
+
+    users, counts = ray.get(ref)
+    return counts[np.searchsorted(users, u)]
+
+
 def q_rolling_median(sf_dir: str):
     """EXACT ROLLING MEDIAN — per user, the lower median of the last
     {W} event values in (ts, event_id) order (the robust-smoothing
@@ -14902,15 +14928,13 @@ def q_rolling_median(sf_dir: str):
        block carry walk;
     2. window scatter: each ranked row fans out to the <= {W} windows
        it participates in (the moving_sum_7d pattern), clamped to the
-       user's row count (broadcast user->count map, bounded by the
-       user domain);
+       user's row count (sorted user/count arrays put into the
+       object store once, looked up with searchsorted per batch);
     3. ONE sort of the (packed (user, win), cents, id) pairs + a
        second segmented-rank carry walk picking rank == (m+1)//2
        where m = min(win+1, {W}) — the target rank is a pure function
        of the key, so no per-group state ships anywhere.
     Output: (user_id, rn, median_cents) for every event position."""
-    from ..functions.agg import adaptive_group_aggregate
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                           "value"])
 
@@ -14925,12 +14949,7 @@ def q_rolling_median(sf_dir: str):
         })
 
     prepped = ds.map_batches(prep, batch_format="pyarrow")
-    n_u = {r["u"]: r["n"] for r in adaptive_group_aggregate(
-        prepped.map_batches(lambda b: pa.table({
-            "u": b["u"], "one": pa.array(np.ones(len(b), np.int64))}),
-            batch_format="pyarrow"),
-        "u", {"n": ("one", "sum")},
-        est_rows=table_rows(sf_dir, "events")).take_all()}
+    n_u = _user_counts(prepped, table_rows(sf_dir, "events"))
 
     s1 = prepped.sort(["u", "ts_us", "sid"]).materialize()
     off1 = _segment_offsets(s1, "u", ["ts_us", "sid"])
@@ -14948,7 +14967,7 @@ def q_rolling_median(sf_dir: str):
         rk[:int(runs[0])] += off1[(int(u[0]), int(b["ts_us"][0].as_py()),
                                    int(sid[0]))]
         # fan out to windows rk .. min(rk+W-1, n_u-1)
-        lim = np.array([n_u[x] for x in u.tolist()], np.int64) - 1
+        lim = _row_counts(n_u, u) - 1
         hi = np.minimum(rk + _RM_W - 1, lim)
         reps = (hi - rk + 1).astype(np.int64)
         base = np.repeat(rk, reps)
@@ -15008,8 +15027,6 @@ def q_hampel_outliers(sf_dir: str):
     segments straddling a block boundary (<= 2 runs per block) route
     to a bounded gather task, the sorted_distinct interior/boundary
     split.  A final keys-only join flags the ranked rows."""
-    from ..functions.agg import adaptive_group_aggregate
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                           "value"])
 
@@ -15025,11 +15042,7 @@ def q_hampel_outliers(sf_dir: str):
 
     prepped = ds.map_batches(prep, batch_format="pyarrow")
     n_ev = table_rows(sf_dir, "events")
-    n_u = {r["u"]: r["n"] for r in adaptive_group_aggregate(
-        prepped.map_batches(lambda b: pa.table({
-            "u": b["u"], "one": pa.array(np.ones(len(b), np.int64))}),
-            batch_format="pyarrow"),
-        "u", {"n": ("one", "sum")}, est_rows=n_ev).take_all()}
+    n_u = _user_counts(prepped, n_ev)
 
     s1 = prepped.sort(["u", "ts_us", "sid"]).materialize()
     off1 = _segment_offsets(s1, "u", ["ts_us", "sid"])
@@ -15058,7 +15071,7 @@ def q_hampel_outliers(sf_dir: str):
             return pa.table({c: pa.array([], pa.int64()) for c in cols})
         k = b["key"].to_numpy(zero_copy_only=False)
         u, rk = k // _RM_PACK, k % _RM_PACK
-        lim = np.array([n_u[x] for x in u.tolist()], np.int64) - 1
+        lim = _row_counts(n_u, u) - 1
         hi = np.minimum(rk + _RM_W - 1, lim)
         reps = (hi - rk + 1).astype(np.int64)
         offs = (np.arange(int(reps.sum()))

@@ -15,9 +15,11 @@ resume by anti-joining the done-partition set.
 
 A minute-diff micro-batch is small (the reference streams it through
 one process); the wide work here is the per-path output write, which
-runs as a distributed groupby over the assignments table.  Re-applying
-a diff to the store is idempotent (last-writer-wins upsert), so a crash
-between store-apply and manifest-commit re-runs safely.
+runs as a distributed groupby over the assignments table.  The store
+apply writes one delta file per element type, named by a digest of its
+contents, and skips a type whose newest pending delta has the same
+digest; so a crash between store-apply and manifest-commit re-runs
+without changing a byte of the store.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def run_sequence(
     # outputs are byte-for-byte the crash-free run's (pinned by the
     # SIGKILL tests in tests/test_manifest.py).  The id_prefix scopes
     # the done-set per micro-batch: each sequence writes the same
-    # poly-path key domain.  apply_changes is an idempotent last-
-    # writer-wins upsert, so the apply->commit window re-runs safely.
+    # poly-path key domain.  A re-run apply_changes finds each type's
+    # delta already newest (same digest) and skips it, so the
+    # apply->commit window re-runs without touching the store.
     if assignments.num_rows:
         ds = ray.data.from_arrow(assignments)
         write_partitioned(

@@ -8,6 +8,9 @@ relation JSON files).  The engine replaces this with an id-hash
     {dir}/nodes/bucket=K/part.parquet      id,lat,lon (decimicro int64)
     {dir}/ways/bucket=K/part.parquet       id, refs:list<int64>
     {dir}/relations/bucket=K/part.parquet  id, members, tags
+    {dir}/deltas/{type}/d-{n:09d}-{digest}.parquet
+                                           pending changes: the type's
+                                           columns + deleted:bool
 
 - bulk import (S5)   = write all buckets from a source table
 - random read (S6)   = Resolver: sorted-id numpy arrays + searchsorted;
@@ -17,25 +20,39 @@ relation JSON files).  The engine replaces this with an id-hash
                        negative results are represented as misses,
                        mirroring the negative caching of
                        src/osmbin.rs:428,467)
-- Δ-apply (update_*) = last-writer-wins upsert / tombstone delete at
-                       bucket granularity (only touched buckets are
-                       rewritten — the unit of resumability)
+- Δ-apply (update_*) = one delta file per element type per diff: the
+                       last row per id, a delete kept as a tombstone
+                       row (tmp + atomic rename).  Reads merge the
+                       buckets with the pending deltas, last writer
+                       wins.  Once a type holds ``FOLD_DELTAS`` deltas,
+                       the next apply first folds them into the buckets
+                       (rewrites the touched buckets, then deletes the
+                       deltas; a fold cut short folds again to the same
+                       bytes).  A type with no bucket yet is folded at
+                       once, and the bulk paths (``as_dataset``,
+                       ``write_table``) fold first.  ``digest`` hashes
+                       the delta's contents: an apply whose delta
+                       equals the type's newest pending one is skipped,
+                       so re-running a diff after a crash between apply
+                       and commit leaves the store byte-identical.
 
 At cluster scale the Resolver is not loaded whole: callers first
 compute the (small) needed-id closure of a diff and load only matching
 buckets (`Resolver.from_store(..., needed=...)`), the engine-side
 equivalent of the reference's per-diff OsmCache (src/osmcache.rs:19-23).
 
-Every bucket read goes through ``ElementStore._read_bucket``, which keeps
-the table it read under the file's stat key (inode, size, mtime, ctime):
-a bucket unchanged since the last read is not read again, and one
-replaced by another process or ``ElementStore`` is.  The memo holds at
-most one table per bucket file the instance has read, so at most one
-copy of the store; ``apply_changes`` alone adds no entry.
+Every bucket and delta read goes through ``ElementStore._read_bucket``,
+which keeps the table it read under the file's stat key (inode, size,
+mtime, ctime): a file unchanged since the last read is not read again,
+and one replaced by another process or ``ElementStore`` is.  The memo
+holds at most one table per bucket file the instance has read plus the
+pending deltas (at most ``FOLD_DELTAS`` per type), so at most one copy
+of the store's base; ``apply_changes`` alone adds no entry.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -73,6 +90,38 @@ def _last_per_id(ids: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return order[last]
 
 
+def _merge_last(tables: list[pa.Table]) -> pa.Table:
+    """The last row per id of ``tables`` taken in order, ascending by id."""
+    t = pa.concat_tables(tables, promote_options="permissive")
+    ids = t["id"].to_numpy(zero_copy_only=False)
+    return t.take(pa.array(_last_per_id(ids, np.arange(len(ids)))))
+
+
+def _delta_table(tname: str, sub: pa.Table) -> pa.Table:
+    """One type's rows of an elements table as a delta: the last row per
+    id (``pos`` order) in the store schema plus a ``deleted`` tombstone
+    flag, ascending by id."""
+    ids = sub["id"].to_numpy(zero_copy_only=False)
+    sub = sub.take(pa.array(_last_per_id(ids, sub["pos"].to_numpy(zero_copy_only=False))))
+    if tname == "nodes":
+        cols = {"id": sub["id"], "lat": sub["lat"].cast(pa.int64()),
+                "lon": sub["lon"].cast(pa.int64())}
+    elif tname == "ways":
+        cols = {"id": sub["id"], "refs": sub["refs"]}
+    else:
+        cols = {"id": sub["id"], "members": sub["members"], "tags": sub["tags"]}
+    cols["deleted"] = pc.equal(sub["action"], "delete")
+    return pa.table(cols)
+
+
+def _digest(table: pa.Table) -> str:
+    """First 16 hex digits of the sha256 of ``table``'s Arrow IPC stream."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table.combine_chunks())
+    return hashlib.sha256(sink.getvalue()).hexdigest()[:16]
+
+
 def _lookup(sorted_ids: np.ndarray, ids: np.ndarray):
     """(found, idx): membership of ``ids`` in ``sorted_ids`` and the
     clipped position of each (meaningful where found)."""
@@ -105,6 +154,9 @@ def _id_sorted_lists(table: pa.Table | None, column: str):
 
 class ElementStore:
     """Bucketed parquet store of nodes/ways/relations."""
+
+    # pending deltas per type that the next apply folds into the buckets
+    FOLD_DELTAS = 8
 
     def __init__(self, directory: str, n_buckets: int = DEFAULT_BUCKETS):
         self.dir = directory
@@ -161,7 +213,9 @@ class ElementStore:
 
     def write_table(self, etype: str, table: pa.Table):
         """Bulk import: hash-partition ``table`` by id into buckets
-        (engine form of the id-indexed bulk importer, src/osmbin.rs:542-663)."""
+        (engine form of the id-indexed bulk importer, src/osmbin.rs:542-663).
+        Pending deltas are folded first, so the import is the newest write."""
+        self._fold(etype, self._deltas(etype))
         ids = table["id"].to_numpy(zero_copy_only=False)
         buckets = _bucket_of(ids, self.n_buckets)
         order = np.argsort(buckets, kind="stable")
@@ -192,9 +246,21 @@ class ElementStore:
         rng = range(self.n_buckets) if buckets is None else sorted(set(buckets))
         tabs = [self._read_bucket(self._bucket_path(etype, b)) for b in rng]
         tabs = [t for t in tabs if t is not None]
-        if not tabs:
-            return None
-        return pa.concat_tables(tabs)
+        pending = self._deltas(etype)
+        if not pending:
+            return pa.concat_tables(tabs) if tabs else None
+        deltas = [self._read_bucket(p) for p in pending]
+        if buckets is not None:
+            want = np.asarray(rng, np.int64)
+            deltas = [
+                d.filter(pa.array(np.isin(_bucket_of(
+                    d["id"].to_numpy(zero_copy_only=False), self.n_buckets), want)))
+                for d in deltas
+            ]
+        base = [t.append_column("deleted", pa.array(np.zeros(t.num_rows, bool)))
+                for t in tabs]
+        merged = _merge_last(base + deltas)
+        return merged.filter(pc.invert(merged["deleted"])).drop_columns(["deleted"])
 
     def read_for_ids(self, etype: str, ids: np.ndarray) -> pa.Table | None:
         """Load only the buckets containing ``ids`` and filter to them."""
@@ -210,46 +276,70 @@ class ElementStore:
     def apply_changes(self, elements: pa.Table):
         """Apply an OsmChange elements table (engine Δ-semantics of
         src/osmbin.rs:665-748): create/modify = upsert, delete =
-        tombstone removal; last occurrence per id wins (``pos`` order).
-        Rewrites only the touched buckets."""
+        tombstone; last occurrence per id wins (``pos`` order).  Writes
+        one delta file per element type; a type with no bucket yet (the
+        bulk seed) is folded straight into its buckets."""
         for etype, tname in (("node", "nodes"), ("way", "ways"), ("relation", "relations")):
             sub = elements.filter(pc.equal(elements["etype"], etype))
             if sub.num_rows == 0:
                 continue
-            ids = sub["id"].to_numpy(zero_copy_only=False)
-            pos = sub["pos"].to_numpy(zero_copy_only=False)
-            keep_idx = _last_per_id(ids, pos)
-            sub = sub.take(pa.array(keep_idx))
-            ids = ids[keep_idx]
-            buckets = _bucket_of(ids, self.n_buckets)
-            for b in np.unique(buckets):
-                in_b = buckets == b
-                chg = sub.take(pa.array(np.nonzero(in_b)[0]))
-                self._apply_bucket(tname, int(b), chg)
+            delta = _delta_table(tname, sub)
+            digest = _digest(delta)
+            pending = self._deltas(tname)
+            if pending and pending[-1].endswith(f"-{digest}.parquet"):
+                continue  # the same change is already the newest delta
+            if not any(os.path.exists(self._bucket_path(tname, b))
+                       for b in range(self.n_buckets)):
+                self._fold(tname, pending, delta)
+                continue
+            if len(pending) >= self.FOLD_DELTAS:
+                self._fold(tname, pending)
+                pending = []
+            n = int(os.path.basename(pending[-1])[2:11]) + 1 if pending else 1
+            name = f"d-{n:09d}-{digest}.parquet"
+            self._write_bucket(os.path.join(self._delta_dir(tname), name), delta)
+
+    def _delta_dir(self, tname: str) -> str:
+        return os.path.join(self.dir, "deltas", tname)
+
+    def _deltas(self, tname: str) -> list[str]:
+        """Paths of the pending deltas of ``tname``, oldest first; drops
+        the memo entries of deltas folded away since."""
+        d = self._delta_dir(tname)
+        try:
+            paths = [os.path.join(d, n) for n in sorted(os.listdir(d))
+                     if n.endswith(".parquet")]
+        except FileNotFoundError:
+            paths = []
+        live = set(paths)
+        for p in [p for p in self._memo if p.startswith(d + os.sep) and p not in live]:
+            del self._memo[p]
+        return paths
+
+    def _fold(self, tname: str, pending: list[str], extra: pa.Table | None = None):
+        """Merge the ``pending`` deltas (then ``extra``) into the buckets,
+        then delete the delta files: a fold cut short leaves deltas that
+        fold again to the same buckets."""
+        tabs = [self._read_bucket(p, keep=False) for p in pending]
+        if extra is not None:
+            tabs.append(extra)
+        if not tabs:
+            return
+        chg = _merge_last(tabs)
+        buckets = _bucket_of(chg["id"].to_numpy(zero_copy_only=False), self.n_buckets)
+        for b in np.unique(buckets):
+            in_b = buckets == b
+            self._apply_bucket(tname, int(b), chg.take(pa.array(np.nonzero(in_b)[0])))
+        for p in pending:
+            os.remove(p)
+            self._memo.pop(p, None)
 
     def _apply_bucket(self, tname: str, bucket: int, chg: pa.Table):
         path = self._bucket_path(tname, bucket)
         old = self._read_bucket(path, keep=False)
         chg_ids = chg["id"].to_numpy(zero_copy_only=False)
-        keep_mask_new = ~np.asarray(
-            pc.equal(chg["action"], "delete").to_numpy(zero_copy_only=False)
-        )
-        # build replacement rows in store schema
-        if tname == "nodes":
-            new = pa.table(
-                {
-                    "id": chg["id"],
-                    "lat": chg["lat"].cast(pa.int64()),
-                    "lon": chg["lon"].cast(pa.int64()),
-                }
-            )
-        elif tname == "ways":
-            new = pa.table({"id": chg["id"], "refs": chg["refs"]})
-        else:
-            new = pa.table(
-                {"id": chg["id"], "members": chg["members"], "tags": chg["tags"]}
-            )
-        new = new.filter(pa.array(keep_mask_new))
+        deleted = chg["deleted"].to_numpy(zero_copy_only=False)
+        new = chg.drop_columns(["deleted"]).filter(pa.array(~deleted))
         parts = [new]
         if old is not None:
             old_keep = ~np.isin(
@@ -269,6 +359,7 @@ class ElementStore:
         joins on id stay co-partitioned with the store layout)."""
         import ray.data
 
+        self._fold(etype, self._deltas(etype))
         return ray.data.read_parquet(os.path.join(self.dir, etype))
 
     def destroy(self):

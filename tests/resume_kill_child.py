@@ -3,18 +3,24 @@
 Runs one replication micro-batch (pipelines/update.run_update) over the
 inputs selected by ``$RESUME_INPUTS`` (``fixture``, the default: the
 saint_barthelemy fixtures; ``synthetic``: a 4000-element synthetic
-store, a 2000-element synthetic diff and the 12-polygon synthetic tree)
-and SIGKILLs ITSELF at the crash point selected by ``$KILL_POINT``,
-leaving the on-disk store/manifest/output state exactly as a real
-mid-run death would:
+store, a 2000-element synthetic diff and the 12-polygon synthetic tree;
+``synthetic_pending``: the same, with ``FOLD_DELTAS`` more synthetic
+diffs already pending as deltas, so the run's apply folds) and SIGKILLs
+ITSELF at the crash point selected by ``$KILL_POINT``, leaving the
+on-disk store/manifest/output state exactly as a real mid-run death
+would:
 
 - ``after_write``: partition outputs + lineage are durable, the store
   mutation and the sequence-pointer commit never happen (the window
   ``pipelines/update.py`` documents between write_partitioned and
   apply_changes).
+- ``mid_delta``: inside apply_changes, after the node delta landed and
+  before the way delta.
+- ``in_fold``: inside apply_changes, after the first bucket rewrite of
+  a fold (use with ``synthetic_pending``).
 - ``after_apply``: the store mutation landed too; only the final
-  sequence-pointer commit is lost (the window that relies on
-  apply_changes being an idempotent last-writer-wins upsert).
+  sequence-pointer commit is lost (the window where a re-run apply
+  finds its own delta newest and skips it).
 
 Connects to the parent's Ray cluster (``$RAY_GCS``) as a second driver
 so the SIGKILL orphans no local cluster — the shared GCS reaps the
@@ -31,14 +37,17 @@ RES = "/root/reference/tests/resources"
 def seed_store(kind: str, work: str):
     """The pre-update store under ``{work}/db`` for input set ``kind``."""
     from osm_replication_rust_ray.sources.store import ElementStore
-    from osm_replication_rust_ray.sources.synth import synth_store_elements
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
 
     store = ElementStore(f"{work}/db", n_buckets=16)
     if kind == "fixture":
         store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
-    else:
-        store.init()
-        store.apply_changes(synth_store_elements(4000))
+        return store
+    store.init()
+    store.apply_changes(synth_store_elements(4000))
+    if kind == "synthetic_pending":
+        for k in range(ElementStore.FOLD_DELTAS):
+            store.apply_changes(synth_changes(2000, seq=k + 2))
     return store
 
 
@@ -81,6 +90,23 @@ def main() -> None:
 
     if point == "after_write":
         ElementStore.apply_changes = die
+    elif point == "mid_delta":
+        orig_write = ElementStore._write_bucket
+
+        def write_then_die(self, path, table):
+            orig_write(self, path, table)
+            if os.path.join("deltas", "nodes") in path:
+                die()
+
+        ElementStore._write_bucket = write_then_die
+    elif point == "in_fold":
+        orig_apply = ElementStore._apply_bucket
+
+        def rewrite_then_die(self, *a):
+            orig_apply(self, *a)
+            die()
+
+        ElementStore._apply_bucket = rewrite_then_die
     elif point == "after_apply":
         orig_commit = CheckpointManifest.commit
 

@@ -164,10 +164,12 @@ def _snapshot_bytes(root: str) -> dict[str, bytes]:
     return out
 
 
-def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture"):
+def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture",
+                      crashed=None):
     """Clean run in-process; crashed run via a SIGKILLed subprocess at
     ``kill_point``; then resume in-process and compare byte-for-byte.
-    ``inputs`` picks the child's input set (resume_kill_child.py)."""
+    ``inputs`` picks the child's input set (resume_kill_child.py);
+    ``crashed(db_dir)``, if given, checks the store the kill left."""
     import subprocess
     import sys
 
@@ -213,6 +215,9 @@ def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture"):
     for rel, data in _snapshot_bytes(f"{crash}/diffs").items():
         assert data == clean_out[rel]
 
+    if crashed is not None:
+        crashed(f"{crash}/db")
+
     # resume: reopen everything fresh (a new process would) and re-run
     pre_mtimes = {
         rel: os.path.getmtime(os.path.join(crash, "diffs", rel))
@@ -255,6 +260,31 @@ def test_resume_after_kill_between_write_and_apply_synthetic(ray_session, tmp_pa
 def test_resume_after_kill_between_apply_and_commit_synthetic(ray_session, tmp_path):
     """The after_apply kill on the same synthetic inputs."""
     _kill_resume_case(tmp_path, "after_apply", inputs="synthetic")
+
+
+def test_resume_after_kill_mid_delta_synthetic(ray_session, tmp_path):
+    """SIGKILL inside apply_changes, after the node delta landed and
+    before the way delta: the resumed apply skips the node delta it
+    finds newest and writes the rest."""
+
+    def crashed(db):
+        assert len(os.listdir(f"{db}/deltas/nodes")) == 1
+        assert not os.path.exists(f"{db}/deltas/ways")
+
+    _kill_resume_case(tmp_path, "mid_delta", inputs="synthetic", crashed=crashed)
+
+
+def test_resume_after_kill_in_fold_synthetic(ray_session, tmp_path):
+    """SIGKILL inside a fold, after its first bucket rewrite: the reads
+    of the resumed run merge the half-folded buckets with the still
+    pending deltas, and the fold runs again to the same bytes."""
+    from osm_replication_rust_ray.sources.store import ElementStore
+
+    def crashed(db):
+        for t in ("nodes", "ways", "relations"):
+            assert len(os.listdir(f"{db}/deltas/{t}")) == ElementStore.FOLD_DELTAS
+
+    _kill_resume_case(tmp_path, "in_fold", inputs="synthetic_pending", crashed=crashed)
 
 
 def test_manifest_tmp_garbage_is_harmless(tmp_path):

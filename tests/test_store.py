@@ -1,13 +1,21 @@
 """Element store: the stat-keyed bucket memo, the CSR Resolver's parity
 with a per-row dict, and the check_store anti-join."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray
 import ray.cloudpickle
 
 from osm_replication_rust_ray.sources.osmxml import MEMBER_T
-from osm_replication_rust_ray.sources.store import ElementStore, Resolver, check_store
+from osm_replication_rust_ray.sources.store import (
+    ElementStore,
+    Resolver,
+    _bucket_of,
+    check_store,
+)
 from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
 from osm_replication_rust_ray.stages.bbox import annotate_bbox
 from tests.test_bbox_stage import MockResolver
@@ -170,3 +178,208 @@ def test_check_store_on_a_consistent_store_is_empty(tmp_path):
         "lon": pa.array([0], pa.int64()),
     }))
     assert check_store(store).num_rows == 0
+
+
+# ---------------- delta store: apply = one delta per type, fold every N ----
+
+_STORE_COLS = {
+    "nodes": ("node", ["id", "lat", "lon"]),
+    "ways": ("way", ["id", "refs"]),
+    "relations": ("relation", ["id", "members", "tags"]),
+}
+
+
+def _model_apply(model, elements):
+    """Last writer (by ``pos``) wins per id; a delete is a tombstone."""
+    for row in sorted(elements.to_pylist(), key=lambda r: r["pos"]):
+        for t, (etype, cols) in _STORE_COLS.items():
+            if row["etype"] != etype:
+                continue
+            if row["action"] == "delete":
+                model[t].pop(row["id"], None)
+            else:
+                model[t][row["id"]] = {c: row[c] for c in cols}
+
+
+def _model_violations(model):
+    nodes, ways, rels = model["nodes"], model["ways"], model["relations"]
+    out = []
+    for wid in sorted(ways):
+        for ref in ways[wid]["refs"] or []:
+            if ref not in nodes:
+                out.append(("way", wid, "node", ref))
+    for rid in sorted(rels):
+        for m in rels[rid]["members"] or []:
+            pool = {"node": nodes, "way": ways}.get(m["type"], rels)
+            if m["ref"] not in pool:
+                out.append(("relation", rid, m["type"], m["ref"]))
+    return out
+
+
+def _sorted_rows(table):
+    if table is None:
+        return []
+    return table.take(pa.array(np.argsort(table["id"].to_numpy()))).to_pylist()
+
+
+def _n_deltas(store, t):
+    return len(store._deltas(t))
+
+
+def _memo_deltas(store):
+    return [p for p in store._memo if p.startswith(os.path.join(store.dir, "deltas"))]
+
+
+@pytest.mark.parametrize("fold", [ElementStore.FOLD_DELTAS, 1, 10**9])
+def test_delta_store_matches_a_last_writer_wins_model(tmp_path, fold):
+    seed = synth_store_elements(4000)
+    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store.FOLD_DELTAS = fold
+    store.init()
+    store.apply_changes(seed)
+    model = {t: {} for t in _TYPES}
+    _model_apply(model, seed)
+    assert all(_n_deltas(store, t) == 0 for t in _TYPES)  # the seed folds at once
+    rng = np.random.default_rng(fold % 97)
+    for seq in range(1, 21):
+        diff = synth_changes(600, seed=3, seq=seq)
+        store.apply_changes(diff)
+        _model_apply(model, diff)
+        for t in _TYPES:
+            want = [model[t][i] for i in sorted(model[t])]
+            assert _sorted_rows(store.read_type(t)) == want
+            assert _n_deltas(store, t) == (seq - 1) % fold + 1
+            # ids present, deleted and never seen
+            ids = np.unique(np.concatenate([
+                rng.choice(diff["id"].to_numpy(), 50),
+                rng.choice(np.fromiter(model[t], np.int64), 50),
+                np.array([-5, 10**12], np.int64),
+            ]))
+            want_ids = [model[t][i] for i in ids.tolist() if i in model[t]]
+            assert _sorted_rows(store.read_for_ids(t, ids)) == want_ids
+            b = seq % store.n_buckets
+            in_b = _bucket_of(np.fromiter(model[t], np.int64), store.n_buckets) == b
+            want_b = [model[t][i] for i in sorted(np.fromiter(model[t], np.int64)[in_b].tolist())]
+            assert _sorted_rows(store.read_type(t, [b])) == want_b
+        got = check_store(store).to_pylist()
+        assert [(r["src_type"], r["src_id"], r["ref_type"], r["ref_id"])
+                for r in got] == _model_violations(model)
+        # memo bound: one copy of the base plus the pending deltas
+        delta_entries = _memo_deltas(store)
+        assert len(delta_entries) == sum(_n_deltas(store, t) for t in _TYPES)
+        assert len(store._memo) - len(delta_entries) <= 3 * store.n_buckets
+    # a fresh instance reads the same store
+    for t in _TYPES:
+        assert _sorted_rows(ElementStore(store.dir).read_type(t)) == _sorted_rows(
+            store.read_type(t))
+
+
+def _elements(rows):
+    from osm_replication_rust_ray.sources.osmxml import ELEMENTS_SCHEMA
+
+    return pa.Table.from_pylist(
+        [dict(r, pos=i) for i, r in enumerate(rows)], schema=ELEMENTS_SCHEMA
+    )
+
+
+def _node(nid, lat, action="modify"):
+    return {"etype": "node", "id": nid, "action": action, "lat": lat,
+            "lon": None if lat is None else -lat}
+
+
+def _snapshot(root):
+    out = {}
+    for dirpath, _d, files in os.walk(root):
+        for f in files:
+            p = os.path.join(dirpath, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
+    return out
+
+
+def _hand_store(path):
+    store = ElementStore(str(path), n_buckets=4)
+    store.init()
+    store.apply_changes(_elements([_node(i, 10 * i, "create") for i in range(1, 9)]))
+    return store
+
+
+def _lat_of(store):
+    return {r["id"]: r["lat"] for r in store.read_type("nodes").to_pylist()}
+
+
+def test_applying_the_same_delta_twice_changes_nothing(tmp_path):
+    store = _hand_store(tmp_path / "db")
+    d = _elements([_node(2, 21), _node(3, None, "delete")])
+    store.apply_changes(d)
+    assert _n_deltas(store, "nodes") == 1
+    before = _snapshot(store.dir)
+    store.apply_changes(d)
+    ElementStore(store.dir).apply_changes(d)
+    assert _snapshot(store.dir) == before
+    assert _lat_of(store) == {1: 10, 2: 21, 4: 40, 5: 50, 6: 60, 7: 70, 8: 80}
+
+
+def test_a_repeated_delta_after_another_wins_again(tmp_path):
+    store = _hand_store(tmp_path / "db")
+    d = _elements([_node(2, 21), _node(5, 51)])
+    e = _elements([_node(2, 22), _node(6, 62)])
+    for x in (d, e, d):
+        store.apply_changes(x)
+    assert _n_deltas(store, "nodes") == 3
+    assert _lat_of(store) == {1: 10, 2: 21, 3: 30, 4: 40, 5: 51, 6: 62, 7: 70, 8: 80}
+
+
+def test_a_tombstone_hides_a_base_row_until_a_later_create(tmp_path):
+    store = _hand_store(tmp_path / "db")
+    store.apply_changes(_elements([_node(4, None, "delete"), _node(9, 90, "create")]))
+    assert 4 not in _lat_of(store) and _lat_of(store)[9] == 90
+    assert store.read_for_ids("nodes", np.array([4], np.int64)).num_rows == 0
+    # the base bucket still holds the row: only the delta hides it
+    b = int(_bucket_of(np.array([4]), store.n_buckets)[0])
+    assert 4 in store._read_bucket(store._bucket_path("nodes", b))["id"].to_pylist()
+    store.apply_changes(_elements([_node(4, 44, "create")]))
+    assert _lat_of(store)[4] == 44
+    store.FOLD_DELTAS = 1
+    store.apply_changes(_elements([_node(1, 11)]))  # folds both earlier deltas
+    assert _n_deltas(store, "nodes") == 1
+    assert _lat_of(store) == {1: 11, 2: 20, 3: 30, 4: 44, 5: 50, 6: 60, 7: 70, 8: 80, 9: 90}
+
+
+def test_memo_drops_deltas_another_instance_folded(tmp_path):
+    a = _hand_store(tmp_path / "db")
+    a.apply_changes(_elements([_node(2, 21)]))
+    a.apply_changes(_elements([_node(3, 31)]))
+    a.read_type("nodes")
+    assert len(_memo_deltas(a)) == 2
+    b = ElementStore(a.dir)
+    b.FOLD_DELTAS = 1
+    b.apply_changes(_elements([_node(4, 41)]))  # folds both, writes one
+    assert _lat_of(a) == {1: 10, 2: 21, 3: 31, 4: 41, 5: 50, 6: 60, 7: 70, 8: 80}
+    assert _memo_deltas(a) == a._deltas("nodes")
+
+
+def test_bulk_paths_fold_pending_deltas_first(ray_session, tmp_path):
+    store = _hand_store(tmp_path / "db")
+    store.apply_changes(_elements([_node(2, 21), _node(3, None, "delete")]))
+    store.apply_changes(_elements([_node(9, 90, "create")]))
+    want = _sorted_rows(store.read_type("nodes"))
+    ds = store.as_dataset("nodes")
+    assert _n_deltas(store, "nodes") == 0
+    rows = pa.concat_tables(ray.get(ds.to_arrow_refs())).select(["id", "lat", "lon"])
+    assert _sorted_rows(rows) == want
+    assert _sorted_rows(store.read_type("nodes")) == want
+
+    store.apply_changes(_elements([_node(5, 55)]))
+    store.write_table("nodes", pa.table({
+        "id": pa.array([5, 6], pa.int64()),
+        "lat": pa.array([500, 600], pa.int64()),
+        "lon": pa.array([-500, -600], pa.int64()),
+    }))
+    assert _n_deltas(store, "nodes") == 0
+    # the import replaces the buckets it writes; the folded delta (5 -> 55)
+    # does not win over it
+    hit = set(_bucket_of(np.array([5, 6]), store.n_buckets).tolist())
+    kept = {r["id"]: r["lat"] for r in want
+            if int(_bucket_of(np.array([r["id"]]), store.n_buckets)[0]) not in hit}
+    assert _lat_of(store) == kept | {5: 500, 6: 600}

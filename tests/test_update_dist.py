@@ -65,6 +65,55 @@ import hashlib
 import pytest
 
 
+def test_run_sequence_dist_sees_pending_deltas(ray_session, tmp_path):
+    """A store holding pending deltas: the distributed branch reads it
+    through ``as_dataset``, which folds them first, and must agree with
+    the sequential branch (which merges them on read) on the written
+    assignments and on the store it leaves."""
+    from osm_replication_rust_ray.geom import MultiPolygon
+    from osm_replication_rust_ray.sources.store import check_store
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
+    from tests.test_filter_dist import _rect
+
+    tree = [
+        ("./a", "a", MultiPolygon.from_rings([_rect(0, 0, 900_000_000)])),
+        ("./a/inner", "inner", MultiPolygon.from_rings([_rect(0, 0, 300_000_000)])),
+    ]
+    parent = {"./a": None, "./a/inner": "./a"}
+    outs = {}
+    for mode, distributed in (("seq", False), ("dist", True)):
+        work = str(tmp_path / mode)
+        store = ElementStore(f"{work}/db", n_buckets=16)
+        store.init()
+        store.apply_changes(synth_store_elements(3000))
+        for k in (1, 2):
+            store.apply_changes(synth_changes(800, seq=k))
+        assert len(store._deltas("nodes")) == 2
+        m = CheckpointManifest(f"{work}/ckpt")
+        run_sequence(
+            synth_changes(800, seq=3), store, tree, parent, f"{work}/diffs", m, 3,
+            distributed=distributed,
+        )
+        rows = _read_all(f"{work}/diffs")
+        fresh = ElementStore(store.dir)
+        outs[mode] = (
+            hashlib.sha256(rows.to_csv().encode()).hexdigest(),
+            len(rows),
+            {t: fresh.read_type(t).sort_by("id") for t in ("nodes", "ways", "relations")},
+            check_store(fresh),
+            len(fresh._deltas("nodes")),
+        )
+    (seq_digest, seq_n, seq_store, seq_bad, seq_pending) = outs["seq"]
+    (dist_digest, _, dist_store, dist_bad, dist_pending) = outs["dist"]
+    # the sequential run merged on read; the distributed one folded first
+    assert (seq_pending, dist_pending) == (3, 1)
+    assert seq_n > 0
+    assert seq_digest == dist_digest
+    for t, table in seq_store.items():
+        assert table.equals(dist_store[t])
+    assert seq_bad.equals(dist_bad)
+
+
 def _store_hash(store_dir: str) -> str:
     """Order-insensitive content hash over every store bucket file."""
     digests = []
