@@ -68,16 +68,18 @@ def run_sequence(
     if distributed is None:
         distributed = changes.num_rows >= DIST_DIFF_ROWS and ray.is_initialized()
     if distributed:
-        return _run_sequence_dist(
-            changes, store, tree_polys, tree_parent, out_dir, manifest,
-            sequence,
+        assignments = ds = _assign_dist(changes, store, tree_polys, tree_parent)
+    else:
+        # one resolver serves bbox AND filter phases — the engine
+        # analogue of the OsmCache handoff (src/update.rs:124-131,
+        # src/osmcache.rs)
+        resolver = Resolver.from_store(store)
+        annotated = annotate_bbox(changes, resolver)
+        nid_arr = closure_node_ids(annotated, resolver)
+        assignments = filter_tree(
+            annotated, tree_polys, tree_parent, resolver, nid_arr
         )
-    # one resolver serves bbox AND filter phases — the engine analogue
-    # of the OsmCache handoff (src/update.rs:124-131, src/osmcache.rs)
-    resolver = Resolver.from_store(store)
-    annotated = annotate_bbox(changes, resolver)
-    nid_arr = closure_node_ids(annotated, resolver)
-    assignments = filter_tree(annotated, tree_polys, tree_parent, resolver, nid_arr)
+        ds = ray.data.from_arrow(assignments)
     # Phase order matches the reference (src/update.rs:122-144): diff
     # outputs land first, then the osmbin-analogue store mutation, then
     # the sequence pointer flips LAST.  Partition lineage commits as
@@ -90,8 +92,7 @@ def run_sequence(
     # poly-path key domain.  A re-run apply_changes finds each type's
     # delta already newest (same digest) and skips it, so the
     # apply->commit window re-runs without touching the store.
-    if assignments.num_rows:
-        ds = ray.data.from_arrow(assignments)
+    if ds.count():
         write_partitioned(
             ds, f"{out_dir}/seq={sequence}", "poly_path", manifest,
             sequence=None, commit=True, id_prefix=f"seq={sequence}/",
@@ -101,21 +102,18 @@ def run_sequence(
     return assignments
 
 
-def _run_sequence_dist(
+def _assign_dist(
     changes: pa.Table,
     store: ElementStore,
     tree_polys: list[tuple[str, str, MultiPolygon]],
     tree_parent: dict[str, str | None],
-    out_dir: str,
-    manifest: CheckpointManifest,
-    sequence: int,
 ):
-    """Distributed micro-batch: the diff flows through ``ray.data``
-    blocks end to end (bbox joins -> filter fixpoint -> partitioned
-    write); no single-frame pandas materialization of the diff.  The
-    diff TABLE itself arrives driver-side (the XML parse is inherently
-    a stream read), but everything size-proportional past the parse is
-    block-parallel.  Phase order identical to the sequential path."""
+    """Distributed assignments (materialized Dataset): the diff flows
+    through ``ray.data`` blocks end to end (bbox joins -> filter
+    fixpoint); no single-frame pandas materialization of the diff.
+    The diff TABLE itself arrives driver-side (the XML parse is
+    inherently a stream read), but everything size-proportional past
+    the parse is block-parallel."""
     import ray.data
 
     from ..stages.bbox_dist import annotate_bbox_dist
@@ -129,17 +127,7 @@ def _run_sequence_dist(
     diff_ds = ray.data.from_arrow(changes).repartition(n_blocks)
     plan = build_diff_plan(diff_ds, flat, num_partitions=nparts)
     boxes = annotate_bbox_dist(plan).materialize()
-    assignments = filter_tree_dist(
-        plan, boxes, tree_polys, tree_parent
-    ).materialize()
-    if assignments.count():
-        write_partitioned(
-            assignments, f"{out_dir}/seq={sequence}", "poly_path", manifest,
-            sequence=None, commit=True, id_prefix=f"seq={sequence}/",
-        )
-    store.apply_changes(changes)
-    manifest.commit(sequence)
-    return assignments
+    return filter_tree_dist(plan, boxes, tree_polys, tree_parent).materialize()
 
 
 def run_update(

@@ -68,6 +68,55 @@ class PolyMembership:
     bbox_hits_buffered: dict[int, bool]
 
 
+class PolyTests:
+    """The geometry tests of one polygon, pruned to its bbox widened by
+    ``buffer``: the exact polygon and both buffers lie inside that
+    rectangle, so a point or box outside it is "not in" without a test.
+    Both filter paths call it — `precompute_membership` here and the
+    block functions of `stages/filter_dist.py`.
+
+    ``buffer_mode``: "chordal" (the DEFAULT — GEOS quadrant-segment
+    parity, geom.points_in_buffered_chordal, matches the reference's
+    buffer(0.1, 8), src/osmxml/filter.rs:44-56, so keep/delete
+    verdicts agree with the Rust binary even for points in the
+    chord/arc gap band) or "euclidean" (exact round-join dilation,
+    the documented engine alternative).  The bbox gate stays
+    Euclidean in both modes: it only gates candidacy and
+    Euclidean ⊇ chordal keeps it a valid superset."""
+
+    def __init__(self, mp: MultiPolygon, buffer: int = BUFFER_DECIMICRO,
+                 buffer_mode: str = "chordal"):
+        self.mp, self.buffer = mp, buffer
+        self.in_buffered = (
+            points_in_buffered_chordal if buffer_mode == "chordal"
+            else points_in_buffered
+        )
+        x0, y0, x1, y1 = mp.bbox()
+        self.window = (x0 - buffer, y0 - buffer, x1 + buffer, y1 + buffer)
+
+    def points(self, lon: np.ndarray, lat: np.ndarray):
+        """-> (in exact, in buffered) bool arrays, one per point."""
+        x0, y0, x1, y1 = self.window
+        near = np.flatnonzero((lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1))
+        ex, bf = np.zeros(len(lon), bool), np.zeros(len(lon), bool)
+        ex[near] = points_in_multipolygon(lon[near], lat[near], self.mp)
+        bf[near] = self.in_buffered(lon[near], lat[near], self.mp, buffer=self.buffer)
+        return ex, bf
+
+    def boxes(self, minlon, minlat, maxlon, maxlat) -> np.ndarray:
+        """-> bool array: the box meets the buffered polygon."""
+        x0, y0, x1, y1 = self.window
+        near = np.flatnonzero(
+            (minlon <= x1) & (maxlon >= x0) & (minlat <= y1) & (maxlat >= y0)
+        )
+        hits = np.zeros(len(minlon), bool)
+        hits[near] = boxes_intersect_buffered(
+            minlon[near], minlat[near], maxlon[near], maxlat[near],
+            self.mp, buffer=self.buffer,
+        )
+        return hits
+
+
 def precompute_membership(
     elements: pa.Table,
     mp: MultiPolygon,
@@ -76,36 +125,17 @@ def precompute_membership(
     buffer: int = BUFFER_DECIMICRO,
     buffer_mode: str = "chordal",
 ) -> PolyMembership:
-    """Vectorized PIP + bbox tests for one polygon.
+    """Vectorized PIP + bbox tests for one polygon (`PolyTests`).
 
     ``node_ids``: the needed-id closure (diff node ids ∪ way refs ∪
     relation-member closure) whose OLD store positions may be probed.
 
-    ``buffer_mode``: "chordal" (the DEFAULT — GEOS quadrant-segment
-    parity, geom.points_in_buffered_chordal, matches the reference's
-    buffer(0.1, 8), src/osmxml/filter.rs:44-56, so keep/delete
-    verdicts agree with the Rust binary even for points in the
-    chord/arc gap band) or "euclidean" (exact round-join dilation,
-    the documented engine alternative).  The bbox prefilter stays
-    Euclidean in both modes: it only gates candidacy and
-    Euclidean ⊇ chordal keeps it a valid superset.
-
-    Only points inside ``mp.bbox()`` widened by ``buffer`` and boxes
-    overlapping that rectangle are tested; the exact polygon and both
-    buffers lie inside it, so the rest get no map entry ("not in")."""
-    in_buffered_fn = (
-        points_in_buffered_chordal if buffer_mode == "chordal"
-        else points_in_buffered
-    )
-    x0, y0, x1, y1 = mp.bbox()
-    x0, y0, x1, y1 = x0 - buffer, y0 - buffer, x1 + buffer, y1 + buffer
+    The maps hold only the True entries; a missing key reads "not in"."""
+    tests = PolyTests(mp, buffer=buffer, buffer_mode=buffer_mode)
 
     def points(keys, lon, lat):
-        near = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-        keys, lon, lat = keys[near].tolist(), lon[near], lat[near]
-        ex = points_in_multipolygon(lon, lat, mp)
-        bf = in_buffered_fn(lon, lat, mp, buffer=buffer)
-        return dict(zip(keys, ex.tolist())), dict(zip(keys, bf.tolist()))
+        ex, bf = tests.points(lon, lat)
+        return dict.fromkeys(keys[ex].tolist(), True), dict.fromkeys(keys[bf].tolist(), True)
 
     etype = np.asarray(elements["etype"])
     pos = elements["pos"].to_numpy(zero_copy_only=False)
@@ -125,12 +155,8 @@ def precompute_membership(
     def col(name):
         return elements[name].to_numpy(zero_copy_only=False)[wr].astype(np.int64)
 
-    mnlon, mnlat, mxlon, mxlat = col("minlon"), col("minlat"), col("maxlon"), col("maxlat")
-    near = (mnlon <= x1) & (mxlon >= x0) & (mnlat <= y1) & (mxlat >= y0)
-    hits = boxes_intersect_buffered(
-        mnlon[near], mnlat[near], mxlon[near], mxlat[near], mp, buffer=buffer
-    )
-    bbox_hits = dict(zip(pos[wr][near].tolist(), hits.tolist()))
+    hits = tests.boxes(col("minlon"), col("minlat"), col("maxlon"), col("maxlat"))
+    bbox_hits = dict.fromkeys(pos[wr][hits].tolist(), True)
     return PolyMembership(new_in_exact, new_in_buffered, old_in_exact, old_in_buffered, bbox_hits)
 
 
@@ -159,7 +185,7 @@ class _Automaton:
         if nid in sets.nodes_seen:
             return True
         self.resolver.num_read_nodes += 1
-        hit = old_map.get(nid)  # None = store miss
+        hit = old_map.get(nid)  # None = store miss or outside
         if hit:
             sets.nodes_seen.add(nid)
             return True
@@ -280,7 +306,7 @@ def filter_verdicts(
 
 
 def _true_keys(d: dict) -> np.ndarray:
-    return np.fromiter((k for k, v in d.items() if v), np.int64)
+    return np.fromiter(d, np.int64, len(d))
 
 
 def filter_elements(

@@ -30,7 +30,25 @@ node keep iff its new point is in the EXACT polygon (exact ⊆ buffered
 makes the in-buffered gate implied), way/relation keep from exact
 evidence over NEW refs / diff members only, delete from buffered
 evidence incl. store geometry and memos, bbox-gate short-circuit with
-missing-bbox ways/relations silently dropped.
+missing-bbox ways/relations silently dropped.  The block functions
+test geometry through `stages/filter.py:PolyTests`, so points and
+boxes outside the polygon's bbox ± buffer drop without a test.
+
+Tree driver (`filter_tree_dist`): each child polygon runs on its
+parent's OUTPUT rows (src/diffs.rs:168-191).  The driver keeps two
+bool arrays per polygon, indexed by diff ``pos`` and sized
+``max(pos) + 1``: ``live`` (the row survived the polygon and every
+ancestor) and ``deleted`` (the polygon's or an ancestor's verdict was
+delete, so the row's action is rewritten to "delete").  A child runs
+`filter_verdicts_dist` on the plan filtered lazily, inside
+``map_batches``, by one ``ray.put`` of its parent's ``live`` array — no
+join, no materialize — and its verdicts come back as one int8 array;
+a child whose parent kept no row is skipped.  One ``map_batches`` over
+the diff then emits the (pos, etype, id, action, poly_path) rows.
+Two bytes per row per polygon stay in the driver (and once more in
+the object store for the emit): 120 MB for 12 polygons over a 5M-row
+diff, next to the parsed diff table the driver already holds (~2.5 GB
+resident at 5M elements, `pipelines/update.py:DIST_DIFF_ROWS`).
 """
 
 from __future__ import annotations
@@ -40,14 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.agg import small_sorted_aggregate
-from ..geom import (
-    BUFFER_DECIMICRO,
-    MultiPolygon,
-    boxes_intersect_buffered,
-    points_in_buffered,
-    points_in_buffered_chordal,
-    points_in_multipolygon,
-)
+from ..geom import BUFFER_DECIMICRO, MultiPolygon
 from .dist import (
     MTYPE_NODE,
     MTYPE_REL,
@@ -57,6 +68,7 @@ from .dist import (
     reroot,
     safe_join,
 )
+from .filter import PolyTests
 
 EV_OLD = np.int64(-1)              # static (old-store) evidence
 EV_NONE = np.iinfo(np.int64).max   # no evidence
@@ -84,13 +96,6 @@ def _fill_ev(batch: pa.Table, cols: list[str]) -> dict[str, np.ndarray]:
     return out
 
 
-def _buffered_fn(buffer_mode: str):
-    return (
-        points_in_buffered_chordal if buffer_mode == "chordal"
-        else points_in_buffered
-    )
-
-
 def filter_verdicts_dist(
     plan: DiffPlan,
     boxes,
@@ -105,40 +110,35 @@ def filter_verdicts_dist(
     import ray.data
 
     npart = plan.num_partitions
-    in_buf = _buffered_fn(buffer_mode)
+    tests = PolyTests(mp, buffer=buffer, buffer_mode=buffer_mode)
 
     # ---------------- node occurrence flags ----------------
     def node_flags(batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False).astype(np.int64)
         lon = batch["lon"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ex, bf = tests.points(lon, lat)
         return pa.table(
             {
                 "pos": batch["pos"],
                 "id": batch["id"],
-                "new_ex": pa.array(points_in_multipolygon(lon, lat, mp)),
-                "new_buf": pa.array(in_buf(lon, lat, mp, buffer=buffer)),
+                "new_ex": pa.array(ex),
+                "new_buf": pa.array(bf),
             }
         )
 
     # ---------------- bbox gate fn (ways + relations) ----------------
     def gate_fn(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         mn = batch["minlat"]
         valid = np.asarray(pc.is_valid(mn.combine_chunks() if isinstance(mn, pa.ChunkedArray) else mn))
-        gate = np.zeros(n, bool)
-        if valid.any():
-            cols = {}
-            for c in ("minlat", "maxlat", "minlon", "maxlon"):
-                col = batch[c]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                cols[c] = pc.fill_null(col, 0).to_numpy(zero_copy_only=False).astype(np.int64)
-            hits = boxes_intersect_buffered(
-                cols["minlon"][valid], cols["minlat"][valid],
-                cols["maxlon"][valid], cols["maxlat"][valid],
-                mp, buffer=buffer,
-            )
-            gate[np.flatnonzero(valid)] = hits
+        cols = {}
+        for c in ("minlat", "maxlat", "minlon", "maxlon"):
+            col = batch[c]
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            cols[c] = pc.fill_null(col, 0).to_numpy(zero_copy_only=False).astype(np.int64)
+        gate = valid & tests.boxes(
+            cols["minlon"], cols["minlat"], cols["maxlon"], cols["maxlat"]
+        )
         return pa.table({"pos": batch["pos"], "id": batch["id"], "gate": pa.array(gate)})
 
     def clos_kind(k: int):
@@ -231,8 +231,7 @@ def filter_verdicts_dist(
     def old_flags(batch: pa.Table) -> pa.Table:
         lat = batch["plat"].to_numpy(zero_copy_only=False).astype(np.int64)
         lon = batch["plon"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ex = points_in_multipolygon(lon, lat, mp)
-        bf = in_buf(lon, lat, mp, buffer=buffer)
+        ex, bf = tests.points(lon, lat)
         return pa.table(
             {
                 "id": batch["id"],
@@ -337,11 +336,13 @@ def filter_verdicts_dist(
         batch_format="pyarrow",
     ).materialize()
 
+    gate_fields = {"pos": pa.int64(), "id": pa.int64(), "gate": pa.bool_()}
     way_gates = safe_join(
         gates, plan.way_occ.map_batches(
             lambda b: pa.table({"wpos": b["pos"]}), batch_format="pyarrow"
         ),
         "left_semi", npart, on=("pos",), right_on=("wpos",),
+        left_fields=gate_fields,
     )
     way_tab = safe_join(
         way_gates, new_agg, "left_outer", npart, on=("pos",),
@@ -509,6 +510,7 @@ def filter_verdicts_dist(
             lambda b: pa.table({"rpos": b["pos"]}), batch_format="pyarrow"
         ),
         "left_semi", npart, on=("pos",), right_on=("rpos",),
+        left_fields=gate_fields,
     )
     rel_base = safe_join(
         rel_gates, dm_static, "left_outer", npart, on=("pos",),
@@ -669,7 +671,7 @@ def filter_verdicts_dist(
     return node_verdicts.union(way_verdicts)
 
 
-# ---------------- plan restriction + tree driver ----------------
+# ---------------- tree driver ----------------
 
 _POS_TABLES = (
     "nodes", "way_occ", "way_new_refs", "way_old_refs", "rel_occ",
@@ -678,88 +680,23 @@ _POS_TABLES = (
 )
 
 
-def restrict_plan(plan: DiffPlan, keep_pos) -> DiffPlan:
-    """New plan over the subset of diff rows whose pos is in
-    ``keep_pos`` (Dataset with one column ``pos``) — the engine form of
-    chaining each child polygon on its parent's OUTPUT rows
-    (src/diffs.rs:174-185).  Closure and store views are
-    restriction-independent and shared."""
+def _on_rows(plan: DiffPlan, live) -> DiffPlan:
+    """``plan`` with every pos-keyed table filtered lazily to the rows
+    where ``live`` (bool array indexed by pos) is set.  The closure and
+    store views do not depend on the rows and are shared."""
     from dataclasses import replace
 
-    from .dist import mat_concurrently
+    import ray
 
-    kp = keep_pos.map_batches(
-        lambda b: pa.table({"kpos": b["pos"]}), batch_format="pyarrow"
-    ).materialize()
-    lazy = [
-        safe_join(
-            getattr(plan, name), kp, "left_semi", plan.num_partitions,
-            on=("pos",), right_on=("kpos",),
-        )
+    ref = ray.put(live)
+
+    def keep(b: pa.Table) -> pa.Table:
+        return b.filter(ray.get(ref)[b["pos"].to_numpy(zero_copy_only=False)])
+
+    return replace(plan, **{
+        name: getattr(plan, name).map_batches(keep, batch_format="pyarrow")
         for name in _POS_TABLES
-    ]
-    lazy.append(
-        safe_join(
-            plan.diff.map_batches(
-                lambda b: b.select(["pos", "etype", "id", "action"]),
-                batch_format="pyarrow",
-            ),
-            kp, "left_semi", plan.num_partitions,
-            on=("pos",), right_on=("kpos",),
-        )
-    )
-    # the 13 per-table restrictions are independent — overlap them
-    mats = mat_concurrently(lazy)
-    fields = dict(zip(_POS_TABLES, mats[:-1]))
-    fields["diff"] = mats[-1]
-    return replace(plan, **fields)
-
-
-def apply_verdicts(plan: DiffPlan, verdicts, poly_path: str | None = None,
-                   actions=None):
-    """-> Dataset (pos, etype, id, action[, poly_path]): surviving rows
-    with the delete rewrite applied (src/osmxml/filter.rs:231,256,294).
-
-    ``actions``: optional Dataset (pos, action) overriding the diff's
-    own actions — used by the tree driver to chain a parent's REWRITTEN
-    actions into its children (the reference feeds each child the
-    parent's output .osc, so a parent-deleted row stays ``delete``
-    downstream even when the child's own verdict is keep)."""
-    meta = plan.diff.map_batches(
-        lambda b: b.select(["pos", "etype", "id", "action"]),
-        batch_format="pyarrow",
-    )
-    if actions is not None:
-        meta = safe_join(
-            meta.map_batches(
-                lambda b: b.select(["pos", "etype", "id"]),
-                batch_format="pyarrow",
-            ),
-            actions, "inner", plan.num_partitions, on=("pos",),
-            payload={"action": pa.string()},
-        )
-    joined = safe_join(
-        meta, verdicts, "inner", plan.num_partitions, on=("pos",),
-        payload={"verdict": pa.int8()},
-    )
-
-    def fn(batch: pa.Table) -> pa.Table:
-        v = batch["verdict"].to_numpy(zero_copy_only=False)
-        keep = v != DROP
-        t = batch.filter(pa.array(keep))
-        vv = v[keep]
-        action = pc.if_else(
-            pa.array(vv == DELETE), pa.scalar("delete"), t["action"].combine_chunks()
-        )
-        cols = {
-            "pos": t["pos"], "etype": t["etype"], "id": t["id"],
-            "action": action,
-        }
-        if poly_path is not None:
-            cols["poly_path"] = pa.array([poly_path] * len(t), pa.string())
-        return pa.table(cols)
-
-    return joined.map_batches(fn, batch_format="pyarrow")
+    })
 
 
 def filter_tree_dist(
@@ -773,35 +710,30 @@ def filter_tree_dist(
     """Distributed polygon-tree filter: each child consumes its
     parent's surviving rows; returns the assignments union
     (pos, etype, id, action, poly_path) as a Dataset."""
-    outputs: dict[str | None, DiffPlan] = {None: plan}
-    out_actions: dict[str | None, object] = {None: None}
-    results = []
-    for path, _name, mp in tree_polys:  # topological order
-        parent = tree_parent.get(path)
-        src_plan = outputs.get(parent)
-        if src_plan is None:
-            continue
-        verdicts = filter_verdicts_dist(
-            src_plan, boxes, mp, buffer=buffer, buffer_mode=buffer_mode
-        ).materialize()
-        kept = verdicts.map_batches(
-            lambda b: b.filter(
-                pc.not_equal(b["verdict"], int(DROP))
-            ).select(["pos"]),
-            batch_format="pyarrow",
-        ).materialize()
-        result = apply_verdicts(
-            src_plan, verdicts, poly_path=path,
-            actions=out_actions.get(parent),
-        ).materialize()
-        results.append(result)
-        out_actions[path] = result.map_batches(
-            lambda b: b.select(["pos", "action"]), batch_format="pyarrow"
-        )
-        outputs[path] = restrict_plan(plan, kept)
-    if not results:
-        import ray.data
+    import ray
+    import ray.data
 
+    top = plan.diff.max("pos")
+    n = 0 if top is None else top + 1
+    live = {None: np.ones(n, bool)}
+    deleted = {None: np.zeros(n, bool)}
+    for path, _name, mp in tree_polys:  # topological (parents first)
+        parent = tree_parent.get(path)
+        if parent not in live or not live[parent].any():
+            continue
+        src = plan if parent is None else _on_rows(plan, live[parent])
+        verdicts = filter_verdicts_dist(
+            src, boxes, mp, buffer=buffer, buffer_mode=buffer_mode
+        )
+        v = np.full(n, DROP, np.int8)
+        for b in verdicts.iter_batches(batch_size=None, batch_format="pyarrow"):
+            v[b["pos"].to_numpy(zero_copy_only=False)] = b["verdict"].to_numpy(
+                zero_copy_only=False
+            )
+        live[path] = v != DROP
+        deleted[path] = deleted[parent] | (v == DELETE)
+    paths = [p for p in live if p is not None and live[p].any()]
+    if not paths:
         return ray.data.from_arrow(
             pa.schema(
                 [("pos", pa.int64()), ("etype", pa.string()),
@@ -809,7 +741,24 @@ def filter_tree_dist(
                  ("poly_path", pa.string())]
             ).empty_table()
         )
-    out = results[0]
-    for r in results[1:]:
-        out = out.union(r)
-    return out
+    ref = ray.put((
+        np.stack([live[p] for p in paths]), np.stack([deleted[p] for p in paths])
+    ))
+
+    def emit(b: pa.Table) -> pa.Table:
+        lv, dl = ray.get(ref)
+        pos = b["pos"].to_numpy(zero_copy_only=False)
+        out = []
+        for k, path in enumerate(paths):
+            m = lv[k, pos]
+            t = b.filter(m)
+            out.append(pa.table({
+                "pos": t["pos"], "etype": t["etype"], "id": t["id"],
+                "action": pc.if_else(
+                    dl[k, pos][m], "delete", t["action"].combine_chunks()
+                ),
+                "poly_path": pa.array([path] * len(t), pa.string()),
+            }))
+        return pa.concat_tables(out)
+
+    return plan.diff.map_batches(emit, batch_format="pyarrow")

@@ -8,16 +8,28 @@ through ``ray.data`` blocks, and the tree driver must chain children on
 parent outputs exactly like `filter_tree` (src/diffs.rs:174-185).
 """
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from osm_replication_rust_ray.cli import _load_tree
 from osm_replication_rust_ray.geom import MultiPolygon
-from osm_replication_rust_ray.sources.store import Resolver
-from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
+from osm_replication_rust_ray.sources.store import ElementStore, Resolver
+from osm_replication_rust_ray.sources.synth import (
+    synth_changes,
+    synth_store,
+    synth_store_elements,
+    write_polygon_tree,
+)
 from osm_replication_rust_ray.stages.bbox import annotate_bbox, closure_node_ids
 from osm_replication_rust_ray.stages.bbox_dist import annotate_bbox_dist
-from osm_replication_rust_ray.stages.dist import build_diff_plan, flat_store_from_tables
+from osm_replication_rust_ray.stages.dist import (
+    build_diff_plan,
+    flat_store_from_store,
+    flat_store_from_tables,
+)
 from osm_replication_rust_ray.stages.filter import (
     filter_tree,
     filter_verdicts,
@@ -91,3 +103,56 @@ def test_filter_tree_dist_matches_sequential(ray_session):
     a = seq.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     b = got[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b)
+
+
+def _polygon_tree_rows(store, changes, tree, parent):
+    """(filter_tree rows, filter_tree_dist rows) for one diff against
+    ``store``, each sorted."""
+    import ray.data
+
+    resolver = Resolver.from_store(store)
+    annotated = annotate_bbox(changes, resolver)
+    nid_arr = closure_node_ids(annotated, resolver)
+    seq = filter_tree(annotated, tree, parent, resolver, nid_arr).to_pandas()
+    plan = build_diff_plan(
+        ray.data.from_arrow(changes).repartition(4), flat_store_from_store(store)
+    )
+    boxes = annotate_bbox_dist(plan).materialize()
+    got = filter_tree_dist(plan, boxes, tree, parent).to_pandas()
+    cols = ["pos", "etype", "id", "poly_path", "action"]
+    return tuple(
+        df[cols].sort_values(cols).reset_index(drop=True) for df in (seq, got)
+    )
+
+
+def _polygon_tree_case(tmp_path, seed, seqs):
+    """The 12-polygon synthetic tree over a 3000-element store; each
+    sequence's diff is applied to the store before the next."""
+    tree, parent = _load_tree(write_polygon_tree(str(tmp_path / "polys")))
+    store = ElementStore(str(tmp_path / f"db{seed}"), n_buckets=16)
+    store.init()
+    store.apply_changes(synth_store_elements(3000, seed=seed))
+    for seq in seqs:
+        changes = synth_changes(800, seed=seed, seq=seq)
+        want, got = _polygon_tree_rows(store, changes, tree, parent)
+        assert len(want) > 0
+        assert want.equals(got), (seed, seq)
+        store.apply_changes(changes)
+
+
+def test_filter_tree_dist_matches_sequential_polygon_tree(ray_session, tmp_path):
+    """The 12-polygon tree nests three levels deep; on this diff one
+    child's parent keeps no row (the child is skipped) and two
+    children's parent keeps relation rows only."""
+    _polygon_tree_case(tmp_path, seed=1, seqs=[1])
+
+
+@pytest.mark.skipif(
+    not os.environ.get("GRAFT_SLOW_TESTS"),
+    reason="~9 min; opt in with GRAFT_SLOW_TESTS=1",
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_filter_tree_dist_matches_sequential_polygon_tree_matrix(
+    ray_session, tmp_path, seed
+):
+    _polygon_tree_case(tmp_path, seed=seed, seqs=[1, 2, 3])

@@ -189,3 +189,38 @@ def test_run_sequence_dist_parity_1m(ray_session, tmp_path):
     assert seq_rows.equals(dist_rows)
     assert seq_tot[0] == dist_tot[0]
     assert seq_store == dist_store  # post-apply buckets hash-equal
+
+
+def test_run_sequence_dist_nodes_only_diff(ray_session, tmp_path):
+    """A diff of node rows only: no way or relation occurrence reaches
+    the bbox-gate joins, and the positions are sparse (the way and
+    relation rows are gone), so the tree driver's pos-indexed arrays
+    must be sized by the largest position, not the row count."""
+    import pyarrow.compute as pc
+
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.sources.synth import (
+        synth_changes,
+        synth_store_elements,
+        write_polygon_tree,
+    )
+
+    tree, _parent = _load_tree(write_polygon_tree(str(tmp_path / "polys")))
+    tree, parent = tree[:1], {tree[0][0]: None}
+    changes = synth_changes(800)
+    changes = changes.filter(pc.equal(changes["etype"], "node"))
+    assert pc.max(changes["pos"]).as_py() + 1 > changes.num_rows
+    outs = {}
+    for mode, distributed in (("seq", False), ("dist", True)):
+        work = str(tmp_path / mode)
+        store = ElementStore(f"{work}/db", n_buckets=16)
+        store.init()
+        store.apply_changes(synth_store_elements(3000))
+        m = CheckpointManifest(f"{work}/ckpt")
+        run_sequence(
+            changes, store, tree, parent, f"{work}/diffs", m, 1,
+            distributed=distributed,
+        )
+        outs[mode] = _read_all(f"{work}/diffs")
+    assert len(outs["seq"]) > 0
+    assert outs["seq"].equals(outs["dist"])

@@ -1,9 +1,10 @@
 """Measured scale probe for the distributed diff pipeline (round-2
 verdict item #1's "done" evidence): a >=1M-element synthetic diff +
 a ~matching-size synthetic store run through build_diff_plan ->
-annotate_bbox_dist -> filter_verdicts_dist entirely as ray.data blocks
-(no single-frame pandas of the diff), wall time per phase printed as
-one JSON line.  Results are recorded in SCALE.md.
+annotate_bbox_dist -> filter_verdicts_dist (one polygon) ->
+filter_tree_dist (the 12-polygon synthetic tree) entirely as ray.data
+blocks (no single-frame pandas of the diff), wall time per phase
+printed as one JSON line.  Results are recorded in SCALE.md.
 
 Usage:  python tools/dist_diff_probe.py [n_elements] [num_cpus]
 
@@ -16,6 +17,7 @@ round-4 barrier-chain work (round-3 verdict item #2).
 import json
 import os
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -61,14 +63,22 @@ def main() -> None:
 
     trace = install_trace() if os.environ.get("GRAFT_DIST_TRACE") else None
 
+    from osm_replication_rust_ray.cli import _load_tree
     from osm_replication_rust_ray.geom import MultiPolygon
-    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
+    from osm_replication_rust_ray.sources.synth import (
+        synth_changes,
+        synth_store,
+        write_polygon_tree,
+    )
     from osm_replication_rust_ray.stages.bbox_dist import annotate_bbox_dist
     from osm_replication_rust_ray.stages.dist import (
         build_diff_plan,
         flat_store_from_tables,
     )
-    from osm_replication_rust_ray.stages.filter_dist import filter_verdicts_dist
+    from osm_replication_rust_ray.stages.filter_dist import (
+        filter_tree_dist,
+        filter_verdicts_dist,
+    )
     from osm_replication_rust_ray.tuning import join_partitions
 
     t0 = time.perf_counter()
@@ -106,6 +116,14 @@ def main() -> None:
 
     assert n_boxes == elements.num_rows == n_verdicts
     total = t_plan + t_bbox + t_filter
+
+    # the tree phase is timed on its own: total_s and elements_per_s
+    # stay comparable with the one-polygon runs in SCALE.md
+    with tempfile.TemporaryDirectory() as polys:
+        tree, parent = _load_tree(write_polygon_tree(polys))
+    t0 = time.perf_counter()
+    n_assigned = filter_tree_dist(plan, boxes, tree, parent).materialize().count()
+    t_tree = time.perf_counter() - t0
     print(
         json.dumps(
             {
@@ -115,6 +133,9 @@ def main() -> None:
                 "plan_s": round(t_plan, 2),
                 "bbox_s": round(t_bbox, 2),
                 "filter_s": round(t_filter, 2),
+                "tree_s": round(t_tree, 2),
+                "tree_polygons": len(tree),
+                "tree_assigned": n_assigned,
                 "total_s": round(total, 2),
                 "elements_per_s": round(elements.num_rows / total, 1),
             }
