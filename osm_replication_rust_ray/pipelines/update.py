@@ -14,8 +14,10 @@ row/byte counters in a checkpoint manifest, job lock, and mid-run
 resume by anti-joining the done-partition set.
 
 A minute-diff micro-batch is small (the reference streams it through
-one process); the wide work here is the per-path output write, which
-runs as a distributed groupby over the assignments table.  The store
+one process), and so is its assignments table: the per-path output
+write runs in this process too, one tmp + rename per poly path, with
+no Ray call on the sequential path.  Only diffs past
+``DIST_DIFF_ROWS`` go through ray.data blocks end to end.  The store
 apply writes one delta file per element type, named by a digest of its
 contents, and skips a type whose newest pending delta has the same
 digest; so a crash between store-apply and manifest-commit re-runs
@@ -55,6 +57,8 @@ def run_sequence(
     manifest: CheckpointManifest,
     sequence: int,
     distributed: bool | None = None,
+    on_annotated=None,
+    before_commit=None,
 ):
     """One micro-batch: returns the assignments it wrote (pa.Table on
     the sequential path, ray Dataset on the distributed one).
@@ -62,24 +66,31 @@ def run_sequence(
     ``distributed=None`` auto-selects: diffs >= DIST_DIFF_ROWS elements
     go through the sharded join formulation whose verdicts are pinned
     identical to the sequential automaton (tests/test_filter_dist.py).
+
+    ``on_annotated(annotated)`` (sequential path only) and
+    ``before_commit()`` (after the store apply) are the replication
+    downloader's hooks for its bbox-diff file and ``state.txt`` symlinks.
     """
-    import ray.data
+    import ray
 
     if distributed is None:
         distributed = changes.num_rows >= DIST_DIFF_ROWS and ray.is_initialized()
     if distributed:
-        assignments = ds = _assign_dist(changes, store, tree_polys, tree_parent)
+        assignments = _assign_dist(changes, store, tree_polys, tree_parent)
+        n_rows = assignments.count()  # materialized: block metadata only
     else:
         # one resolver serves bbox AND filter phases — the engine
         # analogue of the OsmCache handoff (src/update.rs:124-131,
         # src/osmcache.rs)
         resolver = Resolver.from_store(store)
         annotated = annotate_bbox(changes, resolver)
+        if on_annotated is not None:
+            on_annotated(annotated)
         nid_arr = closure_node_ids(annotated, resolver)
         assignments = filter_tree(
             annotated, tree_polys, tree_parent, resolver, nid_arr
         )
-        ds = ray.data.from_arrow(assignments)
+        n_rows = assignments.num_rows
     # Phase order matches the reference (src/update.rs:122-144): diff
     # outputs land first, then the osmbin-analogue store mutation, then
     # the sequence pointer flips LAST.  Partition lineage commits as
@@ -92,12 +103,14 @@ def run_sequence(
     # poly-path key domain.  A re-run apply_changes finds each type's
     # delta already newest (same digest) and skips it, so the
     # apply->commit window re-runs without touching the store.
-    if ds.count():
+    if n_rows:
         write_partitioned(
-            ds, f"{out_dir}/seq={sequence}", "poly_path", manifest,
+            assignments, f"{out_dir}/seq={sequence}", "poly_path", manifest,
             sequence=None, commit=True, id_prefix=f"seq={sequence}/",
         )
     store.apply_changes(changes)
+    if before_commit is not None:
+        before_commit()
     manifest.commit(sequence)
     return assignments
 

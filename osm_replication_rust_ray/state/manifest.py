@@ -18,6 +18,7 @@ range for id-partitioned stores) — anything stable across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -118,87 +119,96 @@ def atomic_write_parquet(table, path: str) -> int:
     return nbytes
 
 
-def write_partitioned(ds, out_dir: str, key_col: str,
+def _drop_done(table, key_col: str, done: set[str]):
+    """Anti-join: drop the rows whose key is already committed."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if not done:
+        return table
+    mask = pc.invert(pc.is_in(table[key_col], value_set=pa.array(list(done))))
+    return table.filter(mask)
+
+
+def _write_group(group, out_dir: str, key_col: str) -> dict:
+    """One key's rows -> ``{key_col}={key}/part-0.parquet``; lineage fields."""
+    key = str(group[key_col][0].as_py())
+    safe = key.replace("/", "__").strip(".")
+    path = os.path.join(out_dir, f"{key_col}={safe}", "part-0.parquet")
+    nbytes = atomic_write_parquet(group, path)  # global: a kill test wraps it
+    return {"partition_id": key, "rows": len(group), "bytes": nbytes, "path": path}
+
+
+def write_partitioned(data, out_dir: str, key_col: str,
                       manifest: CheckpointManifest, sequence: int | None = None,
                       max_keys: int = 4096, commit: bool = True,
                       id_prefix: str = ""):
     """Resumable partitioned write: one parquet dir per key value.
 
-    - rows whose key is already committed in ``manifest`` are skipped
-      entirely (anti-join against the done set, applied at the batch
-      level — no recomputation of finished partitions)
-    - each partition writes via tmp+rename, then its lineage record
-      (rows / bytes / path) is staged; the manifest commits LAST
-    - key domain must be bounded (tile/tree routing): more than
-      ``max_keys`` distinct pending keys raises before any partition is
-      written; the per-group write runs distributed via
-      groupby().map_groups
-    - ``id_prefix`` scopes the lineage partition ids (e.g.
-      ``"seq=3/"``) so callers that write the SAME key domain once per
-      micro-batch don't have batch N's done-set swallow batch N+1's
-      rows; the key-column values themselves stay unprefixed
+    ``data`` is a ``pa.Table`` (the replication loop's assignments, a
+    few hundred rows per minute diff), written in the calling process
+    with no Ray call, as the reference writes its filter outputs
+    (``src/diffs.rs:105-149``); or a ray Dataset (routed image payloads,
+    distributed assignments), whose key census runs one task per block
+    and whose per-key writes run in ``groupby().map_groups``.  Both:
+
+    - skip rows whose key is already committed in ``manifest``
+      (anti-join against the done set -- no recomputation)
+    - raise before any partition is written or staged when more than
+      ``max_keys`` distinct keys are pending (tile/tree routing keeps
+      the key domain bounded)
+    - write each partition via tmp+rename, then stage its lineage
+      record (rows / bytes / path); the manifest commits LAST
+    - scope the lineage ids by ``id_prefix`` (e.g. ``"seq=3/"``), so
+      callers that write the SAME key domain once per micro-batch don't
+      have batch N's done-set swallow batch N+1's rows; the key-column
+      values themselves stay unprefixed
 
     Returns the list of PartitionRecords written this run.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
     done = {
         pid[len(id_prefix):]
         for pid in manifest.done()
         if pid.startswith(id_prefix)
     }
+    in_process = isinstance(data, pa.Table)
+    if in_process:
+        pending = _drop_done(data, key_col, done)
+        keys = pc.unique(pending[key_col]).to_pylist()
+    else:
+        import ray
 
-    def drop_done(batch: pa.Table) -> pa.Table:
-        if not done:
-            return batch
-        mask = pc.invert(
-            pc.is_in(batch[key_col], value_set=pa.array(list(done)))
-        )
-        return batch.filter(mask)
-
-    def write_group(group: pa.Table) -> pa.Table:
-        key = str(group[key_col][0].as_py())
-        safe = key.replace("/", "__").strip(".")
-        path = os.path.join(out_dir, f"{key_col}={safe}", "part-0.parquet")
-        nbytes = atomic_write_parquet(group, path)
-        return pa.table(
-            {
-                "partition_id": pa.array([key], pa.string()),
-                "rows": pa.array([len(group)], pa.int64()),
-                "bytes": pa.array([nbytes], pa.int64()),
-                "path": pa.array([path], pa.string()),
-            }
-        )
-
-    @ray.remote
-    def pending_keys(block: pa.Table) -> pa.Array:
-        return pc.unique(drop_done(block)[key_col])
-
-    # key census before any write, one small task per block: a too-fine
-    # key raises with nothing written or staged
-    ds = ds.materialize()
-    keys = set()
-    for part in ray.get([pending_keys.remote(b) for b in ds.to_arrow_refs()]):
-        keys.update(part.to_pylist())
+        pending = data.map_batches(
+            _drop_done, fn_args=(key_col, done), batch_format="pyarrow"
+        ).materialize()
+        block_keys = ray.remote(lambda block: pc.unique(block[key_col]).to_pylist())
+        keys = set().union(*ray.get([block_keys.remote(b) for b in pending.to_arrow_refs()]))
+    # the key census runs before any write: a too-fine key raises with
+    # nothing written or staged
     if len(keys) > max_keys:
         raise ValueError(
             f"{len(keys)} partitions exceeds max_keys={max_keys}; "
             "use a coarser partition key"
         )
-    pending = ds.map_batches(drop_done, batch_format="pyarrow")
-    lineage = pending.groupby(key_col).map_groups(
-        write_group, batch_format="pyarrow"
-    )
+    if in_process:
+        # sort_indices is stable: rows keep their input order within a key
+        pending = pending.take(pc.sort_indices(pending, [(key_col, "ascending")]))
+        counts = pc.value_counts(pending[key_col]).field("counts").to_pylist()
+        lineage = [
+            _write_group(pending.slice(start, n), out_dir, key_col)
+            for start, n in zip(itertools.accumulate(counts, initial=0), counts)
+        ]
+    else:
+        lineage = pending.groupby(key_col).map_groups(
+            lambda g: pa.Table.from_pylist([_write_group(g, out_dir, key_col)]),
+            batch_format="pyarrow",
+        ).take_all()
     records = [
-        PartitionRecord(
-            partition_id=id_prefix + r["partition_id"],
-            rows=r["rows"],
-            bytes=r["bytes"],
-            path=r["path"],
-        )
-        for r in lineage.take_all()
+        PartitionRecord(**{**r, "partition_id": id_prefix + r["partition_id"]})
+        for r in lineage
     ]
     for rec in records:
         manifest.stage(rec)

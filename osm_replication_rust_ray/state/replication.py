@@ -15,10 +15,11 @@ Engine form of ``Update::update`` / ``Update::download`` /
   ``Last-Modified`` header as the file mtime (src/update.rs:221-245).
 - ``run_replication``: the §3.1 phase-ordered micro-batch loop —
   local state -> remote state (clamped) -> per sequence: download diff
-  + state, bbox-annotate from the PRE-update store, hard-link +
-  symlink the bbox state pointer, polygon-tree filter to partitioned
-  outputs, apply the diff to the store, flip the planet ``state.txt``
-  symlink LAST (the commit pointer, src/update.rs:138-143).
+  + state, then ``run_sequence`` (bbox-annotate from the PRE-update
+  store, polygon-tree filter to partitioned outputs, apply the diff to
+  the store), whose hooks write the bbox diff, hard-link + symlink the
+  bbox state pointer, and flip the planet ``state.txt`` symlink after
+  the store mutation (the commit pointer, src/update.rs:138-143).
 
 No network exists in this sandbox: the http path is exercised through
 the injectable ``fetch`` callable (tests simulate failures, retries
@@ -134,17 +135,16 @@ def run_replication(
 ) -> list[int]:
     """Sequential replication from a (file:// or http) mirror.
 
-    Returns the list of processed sequence numbers.  Phase order per
-    sequence matches src/update.rs:90-143; the planet ``state.txt``
-    symlink flips only after the store mutation, and the checkpoint
-    manifest commits alongside it."""
+    Returns the list of processed sequence numbers.  Each sequence runs
+    through ``pipelines.update.run_sequence`` (phase order of
+    src/update.rs:90-143); its hooks write the bbox-annotated diff and
+    flip the bbox ``state.txt`` symlink, then flip the planet
+    ``state.txt`` symlink after the store mutation, just before the
+    checkpoint manifest commits."""
     import gzip
 
+    from ..pipelines.update import run_sequence
     from ..sources.osmxml import elements_to_osc, parse_osm_xml
-    from ..sources.store import Resolver
-    from ..stages.bbox import annotate_bbox, closure_node_ids
-    from ..stages.filter import filter_tree
-    from ..state.manifest import write_partitioned
 
     state_file = os.path.join(dir_diffs, "planet", "minute", "state.txt")
     cur = read_state_from_file(state_file)
@@ -164,51 +164,25 @@ def run_replication(
             bbox_state = os.path.join(dir_diffs, "bbox", "minute", split + ".state.txt")
             bbox_diff = os.path.join(dir_diffs, "bbox", "minute", split + ".osc.gz")
 
-            # -- download
             download(url_diffs + split + ".osc.gz", orig_diff, fetch=fetch)
             download(url_diffs + split + ".state.txt", orig_state, fetch=fetch)
 
-            # -- bbox annotate against the PRE-update store; one
-            # resolver serves bbox AND filter (the OsmCache handoff)
-            changes = parse_osm_xml(orig_diff)
-            resolver = Resolver.from_store(store)
-            annotated = annotate_bbox(changes, resolver)
-            os.makedirs(os.path.dirname(bbox_diff), exist_ok=True)
-            with gzip.open(bbox_diff, "wt", encoding="utf-8") as f:
-                f.write(elements_to_osc(annotated, change=True, root="osm"))
-            if not os.path.exists(bbox_state):
-                os.link(orig_state, bbox_state)  # hard link (src/update.rs:109)
-            _symlink_state(
-                os.path.join(dir_diffs, "bbox", "minute", "state.txt"), split
-            )
-
-            # -- polygon-tree filter -> partitioned outputs (staged)
-            nid_arr = closure_node_ids(annotated, resolver)
-            assignments = filter_tree(
-                annotated, tree_polys, tree_parent, resolver, nid_arr
-            )
-            if assignments.num_rows:
-                import ray.data
-
-                # id_prefix scopes lineage ids per sequence: the key
-                # domain (poly paths) repeats every micro-batch, so
-                # without it sequence N's committed ids would swallow
-                # sequence N+1's rows entirely (regression-pinned in
-                # tests/test_replication.py)
-                write_partitioned(
-                    ray.data.from_arrow(assignments),
-                    os.path.join(out_dir, f"seq={n}"),
-                    "poly_path",
-                    manifest,
-                    sequence=n,
-                    commit=False,
-                    id_prefix=f"seq={n}/",
+            def write_bbox_diff(annotated):
+                os.makedirs(os.path.dirname(bbox_diff), exist_ok=True)
+                with gzip.open(bbox_diff, "wt", encoding="utf-8") as f:
+                    f.write(elements_to_osc(annotated, change=True, root="osm"))
+                if not os.path.exists(bbox_state):
+                    os.link(orig_state, bbox_state)  # hard link (src/update.rs:109)
+                _symlink_state(
+                    os.path.join(dir_diffs, "bbox", "minute", "state.txt"), split
                 )
 
-            # -- apply diff to the store, THEN flip the commit pointer
-            store.apply_changes(changes)
-            _symlink_state(state_file, split)
-            manifest.commit(n)
+            run_sequence(
+                parse_osm_xml(orig_diff), store, tree_polys, tree_parent,
+                out_dir, manifest, n, distributed=False,
+                on_annotated=write_bbox_diff,
+                before_commit=lambda: _symlink_state(state_file, split),
+            )
             done.append(n)
     finally:
         manifest.release_lock()

@@ -10,6 +10,9 @@ ITSELF at the crash point selected by ``$KILL_POINT``, leaving the
 on-disk store/manifest/output state exactly as a real mid-run death
 would:
 
+- ``mid_write``: inside write_partitioned, right after the first
+  partition file's tmp + rename and before any lineage is staged (the
+  sequential write runs in this process, so the kill lands mid-write).
 - ``after_write``: partition outputs + lineage are durable, the store
   mutation and the sequence-pointer commit never happen (the window
   ``pipelines/update.py`` documents between write_partitioned and
@@ -22,9 +25,8 @@ would:
   sequence-pointer commit is lost (the window where a re-run apply
   finds its own delta newest and skips it).
 
-Connects to the parent's Ray cluster (``$RAY_GCS``) as a second driver
-so the SIGKILL orphans no local cluster — the shared GCS reaps the
-dead driver's tasks.
+The sequential run makes no Ray call, so the child starts no Ray
+session and the SIGKILL orphans no Ray process.
 """
 
 import os
@@ -68,18 +70,12 @@ def load_inputs(kind: str, work: str):
 
 
 def main() -> None:
-    import ray
-
-    ray.init(
-        address=os.environ["RAY_GCS"],
-        include_dashboard=False,
-        logging_level="ERROR",
-    )
     sys.path.insert(
         0, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     from osm_replication_rust_ray.pipelines.update import run_update
     from osm_replication_rust_ray.sources.store import ElementStore
+    from osm_replication_rust_ray.state import manifest as manifest_mod
     from osm_replication_rust_ray.state.manifest import CheckpointManifest
 
     work = os.environ["WORK_DIR"]
@@ -88,7 +84,15 @@ def main() -> None:
     def die(*_a, **_k):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    if point == "after_write":
+    if point == "mid_write":
+        orig_atomic = manifest_mod.atomic_write_parquet
+
+        def land_then_die(table, path):
+            orig_atomic(table, path)
+            die()
+
+        manifest_mod.atomic_write_parquet = land_then_die
+    elif point == "after_write":
         ElementStore.apply_changes = die
     elif point == "mid_delta":
         orig_write = ElementStore._write_bucket

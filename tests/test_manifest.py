@@ -21,13 +21,20 @@ from osm_replication_rust_ray.state.manifest import (
 RES = "/root/reference/tests/resources"
 
 
+def _toy_table(n=100):
+    keys = ["a" if i % 3 else "b" for i in range(n)]
+    return pa.table({"k": pa.array(keys), "v": pa.array(range(n), pa.int64())})
+
+
 def _toy_ds(n=100):
     import ray.data
 
-    keys = ["a" if i % 3 else "b" for i in range(n)]
-    return ray.data.from_arrow(
-        pa.table({"k": pa.array(keys), "v": pa.array(range(n), pa.int64())})
-    )
+    return ray.data.from_arrow(_toy_table(n))
+
+
+# write_partitioned's two forms: a driver table (no Ray call) and a
+# ray Dataset; every toy case runs on both
+TOY_FORMS = {"dataset": _toy_ds, "table": _toy_table}
 
 
 def test_manifest_commit_is_atomic_and_loads(tmp_path):
@@ -53,53 +60,106 @@ def test_job_lock_excludes_second_writer(tmp_path):
 
 
 def test_write_partitioned_resume_skips_done(tmp_path):
-    out = str(tmp_path / "out")
-    m = CheckpointManifest(str(tmp_path / "ckpt"))
-    recs = write_partitioned(_toy_ds(), out, "k", m, sequence=1)
-    assert {r.partition_id for r in recs} == {"a", "b"}
-    total_rows = sum(r.rows for r in recs)
-    assert total_rows == 100
-    paths = {r.partition_id: r.path for r in recs}
-    mtimes = {p: os.path.getmtime(paths[p]) for p in paths}
-    # second run with a fresh manifest object on the same dir: everything
-    # already committed -> nothing rewritten
-    m2 = CheckpointManifest(str(tmp_path / "ckpt"))
-    recs2 = write_partitioned(_toy_ds(), out, "k", m2, sequence=1)
-    assert recs2 == []
-    for p in paths:
-        assert os.path.getmtime(paths[p]) == mtimes[p]
+    for form, toy in TOY_FORMS.items():
+        out = str(tmp_path / form / "out")
+        m = CheckpointManifest(str(tmp_path / form / "ckpt"))
+        recs = write_partitioned(toy(), out, "k", m, sequence=1)
+        assert [r.partition_id for r in recs] == ["a", "b"]  # key order
+        total_rows = sum(r.rows for r in recs)
+        assert total_rows == 100
+        paths = {r.partition_id: r.path for r in recs}
+        mtimes = {p: os.path.getmtime(paths[p]) for p in paths}
+        # rows keep their input order within a partition
+        assert pq.read_table(paths["b"])["v"].to_pylist() == list(range(0, 100, 3))
+        # second run with a fresh manifest object on the same dir:
+        # everything already committed -> nothing rewritten
+        m2 = CheckpointManifest(str(tmp_path / form / "ckpt"))
+        recs2 = write_partitioned(toy(), out, "k", m2, sequence=1)
+        assert recs2 == []
+        for p in paths:
+            assert os.path.getmtime(paths[p]) == mtimes[p]
 
 
 def test_write_partitioned_partial_resume(tmp_path):
-    out = str(tmp_path / "out")
-    m = CheckpointManifest(str(tmp_path / "ckpt"))
-    # simulate a prior run that finished only partition "a"
-    m.stage(PartitionRecord("a", rows=67, bytes=1))
-    m.commit()
-    m2 = CheckpointManifest(str(tmp_path / "ckpt"))
-    recs = write_partitioned(_toy_ds(), out, "k", m2, sequence=3)
-    assert {r.partition_id for r in recs} == {"b"}  # only the missing one
-    t = pq.read_table(recs[0].path)
-    assert set(t["k"].to_pylist()) == {"b"}
-    assert m2.sequence is None or m2.sequence == 3
-    m3 = CheckpointManifest(str(tmp_path / "ckpt"))
-    assert m3.done() == {"a", "b"}
+    for form, toy in TOY_FORMS.items():
+        out = str(tmp_path / form / "out")
+        ckpt = str(tmp_path / form / "ckpt")
+        m = CheckpointManifest(ckpt)
+        # simulate a prior run that finished only partition "a"
+        m.stage(PartitionRecord("a", rows=67, bytes=1))
+        m.commit()
+        m2 = CheckpointManifest(ckpt)
+        recs = write_partitioned(toy(), out, "k", m2, sequence=3)
+        assert {r.partition_id for r in recs} == {"b"}  # only the missing one
+        t = pq.read_table(recs[0].path)
+        assert set(t["k"].to_pylist()) == {"b"}
+        assert m2.sequence is None or m2.sequence == 3
+        m3 = CheckpointManifest(ckpt)
+        assert m3.done() == {"a", "b"}
 
 
 def test_write_partitioned_checks_max_keys_before_writing(tmp_path):
+    for form, toy in TOY_FORMS.items():
+        out = str(tmp_path / form / "out")
+        ckpt = str(tmp_path / form / "ckpt")
+        m = CheckpointManifest(ckpt)
+        with pytest.raises(ValueError, match="2 partitions exceeds max_keys=1"):
+            write_partitioned(toy(), out, "k", m, sequence=1, max_keys=1)
+        assert [f for _d, _s, files in os.walk(out) for f in files] == []
+        assert m._staged == {}
+        assert not os.path.exists(m.path)
+        # the census counts pending keys only: with "a" done, "b" fits
+        m.stage(PartitionRecord("a", rows=67, bytes=1))
+        m.commit()
+        recs = write_partitioned(toy(), out, "k", m, sequence=2, max_keys=1)
+        assert [r.partition_id for r in recs] == ["b"]
+        assert CheckpointManifest(ckpt).sequence == 2
+
+
+def test_write_partitioned_empty_table_writes_nothing(tmp_path):
     out = str(tmp_path / "out")
     m = CheckpointManifest(str(tmp_path / "ckpt"))
-    with pytest.raises(ValueError, match="2 partitions exceeds max_keys=1"):
-        write_partitioned(_toy_ds(), out, "k", m, sequence=1, max_keys=1)
-    assert [f for _d, _s, files in os.walk(out) for f in files] == []
+    recs = write_partitioned(_toy_table().slice(0, 0), out, "k", m, commit=False)
+    assert recs == []
+    assert not os.path.exists(out)
     assert m._staged == {}
-    assert not os.path.exists(m.path)
-    # the census counts pending keys only: with "a" done, "b" fits
-    m.stage(PartitionRecord("a", rows=67, bytes=1))
-    m.commit()
-    recs = write_partitioned(_toy_ds(), out, "k", m, sequence=2, max_keys=1)
-    assert [r.partition_id for r in recs] == ["b"]
-    assert CheckpointManifest(str(tmp_path / "ckpt")).sequence == 2
+
+
+def test_sequential_update_starts_no_ray(tmp_path):
+    """run_update on a synthetic diff in a fresh interpreter: Ray is
+    not initialized before, during (a ray.data call would auto-start a
+    local cluster) or after the run."""
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import ray
+from osm_replication_rust_ray.pipelines.update import run_update
+from osm_replication_rust_ray.state.manifest import CheckpointManifest
+from resume_kill_child import load_inputs, seed_store
+
+work = sys.argv[1]
+assert not ray.is_initialized()
+store = seed_store("synthetic", work)
+changes, tree, parent = load_inputs("synthetic", work)
+m = CheckpointManifest(work + "/ckpt")
+assert run_update({1: changes}, store, tree, parent, work + "/diffs", m) == [1]
+assert m.done(), "no partition written"
+assert not ray.is_initialized()
+print("NO_RAY")
+"""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([os.path.dirname(here), here]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "NO_RAY" in proc.stdout
 
 
 def test_update_pipeline_end_to_end(tmp_path):
@@ -154,6 +214,31 @@ def test_update_multi_sequence_writes_every_batch(tmp_path):
         assert pq.read_table(rec["path"]).num_rows == rec["rows"]
 
 
+def test_update_multi_sequence_writes_every_batch_synthetic(tmp_path):
+    """The multi-sequence regression on synthetic inputs: two
+    synth_changes sequences over a 4000-element store and the
+    12-polygon tree each write their own partitions."""
+    from osm_replication_rust_ray.pipelines.update import run_update
+    from osm_replication_rust_ray.sources.synth import synth_changes
+    from resume_kill_child import load_inputs, seed_store
+
+    work = str(tmp_path)
+    store = seed_store("synthetic", work)
+    _changes, tree, parent = load_inputs("synthetic", work)
+    diffs = {k: synth_changes(2000, seq=k) for k in (1, 2)}
+    m = CheckpointManifest(f"{work}/ckpt")
+    assert run_update(diffs, store, tree, parent, f"{work}/diffs", m) == [1, 2]
+    m2 = CheckpointManifest(f"{work}/ckpt")
+    assert m2.sequence == 2
+    for seq in (1, 2):
+        recs = [r for pid, r in m2._state["partitions"].items()
+                if pid.startswith(f"seq={seq}/")]
+        assert recs, f"seq={seq} wrote no partitions"
+        for rec in recs:
+            assert rec["rows"] > 0
+            assert pq.read_table(rec["path"]).num_rows == rec["rows"]
+
+
 def _snapshot_bytes(root: str) -> dict[str, bytes]:
     out = {}
     for dirpath, _dirs, files in os.walk(root):
@@ -172,8 +257,6 @@ def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture",
     ``crashed(db_dir)``, if given, checks the store the kill left."""
     import subprocess
     import sys
-
-    import ray
 
     from osm_replication_rust_ray.pipelines.update import run_update
     from resume_kill_child import load_inputs, seed_store
@@ -197,7 +280,6 @@ def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture",
     setup(crash)
     env = dict(
         os.environ,
-        RAY_GCS=ray.get_runtime_context().gcs_address,
         WORK_DIR=crash,
         KILL_POINT=kill_point,
         RESUME_INPUTS=inputs,
@@ -218,10 +300,17 @@ def _kill_resume_case(tmp_path, kill_point: str, inputs: str = "fixture",
     if crashed is not None:
         crashed(f"{crash}/db")
 
-    # resume: reopen everything fresh (a new process would) and re-run
+    # resume: reopen everything fresh (a new process would) and re-run.
+    # Only partitions whose lineage committed must be skipped; a file
+    # that landed without lineage (mid_write) may be rewritten.
+    committed = {
+        os.path.normpath(rec["path"])
+        for rec in m_crashed._state["partitions"].values()
+    }
     pre_mtimes = {
         rel: os.path.getmtime(os.path.join(crash, "diffs", rel))
         for rel in _snapshot_bytes(f"{crash}/diffs")
+        if os.path.normpath(os.path.join(crash, "diffs", rel)) in committed
     }
     store_r = ElementStore(f"{crash}/db")
     done = run_update(
@@ -272,6 +361,22 @@ def test_resume_after_kill_mid_delta_synthetic(ray_session, tmp_path):
         assert not os.path.exists(f"{db}/deltas/ways")
 
     _kill_resume_case(tmp_path, "mid_delta", inputs="synthetic", crashed=crashed)
+
+
+def test_resume_after_kill_mid_write_synthetic(tmp_path):
+    """SIGKILL inside the partition write, right after the first
+    partition file landed and before any lineage was staged: the
+    landed file is already byte-final, no seq=1/ lineage exists, and
+    the resumed run rewrites that partition to the same bytes."""
+
+    def crashed(db):
+        work = os.path.dirname(db)
+        landed = [f for _d, _s, files in os.walk(f"{work}/diffs") for f in files]
+        assert landed == ["part-0.parquet"]
+        partitions = CheckpointManifest(f"{work}/ckpt")._state["partitions"]
+        assert not [pid for pid in partitions if pid.startswith("seq=1/")]
+
+    _kill_resume_case(tmp_path, "mid_write", inputs="synthetic", crashed=crashed)
 
 
 def test_resume_after_kill_in_fold_synthetic(ray_session, tmp_path):

@@ -178,6 +178,72 @@ def test_run_replication_file_mirror(ray_session, tmp_path, mirror):
     assert again == []
 
 
+def test_run_replication_file_mirror_synthetic(tmp_path):
+    """The file:// mirror drive on synthetic inputs: synth_changes
+    sequences 2..3 served as .osc.gz with state files, a 4000-element
+    store and the 12-polygon tree.  The partition files are byte-equal
+    to run_update's over the same parsed diffs."""
+    import pathlib
+
+    import pyarrow.parquet as pq
+    from resume_kill_child import load_inputs, seed_store
+
+    from osm_replication_rust_ray.pipelines.update import run_update
+    from osm_replication_rust_ray.sources.osmxml import elements_to_osc, parse_osm_xml
+    from osm_replication_rust_ray.sources.synth import synth_changes
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    m = tmp_path / "mirror"
+    for n in (2, 3):
+        (m / seq_split(n)[:7]).mkdir(parents=True, exist_ok=True)
+        with gzip.open(m / (seq_split(n) + ".osc.gz"), "wt", encoding="utf-8") as f:
+            f.write(elements_to_osc(synth_changes(2000, seq=n), change=True))
+        (m / (seq_split(n) + ".state.txt")).write_text(f"sequenceNumber={n}\n")
+    (m / "state.txt").write_text("sequenceNumber=3\n")
+
+    diffs = tmp_path / "diffs"
+    (diffs / "planet" / "minute").mkdir(parents=True)
+    (diffs / "planet" / "minute" / "state.txt").write_text("sequenceNumber=1\n")
+    work = str(tmp_path / "repl")
+    store = seed_store("synthetic", work)
+    _changes, tree, parent = load_inputs("synthetic", work)
+    manifest = CheckpointManifest(f"{work}/ckpt")
+    done = run_replication(
+        store, tree, parent, str(diffs), f"file://{m}/", f"{work}/out", manifest,
+    )
+    assert done == [2, 3]
+    link = diffs / "planet" / "minute" / "state.txt"
+    assert os.readlink(link) == "000/000/003.state.txt"
+    assert CheckpointManifest(f"{work}/ckpt").sequence == 3
+    bbox = diffs / "bbox" / "minute" / "000/000/003.osc.gz"
+    assert any(v is not None for v in parse_osm_xml(str(bbox))["minlat"].to_pylist())
+    st = diffs / "bbox" / "minute" / "000/000/003.state.txt"
+    assert read_state_from_file(str(st)) == 3
+    assert os.readlink(diffs / "bbox" / "minute" / "state.txt") == "000/000/003.state.txt"
+
+    ref = str(tmp_path / "ref")
+    changes = {
+        n: parse_osm_xml(str(diffs / "planet" / "minute" / (seq_split(n) + ".osc.gz")))
+        for n in (2, 3)
+    }
+    run_update(changes, seed_store("synthetic", ref), tree, parent, f"{ref}/out",
+               CheckpointManifest(f"{ref}/ckpt"))
+
+    def parts(root):
+        return {
+            os.path.relpath(p, root): p.read_bytes()
+            for p in sorted(pathlib.Path(root).rglob("*.parquet"))
+        }
+
+    got = parts(f"{work}/out")
+    assert {rel.split(os.sep)[0] for rel in got} == {"seq=2", "seq=3"}
+    assert all(pq.read_metadata(os.path.join(work, "out", rel)).num_rows for rel in got)
+    assert got == parts(f"{ref}/out")
+    assert run_replication(
+        store, tree, parent, str(diffs), f"file://{m}/", f"{work}/out", manifest,
+    ) == []
+
+
 def test_run_replication_max_state_clamp(ray_session, tmp_path, mirror):
     from osm_replication_rust_ray.cli import _load_tree
     from osm_replication_rust_ray.sources.store import ElementStore
