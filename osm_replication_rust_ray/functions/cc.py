@@ -34,10 +34,10 @@ Raises FixpointCapError if max_rounds is exhausted before convergence
 
 Round-5 regimes (round-4 verdict item #1):
 
-- **local** (symmetrized edge rows under ``GRAFT_CC_LOCAL_ROWS``,
-  default 32M ~= 0.5 GB): ONE remote task runs the same min-label
-  propagation as a numpy kernel over the collected edge arrays —
-  no per-round shuffles, no per-round driver barriers.  Probe
+- **local** (symmetrized edge rows under ``LOCAL_ROWS``): ONE remote
+  task runs the same min-label propagation as a numpy kernel over the
+  collected edge arrays — no per-round shuffles, no per-round driver
+  barriers.  Probe
   (tools/graph_probe.py, 750k-edge subgraph, 1.05M nodes): the
   shuffle fixpoint took 88.9 s; the local kernel is ~2 s.
 - **shuffle** (above the crossover): the join fixpoint below, with
@@ -45,11 +45,9 @@ Round-5 regimes (round-4 verdict item #1):
   tasks fused into the round's materialization instead of a separate
   ``Dataset.aggregate`` execution.
 
-``GRAFT_CC_MODE=local|shuffle`` forces a regime for parity tests.
+Parity tests force a regime by patching ``LOCAL_ROWS``.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -57,14 +55,16 @@ import pyarrow as pa
 from ..stages.dist import FixpointCapError, reroot, safe_join
 from ..tuning import join_partitions
 from .agg import sorted_distinct, sorted_segment_aggregate
+from .graphlocal import col_concat, run_local
 
 
-def _cc_mode() -> str:
-    return os.environ.get("GRAFT_CC_MODE", "auto")
-
-
-def _cc_local_rows() -> int:
-    return int(os.environ.get("GRAFT_CC_LOCAL_ROWS", str(32_000_000)))
+# Symmetrized edge rows under which the local regime runs: 32M rows
+# ~= 0.5 GB of int64 (src, dst) in plasma.  The kernel's peak RSS is
+# far larger (np.unique with return_inverse, per-round label copies):
+# tools/kernel_rss_probe.py measured 237 / 371 / 638 / 1172 MB at
+# 1M / 2M / 4M / 8M rows (random graph with rows/4 nodes, input
+# included), ~140 B per row, so ~4.6 GB peak at this default.
+LOCAL_ROWS = 32_000_000
 
 
 def _cc_local_kernel(tables: list[pa.Table],
@@ -72,8 +72,6 @@ def _cc_local_kernel(tables: list[pa.Table],
     """Min-label propagation + pointer doubling over numpy arrays —
     the local-regime twin of the join fixpoint (identical fixpoint:
     per-component minimum node id)."""
-    from .graphlocal import col_concat
-
     a = col_concat(tables, "src")
     b = col_concat(tables, "dst")
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
@@ -159,21 +157,9 @@ def connected_components(edges, max_rounds: int = 64,
                 }
             )
         )
-    mode = _cc_mode()
-    if mode == "local" or (mode != "shuffle" and n_sym <= _cc_local_rows()):
-        import ray
-        import ray.data as rd
-
-        kern = ray.remote(
-            lambda refs, mr=max_rounds: _cc_local_kernel(
-                [ray.get(r) for r in refs], mr))
-        ref = kern.remote(edges_sym.to_arrow_refs())
-        # surface FixpointCapError NOW (matching the shuffle path's
-        # eager raise) via a row-count probe task — the table itself
-        # stays in the object store, nothing data-sized hits the driver
-        probe = ray.remote(lambda t: t.num_rows)
-        ray.get(probe.remote(ref))
-        return rd.from_arrow_refs([ref])
+    if n_sym <= LOCAL_ROWS:
+        # raises FixpointCapError here, as the shuffle path does
+        return run_local(_cc_local_kernel, edges_sym, max_rounds)
 
     labels = sorted_distinct(
         edges_sym.map_batches(

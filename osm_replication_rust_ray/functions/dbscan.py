@@ -31,6 +31,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .graphlocal import col_concat, run_local
+
+# Points under which the single-task regime runs.
+LOCAL_ROWS = 262_144
+
 
 def _pack_cell(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """(cx, cy) -> one int64 join key.  Shift-xor pack: collisions
@@ -132,10 +137,12 @@ def _local_pairs(xs: np.ndarray, ys: np.ndarray, eps: int):
     return np.concatenate(pi), np.concatenate(pj)
 
 
-def dbscan_local(pids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 eps: int, min_pts: int) -> pa.Table:
-    """Single-task regime: full DBSCAN in numpy + union-find.  Same
-    conventions as the distributed path (parity pinned by test)."""
+def dbscan_local(tables: list[pa.Table], eps: int,
+                 min_pts: int) -> pa.Table:
+    """Single-task regime: full DBSCAN in numpy + union-find over the
+    (pid, x, y) blocks.  Same conventions as the distributed path
+    (parity pinned by test)."""
+    pids, xs, ys = (col_concat(tables, c) for c in ("pid", "x", "y"))
     n = len(pids)
     pi, pj = _local_pairs(xs, ys, eps)
     deg = np.bincount(pi, minlength=n)
@@ -179,29 +186,19 @@ def dbscan(pts, eps: int, min_pts: int, n_part: int, est_pts: int):
     """-> Dataset (pid, role, cluster_rep): role in
     {'core','border','noise'}, cluster_rep = min core id of the
     cluster (-1 for noise)."""
-    import os
-
     import ray.data as rd
 
     from ..functions.agg import sorted_segment_aggregate
     from ..functions.cc import connected_components
     from ..stages.dist import safe_join
 
-    local_rows = int(os.environ.get("GRAFT_DBSCAN_LOCAL_ROWS", "262144"))
-    if 0 < est_pts <= local_rows:
+    if 0 < est_pts <= LOCAL_ROWS:
         # single-task regime (the cardinality ladder, same rule as
         # pagerank/agg): at kilopoint scale the distributed path's
         # ~8 join barriers + CC rounds cost ~1 min where the
         # arithmetic costs ms.  Identical conventions; regime parity
         # pinned by test_dbscan_regime_parity.
-        def run(b: pa.Table) -> pa.Table:
-            return dbscan_local(
-                b["pid"].to_numpy(zero_copy_only=False),
-                b["x"].to_numpy(zero_copy_only=False),
-                b["y"].to_numpy(zero_copy_only=False), eps, min_pts)
-
-        return pts.repartition(1).map_batches(
-            run, batch_format="pyarrow", batch_size=None)
+        return run_local(dbscan_local, pts, eps, min_pts)
 
     pairs = eps_neighbor_pairs(pts, eps, n_part, est_pts).materialize()
 

@@ -7,8 +7,8 @@ per-round join/sort/anti-join barriers of the distributed formulation
 (``pipelines/queries.py:q_bfs_hops`` / ``q_random_walks``) disappear.
 
 Both kernels are exact twins of the distributed semantics (pinned by
-``tests/test_graph_local.py`` parity tests, both regimes forced via
-``GRAFT_GRAPH_LOCAL_ROWS``):
+``tests/test_graph_local.py`` parity tests, both regimes forced by
+patching ``LOCAL_ROWS``):
 
 - BFS: min-hops from the seed set over the symmetrized graph, capped
   at ``max_hops``; isolated seeds report hops 0.
@@ -19,16 +19,25 @@ Both kernels are exact twins of the distributed semantics (pinned by
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
+# Edge-count crossover below which the BFS / walk / HITS / label-
+# propagation queries run their single-task kernels.
+LOCAL_ROWS = 8_000_000
 
-def graph_local_rows() -> int:
-    """Edge-count crossover below which the BFS/walk queries run the
-    single-task kernels (0 disables them for parity testing)."""
-    return int(os.environ.get("GRAFT_GRAPH_LOCAL_ROWS", str(8_000_000)))
+
+def run_local(kernel, ds, *args):
+    """Run ``kernel(tables, *args)`` as ONE Ray task over ``ds``'s
+    blocks — the whole iteration of a single-task regime.  The result
+    table stays in the object store; a kernel error (e.g.
+    ``FixpointCapError``) raises here, because ``from_arrow_refs``
+    fetches the result's metadata eagerly."""
+    import ray
+    import ray.data as rd
+
+    task = ray.remote(lambda refs: kernel([ray.get(r) for r in refs], *args))
+    return rd.from_arrow_refs([task.remote(ds.to_arrow_refs())])
 
 
 def col_concat(tables: list[pa.Table], name: str) -> np.ndarray:

@@ -25,8 +25,6 @@ weighting of a crawl graph before sampling).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
@@ -37,19 +35,17 @@ SCALE = 1_000_000
 TELEPORT = 150_000  # (SCALE * 15) // 100
 DAMP_NUM, DAMP_DEN = 85, 100
 
+# Crossover for the single-task local regime, on BOTH the node and the
+# edge count (same cardinality ladder as functions/agg.py): under it the
+# per-round Ray machinery costs seconds where the arithmetic costs ms.
+LOCAL_ROWS = 262_144
+
 # Crossover for the broadcast-rank regime: two int64 arrays, so 16 B
 # per node — 20M nodes = 320 MB shipped once per node per round, paid
 # back by removing the edges-side all-to-all (measured ~8.6 s/round at
 # 10M edges).  Past it — always at crawl-graph web scale — the shuffle
 # join runs and ranks never leave the cluster.
-_BROADCAST_ROWS = 20_000_000
-
-
-def _rank_rows(limit: int | None = None) -> int:
-    if limit is not None:
-        return limit
-    return int(os.environ.get("GRAFT_PAGERANK_BROADCAST_ROWS",
-                              str(_BROADCAST_ROWS)))
+BROADCAST_ROWS = 20_000_000
 
 
 def pagerank(nodes, edges, n_iter: int = 3, est_nodes: int | None = None):
@@ -58,38 +54,29 @@ def pagerank(nodes, edges, n_iter: int = 3, est_nodes: int | None = None):
     outdeg is src's TOTAL out-degree.  Returns a Dataset (v, rank)
     after ``n_iter`` exact fixed-point iterations.
 
-    Two data-movement regimes, same arithmetic (results identical, as
-    pinned by tests/test_pagerank.py parity):
+    Three regimes, same arithmetic (results identical, as pinned by
+    tests/test_pagerank.py parity):
 
-    - **broadcast-rank** (node count under the crossover, or
-      ``GRAFT_JOIN_MODE=broadcast``): the rank vector lives as a
-      sorted (v, rank) array pair, shipped via ``ray.put`` once per
-      round; each edge block resolves src ranks by binary search
+    - **local** (nodes AND edges under ``LOCAL_ROWS``): the whole
+      iteration as one numpy job (``_pagerank_local``).
+    - **broadcast-rank** (nodes under ``BROADCAST_ROWS``): the rank
+      vector lives as a sorted (v, rank) array pair, shipped via
+      ``ray.put`` once per round; each edge block resolves src ranks
+      by binary search
       (``np.searchsorted`` — no per-block hash build, the measured
       failure mode of large broadcast Acero joins), leaving ONE
       all-to-all per round (the dst aggregate).  This is the
       round-fusion trick from the distributed diff path applied to
       the iterative-join pattern.
-    - **shuffle** (past the crossover, or ``GRAFT_JOIN_MODE=shuffle``):
-      per round one src-keyed shuffle join + the dst aggregate; ranks
-      never reach the driver, driver state O(1).
+    - **shuffle** (past both crossovers): per round one src-keyed
+      shuffle join + the dst aggregate; ranks never reach the driver,
+      driver state O(1).
     """
-    mode = os.environ.get("GRAFT_JOIN_MODE", "auto")
-    if mode != "shuffle":
-        n_nodes = est_nodes if est_nodes is not None else nodes.count()
-        if mode == "auto":
-            local_rows = int(os.environ.get(
-                "GRAFT_PAGERANK_LOCAL_ROWS", "262144"))
-            if n_nodes <= local_rows and edges.count() <= local_rows:
-                # third regime, same cardinality-driven ladder as
-                # functions/agg.py: under the single-task threshold the
-                # whole iteration is one numpy job — per-round Ray
-                # machinery (3x aggregate + materialize) costs seconds
-                # at kilonode scale where the arithmetic costs ms.
-                # Identical floor arithmetic; parity pinned in tests.
-                return _pagerank_local(nodes, edges, n_iter)
-        if mode == "broadcast" or n_nodes <= _rank_rows():
-            return _pagerank_broadcast(nodes, edges, n_iter)
+    n_nodes = est_nodes if est_nodes is not None else nodes.count()
+    if n_nodes <= LOCAL_ROWS and edges.count() <= LOCAL_ROWS:
+        return _pagerank_local(nodes, edges, n_iter)
+    if n_nodes <= BROADCAST_ROWS:
+        return _pagerank_broadcast(nodes, edges, n_iter)
     edges = edges.materialize()  # static across rounds
     # size the per-round shuffle to the MEASURED edge table (the bigger
     # join side), not the parameterless floor of 2 partitions
@@ -187,10 +174,10 @@ def _merge_round(vs, ranks_len, dst, new_rank):
 
 def _pagerank_local(nodes, edges, n_iter: int):
     """Single-task regime: the full iteration in one numpy pass over a
-    driver-resident edge table (gated by GRAFT_PAGERANK_LOCAL_ROWS on
-    BOTH node and edge counts).  Arithmetic and corner semantics are
-    the broadcast regime's exactly — inner-join src drop, teleport
-    floor, non-node dsts joining the vector."""
+    driver-resident edge table (gated by ``LOCAL_ROWS`` on BOTH node
+    and edge counts).  Arithmetic and corner semantics are the
+    broadcast regime's exactly — inner-join src drop, teleport floor,
+    non-node dsts joining the vector."""
     import ray
     import ray.data as rd
 

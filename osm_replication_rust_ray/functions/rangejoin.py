@@ -42,10 +42,10 @@ def range_join(
     ``points`` keeps all its columns; interval columns ride along.
     Both sides stream; the only wide op is the bucket equi-join — and
     when the caller's footer-metadata hints prove the covered interval
-    table small (stages/dist._broadcast_limits crossover), that join
-    runs broadcast per streamed point block instead, skipping the
-    hash-shuffle aggregator pool's fixed cost.  Hints of 0 (unknown)
-    keep the shuffle path — the scale-safe default.
+    table small (the stages/dist.BROADCAST_ROWS / _BYTES crossover),
+    that join runs broadcast per streamed point block instead,
+    skipping the hash-shuffle aggregator pool's fixed cost.  Hints of
+    0 (unknown) keep the shuffle path — the scale-safe default.
     """
     int_cols = list(intervals.schema().names)
     pt_cols = list(points.schema().names)

@@ -15,13 +15,13 @@ once, at its lowest-ranked vertex.
 Two regimes (round-4 verdict item #1 — the join pipeline's four
 hash shuffles dominated wall time at probe scale, 256k edges/s):
 
-- **broadcast-parallel** (default under ``GRAFT_TRI_BCAST_EDGES``
-  edges, 64M ~= 1.5 GB of CSR+keys in plasma): ONE build task sorts
-  the oriented adjacency into CSR form and the canonical edge set
-  into a packed sorted key array, both shared zero-copy through the
-  object store; vertex-range worker tasks then expand wedges and
-  verify adjacency by ``searchsorted`` — no shuffle anywhere, the
-  only exchange is the bounded per-task (node, count) partials.
+- **broadcast-parallel** (default under ``BCAST_EDGES`` edges): ONE
+  build task sorts the oriented adjacency into CSR form and the
+  canonical edge set into a packed sorted key array, both shared
+  zero-copy through the object store; vertex-range worker tasks then
+  expand wedges and verify adjacency by ``searchsorted`` — no shuffle
+  anywhere, the only exchange is the bounded per-task (node, count)
+  partials.
   This is the single-node/per-node-replica regime: at 10^12-row
   scale a per-node copy of the graph no longer fits and the join
   pipeline below takes over (same crossover posture as
@@ -36,27 +36,26 @@ hash shuffles dominated wall time at probe scale, 256k edges/s):
      edge table on BOTH key columns
   -> per-node counts (each triangle credits its 3 corners).
 
-``GRAFT_TRI_MODE=broadcast|shuffle`` forces a regime for parity
-tests.  Measured (tools/graph_probe.py, 2M nodes / 12M edges,
-32 CPUs): shuffle 46.8 s (256k edges/s) -> broadcast-parallel
-meets the >=300k edges/s bar with the identical (node, n_tri) rows.
+Parity tests force a regime by patching ``BCAST_EDGES``.  Measured
+(tools/graph_probe.py, 2M nodes / 12M edges, 32 CPUs): shuffle 46.8 s
+(256k edges/s) -> broadcast-parallel meets the >=300k edges/s bar with
+the identical (node, n_tri) rows.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _tri_mode() -> str:
-    return os.environ.get("GRAFT_TRI_MODE", "auto")
-
-
-def _tri_bcast_edges() -> int:
-    return int(os.environ.get("GRAFT_TRI_BCAST_EDGES", str(64_000_000)))
+# Edges under which the broadcast-parallel regime runs: 64M edges ~=
+# 1.5 GB of CSR + keys in plasma.  The build task's peak RSS is far
+# larger (np.unique with return_inverse, orientation and argsort
+# temporaries): tools/kernel_rss_probe.py measured 259 / 414 / 719 /
+# 1333 MB at 1M / 2M / 4M / 8M edges (random graph with edges/8
+# nodes, input included), ~161 B per edge, so ~10.4 GB peak at this
+# default.
+BCAST_EDGES = 64_000_000
 
 
 def _pairs_in_segments(lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +197,7 @@ def _triangle_counts_broadcast(edges, est_edges: int):
 def triangle_counts(edges, n_part: int, est_edges: int, est_nodes: int):
     """``edges``: Dataset (a, b) int64, canonical ``a < b``, distinct.
     Returns a Dataset (node, n_tri) over nodes in >= 1 triangle."""
-    mode = _tri_mode()
-    if mode == "broadcast" or (
-            mode != "shuffle" and est_edges <= _tri_bcast_edges()):
+    if est_edges <= BCAST_EDGES:
         return _triangle_counts_broadcast(edges, est_edges)
     return _triangle_counts_shuffle(edges, n_part, est_edges, est_nodes)
 

@@ -38,6 +38,7 @@ from ..functions.text import (
 )
 from ..geom import MultiPolygon
 from ..stages.decode import ImageHarness, resize_bilinear_fixed
+from ..stages.dist import crossover_join
 from ..tuning import (
     est_tasks,
     join_partitions,
@@ -58,16 +59,6 @@ def _fill0(col) -> np.ndarray:
     """An int64 column with nulls as 0, exact at every magnitude (no
     float64 round trip)."""
     return pc.fill_null(pc.cast(col, pa.int64()), 0).to_numpy(zero_copy_only=False)
-
-
-def _crossover_join(left, right, on: tuple, right_on: tuple | None,
-                    n_part: int, est_rows: int, est_bytes: int):
-    """See ``stages/dist.crossover_join`` — the shared metadata-driven
-    broadcast-vs-shuffle inner join (honors GRAFT_JOIN_MODE)."""
-    from ..stages.dist import crossover_join
-
-    return crossover_join(left, right, on, right_on, n_part,
-                          est_rows, est_bytes)
 
 
 # =====================================================================
@@ -1424,22 +1415,18 @@ def q_random_walks(sf_dir: str):
     import ray.data as rd
 
     from ..functions.agg import sorted_segment_aggregate
-    from ..functions.graphlocal import graph_local_rows, walks_local
+    from ..functions import graphlocal
     from ..sources.synth import _mix64
-    from ..stages.dist import crossover_join, safe_join
+    from ..stages.dist import safe_join
 
     edges, n, m = _tri_edges(sf_dir)
     edges = edges.materialize()
-    if m <= graph_local_rows():
+    if m <= graphlocal.LOCAL_ROWS:
         # local regime — see q_bfs_hops; parity pinned by
         # tests/test_graph_local.py
-        import ray
-
-        kern = ray.remote(
-            lambda refs, n=n: walks_local(
-                [ray.get(r) for r in refs], n, WALK_SEED_MOD,
-                WALK_STEPS, _WALK_C1, _WALK_C2))
-        return rd.from_arrow_refs([kern.remote(edges.to_arrow_refs())])
+        return graphlocal.run_local(
+            graphlocal.walks_local, edges, n, WALK_SEED_MOD, WALK_STEPS,
+            _WALK_C1, _WALK_C2)
     sym = edges.map_batches(
         lambda b: pa.table({
             "src": pa.array(np.concatenate([
@@ -2623,23 +2610,18 @@ def q_bfs_hops(sf_dir: str):
     import ray.data as rd
 
     from ..functions.agg import sorted_distinct
-    from ..functions.graphlocal import bfs_local, graph_local_rows
-    from ..stages.dist import crossover_join, safe_join
+    from ..functions import graphlocal
+    from ..stages.dist import safe_join
 
     edges, n, m = _tri_edges(sf_dir)
     edges = edges.materialize()
-    if m <= graph_local_rows():
+    if m <= graphlocal.LOCAL_ROWS:
         # local regime (round-4 verdict item #1): the whole BSP
         # iteration as ONE numpy task — no per-hop join/distinct/
         # anti-join barriers; parity vs the distributed path pinned
         # by tests/test_graph_local.py
-        import ray
-
-        kern = ray.remote(
-            lambda refs, n=n: bfs_local(
-                [ray.get(r) for r in refs], n, BFS_SEED_MOD,
-                BFS_MAX_HOPS))
-        return rd.from_arrow_refs([kern.remote(edges.to_arrow_refs())])
+        return graphlocal.run_local(
+            graphlocal.bfs_local, edges, n, BFS_SEED_MOD, BFS_MAX_HOPS)
     sym = edges.map_batches(
         lambda b: pa.table({
             "src": pa.array(np.concatenate([
@@ -3977,6 +3959,35 @@ SELECT d.doc_id, CAST(coalesce(h.n_hits, 0) AS BIGINT) AS n_hits,
 FROM documents d LEFT JOIN hits h USING (doc_id)"""
 
 
+def _dup_spans_broadcast(docs, dup, k: int, n_docs: int):
+    """q_dup_spans's broadcast regime: the sorted duplicated-hash set
+    ships once via ``ray.put`` and one more corpus pass counts hits
+    per document — no join."""
+    import ray
+
+    from ..functions.dupspans import DupSpanScorer
+
+    chunks = [
+        b["wh"].to_numpy(zero_copy_only=False)
+        for b in dup.iter_batches(batch_format="pyarrow")
+    ]
+    arr = np.sort(
+        np.concatenate(chunks).astype(np.uint64)
+        if chunks
+        else np.empty(0, np.uint64)
+    )
+    return docs.map_batches(
+        DupSpanScorer,
+        fn_constructor_args=(ray.put(arr),),
+        fn_constructor_kwargs={"k": k},
+        batch_format="pyarrow",
+        batch_size=32768,
+        concurrency=pool_concurrency(
+            est_tasks(n_rows=n_docs, batch_rows=32768)
+        ),
+    )
+
+
 def q_dup_spans(sf_dir: str, k: int = 8):
     """Exact cross-document duplicated-span detection — the
     substring-dedup primitive of Lee et al. 2021 (see
@@ -3990,11 +4001,10 @@ def q_dup_spans(sf_dir: str, k: int = 8):
     per document (no join); past it the pair stream shuffle-joins the
     set back and per-doc counts come from grouped aggregates plus
     left-outer zero-fill.  Both regimes emit identical tables
-    (``tests/test_dupspans.py`` forces each via GRAFT_JOIN_MODE)."""
-    import ray
-
+    (``tests/test_dupspans.py`` forces each by patching the
+    ``stages.dist`` broadcast crossover)."""
     from ..functions.agg import adaptive_group_aggregate
-    from ..functions.dupspans import DupSpanScorer, PairEmitter
+    from ..functions.dupspans import PairEmitter
     from ..stages.dist import broadcast_decision, safe_join
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -4020,26 +4030,7 @@ def q_dup_spans(sf_dir: str, k: int = 8):
     dup = agg.map_batches(only_dup, batch_format="pyarrow").materialize()
     n_dup = dup.count()
     if broadcast_decision(max(n_dup, 1), max(8 * n_dup, 8)):
-        chunks = [
-            b["wh"].to_numpy(zero_copy_only=False)
-            for b in dup.iter_batches(batch_format="pyarrow")
-        ]
-        arr = np.sort(
-            np.concatenate(chunks).astype(np.uint64)
-            if chunks
-            else np.empty(0, np.uint64)
-        )
-        ref = ray.put(arr)
-        return docs.map_batches(
-            DupSpanScorer,
-            fn_constructor_args=(ref,),
-            fn_constructor_kwargs={"k": k},
-            batch_format="pyarrow",
-            batch_size=32768,
-            concurrency=pool_concurrency(
-                est_tasks(n_rows=n_docs, batch_rows=32768)
-            ),
-        )
+        return _dup_spans_broadcast(docs, dup, k, n_docs)
     # shuffle regime: dup set is corpus-sized — join it back into the
     # (materialized, keys-only) pair stream, then per-doc grouped
     # counts with left-outer zero-fill for short/unique docs
@@ -4197,9 +4188,10 @@ def q_corpus_filter(sf_dir: str, min_tokens: int = 20, max_tokens: int = 2000,
     ).drop_columns(["dup_key"])
     flags = rows.drop_columns(["dup_key"])
     # flags is (int64, bool) per doc — footer-estimated ~16 B/row
-    joined = _crossover_join(
+    joined = crossover_join(
         kept, flags, on=("doc_id",), right_on=None,
-        n_part=join_partitions(n_bytes=table_bytes(sf_dir, "documents")),
+        num_partitions=join_partitions(
+            n_bytes=table_bytes(sf_dir, "documents")),
         est_rows=table_rows(sf_dir, "documents"),
         est_bytes=table_rows(sf_dir, "documents") * 16,
     )
@@ -4743,9 +4735,9 @@ def q_minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, docs=None):
     # candidate pairs via SELF-JOIN on the band bucket (vectorized
     # C-level join either way; the broadcast arm kicks in under the
     # measured crossover — band table is 3 int64 cols = 24 B/row)
-    joined = _crossover_join(
+    joined = crossover_join(
         bands, bands.rename_columns({"doc_id": "doc_id_b"}),
-        on=("band", "band_key"), right_on=None, n_part=n_part,
+        on=("band", "band_key"), right_on=None, num_partitions=n_part,
         est_rows=n_docs * LSH_BANDS, est_bytes=n_docs * LSH_BANDS * 24,
     )
 
@@ -5487,14 +5479,14 @@ def q_embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.35,
     # collecting the corpus (round-3 verdict item #9)
     n_vecs = table_rows(sf_dir, "embeddings")
     vec_bytes = n_vecs * (8 + max(emb_dim, 1) * 8)
-    withv = _crossover_join(
+    withv = crossover_join(
         cand, vecs, on=("vec_id_a",), right_on=("vid",),
-        n_part=nparts, est_rows=n_vecs, est_bytes=vec_bytes,
+        num_partitions=nparts, est_rows=n_vecs, est_bytes=vec_bytes,
     )
-    withv = _crossover_join(
+    withv = crossover_join(
         withv, vecs.rename_columns({"vid": "vid_b", "vec": "vec_b"}),
         on=("vec_id_b",), right_on=("vid_b",),
-        n_part=nparts, est_rows=n_vecs, est_bytes=vec_bytes,
+        num_partitions=nparts, est_rows=n_vecs, est_bytes=vec_bytes,
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -6105,12 +6097,12 @@ def q_revenue_by_nation(sf_dir: str):
     # (round-3 verdict item #9: every join site crossover-routed or
     # annotated)
     n_cust = table_rows(sf_dir, "customer")
-    joined = _crossover_join(
+    joined = crossover_join(
         orders,
         cust,
         on=("o_custkey",),
         right_on=("c_custkey",),
-        n_part=join_partitions(n_bytes=table_bytes(sf_dir, "orders")),
+        num_partitions=join_partitions(n_bytes=table_bytes(sf_dir, "orders")),
         est_rows=n_cust,
         est_bytes=n_cust * 16,
     )
@@ -7177,9 +7169,10 @@ def q_ngram_jaccard(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    joined = _crossover_join(
+    joined = crossover_join(
         docs, shifted, on=("doc_id",), right_on=("doc_id_b",),
-        n_part=join_partitions(n_bytes=table_bytes(sf_dir, "documents")),
+        num_partitions=join_partitions(
+            n_bytes=table_bytes(sf_dir, "documents")),
         est_rows=table_rows(sf_dir, "documents"),
         est_bytes=table_bytes(sf_dir, "documents"),
     )
@@ -7425,11 +7418,11 @@ def q_phash_hamming(sf_dir: str, n_rows: int = 20000):
         bands, batch_format="pyarrow", batch_size=32768
     ).materialize()
 
-    joined = _crossover_join(
+    joined = crossover_join(
         band_ds,
         band_ds.rename_columns({"item_id": "item_id_b", "phash": "phash_b"}),
         on=("band", "key"), right_on=None,
-        n_part=join_partitions(n_bytes=n_items * 4 * 32),
+        num_partitions=join_partitions(n_bytes=n_items * 4 * 32),
         est_rows=n_items * 4, est_bytes=n_items * 4 * 32,
     )
 
@@ -10560,7 +10553,7 @@ def q_k_core(sf_dir: str):
     unroll depth) RAISES instead of silently diverging.  Measured
     rounds to fixpoint: 5 at sf0.001, 6 at sf0.01, 11 at sf0.1."""
     from ..functions.agg import adaptive_group_aggregate
-    from ..stages.dist import crossover_join, reroot
+    from ..stages.dist import reroot
 
     k = KCORE_K
     edges, n, m = _tri_edges(sf_dir)
@@ -10679,7 +10672,7 @@ def q_sssp_bounded(sf_dir: str):
     import ray.data as rd
 
     from ..functions.agg import adaptive_group_aggregate
-    from ..stages.dist import crossover_join, reroot, safe_join
+    from ..stages.dist import reroot, safe_join
 
     edges, n, m = _tri_edges(sf_dir)
     n_part = join_partitions(n_rows=2 * m)
@@ -11112,7 +11105,6 @@ def q_bigram_lm(sf_dir: str):
     import ray.data  # noqa: F401  (Dataset API via _read)
 
     from ..functions.agg import adaptive_group_aggregate
-    from ..stages.dist import crossover_join
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
@@ -11261,7 +11253,7 @@ def q_link_prediction(sf_dir: str):
     edge table to drop existing edges.  Node ids never exceed
     sqrt(2^63) at any supported scale, so the packed key is exact."""
     from ..functions.agg import sorted_segment_aggregate
-    from ..stages.dist import crossover_join, safe_join
+    from ..stages.dist import safe_join
 
     edges, n, m = _tri_edges(sf_dir)
     edges = edges.materialize()
@@ -12980,9 +12972,9 @@ def q_ewma_half(sf_dir: str, k: int = 16):
                          "cents": pa.array(c, pa.int64())})
 
     n_ev = table_rows(sf_dir, "events")
-    joined = _crossover_join(
+    joined = crossover_join(
         top, cents.map_batches(to_cents, batch_format="pyarrow"),
-        ("event_id",), None, n_part=16, est_rows=n_ev,
+        ("event_id",), None, num_partitions=16, est_rows=n_ev,
         est_bytes=n_ev * 16)
 
     def weight(b: pa.Table) -> pa.Table:
@@ -14063,7 +14055,7 @@ def q_assoc_rules(sf_dir: str):
         lambda b: b.filter(pc.greater_equal(b["cnt"], _AR_MINSUP)),
         batch_format="pyarrow")
     n_items = table_rows(sf_dir, "part")
-    wa = _crossover_join(
+    wa = crossover_join(
         surv.map_batches(
             lambda b: (lambda k: pa.table({
                 "p1": pa.array(k // _COP_PACK, pa.int64()),
@@ -14074,13 +14066,13 @@ def q_assoc_rules(sf_dir: str):
         item_counts.map_batches(
             lambda b: pa.table({"p1": b["part"], "cnt1": b["n"]}),
             batch_format="pyarrow"),
-        ("p1",), None, n_part=join_partitions(n_rows=n_items),
+        ("p1",), None, num_partitions=join_partitions(n_rows=n_items),
         est_rows=n_items, est_bytes=n_items * 16)
-    wb = _crossover_join(
+    wb = crossover_join(
         wa, item_counts.map_batches(
             lambda b: pa.table({"p2": b["part"], "cnt2": b["n"]}),
             batch_format="pyarrow"),
-        ("p2",), None, n_part=join_partitions(n_rows=n_items),
+        ("p2",), None, num_partitions=join_partitions(n_rows=n_items),
         est_rows=n_items, est_bytes=n_items * 16)
 
     def lift(b: pa.Table) -> pa.Table:
@@ -14151,7 +14143,7 @@ def q_dup_ratio_by_source(sf_dir: str, threshold: float = 0.5):
     clusters = q_dup_clusters(sf_dir, threshold).materialize()
     n_docs = table_rows(sf_dir, "documents")
     src = _read(sf_dir, "documents", columns=["doc_id", "source"])
-    lab = _crossover_join(
+    lab = crossover_join(
         src, clusters.map_batches(
             lambda b: pa.table({
                 "doc_id": b["doc_id"],
@@ -14160,7 +14152,7 @@ def q_dup_ratio_by_source(sf_dir: str, threshold: float = 0.5):
                      != b["cluster_rep"].to_numpy(zero_copy_only=False)
                      ).astype(np.int64), pa.int64()),
             }), batch_format="pyarrow"),
-        ("doc_id",), None, n_part=join_partitions(n_rows=n_docs),
+        ("doc_id",), None, num_partitions=join_partitions(n_rows=n_docs),
         est_rows=n_docs, est_bytes=n_docs * 16)
     # clustered rows per source (inner join above) + totals per source
     clustered = adaptive_group_aggregate(
@@ -14468,9 +14460,9 @@ def q_survivorship_dedup(sf_dir: str, threshold: float = 0.5):
             "doc_id": b["doc_id"],
             "tlen": pc.cast(pc.utf8_length(b["text"]), pa.int64()),
         }), batch_format="pyarrow")
-    joined = _crossover_join(
+    joined = crossover_join(
         clusters, lens, ("doc_id",), None,
-        n_part=join_partitions(n_rows=n_docs),
+        num_partitions=join_partitions(n_rows=n_docs),
         est_rows=n_docs, est_bytes=n_docs * 16)
 
     def pack(b: pa.Table) -> pa.Table:
@@ -14684,28 +14676,25 @@ def q_hits_scores(sf_dir: str):
     the same floor); then hub'[u] = sum over u->v of auth'[v],
     rescaled.  Deterministic; unrolled-CTE oracle.
 
-    Local single-task regime under GRAFT_GRAPH_LOCAL_ROWS (the graph
-    family ladder); the distributed path is two keys-only
+    Local single-task regime under ``graphlocal.LOCAL_ROWS`` edges (the
+    graph family ladder); the distributed path is two keys-only
     crossover-joins + grouped sums per round with a bounded max
     aggregate between half-steps.  Output (node, hub, auth) over all
     nodes (isolated nodes score 0)."""
     import ray.data as rd
 
+    from ..functions import graphlocal
     from ..functions.agg import sorted_segment_aggregate
-    from ..functions.graphlocal import col_concat, graph_local_rows
-    from ..stages.dist import crossover_join, reroot, safe_join
+    from ..stages.dist import reroot, safe_join
 
     edges, n, m = _hits_edges(sf_dir)
     edges = edges.materialize()
     S = _HITS_SCALE
 
-    if m <= graph_local_rows():
-        import ray
-
-        def kern(refs, n=n):
-            tabs = [ray.get(r) for r in refs]
-            src = col_concat(tabs, "src")
-            dst = col_concat(tabs, "dst")
+    if m <= graphlocal.LOCAL_ROWS:
+        def kern(tabs):
+            src = graphlocal.col_concat(tabs, "src")
+            dst = graphlocal.col_concat(tabs, "dst")
             hub = np.full(n, S, np.int64)
             auth = np.full(n, S, np.int64)
             for _ in range(HITS_ROUNDS):
@@ -14721,8 +14710,7 @@ def q_hits_scores(sf_dir: str):
                 "auth": pa.array(auth, pa.int64()),
             })
 
-        return rd.from_arrow_refs(
-            [ray.remote(kern).remote(edges.to_arrow_refs())])
+        return graphlocal.run_local(kern, edges)
 
     n_part = join_partitions(n_rows=m)
     nodes = rd.range(n).map_batches(
@@ -15166,9 +15154,9 @@ def q_hampel_outliers(sf_dir: str):
         import ray.data as _rd
 
         stats = interior.union(_rd.from_arrow(bres))
-    out = _crossover_join(
+    out = crossover_join(
         rows, stats, ("key",), None,
-        n_part=join_partitions(n_rows=n_ev),
+        num_partitions=join_partitions(n_rows=n_ev),
         est_rows=n_ev, est_bytes=n_ev * 24)
     return out.map_batches(
         lambda b: (lambda k, c, md, md2: pa.table({
@@ -15305,23 +15293,18 @@ def q_label_propagation(sf_dir: str):
     trick (per-dst MAX of cnt*P + (P-1-label) — max-count-then-min-
     label as plain integer order, zero per-group Python); isolated
     nodes union back from a once-computed keep set.  Local regime
-    under GRAFT_GRAPH_LOCAL_ROWS (functions/graphlocal.lpa_local);
+    under ``graphlocal.LOCAL_ROWS`` edges (functions/graphlocal.lpa_local);
     cross-regime parity pinned by tests/test_graph_local.py."""
     import ray.data as rd
 
+    from ..functions import graphlocal
     from ..functions.agg import sorted_segment_aggregate
-    from ..functions.graphlocal import graph_local_rows, lpa_local
-    from ..stages.dist import crossover_join, reroot, safe_join
+    from ..stages.dist import reroot, safe_join
 
     edges, n, m = _tri_edges(sf_dir)
     edges = edges.materialize()
-    if m <= graph_local_rows():
-        import ray
-
-        kern = ray.remote(
-            lambda refs, n=n: lpa_local(
-                [ray.get(r) for r in refs], n, LPA_ROUNDS))
-        return rd.from_arrow_refs([kern.remote(edges.to_arrow_refs())])
+    if m <= graphlocal.LOCAL_ROWS:
+        return graphlocal.run_local(graphlocal.lpa_local, edges, n, LPA_ROUNDS)
 
     P = 1 << int(n).bit_length()  # packing base > any node id / label
     sym = edges.map_batches(
@@ -15474,16 +15457,16 @@ def q_modularity(sf_dir: str):
     d_sum = sorted_segment_aggregate(
         node_deg, "community", {"d_sum": ("deg", "sum")}).materialize()
 
-    ca = _crossover_join(
+    ca = crossover_join(
         edges, labels.map_batches(
             lambda b: pa.table({"a": b["node"], "ca": b["community"]}),
             batch_format="pyarrow"),
-        ("a",), None, n_part=n_part, est_rows=n, est_bytes=n * 16)
-    cb = _crossover_join(
+        ("a",), None, num_partitions=n_part, est_rows=n, est_bytes=n * 16)
+    cb = crossover_join(
         ca, labels.map_batches(
             lambda b: pa.table({"b": b["node"], "cb": b["community"]}),
             batch_format="pyarrow"),
-        ("b",), None, n_part=n_part, est_rows=n, est_bytes=n * 16)
+        ("b",), None, num_partitions=n_part, est_rows=n, est_bytes=n * 16)
     intra = sorted_segment_aggregate(
         cb.map_batches(
             lambda b: pa.table({"community": b.filter(

@@ -144,21 +144,21 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     explicitly.
 
     Broadcast path: when one side is provably small (rows AND bytes
-    under ``GRAFT_BROADCAST_JOIN_ROWS`` / ``_BYTES``), ship it once via
+    under ``BROADCAST_ROWS`` / ``BROADCAST_BYTES``), ship it once via
     ``ray.put`` and run a local pyarrow/Acero join per streamed block
     of the big side — no all-to-all, no aggregator-actor spawn.  The
     output schema is identical to Ray's hash join (verified: left
     columns + right non-key columns, right keys dropped) so the two
-    paths are interchangeable; ``GRAFT_JOIN_MODE=shuffle|broadcast``
-    forces one for tests.  At 10^12-row scale this is the documented
-    "broadcast small sides" pattern: the store side streams, only the
-    diff/candidate side (bounded per micro-batch) broadcasts.
+    paths are interchangeable; tests force one by setting the two
+    constants to 0 or past any input.  At 10^12-row scale this is the
+    documented "broadcast small sides" pattern: the store side
+    streams, only the diff/candidate side (bounded per micro-batch)
+    broadcasts.
 
     ``payload``: right-side non-key output columns (name -> type),
     required to type the result when the right side is empty.
     """
     payload = payload or {}
-    mode = _join_mode()
     # FAST PATH: small right side -> broadcast it and keep the LEFT
     # side fully LAZY (no materialize barrier).  A distributed-diff run
     # chains ~30 joins whose left sides are short map chains off
@@ -166,10 +166,10 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     # materialize removes one full pipeline execution each.  The map fn
     # is deterministic per row, so a downstream double-consume
     # re-executes to identical results (unlike sort-boundary logic).
-    if mode != "shuffle" and join_type in _PA_JOIN_TYPE:
+    if join_type in _PA_JOIN_TYPE:
         right = right.materialize()
         rn = right.count()
-        if rn > 0 and _is_small(right, rn, force=(mode == "broadcast")):
+        if rn > 0 and _is_small(right, rn):
             lsch = _schema_no_exec(left)
             if lsch is None:
                 left = left.materialize()
@@ -221,7 +221,7 @@ def safe_join(left, right, join_type: str, num_partitions: int,
             drop = set(right_on or ())
             fields += [(c, t) for c, t in payload.items() if c not in drop]
         return ray.data.from_arrow(pa.schema(fields).empty_table())
-    if mode != "shuffle" and join_type == "inner":
+    if join_type == "inner":
         bc = _broadcast_inner_swapped(left, right, on, right_on, ln)
         if bc is not None:
             return bc
@@ -261,36 +261,22 @@ _PA_JOIN_TYPE = {
 }
 
 
-def _join_mode() -> str:
-    import os
-
-    return os.environ.get("GRAFT_JOIN_MODE", "auto")
-
-
-def _broadcast_limits() -> tuple[int, int]:
-    import os
-
-    # MEASURED crossover, not a guess: the per-block Acero hash build
-    # is linear in the broadcast side, so a big broadcast side pays
-    # that build once per streamed block — at 1M broadcast rows the
-    # 1M-element dist probe ran 5x SLOWER than the shuffle join
-    # (837 s vs ~170 s).  200k rows / 32 MB keeps the per-block build
-    # in the low milliseconds while covering every genuinely small
-    # side (diff projections, candidate sets, memo tables).
-    return (
-        int(os.environ.get("GRAFT_BROADCAST_JOIN_ROWS", "200000")),
-        int(os.environ.get("GRAFT_BROADCAST_JOIN_BYTES", str(32 << 20))),
-    )
+# MEASURED crossover, not a guess: the per-block Acero hash build is
+# linear in the broadcast side, so a big broadcast side pays that build
+# once per streamed block — at 1M broadcast rows the 1M-element dist
+# probe ran 5x SLOWER than the shuffle join (837 s vs ~170 s).  200k
+# rows / 32 MB keeps the per-block build in the low milliseconds while
+# covering every genuinely small side (diff projections, candidate
+# sets, memo tables).  A side broadcasts only when it is under BOTH.
+BROADCAST_ROWS = 200_000
+BROADCAST_BYTES = 32 << 20
 
 
-def _is_small(mat, n_rows: int, force: bool) -> bool:
-    if force:
-        return True
-    max_rows, max_bytes = _broadcast_limits()
-    if n_rows > max_rows:
+def _is_small(mat, n_rows: int) -> bool:
+    if n_rows > BROADCAST_ROWS:
         return False
     sb = mat.size_bytes()
-    return sb is not None and sb <= max_bytes
+    return sb is not None and sb <= BROADCAST_BYTES
 
 
 def _collect_table(mat) -> pa.Table:
@@ -304,17 +290,10 @@ def _collect_table(mat) -> pa.Table:
 
 def broadcast_decision(est_rows: int, est_bytes: int) -> bool:
     """Shared broadcast-vs-shuffle decision for DRIVER-side metadata
-    estimates (parquet footers / derived fan-outs — no execution).
-    Honors the global ``GRAFT_JOIN_MODE=shuffle|broadcast`` kill
-    switch, same as ``safe_join``; in auto mode both the row and byte
-    estimates must sit under the measured crossover."""
-    mode = _join_mode()
-    if mode == "shuffle":
-        return False
-    if mode == "broadcast":
-        return True
-    max_rows, max_bytes = _broadcast_limits()
-    return 0 < est_rows <= max_rows and 0 < est_bytes <= max_bytes
+    estimates (parquet footers / derived fan-outs — no execution):
+    both the row and byte estimates must sit under the measured
+    crossover that ``safe_join`` applies to counted sides."""
+    return 0 < est_rows <= BROADCAST_ROWS and 0 < est_bytes <= BROADCAST_BYTES
 
 
 def crossover_join(left, right, on: tuple, right_on: tuple | None,
@@ -382,7 +361,7 @@ def _broadcast_inner_swapped(left, right, on: tuple,
     (The right-small case is handled earlier, lazily, in
     ``safe_join``; by this point both sides are materialized.)
     """
-    if not _is_small(left, ln, False):
+    if not _is_small(left, ln):
         return None
     lsch, rsch = left.schema(), right.schema()
     if lsch is None or rsch is None:

@@ -44,11 +44,10 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom import (
-    points_in_buffered_chordal,
     BUFFER_DECIMICRO,
     MultiPolygon,
     boxes_intersect_buffered,
-    points_in_buffered,
+    points_in_buffered_chordal,
     points_in_multipolygon,
 )
 from ..sources.store import Resolver
@@ -70,29 +69,24 @@ class PolyMembership:
 
 class PolyTests:
     """The geometry tests of one polygon, pruned to its bbox widened by
-    ``buffer``: the exact polygon and both buffers lie inside that
-    rectangle, so a point or box outside it is "not in" without a test.
-    Both filter paths call it — `precompute_membership` here and the
-    block functions of `stages/filter_dist.py`.
+    the 0.1° buffer (``BUFFER_DECIMICRO``): the exact polygon and both
+    buffers lie inside that rectangle, so a point or box outside it is
+    "not in" without a test.  Both filter paths call it —
+    `precompute_membership` here and the block functions of
+    `stages/filter_dist.py`.
 
-    ``buffer_mode``: "chordal" (the DEFAULT — GEOS quadrant-segment
-    parity, geom.points_in_buffered_chordal, matches the reference's
+    The point buffer test is chordal (GEOS quadrant-segment parity,
+    geom.points_in_buffered_chordal): it matches the reference's
     buffer(0.1, 8), src/osmxml/filter.rs:44-56, so keep/delete
     verdicts agree with the Rust binary even for points in the
-    chord/arc gap band) or "euclidean" (exact round-join dilation,
-    the documented engine alternative).  The bbox gate stays
-    Euclidean in both modes: it only gates candidacy and
-    Euclidean ⊇ chordal keeps it a valid superset."""
+    chord/arc gap band.  The bbox gate is Euclidean: it only gates
+    candidacy, and Euclidean ⊇ chordal keeps it a valid superset."""
 
-    def __init__(self, mp: MultiPolygon, buffer: int = BUFFER_DECIMICRO,
-                 buffer_mode: str = "chordal"):
-        self.mp, self.buffer = mp, buffer
-        self.in_buffered = (
-            points_in_buffered_chordal if buffer_mode == "chordal"
-            else points_in_buffered
-        )
+    def __init__(self, mp: MultiPolygon):
+        self.mp = mp
         x0, y0, x1, y1 = mp.bbox()
-        self.window = (x0 - buffer, y0 - buffer, x1 + buffer, y1 + buffer)
+        b = BUFFER_DECIMICRO
+        self.window = (x0 - b, y0 - b, x1 + b, y1 + b)
 
     def points(self, lon: np.ndarray, lat: np.ndarray):
         """-> (in exact, in buffered) bool arrays, one per point."""
@@ -100,7 +94,7 @@ class PolyTests:
         near = np.flatnonzero((lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1))
         ex, bf = np.zeros(len(lon), bool), np.zeros(len(lon), bool)
         ex[near] = points_in_multipolygon(lon[near], lat[near], self.mp)
-        bf[near] = self.in_buffered(lon[near], lat[near], self.mp, buffer=self.buffer)
+        bf[near] = points_in_buffered_chordal(lon[near], lat[near], self.mp)
         return ex, bf
 
     def boxes(self, minlon, minlat, maxlon, maxlat) -> np.ndarray:
@@ -111,8 +105,7 @@ class PolyTests:
         )
         hits = np.zeros(len(minlon), bool)
         hits[near] = boxes_intersect_buffered(
-            minlon[near], minlat[near], maxlon[near], maxlat[near],
-            self.mp, buffer=self.buffer,
+            minlon[near], minlat[near], maxlon[near], maxlat[near], self.mp
         )
         return hits
 
@@ -122,8 +115,6 @@ def precompute_membership(
     mp: MultiPolygon,
     resolver: Resolver,
     node_ids: np.ndarray,
-    buffer: int = BUFFER_DECIMICRO,
-    buffer_mode: str = "chordal",
 ) -> PolyMembership:
     """Vectorized PIP + bbox tests for one polygon (`PolyTests`).
 
@@ -131,7 +122,7 @@ def precompute_membership(
     relation-member closure) whose OLD store positions may be probed.
 
     The maps hold only the True entries; a missing key reads "not in"."""
-    tests = PolyTests(mp, buffer=buffer, buffer_mode=buffer_mode)
+    tests = PolyTests(mp)
 
     def points(keys, lon, lat):
         ex, bf = tests.points(lon, lat)
@@ -314,15 +305,10 @@ def filter_elements(
     mp: MultiPolygon,
     resolver: Resolver,
     node_ids: np.ndarray,
-    buffer: int = BUFFER_DECIMICRO,
-    buffer_mode: str = "chordal",
 ) -> pa.Table:
     """One polygon filter: returns kept+deleted rows with the action
     rewrite applied (the engine's .osc-equivalent output)."""
-    memb = precompute_membership(
-        elements, mp, resolver, node_ids, buffer=buffer,
-        buffer_mode=buffer_mode,
-    )
+    memb = precompute_membership(elements, mp, resolver, node_ids)
     # Candidates: a node whose id has buffered evidence (a new point in
     # any of its rows, or its old store point) — the buffered
     # nodes_seen set only ever holds such ids — and a way/relation whose
@@ -360,7 +346,6 @@ def filter_tree(
     tree_parent: dict[str, str | None],
     resolver: Resolver,
     node_ids: np.ndarray,
-    buffer: int = BUFFER_DECIMICRO,
 ) -> pa.Table:
     """Multi-label assignment over a polygon tree.
 
@@ -376,7 +361,7 @@ def filter_tree(
         src = outputs.get(tree_parent.get(path), empty)
         out = src
         if src.num_rows:
-            out = filter_elements(src, mp, resolver, node_ids, buffer=buffer)
+            out = filter_elements(src, mp, resolver, node_ids)
         outputs[path] = out
         if out.num_rows:
             results.append(_assignments_of(path, out))

@@ -58,7 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.agg import small_sorted_aggregate
-from ..geom import BUFFER_DECIMICRO, MultiPolygon
+from ..geom import MultiPolygon
 from .dist import (
     MTYPE_NODE,
     MTYPE_REL,
@@ -100,8 +100,6 @@ def filter_verdicts_dist(
     plan: DiffPlan,
     boxes,
     mp: MultiPolygon,
-    buffer: int = BUFFER_DECIMICRO,
-    buffer_mode: str = "chordal",
     rel_rounds_cap: int = 64,
 ):
     """-> Dataset (pos, verdict int8 0=keep/1=delete/2=drop) over every
@@ -110,7 +108,7 @@ def filter_verdicts_dist(
     import ray.data
 
     npart = plan.num_partitions
-    tests = PolyTests(mp, buffer=buffer, buffer_mode=buffer_mode)
+    tests = PolyTests(mp)
 
     # ---------------- node occurrence flags ----------------
     def node_flags(batch: pa.Table) -> pa.Table:
@@ -704,8 +702,6 @@ def filter_tree_dist(
     boxes,
     tree_polys: list[tuple[str, str, MultiPolygon]],
     tree_parent: dict[str, str | None],
-    buffer: int = BUFFER_DECIMICRO,
-    buffer_mode: str = "chordal",
 ):
     """Distributed polygon-tree filter: each child consumes its
     parent's surviving rows; returns the assignments union
@@ -722,9 +718,7 @@ def filter_tree_dist(
         if parent not in live or not live[parent].any():
             continue
         src = plan if parent is None else _on_rows(plan, live[parent])
-        verdicts = filter_verdicts_dist(
-            src, boxes, mp, buffer=buffer, buffer_mode=buffer_mode
-        )
+        verdicts = filter_verdicts_dist(src, boxes, mp)
         v = np.full(n, DROP, np.int8)
         for b in verdicts.iter_batches(batch_size=None, batch_format="pyarrow"):
             v[b["pos"].to_numpy(zero_copy_only=False)] = b["verdict"].to_numpy(

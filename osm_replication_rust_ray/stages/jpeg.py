@@ -1,8 +1,8 @@
 """Real baseline JPEG codec — pure numpy + stdlib, no image library.
 
 Like the PNG codec (stages/png.py), this un-stubs a format round 2
-called environment-limited: baseline sequential JPEG (ITU T.81) is
-buildable from public knowledge alone.  Scope:
+called unbuildable without an image library: baseline sequential JPEG
+(ITU T.81) is buildable from public knowledge alone.  Scope:
 
 - encode: 8-bit RGB -> JFIF 4:4:4 baseline (YCbCr transform, 8x8
   DCT-II via an orthogonal matrix product, Annex-K quantization

@@ -25,15 +25,15 @@ def brute_bfs(n, edges, seed_mod, max_hops):
 
 
 def run_bfs(ray_session, n, edges, seed_mod, max_hops, monkeypatch,
-            mode="local"):
+            graph_regime, mode):
     import ray.data as rd
 
     from osm_replication_rust_ray.pipelines import queries as Q
 
     # mode: "local" routes through functions/graphlocal.bfs_local,
     # "dist" forces the BSP join path (crossover set to 0 edges)
-    monkeypatch.setenv("GRAFT_GRAPH_LOCAL_ROWS",
-                       "0" if mode == "dist" else str(1 << 40))
+    force, ran = graph_regime
+    force(mode)
     monkeypatch.setattr(Q, "BFS_SEED_MOD", seed_mod)
     monkeypatch.setattr(Q, "BFS_MAX_HOPS", max_hops)
     es = sorted({tuple(sorted(e)) for e in edges if e[0] != e[1]})
@@ -47,23 +47,27 @@ def run_bfs(ray_session, n, edges, seed_mod, max_hops, monkeypatch,
 
     monkeypatch.setattr(Q, "_tri_edges", fake_tri_edges)
     got = Q.q_bfs_hops("unused").to_pandas()
+    assert ran() == mode
     return {int(r.node): int(r.hops) for r in got.itertuples()}
 
 
 @pytest.mark.parametrize("mode", ["local", "dist"])
-def test_bfs_random_parity(ray_session, monkeypatch, mode):
+def test_bfs_random_parity(ray_session, monkeypatch, graph_regime, mode):
     rng = np.random.default_rng(12)
     n, m = 120, 300
     edges = list(zip(rng.integers(0, n, m).tolist(),
                      rng.integers(0, n, m).tolist()))
-    got = run_bfs(ray_session, n, edges, 11, 3, monkeypatch, mode)
+    got = run_bfs(ray_session, n, edges, 11, 3, monkeypatch, graph_regime,
+                  mode)
     assert got == brute_bfs(n, edges, 11, 3)
 
 
 @pytest.mark.parametrize("mode", ["local", "dist"])
-def test_bfs_chain_truncates_at_cap(ray_session, monkeypatch, mode):
+def test_bfs_chain_truncates_at_cap(ray_session, monkeypatch, graph_regime,
+                                    mode):
     n = 30
     edges = [(i, i + 1) for i in range(n - 1)]
-    got = run_bfs(ray_session, n, edges, 1000, 4, monkeypatch, mode)
+    got = run_bfs(ray_session, n, edges, 1000, 4, monkeypatch, graph_regime,
+                  mode)
     # only node 0 seeds (0 % 1000 == 0); hops capped at 4
     assert got == {i: i for i in range(5)}

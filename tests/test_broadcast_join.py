@@ -5,6 +5,10 @@ Acero join per streamed block) must be output-identical to the
 hash-shuffle path for every join type the dist pipeline uses —
 including many-to-many keys, missing keys, differing key names, and
 the swapped-inner variant (big RIGHT side streams).
+
+A regime is forced by patching the ``stages.dist`` crossover
+constants, and spies prove which regime ran (``join_regime`` in
+conftest.py).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from osm_replication_rust_ray.stages import dist
 from osm_replication_rust_ray.stages.dist import safe_join
 
 
@@ -59,41 +64,48 @@ def _rand_right(n=120):
 
 
 @pytest.mark.parametrize("jt", ["inner", "left_outer", "left_anti"])
-def test_parity_modes(ray_session, monkeypatch, jt):
+def test_parity_modes(ray_session, join_regime, jt):
+    force, ran = join_regime
     L, R = _rand_left(), _rand_right()
     out = {}
     for mode in ["shuffle", "broadcast"]:
-        monkeypatch.setenv("GRAFT_JOIN_MODE", mode)
+        force(mode)
         ds = safe_join(
             _mk(L), _mk(R), jt, 4, on=("id",), right_on=("wid",),
             payload={"ref": pa.int64()},
         )
         out[mode] = _sorted_pd(ds)
+        assert ran() == mode, jt
     assert out["shuffle"].equals(out["broadcast"]), jt
 
 
-def test_parity_swapped_inner(ray_session, monkeypatch):
+def test_parity_swapped_inner(ray_session, monkeypatch, join_regime):
     """Small LEFT + big RIGHT: the broadcast path streams the right
     side but must keep left-columns-first schema and identical rows."""
+    force, ran = join_regime
     L = _rand_left(30)
     R = _rand_right(5000)
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "shuffle")
+    force("shuffle")
     ref = _sorted_pd(
         safe_join(_mk(L), _mk(R), "inner", 4, on=("id",), right_on=("wid",),
                   payload={"ref": pa.int64()})
     )
-    # auto mode with a rows budget that excludes R but admits L
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "auto")
-    monkeypatch.setenv("GRAFT_BROADCAST_JOIN_ROWS", "100")
+    assert ran() == "shuffle"
+    # a rows budget that excludes R but admits L: only the swapped
+    # path can broadcast
+    monkeypatch.setattr(dist, "BROADCAST_ROWS", 100)
+    monkeypatch.setattr(dist, "BROADCAST_BYTES", 32 << 20)
     got_ds = safe_join(
         _mk(L), _mk(R), "inner", 4, on=("id",), right_on=("wid",),
         payload={"ref": pa.int64()},
     )
+    assert ran() == "broadcast"
     assert got_ds.schema().names == ["pos", "id", "ref"]
     assert ref.equals(_sorted_pd(got_ds))
 
 
-def test_parity_multicol_key_and_empty(ray_session, monkeypatch):
+def test_parity_multicol_key_and_empty(ray_session, join_regime):
+    force, ran = join_regime
     n = 150
     L = pa.table(
         {
@@ -112,31 +124,34 @@ def test_parity_multicol_key_and_empty(ray_session, monkeypatch):
     for jt in ["inner", "left_semi"]:
         out = {}
         for mode in ["shuffle", "broadcast"]:
-            monkeypatch.setenv("GRAFT_JOIN_MODE", mode)
+            force(mode)
             out[mode] = _sorted_pd(
                 safe_join(_mk(L), _mk(R), jt, 4, on=("a", "b"),
                           payload={"w": pa.int64()})
             )
+            assert ran() == mode, jt
         assert out["shuffle"].equals(out["broadcast"]), jt
-    # empty right falls to the explicit empty-side handling in BOTH modes
+    # empty right falls to the explicit empty-side handling in BOTH
+    # modes: neither join runs
     for mode in ["shuffle", "broadcast"]:
-        monkeypatch.setenv("GRAFT_JOIN_MODE", mode)
+        force(mode)
         got = safe_join(
             _mk(L), _mk(R.slice(0, 0)), "left_outer", 4, on=("a", "b"),
             payload={"w": pa.int64()},
         )
         df = got.to_pandas()
         assert len(df) == n and df["w"].isna().all()
+        assert ran() == "", mode
 
 
-def test_collision_falls_back_to_shuffle(ray_session, monkeypatch):
+def test_collision_falls_back_to_shuffle(ray_session, join_regime):
     """A right payload column colliding with a left name is ineligible
-    for broadcast; auto mode must still produce the shuffle result, not
-    crash in the pyarrow join."""
+    for broadcast; under the default crossover the tiny sides must
+    still produce the shuffle result, not crash in the pyarrow join."""
     L = pa.table({"id": pa.array([1, 2], pa.int64()),
                   "v": pa.array([10, 20], pa.int64())})
     R = pa.table({"id": pa.array([1], pa.int64()),
                   "v": pa.array([99], pa.int64())})
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "auto")
     ds = safe_join(_mk(L, 1), _mk(R, 1), "left_semi", 4, on=("id",))
     assert sorted(ds.to_pandas()["id"].tolist()) == [1]
+    assert join_regime[1]() == "shuffle"

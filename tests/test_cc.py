@@ -5,6 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from osm_replication_rust_ray.functions import cc
 from osm_replication_rust_ray.functions.cc import connected_components
 from osm_replication_rust_ray.stages.dist import FixpointCapError
 
@@ -32,11 +33,26 @@ def _uf_ref(pairs):
 MODES = ("local", "shuffle")
 
 
-def _run(pairs, monkeypatch=None, mode=None):
+@pytest.fixture
+def regime(monkeypatch, regimes):
+    """-> (force, ran): ``force(mode)`` patches ``cc.LOCAL_ROWS`` so
+    ``connected_components`` takes ``mode``; ``ran()`` names the
+    regime that ran."""
+    ran = regimes(local=(cc, "run_local"),
+                  shuffle=(cc, "sorted_distinct"))
+
+    def force(mode: str):
+        monkeypatch.setattr(cc, "LOCAL_ROWS",
+                            1 << 62 if mode == "local" else 0)
+
+    return force, ran
+
+
+def _run(pairs, regime, mode):
     import ray.data as rd
 
-    if monkeypatch is not None:
-        monkeypatch.setenv("GRAFT_CC_MODE", mode)
+    force, ran = regime
+    force(mode)
     ds = rd.from_arrow(
         pa.table(
             {
@@ -45,8 +61,10 @@ def _run(pairs, monkeypatch=None, mode=None):
             }
         )
     )
-    return {r["node"]: r["cluster_rep"]
-            for r in connected_components(ds).take_all()}
+    out = {r["node"]: r["cluster_rep"]
+           for r in connected_components(ds).take_all()}
+    assert ran() == mode
+    return out
 
 
 @pytest.mark.parametrize(
@@ -62,24 +80,25 @@ def _run(pairs, monkeypatch=None, mode=None):
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
-def test_cc_matches_union_find(ray_session, name, pairs, monkeypatch, mode):
-    assert _run(pairs, monkeypatch, mode) == _uf_ref(pairs)
+def test_cc_matches_union_find(ray_session, name, pairs, regime, mode):
+    assert _run(pairs, regime, mode) == _uf_ref(pairs)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_cc_random_graph(ray_session, monkeypatch, mode):
+def test_cc_random_graph(ray_session, regime, mode):
     rs = np.random.RandomState(7)
     pairs = [tuple(sorted(p)) for p in rs.randint(0, 120, (150, 2)) if p[0] != p[1]]
-    assert _run(pairs, monkeypatch, mode) == _uf_ref(pairs)
+    assert _run(pairs, regime, mode) == _uf_ref(pairs)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_cc_cap_raises(ray_session, monkeypatch, mode):
+def test_cc_cap_raises(ray_session, regime, mode):
     """A path needs ~log2(n) doubling rounds; max_rounds=1 cannot
     converge and must raise, not return a truncated labeling."""
     import ray.data as rd
 
-    monkeypatch.setenv("GRAFT_CC_MODE", mode)
+    force, ran = regime
+    force(mode)
     pairs = [(i, i + 1) for i in range(20)]
     ds = rd.from_arrow(
         pa.table(
@@ -91,6 +110,7 @@ def test_cc_cap_raises(ray_session, monkeypatch, mode):
     )
     with pytest.raises(FixpointCapError, match="converge"):
         connected_components(ds, max_rounds=1)
+    assert ran() == mode
 
 
 def test_cc_empty_edge_set(ray_session):

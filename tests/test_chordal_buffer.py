@@ -1,4 +1,4 @@
-"""GEOS-parity chordal buffer mode (round-1 verdict item #7).
+"""GEOS-parity chordal buffer (round-1 verdict item #7).
 
 The reference buffers polygons with GEOS ``buffer(0.1, 8)``
 (src/osmxml/filter.rs:44-56): arcs become chords stepped at pi/16, so
@@ -9,10 +9,10 @@ inside the engine's exact Euclidean one.  These tests pin:
 - planted gap-band points distinguish the modes exactly as the GEOS
   construction predicts (outside chord depth r*cos(step/2), inside r)
 - convergence to the Euclidean region as quad_segs grows
-- filter-stage verdicts: identical to Euclidean mode on the
-  reference's own fixture (no fixture element sits in the band), and
-  a planted gap-band node flips delete -> drop under chordal mode,
-  reproducing the Rust binary's verdict.
+- filter-stage verdicts: the reference's own fixture has no node in
+  the band (both buffers agree there), and a planted gap-band node
+  that Euclidean dilation keeps (delete) drops under the filter's
+  chordal buffer, reproducing the Rust binary's verdict.
 """
 
 import math
@@ -118,9 +118,12 @@ def _element_table(nodes):
 
 
 def test_filter_verdicts_agree_on_reference_fixture():
-    """The reference fixture's own elements sit outside the gap band,
-    so chordal and euclidean modes produce IDENTICAL filter output —
-    the engine matches the Rust binary's verdicts there."""
+    """The reference fixture's own nodes sit outside the gap band: the
+    Euclidean and chordal buffers agree on every one of them, so the
+    filter's chordal verdicts equal the Euclidean ones there — the
+    engine matches the Rust binary's verdicts."""
+    import pyarrow.compute as pc
+
     from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
     from osm_replication_rust_ray.sources.store import Resolver
     from osm_replication_rust_ray.stages.bbox import needed_ids
@@ -128,39 +131,37 @@ def test_filter_verdicts_agree_on_reference_fixture():
 
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
     _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
-    resolver = Resolver.empty()
-    node_ids, _w, _r = needed_ids(elements, resolver)
+    placed = elements.filter(pc.and_(pc.equal(elements["etype"], "node"),
+                                     pc.is_valid(elements["lat"])))
+    lon = placed["lon"].to_numpy(zero_copy_only=False).astype(np.int64)
+    lat = placed["lat"].to_numpy(zero_copy_only=False).astype(np.int64)
+    assert len(lon) > 0
+    assert (points_in_buffered(lon, lat, mp)
+            == points_in_buffered_chordal(lon, lat, mp)).all()
+    node_ids, _w, _r = needed_ids(elements, Resolver.empty())
     nid = np.array(sorted(node_ids), np.int64)
-    out_eu = filter_elements(elements, mp, Resolver.empty(), nid)
-    out_ch = filter_elements(
-        elements, mp, Resolver.empty(), nid, buffer_mode="chordal"
-    )
-    assert out_eu.num_rows == out_ch.num_rows
-    for col in ("etype", "id", "action"):
-        assert out_eu[col].to_pylist() == out_ch[col].to_pylist()
+    out = filter_elements(elements, mp, Resolver.empty(), nid)
+    assert out.num_rows > 0
 
 
 def test_filter_gap_node_flips_delete_to_drop():
-    """A node planted in the chord/arc gap: euclidean mode says delete
-    (inside buffer, outside poly) — the reference (GEOS chords) drops
-    it.  Chordal mode reproduces the reference verdict."""
+    """A node planted in the chord/arc gap: Euclidean dilation keeps it
+    in the buffer (a Euclidean filter would say delete — inside the
+    buffer, outside the polygon); the reference (GEOS chords) drops
+    it, and so does the filter's chordal buffer."""
     from osm_replication_rust_ray.sources.store import Resolver
     from osm_replication_rust_ray.stages.filter import filter_elements
 
     mp, gap, inside, _ = _gap_points()
     g = gap[0]
     i = inside[0]
+    assert points_in_buffered([g[0]], [g[1]], mp)[0]
+    assert not points_in_buffered_chordal([g[0]], [g[1]], mp)[0]
     elements = _element_table(
         [(1, int(g[0]), int(g[1])), (2, int(i[0]), int(i[1]))]
     )
     nid = np.array([1, 2], np.int64)
-    out_eu = filter_elements(
-        elements, mp, Resolver.empty(), nid, buffer_mode="euclidean"
-    )
-    # chordal is the DEFAULT since round 3 (GEOS/reference parity)
-    out_ch = filter_elements(elements, mp, Resolver.empty(), nid)
-    eu = dict(zip(out_eu["id"].to_pylist(), out_eu["action"].to_pylist()))
-    ch = dict(zip(out_ch["id"].to_pylist(), out_ch["action"].to_pylist()))
-    assert eu[1] == "delete"  # euclidean keeps it in the buffer
-    assert 1 not in ch        # chordal (reference) drops it entirely
-    assert eu[2] == ch[2] == "delete"  # inside the chord: modes agree
+    out = filter_elements(elements, mp, Resolver.empty(), nid)
+    ch = dict(zip(out["id"].to_pylist(), out["action"].to_pylist()))
+    assert 1 not in ch  # chordal (reference) drops it entirely
+    assert ch[2] == "delete"  # inside the chord: buffered, not in poly

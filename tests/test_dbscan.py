@@ -5,6 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from osm_replication_rust_ray.functions import dbscan as db
 from osm_replication_rust_ray.functions.dbscan import dbscan
 
 
@@ -56,12 +57,9 @@ def brute_dbscan(pids, xs, ys, eps, min_pts):
     return out
 
 
-def run_engine(ray_session, pids, xs, ys, eps, min_pts,
-               force_dist=False, monkeypatch=None):
+def run_engine(ray_session, pids, xs, ys, eps, min_pts):
     import ray.data
 
-    if force_dist:
-        monkeypatch.setenv("GRAFT_DBSCAN_LOCAL_ROWS", "0")
     pts = ray.data.from_arrow(pa.table({
         "pid": pa.array(pids, pa.int64()),
         "x": pa.array(xs, pa.int64()),
@@ -87,7 +85,7 @@ def test_dbscan_random_parity(ray_session, seed, n):
     assert roles == {"core", "border", "noise"}  # mix actually present
 
 
-def test_dbscan_regime_parity(ray_session, monkeypatch):
+def test_dbscan_regime_parity(ray_session, monkeypatch, regimes):
     """The DISTRIBUTED path (joins + CC fixpoint) must agree with the
     single-task local regime AND the brute reference on the same
     input — the ladder rung the 100x story depends on."""
@@ -97,9 +95,13 @@ def test_dbscan_regime_parity(ray_session, monkeypatch):
     pids = rng.permutation(np.arange(1, 4 * n, 4))[:n].astype(np.int64)
     xs = rng.integers(0, w, n).astype(np.int64)
     ys = rng.integers(0, w, n).astype(np.int64)
+    ran = regimes(local=(db, "run_local"),
+                  dist=(db, "eps_neighbor_pairs"))
     local = run_engine(ray_session, pids, xs, ys, 900, 4)
-    dist = run_engine(ray_session, pids, xs, ys, 900, 4,
-                      force_dist=True, monkeypatch=monkeypatch)
+    assert ran() == "local"  # the default at this size
+    monkeypatch.setattr(db, "LOCAL_ROWS", 0)
+    dist = run_engine(ray_session, pids, xs, ys, 900, 4)
+    assert ran() == "dist"
     assert dist == local == brute_dbscan(pids, xs, ys, 900, 4)
 
 

@@ -74,22 +74,29 @@ def test_scorer_counts_dups(ray_session):
     assert rows[2] == (rows[2][0], 0, False)
 
 
-def _run(sf_dir: str, mode: str, monkeypatch):
+def _run(sf_dir: str, mode: str, force, ran):
     from osm_replication_rust_ray.pipelines.queries import q_dup_spans
 
-    monkeypatch.setenv("GRAFT_JOIN_MODE", mode)
+    force(mode)
     out = q_dup_spans(sf_dir)
     tbl = pa.concat_tables(
         [b for b in out.iter_batches(batch_format="pyarrow")]
     )
+    assert ran() == mode
     return tbl.sort_by("doc_id")
 
 
-def test_regime_parity(ray_session, monkeypatch):
+def test_regime_parity(ray_session, join_regime, regimes):
     """Broadcast-probe and shuffle-join-back must emit identical
     tables on the same input."""
-    a = _run(SF, "broadcast", monkeypatch)
-    b = _run(SF, "shuffle", monkeypatch)
+    from osm_replication_rust_ray.pipelines import queries
+    from osm_replication_rust_ray.stages import dist
+
+    force, _ = join_regime
+    ran = regimes(broadcast=(queries, "_dup_spans_broadcast"),
+                  shuffle=(dist, "safe_join"))
+    a = _run(SF, "broadcast", force, ran)
+    b = _run(SF, "shuffle", force, ran)
     assert a.num_rows == b.num_rows == 500
     assert a.equals(b)
     # the synthetic corpus contains real cross-doc duplication

@@ -63,8 +63,8 @@ def _setup(n):
     return annotated, resolver, nid_arr, plan, boxes
 
 
-@pytest.mark.parametrize("n,mode", [(100, "chordal"), (60, "euclidean")])
-def test_filter_dist_matches_sequential(ray_session, n, mode):
+@pytest.mark.parametrize("n", [100, 60])
+def test_filter_dist_matches_sequential(ray_session, n):
     annotated, resolver, nid_arr, plan, boxes = _setup(n)
     # quadrant polygon with a hole -> mixes keep/delete/drop
     mp = MultiPolygon.from_rings(
@@ -73,12 +73,10 @@ def test_filter_dist_matches_sequential(ray_session, n, mode):
             _rect(300_000_000, 100_000_000, 150_000_000),
         ]
     )
-    memb = precompute_membership(
-        annotated, mp, resolver, nid_arr, buffer_mode=mode
-    )
+    memb = precompute_membership(annotated, mp, resolver, nid_arr)
     seq = filter_verdicts(annotated, memb, resolver)
     got = (
-        filter_verdicts_dist(plan, boxes, mp, buffer_mode=mode)
+        filter_verdicts_dist(plan, boxes, mp)
         .to_pandas()
         .sort_values("pos")
         .reset_index(drop=True)

@@ -271,59 +271,66 @@ def test_local_group_aggregate_matches_sorted(ray_session):
     assert got["mn"].tolist() == [0, 1, 2, 3, 4]
 
 
-def test_minhash_query_broadcast_shuffle_parity(ray_session, monkeypatch):
+def test_minhash_query_broadcast_shuffle_parity(ray_session, join_regime):
     """q_minhash_dup_pairs picks broadcast vs hash-shuffle joins from
     parquet footer metadata; both paths must produce identical pairs."""
     from osm_replication_rust_ray.pipelines.queries import q_minhash_dup_pairs
 
     sf = "/root/testdata/sf0.001"
+    force, ran = join_regime
 
     def run():
         df = q_minhash_dup_pairs(sf).to_pandas()
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     bc = run()  # 50 docs -> broadcast path by default
-    monkeypatch.setenv("GRAFT_BROADCAST_JOIN_ROWS", "0")
-    monkeypatch.setenv("GRAFT_BROADCAST_JOIN_BYTES", "0")
-    sh = run()  # forced shuffle path
+    assert ran() == "broadcast"
+    force("shuffle")
+    sh = run()
+    assert ran() == "shuffle"
     assert bc.equals(sh)
     assert len(bc) > 0
 
 
-def test_crossover_join_broadcast_shuffle_parity(ray_session, monkeypatch):
-    """_crossover_join (driver-side metadata decision) must produce
+def test_crossover_join_broadcast_shuffle_parity(ray_session, join_regime):
+    """crossover_join (driver-side metadata decision) must produce
     identical rows on both paths; corpus_filter exercises it."""
     from osm_replication_rust_ray.pipelines.queries import q_corpus_filter
 
     sf = "/root/testdata/sf0.001"
+    force, ran = join_regime
 
     def run():
         df = q_corpus_filter(sf).to_pandas()
         return df.sort_values("doc_id").reset_index(drop=True)
 
     bc = run()
-    monkeypatch.setenv("GRAFT_BROADCAST_JOIN_ROWS", "0")
-    monkeypatch.setenv("GRAFT_BROADCAST_JOIN_BYTES", "0")
+    assert ran() == "broadcast"
+    force("shuffle")
     sh = run()
+    assert ran() == "shuffle"
     assert bc.equals(sh)
     assert len(bc) > 0
 
 
-def test_crossover_join_right_on_parity(ray_session, monkeypatch):
+def test_crossover_join_right_on_parity(ray_session, join_regime):
     """The right_on != on broadcast branch (right-key coalescing in the
     per-block pyarrow join) must match the shuffle join; ngram_jaccard
     is the caller that exercises it."""
     from osm_replication_rust_ray.pipelines.queries import q_ngram_jaccard
 
     sf = "/root/testdata/sf0.001"
+    force, ran = join_regime
 
     def run():
         df = q_ngram_jaccard(sf).to_pandas()
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "broadcast")
+    force("broadcast")
     bc = run()
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "shuffle")
+    assert ran() == "broadcast"
+    force("shuffle")
     sh = run()
+    assert ran() == "shuffle"
     assert bc.equals(sh)
     assert len(bc) > 0

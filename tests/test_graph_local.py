@@ -21,40 +21,41 @@ def _fake_edges(monkeypatch, n, edges):
     monkeypatch.setattr(Q, "_tri_edges", lambda sf: (ds, n, len(es)))
 
 
-def _walks(monkeypatch, mode):
+def _walks(graph_regime, mode):
     from osm_replication_rust_ray.pipelines import queries as Q
 
-    monkeypatch.setenv("GRAFT_GRAPH_LOCAL_ROWS",
-                       "0" if mode == "dist" else str(1 << 40))
+    force, ran = graph_regime
+    force(mode)
     df = Q.q_random_walks("unused").to_pandas()
+    assert ran() == mode
     return sorted(map(tuple, df[["walk_id", "step", "node"]].values.tolist()))
 
 
-def test_walks_regime_parity(ray_session, monkeypatch):
+def test_walks_regime_parity(ray_session, monkeypatch, graph_regime):
     rng = np.random.default_rng(99)
     n, m = 91, 260  # n chosen so several seeds (id % 13 == 0) exist
     edges = list(zip(rng.integers(0, n, m).tolist(),
                      rng.integers(0, n, m).tolist()))
     _fake_edges(monkeypatch, n, edges)
-    local = _walks(monkeypatch, "local")
-    dist = _walks(monkeypatch, "dist")
+    local = _walks(graph_regime, "local")
+    dist = _walks(graph_regime, "dist")
     assert local == dist
     assert len(local) > len([i for i in range(0, n, 13)])  # steps happened
 
 
-def test_walks_dead_end_stops(ray_session, monkeypatch):
+def test_walks_dead_end_stops(ray_session, monkeypatch, graph_regime):
     """Walk from an isolated seed emits only step 0 in both regimes."""
     # node 0 seeds (0 % 13 == 0) and is isolated; 13 seeds and walks
     n, edges = 14, [(1, 2), (2, 3)]
     _fake_edges(monkeypatch, n, edges)
-    local = _walks(monkeypatch, "local")
-    dist = _walks(monkeypatch, "dist")
+    local = _walks(graph_regime, "local")
+    dist = _walks(graph_regime, "dist")
     assert local == dist
     assert (0, 0, 0) in local
     assert not any(w == 0 and s > 0 for w, s, _ in local)
 
 
-def test_bfs_regime_parity_random(ray_session, monkeypatch):
+def test_bfs_regime_parity_random(ray_session, monkeypatch, graph_regime):
     from osm_replication_rust_ray.pipelines import queries as Q
 
     rng = np.random.default_rng(4)
@@ -62,16 +63,17 @@ def test_bfs_regime_parity_random(ray_session, monkeypatch):
     edges = list(zip(rng.integers(0, n, m).tolist(),
                      rng.integers(0, n, m).tolist()))
     _fake_edges(monkeypatch, n, edges)
+    force, ran = graph_regime
     out = {}
     for mode in ("local", "dist"):
-        monkeypatch.setenv("GRAFT_GRAPH_LOCAL_ROWS",
-                           "0" if mode == "dist" else str(1 << 40))
+        force(mode)
         df = Q.q_bfs_hops("unused").to_pandas()
+        assert ran() == mode
         out[mode] = sorted(map(tuple, df[["node", "hops"]].values.tolist()))
     assert out["local"] == out["dist"]
 
 
-def test_lpa_regime_parity(ray_session, monkeypatch):
+def test_lpa_regime_parity(ray_session, monkeypatch, graph_regime):
     from osm_replication_rust_ray.pipelines import queries as Q
 
     rng = np.random.default_rng(17)
@@ -79,11 +81,12 @@ def test_lpa_regime_parity(ray_session, monkeypatch):
     edges = list(zip(rng.integers(0, n, m).tolist(),
                      rng.integers(0, n, m).tolist()))
     _fake_edges(monkeypatch, n, edges)
+    force, ran = graph_regime
     out = {}
     for mode in ("local", "dist"):
-        monkeypatch.setenv("GRAFT_GRAPH_LOCAL_ROWS",
-                           "0" if mode == "dist" else str(1 << 40))
+        force(mode)
         df = Q.q_label_propagation("unused").to_pandas()
+        assert ran() == mode
         out[mode] = sorted(map(tuple,
                                df[["node", "community"]].values.tolist()))
     assert out["local"] == out["dist"]
@@ -123,16 +126,17 @@ def test_lpa_local_matches_brute(ray_session):
     assert got["community"].to_pylist() == lab
 
 
-def test_hits_regime_parity(ray_session, monkeypatch):
+def test_hits_regime_parity(ray_session, graph_regime):
     """Local kernel vs distributed join path on the real derivation
-    (sf0.001), forced via the crossover env var."""
+    (sf0.001), forced by patching the crossover constant."""
     from osm_replication_rust_ray.pipelines import queries as Q
 
+    force, ran = graph_regime
     out = {}
     for mode in ("local", "dist"):
-        monkeypatch.setenv("GRAFT_GRAPH_LOCAL_ROWS",
-                           "0" if mode == "dist" else str(1 << 40))
+        force(mode)
         df = Q.q_hits_scores("/root/testdata/sf0.001").to_pandas()
+        assert ran() == mode
         out[mode] = sorted(map(tuple,
                                df[["node", "hub", "auth"]].values.tolist()))
     assert out["local"] == out["dist"]

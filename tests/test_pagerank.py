@@ -4,8 +4,10 @@ in-edges and duplicate edges)."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from osm_replication_rust_ray.functions import pagerank as pr
 from osm_replication_rust_ray.functions.pagerank import (
     DAMP_DEN,
     DAMP_NUM,
@@ -13,6 +15,25 @@ from osm_replication_rust_ray.functions.pagerank import (
     TELEPORT,
     pagerank,
 )
+
+BIG = 1 << 62
+
+
+@pytest.fixture
+def regime(monkeypatch, regimes):
+    """-> (force, ran): ``force(mode)`` patches the two crossovers so
+    ``pagerank`` takes ``mode``; ``ran()`` names the regime that ran."""
+    ran = regimes(local=(pr, "_pagerank_local"),
+                  broadcast=(pr, "_pagerank_broadcast"),
+                  shuffle=(pr, "safe_join"))
+
+    def force(mode: str):
+        local, bcast = {"local": (BIG, BIG), "broadcast": (0, BIG),
+                        "shuffle": (0, 0)}[mode]
+        monkeypatch.setattr(pr, "LOCAL_ROWS", local)
+        monkeypatch.setattr(pr, "BROADCAST_ROWS", bcast)
+
+    return force, ran
 
 
 def _reference(n, src, dst, outdeg_of, n_iter):
@@ -57,7 +78,7 @@ def test_pagerank_matches_reference(ray_session):
         assert (got["rank"].to_numpy()[no_in] == TELEPORT).all()
 
 
-def test_pagerank_broadcast_shuffle_parity(ray_session, monkeypatch):
+def test_pagerank_broadcast_shuffle_parity(ray_session, regime):
     """The two data-movement regimes must be value-identical, including
     the corner where an edge dst is NOT a node: it still earns a rank
     row and is carried into later rounds' rank vector."""
@@ -83,7 +104,8 @@ def test_pagerank_broadcast_shuffle_parity(ray_session, monkeypatch):
         )
         return nodes, edges
 
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "broadcast")
+    force, ran = regime
+    force("broadcast")
     nodes, edges = build()
     got_b = (
         pagerank(nodes, edges, n_iter=3, est_nodes=n)
@@ -91,7 +113,8 @@ def test_pagerank_broadcast_shuffle_parity(ray_session, monkeypatch):
         .sort_values("v")
         .reset_index(drop=True)
     )
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "shuffle")
+    assert ran() == "broadcast"
+    force("shuffle")
     nodes, edges = build()
     got_s = (
         pagerank(nodes, edges, n_iter=3, est_nodes=n)
@@ -99,15 +122,16 @@ def test_pagerank_broadcast_shuffle_parity(ray_session, monkeypatch):
         .sort_values("v")
         .reset_index(drop=True)
     )
+    assert ran() == "shuffle"
     assert (got_b["v"].to_numpy() == got_s["v"].to_numpy()).all()
     assert (got_b["rank"].to_numpy() == got_s["rank"].to_numpy()).all()
     # non-node dsts really are present in both outputs
     assert got_b["v"].to_numpy().max() >= n
 
 
-def test_pagerank_local_regime_parity(ray_session, monkeypatch):
-    """The single-task local regime (auto mode under
-    GRAFT_PAGERANK_LOCAL_ROWS) must match the broadcast regime exactly,
+def test_pagerank_local_regime_parity(ray_session, regime):
+    """The single-task local regime (the default under
+    ``pagerank.LOCAL_ROWS``) must match the broadcast regime exactly,
     including non-node dsts earning rank rows."""
     rng = np.random.default_rng(31)
     n, m = 150, 600
@@ -130,8 +154,7 @@ def test_pagerank_local_regime_parity(ray_session, monkeypatch):
         )
         return nodes, edges
 
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "auto")
-    monkeypatch.setenv("GRAFT_PAGERANK_LOCAL_ROWS", "262144")
+    force, ran = regime
     nodes, edges = build()
     got_l = (
         pagerank(nodes, edges, n_iter=3)
@@ -139,7 +162,8 @@ def test_pagerank_local_regime_parity(ray_session, monkeypatch):
         .sort_values("v")
         .reset_index(drop=True)
     )
-    monkeypatch.setenv("GRAFT_JOIN_MODE", "broadcast")
+    assert ran() == "local"
+    force("broadcast")
     nodes, edges = build()
     got_b = (
         pagerank(nodes, edges, n_iter=3, est_nodes=n)
@@ -147,4 +171,5 @@ def test_pagerank_local_regime_parity(ray_session, monkeypatch):
         .sort_values("v")
         .reset_index(drop=True)
     )
+    assert ran() == "broadcast"
     assert got_l.equals(got_b)

@@ -7,6 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from osm_replication_rust_ray.functions import triangles
 from osm_replication_rust_ray.functions.triangles import triangle_counts
 
 
@@ -27,10 +28,26 @@ def brute(edges):
 MODES = ("broadcast", "shuffle")
 
 
-def run(ray_session, edges, monkeypatch, mode):
+@pytest.fixture
+def regime(monkeypatch, regimes):
+    """-> (force, ran): ``force(mode)`` patches ``triangles.BCAST_EDGES``
+    so ``triangle_counts`` takes ``mode``; ``ran()`` names the regime
+    that ran."""
+    ran = regimes(broadcast=(triangles, "_triangle_counts_broadcast"),
+                  shuffle=(triangles, "_triangle_counts_shuffle"))
+
+    def force(mode: str):
+        monkeypatch.setattr(triangles, "BCAST_EDGES",
+                            1 << 62 if mode == "broadcast" else 0)
+
+    return force, ran
+
+
+def run(ray_session, edges, regime, mode):
     import ray.data
 
-    monkeypatch.setenv("GRAFT_TRI_MODE", mode)
+    force, ran = regime
+    force(mode)
     es = sorted({tuple(sorted(e)) for e in edges if e[0] != e[1]})
     a = np.array([e[0] for e in es], np.int64)
     b = np.array([e[1] for e in es], np.int64)
@@ -38,33 +55,34 @@ def run(ray_session, edges, monkeypatch, mode):
         "a": pa.array(a), "b": pa.array(b)})).repartition(4)
     got = triangle_counts(ds, n_part=4, est_edges=len(es),
                           est_nodes=int(max(b.max(initial=0), 1)) + 1)
+    assert ran() == mode
     return {int(r.node): int(r.n_tri) for r in got.to_pandas().itertuples()}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed,n,m", [(5, 40, 160), (8, 80, 500)])
-def test_triangles_random_parity(ray_session, seed, n, m, monkeypatch, mode):
+def test_triangles_random_parity(ray_session, seed, n, m, regime, mode):
     rng = np.random.default_rng(seed)
     edges = list(zip(rng.integers(0, n, m).tolist(),
                      rng.integers(0, n, m).tolist()))
     exp = brute(edges)
     assert exp, "random graph should contain triangles"
-    assert run(ray_session, edges, monkeypatch, mode) == exp
+    assert run(ray_session, edges, regime, mode) == exp
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_triangles_clique_and_path(ray_session, monkeypatch, mode):
+def test_triangles_clique_and_path(ray_session, regime, mode):
     clique = list(itertools.combinations(range(5), 2))
-    got = run(ray_session, clique, monkeypatch, mode)
+    got = run(ray_session, clique, regime, mode)
     assert got == {v: 6 for v in range(5)}  # C(4,2) per K5 node
     path = [(i, i + 1) for i in range(10, 20)]
-    assert run(ray_session, path, monkeypatch, mode) == {}
+    assert run(ray_session, path, regime, mode) == {}
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_triangles_hub_skew(ray_session, monkeypatch, mode):
+def test_triangles_hub_skew(ray_session, regime, mode):
     """Star hub + one rim edge: exactly one triangle; the degree
     orientation must not blow up or double-count at the hub."""
     hub = 0
     edges = [(hub, i) for i in range(1, 30)] + [(1, 2)]
-    assert run(ray_session, edges, monkeypatch, mode) == {0: 1, 1: 1, 2: 1}
+    assert run(ray_session, edges, regime, mode) == {0: 1, 1: 1, 2: 1}
