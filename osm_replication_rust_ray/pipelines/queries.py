@@ -61,6 +61,24 @@ def _fill0(col) -> np.ndarray:
     return pc.fill_null(pc.cast(col, pa.int64()), 0).to_numpy(zero_copy_only=False)
 
 
+# The correctness gate runs at sf0.01, whose ``events`` table holds
+# exactly 10000 rows; the synthetic-data queries scale up there.  The
+# engine and the oracle test the same row count: a substring test on
+# sf_dir would diverge from the SQL at any path containing "0.01" with
+# another events count.
+
+def _gate_rows(sf_dir: str, n_rows: int, gate_rows: int) -> int:
+    """``gate_rows`` when ``events`` holds exactly 10000 rows, else
+    ``n_rows`` — the engine twin of ``_gate_rows_sql``."""
+    return gate_rows if table_rows(sf_dir, "events") == 10000 else n_rows
+
+
+def _gate_rows_sql(n_rows: int, gate_rows: int) -> str:
+    """SQL twin of ``_gate_rows``: a scalar row count."""
+    return (f"(CASE (SELECT count(*) FROM events) WHEN 10000 "
+            f"THEN {gate_rows} ELSE {n_rows} END)")
+
+
 # =====================================================================
 # fixed polygon set for the PIP join (shared engine/oracle constants)
 # =====================================================================
@@ -1520,21 +1538,10 @@ def sql_random_walks() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
     n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "wa") + mix64_sql_layers("sb", "hb", "wb"),
-    )
-    ctes = [f"""raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+    ctes = [f"""raw AS ({_edge_pairs_sql()}),
 sym AS MATERIALIZED (
-  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw WHERE a0 != b0
-  UNION SELECT b0, a0 FROM raw WHERE a0 != b0),
+  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw
+  UNION SELECT b0, a0 FROM raw),
 w0 AS (SELECT unnest(generate_series(0, {n} - 1)) AS walk_id,
               unnest(generate_series(0, {n} - 1)) AS node)"""]
     # keep only seed rows in w0 via a wrapper
@@ -2521,30 +2528,70 @@ TRI_EDGE_FACTOR = 6
 TRI_SALT = 1_000_003
 
 
-def _tri_edges(sf_dir: str):
-    """Canonical distinct edge Dataset (a < b) of the derived graph."""
+def _edge_pairs(i: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (a, b) of the raw samples ``i`` of the derived graph
+    over n nodes, self-loops dropped: a = mix64(2i + TRI_SALT) mod n,
+    b = mix64(2i + 1 + TRI_SALT) mod n."""
+    from ..sources.synth import _mix64
+
+    a = (_mix64((2 * i + TRI_SALT).astype(np.uint64))
+         % np.uint64(n)).astype(np.int64)
+    b = (_mix64((2 * i + 1 + TRI_SALT).astype(np.uint64))
+         % np.uint64(n)).astype(np.int64)
+    keep = a != b
+    return a[keep], b[keep]
+
+
+def _edge_pairs_sql() -> str:
+    """Oracle rows (a0, b0): the SQL twin of ``_edge_pairs`` over all
+    TRI_EDGE_FACTOR * n samples, n the customer row count."""
+    from ..sources.synth import chain_layers_sql, mix64_sql_layers
+
+    n = "(SELECT count(*) FROM customer)"
+    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
+            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
+            f"FROM (SELECT unnest(generate_series(0, "
+            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
+    chained = chain_layers_sql(
+        f"({base})",
+        mix64_sql_layers("sa", "ha", "ea") + mix64_sql_layers("sb", "hb", "eb"),
+    )
+    return f"""
+SELECT a0, b0 FROM (
+  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
+         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
+  FROM ({chained}))
+WHERE a0 != b0"""
+
+
+def _derived_edges(sf_dir: str, directed: bool):
+    """Distinct edge Dataset of the derived graph and its (n, m):
+    directed (src, dst) pairs, or canonical (a < b) pairs when not
+    ``directed``."""
     import ray.data as rd
 
     from ..functions.agg import sorted_distinct
-    from ..sources.synth import _mix64
 
     n = table_rows(sf_dir, "customer")
     m = TRI_EDGE_FACTOR * n
+    cols = ["src", "dst"] if directed else ["a", "b"]
 
     def gen(b: pa.Table) -> pa.Table:
         i = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = (_mix64((2 * i + TRI_SALT).astype(np.uint64))
-             % np.uint64(n)).astype(np.int64)
-        c = (_mix64((2 * i + 1 + TRI_SALT).astype(np.uint64))
-             % np.uint64(n)).astype(np.int64)
-        keep = a != c
-        a, c = a[keep], c[keep]
-        return pa.table({"a": pa.array(np.minimum(a, c), pa.int64()),
-                         "b": pa.array(np.maximum(a, c), pa.int64())})
+        x, y = _edge_pairs(i, n)
+        if not directed:
+            x, y = np.minimum(x, y), np.maximum(x, y)
+        return pa.table({cols[0]: pa.array(x, pa.int64()),
+                         cols[1]: pa.array(y, pa.int64())})
 
     raw = rd.range(m).map_batches(gen, batch_format="pyarrow",
                                   batch_size=65536)
-    return sorted_distinct(raw, ["a", "b"]), n, m
+    return sorted_distinct(raw, cols), n, m
+
+
+def _tri_edges(sf_dir: str):
+    """Canonical distinct edge Dataset (a < b) of the derived graph."""
+    return _derived_edges(sf_dir, directed=False)
 
 
 def q_triangle_counts(sf_dir: str):
@@ -2565,25 +2612,11 @@ def sql_triangle_counts() -> str:
     3-way self-join on canonical (a < b) edges — each triangle
     (x < y < z by id) matched exactly once; corners unnest to
     per-node counts."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
-    n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ta") + mix64_sql_layers("sb", "hb", "tb"),
-    )
     return f"""
-WITH raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+WITH raw AS ({_edge_pairs_sql()}),
 edges AS (
   SELECT DISTINCT least(a0, b0) AS a, greatest(a0, b0) AS b
-  FROM raw WHERE a0 != b0),
+  FROM raw),
 tri AS (
   SELECT e1.a AS x, e1.b AS y, e2.b AS z
   FROM edges e1
@@ -2681,25 +2714,12 @@ def q_bfs_hops(sf_dir: str):
 def sql_bfs_hops() -> str:
     """Oracle: same edge derivation; recursive min-hop closure capped
     at BFS_MAX_HOPS."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
     n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ba") + mix64_sql_layers("sb", "hb", "bb"),
-    )
     return f"""
-WITH RECURSIVE raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+WITH RECURSIVE raw AS ({_edge_pairs_sql()}),
 sym AS MATERIALIZED (
-  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw WHERE a0 != b0
-  UNION SELECT b0, a0 FROM raw WHERE a0 != b0),
+  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw
+  UNION SELECT b0, a0 FROM raw),
 seeds AS (
   SELECT unnest(generate_series(0, {n} - 1)) AS node),
 reach(node, d) AS (
@@ -7281,11 +7301,7 @@ def q_dedup_phash(sf_dir: str, n_rows: int = 20000):
     from ..functions.agg import adaptive_group_aggregate
     from ..sources.synth import payload_dataset
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 50000
+    n_rows = _gate_rows(sf_dir, n_rows, 50000)
     ds = payload_dataset(n_rows, with_bytes=False)
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -7328,8 +7344,7 @@ def sql_dedup_phash() -> str:
     splitmix64 arithmetic on the row index (sources/synth.py:
     payload_batch), so the oracle regenerates it with the exact
     wrapping-uint64 SQL chains and groups identically.  Row count
-    follows the engine's sf rule via the events-table size (10000
-    events <=> sf0.01)."""
+    follows the engine's sf rule (``_gate_rows_sql``)."""
     from ..sources.synth import (
         chain_layers_sql,
         mix64_sql_layers,
@@ -7338,7 +7353,7 @@ def sql_dedup_phash() -> str:
     )
 
     sh = seed_hash()
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 50000 ELSE 20000 END)"
+    n = _gate_rows_sql(20000, 50000)
     base = f"SELECT unnest(generate_series(0, {n} - 1)) AS i"
     layers = mix64_sql_layers(f"xor(i::UBIGINT, {sh}::UBIGINT)", "h", "h")
     layers += mix64_sql_layers("h", "ph_self", "ps")
@@ -7398,8 +7413,7 @@ def q_phash_hamming(sf_dir: str, n_rows: int = 20000):
     from ..functions.agg import sorted_distinct
     from ..sources.synth import payload_dataset
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 50000
+    n_rows = _gate_rows(sf_dir, n_rows, 50000)
     ds = payload_dataset(n_rows, with_bytes=False)
     n_items = n_rows + (n_rows + PHASH_HAM_VARIANT_EVERY - 1) // PHASH_HAM_VARIANT_EVERY
 
@@ -7466,7 +7480,7 @@ def sql_phash_hamming() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers, seed_hash
 
     sh = seed_hash()
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 50000 ELSE 20000 END)"
+    n = _gate_rows_sql(20000, 50000)
     base = f"SELECT unnest(generate_series(0, {n} - 1)) AS i"
     layers = mix64_sql_layers(f"xor(i::UBIGINT, {sh}::UBIGINT)", "h", "h")
     layers += mix64_sql_layers("h", "ph_self", "ps")
@@ -8666,8 +8680,7 @@ def q_bloom_blocklist(sf_dir: str, n_rows: int = 2000):
     from ..functions.bloom import build_bloom
     from ..sources.synth import payload_batch, payload_dataset
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 4000
+    n_rows = _gate_rows(sf_dir, n_rows, 4000)
     bl_idx = np.arange(_BLOOM["rem"], n_rows, _BLOOM["mod"], dtype=np.int64)
     bl_ph = np.ascontiguousarray(
         payload_batch(bl_idx, with_bytes=False)["phash"]
@@ -8695,8 +8708,7 @@ def sql_bloom_blocklist() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
     m, k = _BLOOM["m"], _BLOOM["k"]
-    n = ("(CASE (SELECT count(*) FROM events) WHEN 10000 "
-         "THEN 4000 ELSE 2000 END)")
+    n = _gate_rows_sql(2000, 4000)
     base, layers = _synth_extent_layers(n)
     upto = next(ix for ix, (nm, _e) in enumerate(layers) if nm == "phv") + 1
     rows = chain_layers_sql(f"({base})", layers[:upto])
@@ -8727,21 +8739,81 @@ SELECT 'img' || lpad(CAST(r.i AS VARCHAR), 9, '0') AS image_id,
 FROM rows r JOIN probe p USING (i)"""
 
 
-def _image_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
-    """Image payload rows through ``actor`` as an actor pool at batch
-    128.  ``gate_rows`` replaces ``n_rows`` when ``events`` holds
-    exactly 10000 rows: it must mirror the oracle's ``CASE (SELECT
-    count(*) FROM events) WHEN 10000`` (a substring test on sf_dir
-    diverges from the SQL at any path containing "0.01")."""
+# ---- payload pixels in SQL: the oracle twin of synth.make_image_bytes ----
+
+def _payload_img_sql(n_sql: str) -> str:
+    """Oracle rows (i, w, h, base) for payload images 0..n-1: the
+    16/32/64 size ladder of sources/synth.payload_batch and the seed
+    ``base`` of each image's byte stream (make_image_bytes)."""
+    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
+
+    img = f"""
+SELECT i,
+       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
+       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
+FROM (SELECT unnest(generate_series(0, {n_sql} - 1)) AS i)"""
+    img = chain_layers_sql(
+        f"({img})",
+        mix64_sql_layers(f"xor(i::UBIGINT, {SEED * 7919}::UBIGINT)",
+                         "base", "img"),
+    )
+    return f"SELECT i, w, h, base FROM ({img})"
+
+
+def _stream_byte_sql(rows_sql: str, bidx: str = "bidx", v: str = "v") -> str:
+    """``rows_sql`` plus column ``v``: byte ``bidx`` of the counter-hash
+    stream seeded by the row's ``base``, i.e. byte ``bidx % 8`` of
+    mix64(base + bidx // 8) — the stream of synth.make_image_bytes and
+    synth.make_video_bytes."""
+    from ..sources.synth import chain_layers_sql, mix64_sql_layers
+
+    hv = chain_layers_sql(
+        f"({rows_sql})",
+        mix64_sql_layers(
+            f"CAST((base::HUGEINT + ({bidx} // 8)) % 18446744073709551616"
+            " AS UBIGINT)",
+            f"{v}_hv", v,
+        ),
+    )
+    return (f"SELECT *, CAST(({v}_hv >> (8 * ({bidx} % 8))) & 255 AS BIGINT)"
+            f" AS {v} FROM ({hv})")
+
+
+def _payload_pix_sql(n_sql: str) -> str:
+    """Oracle rows (i, w, h, bidx, y, x, c, v): every byte of payload
+    images 0..n-1 with its pixel row/column and channel — the scaffold
+    every full-image oracle scatters from.  The largest image, 32x64,
+    has 6144 bytes."""
+    grid = f"""
+SELECT i, w, h, base, bidx
+FROM ({_payload_img_sql(n_sql)}),
+     (SELECT unnest(generate_series(0, 6143)) AS bidx)
+WHERE bidx < w * h * 3"""
+    return f"""
+SELECT i, w, h, bidx, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
+       bidx % 3 AS c, v
+FROM ({_stream_byte_sql(grid)})"""
+
+
+def _image_pool(actor, sf_dir: str, n_rows: int, gate_rows: int,
+                reencode=None, batch_size: int = 128):
+    """Image payload rows (``gate_rows`` of them at the sf0.01 gate,
+    see ``_gate_rows``), re-encoded by the stateless ``reencode``
+    batch function when given, through ``actor`` as an actor pool;
+    both stages run at ``batch_size``."""
     from ..sources.synth import payload_dataset
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = gate_rows
-    return payload_dataset(n_rows, with_bytes=True).map_batches(
+    n_rows = _gate_rows(sf_dir, n_rows, gate_rows)
+    ds = payload_dataset(n_rows, with_bytes=True)
+    if reencode is not None:
+        ds = ds.map_batches(reencode, batch_format="pyarrow",
+                            batch_size=batch_size)
+    return ds.map_batches(
         actor,
         batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
+        batch_size=batch_size,
+        concurrency=pool_concurrency(
+            est_tasks(n_rows=n_rows, batch_rows=batch_size)),
     )
 
 
@@ -8750,8 +8822,7 @@ def _clip_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
     actor pool at batch 64; ``gate_rows`` as in ``_image_pool``."""
     import ray.data as rd
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = gate_rows
+    n_rows = _gate_rows(sf_dir, n_rows, gate_rows)
     return rd.range(n_rows).map_batches(
         actor,
         batch_format="pyarrow",
@@ -8763,21 +8834,9 @@ def _clip_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
 def q_image_ops(sf_dir: str, n_rows: int = 500):
     """Multimodal actor-pool stage: decode -> nearest resize ->
     per-channel feature extraction over the payload (rows-only)."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500, batch_size=256)
 
 
 def sql_image_ops(posterize: bool = False) -> str:
@@ -8792,40 +8851,16 @@ def sql_image_ops(posterize: bool = False) -> str:
     (stages/gif.posterize216: ``(v // 43) * 51``) to each regenerated
     byte — the gif_ops gate quantizes before the palette codec, so its
     reference pixels are the posterized stream."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 1500 ELSE 500 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "b"),
-    )
+    n = _gate_rows_sql(500, 1500)
     # explode to (image, thumb-pixel, channel); nearest-neighbor source
     # indices ys=(y*h)//8, xs=(x*w)//8 as in decode.resize_nearest
     grid = f"""
-SELECT i, w, h, base,
+SELECT i, w, h, base, c,
        ((((p // 8) * h) // 8) * w + ((p % 8) * w) // 8) * 3 + c AS bidx
-FROM ({base_tbl}),
+FROM ({_payload_img_sql(n)}),
      (SELECT unnest(generate_series(0, 63)) AS p),
      (SELECT unnest(generate_series(0, 2)) AS c)"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            f"CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "s",
-        ),
-    )
-    raw_v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
-    v_expr = f"(({raw_v}) // 43) * 51" if posterize else raw_v
-    bytes_tbl = f"""
-SELECT i, bidx % 3 AS c,
-       {v_expr} AS v
-FROM ({grid})"""
+    v_expr = "(v // 43) * 51" if posterize else "v"
     stats = []
     for ci, ch in enumerate("rgb"):
         ssum = f"sum(v) FILTER (WHERE c = {ci})"
@@ -8839,7 +8874,7 @@ FROM ({grid})"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
        CAST(8 AS INTEGER) AS thumb_w, CAST(8 AS INTEGER) AS thumb_h,
        {", ".join(stats)}
-FROM ({bytes_tbl})
+FROM (SELECT i, c, {v_expr} AS v FROM ({_stream_byte_sql(grid)}))
 GROUP BY i"""
 
 
@@ -8871,33 +8906,9 @@ def sql_hist_equalize() -> str:
     byte (same splitmix64 stream as sql_patch_stats), build the
     per-image histogram, CDF via a window cumsum, apply the identical
     integer remap, and aggregate the same three invariants."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "hb"),
-    )
-    grid = f"""
-SELECT i, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "hs",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS (SELECT i, bidx, {v} AS v FROM ({grid})),
+WITH pix AS ({_payload_pix_sql(n)}),
 hist AS (SELECT i, v, count(*) AS c FROM pix GROUP BY i, v),
 cdf AS (SELECT i, v, SUM(c) OVER (PARTITION BY i ORDER BY v) AS cdf
         FROM hist),
@@ -8930,36 +8941,9 @@ def sql_morph_ops() -> str:
     participates in (equality GROUP BY — replicate border never changes
     a window extremum, so out-of-bounds duplicates need no modeling),
     take per-position min/max, aggregate the same checksums."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "mo"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "ms",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS (
-  SELECT i, w, h, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
-         bidx % 3 AS c, {v} AS v
-  FROM ({grid})),
+WITH pix AS ({_payload_pix_sql(n)}),
 nb AS (
   SELECT p.i, p.w, p.y + o.dy AS ty, p.x + o.dx AS tx, p.c, p.v
   FROM pix p,
@@ -8996,36 +8980,9 @@ def sql_conv_ops() -> str:
     scatter each pixel to the <=9 interior window CENTERS it serves
     (ty = y - dy with kernel weight k(dy, dx) — one scatter feeds the
     box sum AND both Sobel components), then the same checksums."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "cv"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "cs",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS (
-  SELECT i, w, h, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
-         bidx % 3 AS c, {v} AS v
-  FROM ({grid})),
+WITH pix AS ({_payload_pix_sql(n)}),
 off(dy, dx, wx, wy) AS (VALUES
   (-1,-1,-1,-1),(-1,0,0,-2),(-1,1,1,-1),
   ( 0,-1,-2, 0),( 0,0,0, 0),( 0,1,2, 0),
@@ -9071,36 +9028,11 @@ def sql_blob_ops() -> str:
     scan-order-free rule the engine's min-union find produces), then
     the identical per-image aggregates (zero-foreground images kept
     via left joins)."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "bo"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3 AND bidx % 3 = 0"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "bp",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 200)
     return f"""
 WITH RECURSIVE fg AS MATERIALIZED (
-  SELECT i, w, h, bidx // 3 AS node,
-         (bidx // 3) // w AS y, (bidx // 3) % w AS x
-  FROM ({grid}) WHERE {v} >= 200),
+  SELECT i, w, h, bidx // 3 AS node, y, x
+  FROM ({_payload_pix_sql(n)}) WHERE c = 0 AND v >= 200),
 edg AS MATERIALIZED (
   SELECT a.i, a.node AS s, b.node AS d
   FROM fg a JOIN fg b ON b.i = a.i AND b.node = a.node + 1
@@ -9125,7 +9057,7 @@ SELECT 'img' || lpad(CAST(b.i AS VARCHAR), 9, '0') AS image_id,
        CAST(COALESCE(a1.n_blobs, 0) AS BIGINT) AS n_blobs,
        CAST(COALESCE(a2.max_blob_px, 0) AS BIGINT) AS max_blob_px,
        CAST(COALESCE(a1.labelsum, 0) AS BIGINT) AS labelsum
-FROM ({base_tbl}) b
+FROM ({_payload_img_sql(n)}) b
 LEFT JOIN agg1 a1 ON a1.i = b.i
 LEFT JOIN agg2 a2 ON a2.i = b.i"""
 
@@ -9143,34 +9075,11 @@ def sql_otsu_ops() -> str:
     """Otsu oracle: regenerate channel-0 bytes, build per-image
     histograms, score every threshold, and pick the argmax with the
     IDENTICAL cross-multiplied rational compare in HUGEINT."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "ot"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3 AND bidx % 3 = 0"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "ou",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
 WITH hist AS MATERIALIZED (
-  SELECT i, {v} AS val, count(*) AS cnt FROM ({grid}) GROUP BY i, {v}),
+  SELECT i, v AS val, count(*) AS cnt FROM ({_payload_pix_sql(n)})
+  WHERE c = 0 GROUP BY i, v),
 tot AS MATERIALIZED (
   SELECT i, CAST(sum(cnt) AS BIGINT) AS n,
          CAST(sum(val * cnt) AS BIGINT) AS s_all
@@ -9199,7 +9108,7 @@ SELECT 'img' || lpad(CAST(b.i AS VARCHAR), 9, '0') AS image_id,
        CAST(COALESCE(bs.t, -1) AS BIGINT) AS otsu_t,
        CAST(COALESCE(bs.c, 0) AS BIGINT) AS c0,
        CAST(COALESCE(bs.s, 0) AS BIGINT) AS s0
-FROM ({base_tbl}) b LEFT JOIN best bs ON bs.i = b.i"""
+FROM ({_payload_img_sql(n)}) b LEFT JOIN best bs ON bs.i = b.i"""
 
 
 def q_blend_ops(sf_dir: str, n_rows: int = 120):
@@ -9216,40 +9125,14 @@ def sql_blend_ops() -> str:
     """Blend oracle, fully in SQL: regenerate every payload byte AND
     the coordinate watermark, apply the identical integer blend,
     aggregate the same checksums."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "bl"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "bs",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
-    wm = ("((((bidx // 3) % w) * 7 + ((bidx // 3) // w) * 13 "
-          "+ (bidx % 3) * 29) % 256)")
-    blend = f"(64 * ({v}) + 192 * ({wm})) // 256"
+    n = _gate_rows_sql(120, 400)
+    blend = "(64 * v + 192 * ((x * 7 + y * 13 + c * 29) % 256)) // 256"
     return f"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
        CAST(count(*) AS BIGINT) AS n_px,
        CAST(sum({blend}) AS BIGINT) AS blend_sum,
        CAST(sum((bidx + 1) * ({blend})) AS BIGINT) AS blend_possum
-FROM ({grid})
+FROM ({_payload_pix_sql(n)})
 GROUP BY i"""
 
 
@@ -9258,43 +9141,16 @@ def sql_patch_stats() -> str:
     (splitmix64 counter stream, sources/synth.make_image_bytes), map
     byte index -> (pixel y, x, channel) -> (patch_r, patch_c), and
     aggregate exactly per (image, patch)."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "pb"),
-    )
-    # sizes are (16,32),(32,64),(64,16): max byte stream 32*64*3 = 6144
-    grid = f"""
-SELECT i, w, h, base, bidx,
-       ((bidx // 3) // w) // (h // 4) AS patch_r,
-       ((bidx // 3) % w) // (w // 4) AS patch_c
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "ps",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
-       CAST(patch_r AS INTEGER) AS patch_r,
-       CAST(patch_c AS INTEGER) AS patch_c,
-       CAST(sum({v}) AS BIGINT) AS psum,
-       CAST(min({v}) AS INTEGER) AS pmin,
-       CAST(max({v}) AS INTEGER) AS pmax
-FROM ({grid})
-GROUP BY i, patch_r, patch_c"""
+       CAST(y // (h // 4) AS INTEGER) AS patch_r,
+       CAST(x // (w // 4) AS INTEGER) AS patch_c,
+       CAST(sum(v) AS BIGINT) AS psum,
+       CAST(min(v) AS INTEGER) AS pmin,
+       CAST(max(v) AS INTEGER) AS pmax
+FROM ({_payload_pix_sql(n)})
+GROUP BY i, y // (h // 4), x // (w // 4)"""
 
 
 class _BilinearActor(ImageHarness):
@@ -9325,46 +9181,27 @@ def sql_resize_bilinear() -> str:
     coordinate ((2Y+1)*h*256)//16 - 128 (nonnegative for every h in
     the size ladder since out=8 <= h/2), corner regen via four mix64
     chains, integer blend // 65536."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "rb"),
-    )
+    n = _gate_rows_sql(120, 400)
     grid = f"""
 SELECT i, w, h, base, p, p % 3 AS c,
        ((2 * ((p // 3) // 8) + 1) * h * 256) // 16 - 128 AS yq,
        ((2 * ((p // 3) % 8) + 1) * w * 256) // 16 - 128 AS xq
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 191)) AS p)"""
-    grid = (
+FROM ({_payload_img_sql(n)}),
+     (SELECT unnest(generate_series(0, 191)) AS p)"""
+    vals = (
         f"SELECT *, yq // 256 AS y0, xq // 256 AS x0, "
         f"yq % 256 AS fy, xq % 256 AS fx, "
         f"least(yq // 256 + 1, h - 1) AS y1, "
         f"least(xq // 256 + 1, w - 1) AS x1 FROM ({grid})"
     )
-    layers = []
     for tag, yy, xx in (
         ("00", "y0", "x0"), ("01", "y0", "x1"),
         ("10", "y1", "x0"), ("11", "y1", "x1"),
     ):
-        bidx = f"(({yy} * w + {xx}) * 3 + c)"
-        layers.append((f"b{tag}", bidx))
-        layers += mix64_sql_layers(
-            f"CAST((base::HUGEINT + (b{tag} // 8)) % 18446744073709551616 "
-            "AS UBIGINT)",
-            f"hv{tag}", f"r{tag}",
+        vals = _stream_byte_sql(
+            f"SELECT *, (({yy} * w + {xx}) * 3 + c) AS b{tag} FROM ({vals})",
+            f"b{tag}", f"v{tag}",
         )
-        layers.append(
-            (f"v{tag}", f"CAST((hv{tag} >> (8 * (b{tag} % 8))) & 255 AS BIGINT)")
-        )
-    vals = chain_layers_sql(f"({grid})", layers)
     blend = ("(v00 * (256 - fx) * (256 - fy) + v01 * fx * (256 - fy) "
              "+ v10 * (256 - fx) * fy + v11 * fx * fy) // 65536")
     wm, wp = _AUG_WM, _AUG_WP
@@ -9423,32 +9260,7 @@ def sql_augment_ops() -> str:
     (w, h) image; horizontal flip maps x -> w-1-x; the center half
     crop keeps y in [h/4, h/4+h/2), x in [w/4, w/4+w/2).  Weight =
     (dest_flat_index * {wm}) % {wp} + 1."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "ab"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx,
-       (bidx // 3) // w AS y, (bidx // 3) % w AS x, bidx % 3 AS c
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "as_",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     wm, wp = _AUG_WM, _AUG_WP
     p_flip = "((y * w + (w - 1 - x)) * 3 + c)"
     p_rot = "(((w - 1 - x) * h + y) * 3 + c)"
@@ -9457,12 +9269,12 @@ WHERE bidx < w * h * 3"""
                "x >= w // 4 AND x < w // 4 + w // 2")
     return f"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
-       CAST(sum({v} * (({p_flip} * {wm}) % {wp} + 1)) AS BIGINT) AS chk_flip,
-       CAST(sum({v} * (({p_rot} * {wm}) % {wp} + 1)) AS BIGINT) AS chk_rot90,
+       CAST(sum(v * (({p_flip} * {wm}) % {wp} + 1)) AS BIGINT) AS chk_flip,
+       CAST(sum(v * (({p_rot} * {wm}) % {wp} + 1)) AS BIGINT) AS chk_rot90,
        CAST(sum(CASE WHEN {in_crop}
-                THEN {v} * (({p_crop} * {wm}) % {wp} + 1)
+                THEN v * (({p_crop} * {wm}) % {wp} + 1)
                 ELSE 0 END) AS BIGINT) AS chk_crop
-FROM ({grid})
+FROM ({_payload_pix_sql(n)})
 GROUP BY i"""
 
 
@@ -9508,22 +9320,10 @@ def q_png_ops(sf_dir: str, n_rows: int = 500):
     codec, stages/png.py) mid-pipeline, then the standard decode ->
     resize -> stats actor pool.  The pixel-regen oracle only matches if
     encode->decode is bit-exact for all five scanline filters."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_png, batch_format="pyarrow", batch_size=256)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_png, batch_size=256)
 
 
 def _reencode_container(batch: pa.Table) -> pa.Table:
@@ -9550,24 +9350,10 @@ def q_container_ops(sf_dir: str, n_rows: int = 500):
     stdlib+numpy codecs, stages/bmp.py, stages/tiff.py), then the
     standard decode -> resize -> stats actor pool.  The pixel-regen
     oracle only matches if BOTH encode->decode paths are bit-exact."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(
-        _reencode_container, batch_format="pyarrow", batch_size=256
-    )
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_container, batch_size=256)
 
 
 def _reencode_webp(batch: pa.Table) -> pa.Table:
@@ -9583,20 +9369,10 @@ def q_webp_ops(sf_dir: str, n_rows: int = 500):
     pipeline, then the standard decode -> resize -> stats actor pool.
     Same pixel-regen oracle as image_ops: a hash match proves the
     VP8L encode->decode roundtrip is bit-exact end to end."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_webp, batch_format="pyarrow", batch_size=256)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_webp, batch_size=256)
 
 
 def _reencode_gif(batch: pa.Table) -> pa.Table:
@@ -9640,20 +9416,10 @@ def q_gif_ops(sf_dir: str, n_rows: int = 500):
     excluded from mixed_media_ops on purpose: the palette codec is only
     lossless on quantized content, and that gate's shared oracle
     regenerates UN-quantized pixels.)"""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_gif, batch_format="pyarrow", batch_size=256)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_gif, batch_size=256)
 
 
 def _reencode_mixed(batch: pa.Table) -> pa.Table:
@@ -9693,20 +9459,10 @@ def q_mixed_media_ops(sf_dir: str, n_rows: int = 500):
     VP8L WebP and QOI), all flowing through the same fmt-dispatching
     actor pool.  Same pixel-regen oracle as image_ops — one hash
     proves all seven dispatch paths bit-exact in one pipeline."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_mixed, batch_format="pyarrow", batch_size=256)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_mixed, batch_size=256)
 
 
 def _reencode_qoi(batch: pa.Table) -> pa.Table:
@@ -9722,20 +9478,10 @@ def q_qoi_ops(sf_dir: str, n_rows: int = 500):
     standard decode -> resize -> stats actor pool.  Same pixel-regen
     oracle as image_ops: a hash match proves the QOI encode->decode
     roundtrip is bit-exact end to end."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) exactly
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_qoi, batch_format="pyarrow", batch_size=256)
-    return ds.map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+                       reencode=_reencode_qoi, batch_size=256)
 
 
 def _reencode_jpeg(batch: pa.Table) -> pa.Table:
@@ -9763,22 +9509,10 @@ def q_jpeg_psnr(sf_dir: str, n_rows: int = 500):
     pixels checked against the 40 dB bar + caption equality.  The bar
     column is SQL-predictable (TRUE for every row), so the gate is an
     exact oracle even though the codec is lossy."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import DecodeStatsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1000
-    ds = payload_dataset(n_rows, with_bytes=True)
-    ds = ds.map_batches(_reencode_jpeg, batch_format="pyarrow", batch_size=128)
-    stats = ds.map_batches(
-        DecodeStatsActor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=128)),
-    )
+    stats = _image_pool(DecodeStatsActor, sf_dir, n_rows, 1000,
+                        reencode=_reencode_jpeg)
 
     def threshold(batch: pa.Table) -> pa.Table:
         psnr = batch["psnr"].to_numpy(zero_copy_only=False)
@@ -9813,7 +9547,7 @@ def sql_flac_ops() -> str:
     lossless_ok is TRUE for every row IFF the engine's FLAC
     encode->decode roundtrip is bit-exact (the Ray side computes it by
     comparing decoded samples against independently regenerated PCM)."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 1000 ELSE 300 END)"
+    n = _gate_rows_sql(300, 1000)
     return f"""
 SELECT 'clip' || lpad(CAST(i AS VARCHAR), 9, '0') AS clip_id,
        CAST(3000 + (i % 5) * 512 AS BIGINT) AS n_samples,
@@ -9842,7 +9576,7 @@ def sql_adpcm_ops() -> str:
     data headers); snr_ok is TRUE for every row IFF the engine's
     encode->decode SNR clears the 25 dB bar against independently
     regenerated PCM."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 1000 ELSE 300 END)"
+    n = _gate_rows_sql(300, 1000)
     return f"""
 SELECT 'clip' || lpad(CAST(i AS VARCHAR), 9, '0') AS clip_id,
        CAST(3000 + (i % 5) * 512 AS BIGINT) AS n_samples,
@@ -9875,7 +9609,7 @@ def sql_g711_ops() -> str:
     clears the 30 dB bar against independently regenerated PCM;
     requant_ok is TRUE IFF re-encoding the decoded samples reproduces
     the codeword stream byte-for-byte."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 1000 ELSE 300 END)"
+    n = _gate_rows_sql(300, 1000)
     return f"""
 SELECT 'clip' || lpad(CAST(i AS VARCHAR), 9, '0') AS clip_id,
        CASE i % 2 WHEN 0 THEN 'ulaw' ELSE 'alaw' END AS law,
@@ -9887,7 +9621,7 @@ FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
 
 
 def sql_jpeg_psnr() -> str:
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 1000 ELSE 500 END)"
+    n = _gate_rows_sql(500, 1000)
     return f"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
        TRUE AS psnr_ok,
@@ -9915,11 +9649,6 @@ def q_image_similarity(sf_dir: str, n_rows: int = 500, k: int = 5,
     from ..sources.synth import payload_dataset
     from ..stages.decode import ImageOpsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 1500
     FEATS = ["mean_r", "mean_g", "mean_b", "std_r", "std_g", "std_b"]
     import pandas as pd
 
@@ -9934,12 +9663,7 @@ def q_image_similarity(sf_dir: str, n_rows: int = 500, k: int = 5,
     q_ids = qdf["image_id"].tolist()
     q_mat = qdf[FEATS].to_numpy(np.float64)  # (n_queries, 6)
 
-    corpus = payload_dataset(n_rows, with_bytes=True).map_batches(
-        ImageOpsActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=256)),
-    )
+    corpus = _image_pool(ImageOpsActor, sf_dir, n_rows, 1500, batch_size=256)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
         # vectorized 'img%09d' -> int64 (no per-row Python)
@@ -10045,7 +9769,7 @@ def sql_decode_psnr() -> str:
     zero-copy reshape, PSNR is exactly the 99.0 lossless sentinel and
     captions regenerate equal; w/h follow the i%3 ladder of
     sources/synth.payload_batch."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 2000 ELSE 1000 END)"
+    n = _gate_rows_sql(1000, 2000)
     return f"""
 SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
        CAST(99.0 AS DOUBLE) AS psnr,
@@ -10058,21 +9782,10 @@ FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
 
 def q_decode_psnr(sf_dir: str, n_rows: int = 1000):
     """Multimodal decode + per-row PSNR/caption invariant check."""
-    from ..sources.synth import payload_dataset
     from ..stages.decode import DecodeStatsActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 2000
-    ds = payload_dataset(n_rows, with_bytes=True)
-    return ds.map_batches(
-        DecodeStatsActor,
-        batch_format="pyarrow",
-        batch_size=512,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=512)),
-    )
+    return _image_pool(DecodeStatsActor, sf_dir, n_rows, 2000,
+                       batch_size=512)
 
 
 # =====================================================================
@@ -10090,11 +9803,7 @@ def q_video_frames(sf_dir: str, n_rows: int = 200):
     from ..sources.synth import video_dataset
     from ..stages.decode import VideoFrameActor
 
-    # mirror the oracle's CASE (SELECT count(*) FROM events) WHEN 10000
-    # exactly — a substring test on sf_dir diverges from the SQL at any
-    # path containing "0.01" with a different events count (r3 advice)
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 600
+    n_rows = _gate_rows(sf_dir, n_rows, 600)
     ds = video_dataset(n_rows)
     return ds.map_batches(
         VideoFrameActor,
@@ -10114,8 +9823,7 @@ def q_video_motion(sf_dir: str, n_rows: int = 200):
     from ..sources.synth import video_dataset
     from ..stages.decode import decode_video
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 600
+    n_rows = _gate_rows(sf_dir, n_rows, 600)
     ds = video_dataset(n_rows)
 
     def motion(batch: pa.Table) -> pa.Table:
@@ -10148,37 +9856,35 @@ def q_video_motion(sf_dir: str, n_rows: int = 200):
     return ds.map_batches(motion, batch_format="pyarrow", batch_size=64)
 
 
+def _video_sql(n_sql: str) -> str:
+    """Oracle rows (i, nf, base) for synthetic videos 0..n-1: the
+    frame-count ladder of synth.video_frames_for and the seed ``base``
+    of each video's byte stream (make_video_bytes), read with
+    ``_stream_byte_sql``."""
+    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
+
+    vid = f"""
+SELECT i, 8 + (i % 5) * 4 AS nf
+FROM (SELECT unnest(generate_series(0, {n_sql} - 1)) AS i)"""
+    vid = chain_layers_sql(
+        f"({vid})",
+        mix64_sql_layers(f"xor(i::UBIGINT, {SEED * 104729}::UBIGINT)",
+                         "base", "vid"),
+    )
+    return f"SELECT i, nf, base FROM ({vid})"
+
+
 def sql_video_motion() -> str:
     """Twin: regenerate the per-byte values of the first 8 frames and
     difference adjacent frames via a self-join on the byte index."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 600 ELSE 200 END)"
-    vk = SEED * 104729
-    base = f"""
-SELECT i FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {vk}::UBIGINT)", "vbase", "vm"),
-    )
+    n = _gate_rows_sql(200, 600)
     # first 8 frames x 192 bytes each: bidx = f*192 + b
-    bytes_idx = f"""
-SELECT i, bidx // 192 AS f, bidx % 192 AS b, vbase
-FROM ({base}), (SELECT unnest(generate_series(0, 1535)) AS bidx)"""
-    bytes_idx = chain_layers_sql(
-        f"({bytes_idx})",
-        mix64_sql_layers(
-            "CAST((vbase::HUGEINT + ((f * 192 + b) // 8)) % "
-            "18446744073709551616 AS UBIGINT)",
-            "hv", "vmb",
-        ),
-    )
-    vals = f"""
-SELECT i, f, b,
-       CAST((hv >> (8 * ((f * 192 + b) % 8))) & 255 AS BIGINT) AS v
-FROM ({bytes_idx})"""
+    grid = f"""
+SELECT i, base, bidx, bidx // 192 AS f, bidx % 192 AS b
+FROM ({_video_sql(n)}), (SELECT unnest(generate_series(0, 1535)) AS bidx)"""
     return f"""
-WITH vals AS MATERIALIZED ({vals})
+WITH vals AS MATERIALIZED (
+  SELECT i, f, b, v FROM ({_stream_byte_sql(grid)}))
 SELECT 'vid' || lpad(CAST(a.i AS VARCHAR), 9, '0') AS video_id,
        CAST(a.f AS BIGINT) AS frame_idx,
        CAST(sum(abs(b.v - a.v)) AS BIGINT) AS motion
@@ -10192,36 +9898,16 @@ def sql_video_frames() -> str:
     (sources/synth.make_video_bytes), so every sampled-frame byte is
     (mix64(base + bidx//8) >> 8*(bidx%8)) & 255; channel means are
     integer sums / 64.0, the exact op order of VideoFrameActor."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 600 ELSE 200 END)"
-    vk = SEED * 104729  # make_video_bytes xor key
-    base = f"""
-SELECT i, 8 + (i % 5) * 4 AS nf
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {vk}::UBIGINT)", "vbase", "v"),
-    )
+    n = _gate_rows_sql(200, 600)
     # sampled frames: f = 0, 4, 8, ... < nf (VideoFrameActor every_n=4)
     frames = f"""
-SELECT i, vbase, s * 4 AS f
-FROM ({base}), (SELECT unnest(generate_series(0, 5)) AS s)
+SELECT i, base, s * 4 AS f
+FROM ({_video_sql(n)}), (SELECT unnest(generate_series(0, 5)) AS s)
 WHERE s * 4 < nf"""
     # frame f covers byte indices [f*192, f*192+192) of the stream
-    bytes_idx = f"""
-SELECT i, f, b % 3 AS c, f * 192 + b AS bidx, vbase
+    grid = f"""
+SELECT i, f, b % 3 AS c, f * 192 + b AS bidx, base
 FROM ({frames}), (SELECT unnest(generate_series(0, 191)) AS b)"""
-    bytes_idx = chain_layers_sql(
-        f"({bytes_idx})",
-        mix64_sql_layers(
-            "CAST((vbase::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "vb",
-        ),
-    )
-    vals = f"""
-SELECT i, f, c, CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT) AS v
-FROM ({bytes_idx})"""
     means = ", ".join(
         f"sum(v) FILTER (WHERE c = {ci}) / 64.0 AS mean_{ch}"
         for ci, ch in enumerate("rgb")
@@ -10229,7 +9915,7 @@ FROM ({bytes_idx})"""
     return f"""
 SELECT 'vid' || lpad(CAST(i AS VARCHAR), 9, '0') AS video_id,
        CAST(f AS BIGINT) AS frame_idx, {means}
-FROM ({vals})
+FROM (SELECT i, f, c, v FROM ({_stream_byte_sql(grid)}))
 GROUP BY i, f"""
 
 
@@ -10606,25 +10292,11 @@ def sql_k_core() -> str:
     times as MATERIALIZED CTEs (a converged round is a no-op, so extra
     unrolled rounds are harmless; the engine raises if the fixpoint
     needs more)."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
     k, rounds = KCORE_K, KCORE_MAX_ROUNDS
-    n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ka") + mix64_sql_layers("sb", "hb", "kb"),
-    )
-    ctes = [f"""raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained}))""",
+    ctes = [f"""raw AS ({_edge_pairs_sql()})""",
         """edges AS MATERIALIZED (
   SELECT DISTINCT least(a0, b0) AS a, greatest(a0, b0) AS b
-  FROM raw WHERE a0 != b0)""",
+  FROM raw)""",
         """sym AS MATERIALIZED (
   SELECT a AS s, b AS d FROM edges UNION ALL SELECT b, a FROM edges)""",
         "a0 AS MATERIALIZED (SELECT DISTINCT s AS node FROM sym)"]
@@ -10749,20 +10421,9 @@ def sql_sssp_bounded() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
     n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "wa") + mix64_sql_layers("sb", "hb", "wb"),
-    )
     edges = f"""
 SELECT DISTINCT least(a0, b0) AS a, greatest(a0, b0) AS b
-FROM (SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-             CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-      FROM ({chained}))
-WHERE a0 != b0"""
+FROM ({_edge_pairs_sql()})"""
     weighted = chain_layers_sql(
         f"({edges})",
         mix64_sql_layers(
@@ -10809,38 +10470,13 @@ def sql_dominant_color() -> str:
     quantized channels into one 12-bit code via FILTERed sums, count
     per (image, code), and take the per-image first row under
     (count DESC, code ASC) — np.argmax's first-max rule."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "dc"),
-    )
-    grid = f"""
-SELECT i, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 12287)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616"
-            " AS UBIGINT)",
-            "hv", "dp",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 200)
     return f"""
 WITH px AS (
   SELECT i, bidx // 3 AS p,
-         sum(({v} // 16) * (CASE bidx % 3 WHEN 0 THEN 256
-                            WHEN 1 THEN 16 ELSE 1 END)) AS code
-  FROM ({grid}) GROUP BY i, bidx // 3),
+         sum((v // 16) * (CASE c WHEN 0 THEN 256
+                          WHEN 1 THEN 16 ELSE 1 END)) AS code
+  FROM ({_payload_pix_sql(n)}) GROUP BY i, bidx // 3),
 cnts AS (
   SELECT i, code, count(*) AS cnt FROM px GROUP BY i, code),
 ranked AS (
@@ -10898,8 +10534,7 @@ def q_nms_boxes(sf_dir: str, n_rows: int = 500):
     over the 5 rank positions."""
     import ray.data as rd
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 2000
+    n_rows = _gate_rows(sf_dir, n_rows, 2000)
     K = NMS_BOXES_PER_IMAGE
 
     def nms(batch: pa.Table) -> pa.Table:
@@ -10957,7 +10592,7 @@ def sql_nms_boxes() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
     K = NMS_BOXES_PER_IMAGE
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 2000 ELSE 500 END)"
+    n = _gate_rows_sql(500, 2000)
     base = f"""
 SELECT i, j FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i),
             (SELECT unnest(generate_series(0, {K - 1})) AS j)"""
@@ -11037,7 +10672,7 @@ def sql_silence_segments() -> str:
     t - row_number() grouping."""
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 150 END)"
+    n = _gate_rows_sql(150, 400)
     base_tbl = f"""
 SELECT i, 3000 + (i % 5) * 512 AS n_samples
 FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
@@ -11318,25 +10953,11 @@ def q_link_prediction(sf_dir: str):
 def sql_link_prediction() -> str:
     """Oracle: same mix64 edge derivation; wedge self-join on the
     symmetrized adjacency, NOT EXISTS anti-join vs canonical edges."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
-    n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ta") + mix64_sql_layers("sb", "hb", "tb"),
-    )
     return f"""
-WITH raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+WITH raw AS ({_edge_pairs_sql()}),
 edges AS (
   SELECT DISTINCT least(a0, b0) AS a, greatest(a0, b0) AS b
-  FROM raw WHERE a0 != b0),
+  FROM raw),
 adj AS (SELECT a AS u, b AS v FROM edges
         UNION ALL SELECT b AS u, a AS v FROM edges),
 cn AS (
@@ -11373,8 +10994,7 @@ def q_hadamard_bands(sf_dir: str, n_rows: int = 100):
 
     from ..sources.synth import _mix64
 
-    if table_rows(sf_dir, "events") == 10000:
-        n_rows = 200
+    n_rows = _gate_rows(sf_dir, n_rows, 200)
 
     def wht_bands(batch: pa.Table) -> pa.Table:
         ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -11410,8 +11030,7 @@ def sql_hadamard_bands() -> str:
     sample(i,t) * (-1)^bit_count(k & t); band energy = sum of squares."""
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200"\
-        " ELSE 100 END)"
+    n = _gate_rows_sql(100, 200)
     grid = f"""
 SELECT i, t
 FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i),
@@ -11838,36 +11457,9 @@ def sql_median_filter() -> str:
     each pixel to the <=9 interior window centers it serves, and take
     DuckDB's median per destination — 9 values, odd count, so
     CAST(median AS BIGINT) is the exact middle order statistic."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base", "cv"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616 AS UBIGINT)",
-            "hv", "cs",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS (
-  SELECT i, w, h, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
-         bidx % 3 AS c, {v} AS v
-  FROM ({grid})),
+WITH pix AS ({_payload_pix_sql(n)}),
 off(dy, dx) AS (VALUES
   (-1,-1),(-1,0),(-1,1),(0,-1),(0,0),(0,1),(1,-1),(1,0),(1,1)),
 nb AS (
@@ -11885,43 +11477,6 @@ SELECT 'img' || lpad(CAST(i AS VARCHAR), 9, '0') AS image_id,
        CAST(sum(med) AS BIGINT) AS med_sum,
        CAST(sum(pos * med) AS BIGINT) AS med_possum
 FROM cw GROUP BY i"""
-
-
-def _payload_pix_sql(n_sql: str, tag: str) -> str:
-    """Shared oracle scaffold: regenerate every payload byte of the
-    synthetic image table (sources/synth.make_image_bytes) fully in
-    SQL and expose it as rows (i, w, h, y, x, c, v) — the pixel-regen
-    CTE body every image-op oracle scatters from."""
-    from ..sources.synth import SEED, chain_layers_sql, mix64_sql_layers
-
-    ik = SEED * 7919  # make_image_bytes xor key
-    base_tbl = f"""
-SELECT i,
-       CASE i % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS w,
-       CASE (i + 1) % 3 WHEN 0 THEN 16 WHEN 1 THEN 32 ELSE 64 END AS h
-FROM (SELECT unnest(generate_series(0, {n_sql} - 1)) AS i)"""
-    base_tbl = chain_layers_sql(
-        f"({base_tbl})",
-        mix64_sql_layers(f"xor(i::UBIGINT, {ik}::UBIGINT)", "base",
-                         f"{tag}b"),
-    )
-    grid = f"""
-SELECT i, w, h, base, bidx
-FROM ({base_tbl}), (SELECT unnest(generate_series(0, 6143)) AS bidx)
-WHERE bidx < w * h * 3"""
-    grid = chain_layers_sql(
-        f"({grid})",
-        mix64_sql_layers(
-            "CAST((base::HUGEINT + (bidx // 8)) % 18446744073709551616"
-            " AS UBIGINT)",
-            "hv", f"{tag}s",
-        ),
-    )
-    v = "CAST((hv >> (8 * (bidx % 8))) & 255 AS BIGINT)"
-    return f"""
-SELECT i, w, h, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
-       bidx % 3 AS c, {v} AS v
-FROM ({grid})"""
 
 
 _LUMA_CASE = ("sum(CASE c WHEN 0 THEN 299 * v WHEN 1 THEN 587 * v "
@@ -11944,9 +11499,9 @@ def q_image_moments(sf_dir: str, n_rows: int = 120):
 def sql_image_moments() -> str:
     """Moments oracle: pixel regen -> per-pixel integer luma pivot ->
     the same six power sums, all in int64 range by construction."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'mo')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 lum AS (
   SELECT i, y, x, {_LUMA_CASE} AS l
   FROM pix GROUP BY i, y, x)
@@ -11975,12 +11530,12 @@ def sql_bayer_dither() -> str:
     (xor/bit scatter — equal to the recursive construction, pinned by
     a unit test), the identical v*65 > (B+1)*255 threshold, and the
     position-weighted checksum."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     bay = ("((x % 2 + y % 2) % 2) * 32 + (y % 2) * 16"
            " + ((x // 2 % 2 + y // 2 % 2) % 2) * 8 + (y // 2 % 2) * 4"
            " + ((x // 4 % 2 + y // 4 % 2) % 2) * 2 + (y // 4 % 2)")
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'dt')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 bits AS (
   SELECT i,
          CASE WHEN v * 65 > (({bay}) + 1) * 255 THEN 1 ELSE 0 END AS bit,
@@ -12011,9 +11566,9 @@ def sql_hough_lines() -> str:
     stages/decode.HOUGH_COS/SIN) -> grouped votes -> per-image argmax
     via QUALIFY under the identical tie rule; zero-edge images kept by
     left joins with the engine's (-1, -1, 0) sentinel."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'hg')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 lum AS (
   SELECT i, y, x, {_LUMA_CASE} AS l
   FROM pix GROUP BY i, y, x),
@@ -12168,9 +11723,9 @@ def sql_marching_squares() -> str:
     per-cell bit sums ARE the case indices -> per-(image, case)
     counts.  Cells with no foreground corner (case 0) appear on
     neither side."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'ms')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 lum AS MATERIALIZED (
   SELECT i, w, h, y, x, {_LUMA_CASE} AS l
   FROM pix GROUP BY i, w, h, y, x),
@@ -12202,9 +11757,9 @@ def sql_lbp_texture() -> str:
     """LBP oracle: one equi-join of the luma table against itself
     shifted by the 8-offset ring (bit j at clockwise offset j), code =
     sum of passing bits per center, then the engine's checksums."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'lb')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 lum AS MATERIALIZED (
   SELECT i, w, h, y, x, {_LUMA_CASE} AS l
   FROM pix GROUP BY i, w, h, y, x),
@@ -12243,9 +11798,9 @@ def sql_harris_corners() -> str:
     """Harris oracle: two chained scatters — Sobel gradients to their
     centers, then gradient products to their 3x3 window centers — and
     the identical integer response formula."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH pix AS ({_payload_pix_sql(n, 'hr')}),
+WITH pix AS ({_payload_pix_sql(n)}),
 lum AS (
   SELECT i, w, h, y, x, ({_LUMA_CASE}) // 1000 AS gv
   FROM pix GROUP BY i, w, h, y, x),
@@ -12513,7 +12068,7 @@ def sql_pitch_lag() -> str:
     lag, argmax per clip under the identical tie rule."""
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 60 END)"
+    n = _gate_rows_sql(60, 200)
     k = 42 * 9973
     base = f"SELECT unnest(generate_series(0, {n} - 1)) AS i"
     layers = mix64_sql_layers(f"xor(i::UBIGINT, {k}::UBIGINT)", "base", "pl")
@@ -12625,9 +12180,9 @@ def sql_seam_cost() -> str:
     columns and takes the grouped min (DuckDB allows aggregation in
     the recursive member), then per-image argmin under the identical
     (cost asc, x asc) tie rule."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH RECURSIVE pix AS ({_payload_pix_sql(n, 'sm')}),
+WITH RECURSIVE pix AS ({_payload_pix_sql(n)}),
 lum AS MATERIALIZED (
   SELECT i, w, h, y, x, {_LUMA_CASE} AS l
   FROM pix GROUP BY i, w, h, y, x),
@@ -12862,9 +12417,9 @@ def sql_dist_transform() -> str:
     """Distance-transform oracle: the same 6 BFS rounds as a recursive
     CTE — each level equi-joins the full previous grid against its 4
     shifted copies and takes least(d, 1 + min neighbor)."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH RECURSIVE pix AS ({_payload_pix_sql(n, 'dx')}),
+WITH RECURSIVE pix AS ({_payload_pix_sql(n)}),
 lum AS MATERIALIZED (
   SELECT i, w, h, y, x,
          CASE WHEN {_LUMA_CASE} > 127500 THEN 0 ELSE 7 END AS d0
@@ -12907,9 +12462,9 @@ def sql_hist_match() -> str:
     inequality join (the first cdf index reaching any threshold is
     always a present value, so present-values-only cdfs agree with
     the engine's dense LUT), matched values joined back to pixels."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 120 END)"
+    n = _gate_rows_sql(120, 200)
     return f"""
-WITH pix AS MATERIALIZED ({_payload_pix_sql(n, 'hm')}),
+WITH pix AS MATERIALIZED ({_payload_pix_sql(n)}),
 hist AS (SELECT i, c, v, count(*) AS cnt FROM pix GROUP BY i, c, v),
 cdf AS MATERIALIZED (
   SELECT i, c, v, sum(cnt) OVER (
@@ -13115,7 +12670,7 @@ def sql_ntt_spectrum() -> str:
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
     from ..stages.decode import NTT_P, NTT_W
 
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 60 END)"
+    n = _gate_rows_sql(60, 200)
     k = 42 * 9973
     base = f"SELECT unnest(generate_series(0, {n} - 1)) AS i"
     layers = mix64_sql_layers(f"xor(i::UBIGINT, {k}::UBIGINT)", "base", "nt")
@@ -13171,9 +12726,9 @@ def sql_canny_edges() -> str:
     (out-of-range = 0 via LEFT JOIN), threshold classes, then
     hysteresis as a 4-level BFS recursion (per-level GROUP BY dedup
     keeps the walk count linear), DISTINCT at the end."""
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 400 ELSE 120 END)"
+    n = _gate_rows_sql(120, 400)
     return f"""
-WITH RECURSIVE pix AS ({_payload_pix_sql(n, 'cn')}),
+WITH RECURSIVE pix AS ({_payload_pix_sql(n)}),
 lum AS (
   SELECT i, w, h, y, x, ({_LUMA_CASE}) // 1000 AS gv
   FROM pix GROUP BY i, w, h, y, x),
@@ -13269,7 +12824,7 @@ def sql_resample_audio() -> str:
     source indices, the identical x5 fixed-point blend."""
     from ..sources.synth import chain_layers_sql, mix64_sql_layers
 
-    n = "(CASE (SELECT count(*) FROM events) WHEN 10000 THEN 200 ELSE 60 END)"
+    n = _gate_rows_sql(60, 200)
     k = 42 * 9973
     base = f"SELECT unnest(generate_series(0, {n} - 1)) AS i"
     layers = mix64_sql_layers(f"xor(i::UBIGINT, {k}::UBIGINT)", "base", "rs")
@@ -14645,27 +14200,7 @@ def _hits_edges(sf_dir: str):
     """DISTINCT DIRECTED edges (src, dst) of the derived graph — the
     same mix64 pair stream as `_tri_edges` WITHOUT canonicalization
     (HITS needs direction)."""
-    import ray.data as rd
-
-    from ..functions.agg import sorted_distinct
-    from ..sources.synth import _mix64
-
-    n = table_rows(sf_dir, "customer")
-    m = TRI_EDGE_FACTOR * n
-
-    def gen(b: pa.Table) -> pa.Table:
-        i = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = (_mix64((2 * i + TRI_SALT).astype(np.uint64))
-             % np.uint64(n)).astype(np.int64)
-        c = (_mix64((2 * i + 1 + TRI_SALT).astype(np.uint64))
-             % np.uint64(n)).astype(np.int64)
-        keep = a != c
-        return pa.table({"src": pa.array(a[keep], pa.int64()),
-                         "dst": pa.array(c[keep], pa.int64())})
-
-    raw = rd.range(m).map_batches(gen, batch_format="pyarrow",
-                                  batch_size=65536)
-    return sorted_distinct(raw, ["src", "dst"]), n, m
+    return _derived_edges(sf_dir, directed=True)
 
 
 def q_hits_scores(sf_dir: str):
@@ -14778,24 +14313,11 @@ def q_hits_scores(sf_dir: str):
 def sql_hits_scores() -> str:
     """Oracle: unrolled HITS rounds; all values nonnegative so plain
     truncating // matches the engine's floor arithmetic."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
     n = "(SELECT count(*) FROM customer)"
     S = _HITS_SCALE
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ba") + mix64_sql_layers("sb", "hb", "bb"),
-    )
     q = f"""
 WITH e AS MATERIALIZED (
-  SELECT DISTINCT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS src,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS dst
-  FROM ({chained})
-  WHERE ha % CAST({n} AS UBIGINT) != hb % CAST({n} AS UBIGINT)),
+  SELECT DISTINCT a0 AS src, b0 AS dst FROM ({_edge_pairs_sql()})),
 nd AS (SELECT unnest(generate_series(0, {n} - 1)) AS node),
 h0 AS (SELECT node, CAST({S} AS HUGEINT) AS hub FROM nd)"""
     ph = "h0"
@@ -15375,25 +14897,12 @@ def sql_label_propagation() -> str:
     """Oracle: the shared edge derivation, LPA_ROUNDS unrolled
     count/pick rounds (row_number pick = the same max-count-then-min-
     label rule), isolated nodes via COALESCE to own id."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
     n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ba") + mix64_sql_layers("sb", "hb", "bb"),
-    )
     q = f"""
-WITH raw AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+WITH raw AS ({_edge_pairs_sql()}),
 sym AS MATERIALIZED (
-  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw WHERE a0 != b0
-  UNION SELECT b0, a0 FROM raw WHERE a0 != b0),
+  SELECT DISTINCT a0 AS src, b0 AS dst FROM raw
+  UNION SELECT b0, a0 FROM raw),
 nodes AS (SELECT unnest(generate_series(0, {n} - 1)) AS node),
 lab0 AS (SELECT node, node AS lab FROM nodes)"""
     prev = "lab0"
@@ -15495,26 +15004,12 @@ def q_modularity(sf_dir: str):
 def sql_modularity() -> str:
     """Oracle: the LPA query as a materialized subquery + the same
     exact integer modularity terms over the re-derived edge table."""
-    from ..sources.synth import chain_layers_sql, mix64_sql_layers
-
-    n = "(SELECT count(*) FROM customer)"
-    base = (f"SELECT i, CAST(2*i + {TRI_SALT} AS UBIGINT) AS sa, "
-            f"CAST(2*i + 1 + {TRI_SALT} AS UBIGINT) AS sb "
-            f"FROM (SELECT unnest(generate_series(0, "
-            f"{TRI_EDGE_FACTOR} * {n} - 1)) AS i)")
-    chained = chain_layers_sql(
-        f"({base})",
-        mix64_sql_layers("sa", "ha", "ba") + mix64_sql_layers("sb", "hb", "bb"),
-    )
     return f"""
 WITH comm AS MATERIALIZED ({sql_label_propagation()}),
-raw2 AS (
-  SELECT CAST(ha % CAST({n} AS UBIGINT) AS BIGINT) AS a0,
-         CAST(hb % CAST({n} AS UBIGINT) AS BIGINT) AS b0
-  FROM ({chained})),
+raw2 AS ({_edge_pairs_sql()}),
 e2 AS MATERIALIZED (
   SELECT DISTINCT least(a0, b0) AS a, greatest(a0, b0) AS b
-  FROM raw2 WHERE a0 != b0),
+  FROM raw2),
 mm AS (SELECT count(*) AS m FROM e2),
 deg AS (
   SELECT node, count(*) AS deg FROM (
