@@ -40,8 +40,11 @@ from ..state.manifest import CheckpointManifest, write_partitioned
 # force either path with ``distributed=``.  What SCALE.md §2 measured:
 # at 1M elements on 4 CPUs the sequential pass wins (49 s vs 83 s); at
 # 4M on 32 CPUs the distributed path wins (186 s vs ~286 s).  The 5M
-# bound itself was never measured, neither as a speed crossover nor
-# as a memory limit.
+# bound itself was never measured as a speed crossover.  In-process
+# peak RSS (tools/kernel_rss_probe.py filter, synth_store(n) +
+# synth_changes(n), 12-polygon tree): 237 MB at 10^5, 1355 MB at 10^6,
+# 2593 MB at 2*10^6 elements — ~1300 B per element, reached before
+# filter_tree (diff table + annotate_bbox), so ~6.5 GB at 5M.
 DIST_DIFF_ROWS = 5_000_000
 
 
@@ -62,7 +65,8 @@ def run_sequence(
 
     ``distributed=None`` auto-selects: diffs >= DIST_DIFF_ROWS elements
     go through the sharded join formulation whose verdicts are pinned
-    identical to the sequential automaton (tests/test_filter_dist.py).
+    identical to the in-process kernel and to the automaton oracle
+    (tests/test_filter_dist.py).
 
     ``on_annotated(annotated)`` (sequential path only) and
     ``before_commit()`` (after the store apply) are the replication

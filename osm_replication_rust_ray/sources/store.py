@@ -429,6 +429,35 @@ class Resolver:
         lon = np.where(found, self._nlon[idx_c], 0)
         return found, lat, lon
 
+    # --- whole-diff batch reads (the filter kernel's): not counted, the
+    #     counters pin the reference's per-probe lookups
+    def way_refs(self, wids: np.ndarray):
+        """CSR (offsets, flat refs) of the store refs of ``wids``; a
+        missing way has none."""
+        wids = np.asarray(wids, np.int64)
+        found, idx = _lookup(self._wid, wids)
+        lo = np.where(found, self._woff[idx], 0)
+        n = np.where(found, self._woff[np.minimum(idx + 1, len(self._wid))] - lo, 0)
+        off = np.zeros(len(wids) + 1, np.int64)
+        np.cumsum(n, out=off[1:])
+        return off, self._wrefs[np.repeat(lo - off[:-1], n) + np.arange(off[-1])]
+
+    def relation_members(self, rids: np.ndarray):
+        """(offsets, member types, member refs) of the store members of
+        ``rids``, CSR; a missing relation has none."""
+        rids = np.asarray(rids, np.int64)
+        found, idx = _lookup(self._rid, rids)
+        lists = self._members.take(pa.array(idx[found]))
+        n = np.zeros(len(rids), np.int64)
+        n[found] = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+        off = np.zeros(len(rids) + 1, np.int64)
+        np.cumsum(n, out=off[1:])
+        if not off[-1]:
+            return off, pa.array([], pa.string()), np.empty(0, np.int64)
+        flat = pc.list_flatten(lists)
+        return (off, pc.struct_field(flat, "type"),
+                pc.struct_field(flat, "ref").to_numpy(zero_copy_only=False))
+
     def read_way(self, wid: int) -> list[int] | None:
         self.num_read_ways += 1
         i = _find(self._wid, int(wid))
@@ -490,13 +519,9 @@ def check_store(store: ElementStore) -> pa.Table:
     w_bad = ~r.read_nodes(r._wrefs)[0]
     w_src = np.repeat(r._wid, np.diff(r._woff))[w_bad]
     # relations: one membership test per member type
-    m_src = np.repeat(r._rid, pc.list_value_length(r._members).to_numpy())
-    flat = pc.list_flatten(r._members)
-    if len(flat):
-        m_ref = pc.struct_field(flat, "ref").to_numpy(zero_copy_only=False)
-        m_type = pc.struct_field(flat, "type").cast(pa.string())
-    else:
-        m_ref, m_type = np.empty(0, np.int64), pa.array([], pa.string())
+    off, m_type, m_ref = r.relation_members(r._rid)
+    m_src = np.repeat(r._rid, np.diff(off))
+    m_type = m_type.cast(pa.string())
     is_node = pc.equal(m_type, "node").fill_null(False).to_numpy(zero_copy_only=False)
     is_way = pc.equal(m_type, "way").fill_null(False).to_numpy(zero_copy_only=False)
     other = ~(is_node | is_way)

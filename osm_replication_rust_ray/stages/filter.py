@@ -9,39 +9,47 @@ Classifies every diff element into a 3-way verdict against one polygon:
               no bbox annotation are silently dropped
               (src/osmxml/filter.rs:238-243,267-272)
 
-One path, in process:
+One kernel, in process, numpy over the whole diff.  The reference
+walks the diff in file order and memoizes evidence per polygon
+(`PolyInfo::*_seen_in_poly`, src/osmxml/filter.rs:13-18).  Every memo
+set only grows, so "id X is in the memo when row t is probed" is
+``ev(X) < t`` for one evidence position per id — the formulation of
+`stages/filter_dist.py`, here with the table row as the position:
 
-1.  **Vectorized prune + geometry** (numpy over Arrow columns): only
-    the diff nodes' NEW points and the store closure's OLD points that
-    lie inside the polygon's bbox widened by the buffer, and only the
-    way/relation boxes that overlap it, go through point-in-polygon
-    (exact and buffered) and the bbox-vs-buffered-polygon gate.  The
-    exact polygon and both buffers lie inside that rectangle, so
-    everything else is "not in" without a test.
+    node  ev = -1 if its OLD store point is inside (ids in ``node_ids``
+               only), else the first row whose verdict memoized it
+    way   ev = min(store-ref node evidence, first memoizing row)
+    rel   ev = min over the relations reachable through store members
+               (itself included) of node/way member evidence and
+               first memoizing rows
 
-2.  **Per-diff evidence automaton** mirroring the reference's
-    sequential memo sets (`PolyInfo::*_seen_in_poly`,
-    src/osmxml/filter.rs:13-18) and `Iterator::any` short-circuit,
-    consuming only precomputed booleans.  `filter_elements` runs it on
-    the rows that can survive the prune; every other row drops without
-    touching a memo set, so the verdicts equal the full pass.  Over all
-    rows (`filter_verdicts`) it also reproduces the reference's
-    store-lookup counts exactly (50 nodes / 7 ways / 2 relations on the
-    saint_barthelemy fixture, src/osmxml/filter.rs:390-392).
+"Memoizing" is keep for the exact sets and keep-or-delete for the
+buffered ones.  The verdict ladders (`node_ladder`, `ladder`) turn
+evidence into keep/delete; `stages/filter_dist.py` calls the same
+functions.  A relation's verdict feeds the memo that later relation
+rows probe, so relation verdicts iterate to a fixpoint (rounds =
+longest earlier-row chain + 1, at most ``REL_ROUNDS_CAP``).
+
+`DiffEvidence` reads what does not depend on the polygon once per
+diff: exploded way refs and relation members, the store refs of every
+way and the store members of every relation the walk can reach, and
+the old points.  `PolyTests` tests the geometry of one polygon.
 
 The polygon-tree driver (`filter_tree`) replaces the reference's
-recursive rayon fan-out (src/diffs.rs:168-191): each child filter runs
-on its parent's OUTPUT rows, in the calling process, one polygon after
-another.  Diffs of `DIST_DIFF_ROWS` elements or more take
-`stages/filter_dist.py` instead.
+recursive rayon fan-out (src/diffs.rs:168-191): each child runs on its
+parent's ``live`` rows (a bool mask over the diff), and a ``deleted``
+mask carries the parent's action rewrite.  Diffs of `DIST_DIFF_ROWS`
+elements or more take `stages/filter_dist.py` instead.  The per-row
+automaton that mirrors the reference's memo sets is the test oracle
+(``tests/filter_oracle.py``); it also pins the reference's store-lookup
+counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..geom import (
     BUFFER_DECIMICRO,
@@ -51,29 +59,22 @@ from ..geom import (
     points_in_multipolygon,
 )
 from ..sources.store import Resolver
+from .dist import MTYPE_NODE, MTYPE_REL, MTYPE_WAY, FixpointCapError, _mtype_codes
 
+EV_OLD = np.int64(-1)              # static (old-store) evidence
+EV_NONE = np.iinfo(np.int64).max   # no evidence
 
-@dataclass
-class PolyMembership:
-    """Precomputed geometry memberships for one polygon over one diff."""
+KEEP, DELETE, DROP = np.int8(0), np.int8(1), np.int8(2)
 
-    # diff node NEW positions, keyed by row position in the elements table
-    new_in_exact: dict[int, bool]
-    new_in_buffered: dict[int, bool]
-    # store OLD node positions, keyed by node id (only ids found in store)
-    old_in_exact: dict[int, bool]
-    old_in_buffered: dict[int, bool]
-    # bbox-vs-buffered-poly gate per row position (ways/relations with bbox)
-    bbox_hits_buffered: dict[int, bool]
+# relation-verdict fixpoint rounds before FixpointCapError (both paths)
+REL_ROUNDS_CAP = 64
 
 
 class PolyTests:
     """The geometry tests of one polygon, pruned to its bbox widened by
     the 0.1° buffer (``BUFFER_DECIMICRO``): the exact polygon and both
     buffers lie inside that rectangle, so a point or box outside it is
-    "not in" without a test.  Both filter paths call it —
-    `precompute_membership` here and the block functions of
-    `stages/filter_dist.py`.
+    "not in" without a test.  Both filter paths call it.
 
     The point buffer test is chordal (GEOS quadrant-segment parity,
     geom.points_in_buffered_chordal): it matches the reference's
@@ -110,194 +111,201 @@ class PolyTests:
         return hits
 
 
-def precompute_membership(
-    elements: pa.Table,
-    mp: MultiPolygon,
-    resolver: Resolver,
-    node_ids: np.ndarray,
-) -> PolyMembership:
-    """Vectorized PIP + bbox tests for one polygon (`PolyTests`).
+# ---- verdict ladders (src/osmxml/filter.rs:219-299): ``pos`` is each
+#      row's position, ``*_ev`` the evidence positions it probes
 
-    ``node_ids``: the needed-id closure (diff node ids ∪ way refs ∪
-    relation-member closure) whose OLD store positions may be probed.
-
-    The maps hold only the True entries; a missing key reads "not in"."""
-    tests = PolyTests(mp)
-
-    def points(keys, lon, lat):
-        ex, bf = tests.points(lon, lat)
-        return dict.fromkeys(keys[ex].tolist(), True), dict.fromkeys(keys[bf].tolist(), True)
-
-    etype = np.asarray(elements["etype"])
-    pos = elements["pos"].to_numpy(zero_copy_only=False)
-    nmask = etype == "node"
-    lat = elements["lat"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
-    lon = elements["lon"].to_numpy(zero_copy_only=False)[nmask].astype(np.int64)
-    new_in_exact, new_in_buffered = points(pos[nmask], lon, lat)
-    # old store positions (only ids found in the store)
-    node_ids = np.asarray(node_ids, np.int64)
-    found, olat, olon = resolver.read_nodes(node_ids)
-    resolver.num_read_nodes -= len(node_ids)  # precompute is not a "read"
-    old_in_exact, old_in_buffered = points(node_ids[found], olon[found], olat[found])
-    # bbox gate for ways/relations that carry a bbox annotation
-    minlat = elements["minlat"].to_numpy(zero_copy_only=False)
-    wr = ~nmask & ~np.isnan(minlat.astype(np.float64))
-
-    def col(name):
-        return elements[name].to_numpy(zero_copy_only=False)[wr].astype(np.int64)
-
-    hits = tests.boxes(col("minlon"), col("minlat"), col("maxlon"), col("maxlat"))
-    bbox_hits = dict.fromkeys(pos[wr][hits].tolist(), True)
-    return PolyMembership(new_in_exact, new_in_buffered, old_in_exact, old_in_buffered, bbox_hits)
+def node_ladder(buf_ev, new_ex, pos):
+    """update_node -> (keep, keep-or-delete).  In the buffered polygon
+    iff the id's buffered evidence is at or before this row (``<=``:
+    the row's own new point counts); keep iff its new point is in the
+    exact polygon too."""
+    event = buf_ev <= pos
+    return event & new_ex, event
 
 
-@dataclass
-class _PolySets:
-    """One PolyInfo's memo sets (src/osmxml/filter.rs:13-18)."""
-
-    nodes_seen: set = field(default_factory=set)
-    ways_seen: set = field(default_factory=set)
-    relations_seen: set = field(default_factory=set)
-
-
-class _Automaton:
-    """Sequential evidence machine for ONE polygon over one diff's rows.
-
-    ``exact=True`` consults exact-poly memberships, else buffered."""
-
-    def __init__(self, memb: PolyMembership, resolver: Resolver):
-        self.memb = memb
-        self.resolver = resolver
-        self.exact_sets = _PolySets()
-        self.buff_sets = _PolySets()
-
-    # ---- PolyInfo::node_in_poly (src/osmxml/filter.rs:118-131)
-    def node_in_poly(self, sets: _PolySets, old_map: dict, nid: int) -> bool:
-        if nid in sets.nodes_seen:
-            return True
-        self.resolver.num_read_nodes += 1
-        hit = old_map.get(nid)  # None = store miss or outside
-        if hit:
-            sets.nodes_seen.add(nid)
-            return True
-        return False
-
-    def nodes_in_poly(self, sets, old_map, refs) -> bool:
-        return any(self.node_in_poly(sets, old_map, int(r)) for r in refs)
-
-    # ---- PolyInfo::way_in_poly (src/osmxml/filter.rs:135-148)
-    def way_in_poly(self, sets, old_map, wid: int) -> bool:
-        if wid in sets.ways_seen:
-            return True
-        refs = self.resolver.read_way(wid)
-        if refs is not None and self.nodes_in_poly(sets, old_map, refs):
-            sets.ways_seen.add(wid)
-            return True
-        return False
-
-    # ---- PolyInfo::members_in_poly / relation_in_poly
-    #      (src/osmxml/filter.rs:149-192)
-    def members_in_poly(self, sets, old_map, members, prev: list[int]) -> bool:
-        for m in members:
-            t, r = m["type"], int(m["ref"])
-            if t == "node":
-                if self.node_in_poly(sets, old_map, r):
-                    return True
-            elif t == "way":
-                if self.way_in_poly(sets, old_map, r):
-                    return True
-            elif t == "relation":
-                if r in prev:
-                    continue  # recursion dropped (src/osmxml/filter.rs:158-165)
-                if self.relation_in_poly(sets, old_map, r, prev + [r]):
-                    return True
-            else:  # pragma: no cover
-                raise ValueError(f"Unsupported relation member: {m}")
-        return False
-
-    def relation_in_poly(self, sets, old_map, rid: int, prev: list[int]) -> bool:
-        if rid in sets.relations_seen:
-            return True
-        members = self.resolver.read_relation(rid)
-        if members is not None and self.members_in_poly(sets, old_map, members, prev):
-            sets.relations_seen.add(rid)
-            return True
-        return False
-
-    # ---- update_node ladder (src/osmxml/filter.rs:219-236)
-    def verdict_node(self, p: int, nid: int) -> str:
-        new_buf = self.memb.new_in_buffered.get(p, False)
-        in_buffered = new_buf or self.node_in_poly(
-            self.buff_sets, self.memb.old_in_buffered, nid
-        )
-        if not in_buffered:
-            return "drop"
-        if self.memb.new_in_exact.get(p, False):
-            self.exact_sets.nodes_seen.add(nid)
-            self.buff_sets.nodes_seen.add(nid)
-            return "keep"
-        self.buff_sets.nodes_seen.add(nid)
-        return "delete"
-
-    # ---- update_way ladder (src/osmxml/filter.rs:237-261)
-    def verdict_way(self, p: int, wid: int, refs) -> str:
-        if not self.memb.bbox_hits_buffered.get(p, False):
-            return "drop"
-        refs = refs if refs is not None else []
-        if self.nodes_in_poly(self.exact_sets, self.memb.old_in_exact, refs):
-            self.exact_sets.ways_seen.add(wid)
-            self.buff_sets.ways_seen.add(wid)
-            return "keep"
-        if self.nodes_in_poly(
-            self.buff_sets, self.memb.old_in_buffered, refs
-        ) or self.way_in_poly(self.buff_sets, self.memb.old_in_buffered, wid):
-            self.buff_sets.ways_seen.add(wid)
-            return "delete"
-        return "drop"
-
-    # ---- update_relation ladder (src/osmxml/filter.rs:262-299)
-    def verdict_relation(self, p: int, rid: int, members) -> str:
-        if not self.memb.bbox_hits_buffered.get(p, False):
-            return "drop"
-        members = members if members is not None else []
-        if self.members_in_poly(self.exact_sets, self.memb.old_in_exact, members, []):
-            self.exact_sets.relations_seen.add(rid)
-            self.buff_sets.relations_seen.add(rid)
-            return "keep"
-        if self.members_in_poly(
-            self.buff_sets, self.memb.old_in_buffered, members, []
-        ) or self.relation_in_poly(self.buff_sets, self.memb.old_in_buffered, rid, []):
-            self.buff_sets.relations_seen.add(rid)
-            return "delete"
-        return "drop"
+def ladder(gate, ex_ev, buf_ev, pos):
+    """update_way / update_relation -> (keep, keep-or-delete): past the
+    bbox gate, keep on exact evidence from an earlier row, else delete
+    on buffered evidence from an earlier row."""
+    keep = gate & (ex_ev < pos)
+    return keep, keep | (gate & (buf_ev < pos))
 
 
-def filter_verdicts(
-    elements: pa.Table, memb: PolyMembership, resolver: Resolver
-) -> np.ndarray:
-    """Per-row verdict array ('keep'|'delete'|'drop') in table order.
+def verdict_codes(keep, event) -> np.ndarray:
+    return np.where(keep, KEEP, np.where(event, DELETE, DROP)).astype(np.int8)
 
-    Reference-parity path: every element goes through the sequential
-    automaton, reproducing the store-lookup counts exactly."""
-    auto = _Automaton(memb, resolver)
-    etypes = elements["etype"].to_pylist()
-    ids = elements["id"].to_pylist()
-    poss = elements["pos"].to_pylist()
-    refs = elements["refs"].to_pylist()
-    members = elements["members"].to_pylist()
-    out = np.empty(len(etypes), dtype=object)
-    for i, (t, eid, p) in enumerate(zip(etypes, ids, poss)):
-        if t == "node":
-            out[i] = auto.verdict_node(p, eid)
-        elif t == "way":
-            out[i] = auto.verdict_way(p, eid, refs[i])
-        else:
-            out[i] = auto.verdict_relation(p, eid, members[i])
+
+def _np(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _exploded(lists) -> tuple[np.ndarray, pa.Array]:
+    """(list index, value) of every value of an Arrow list column."""
+    lists = lists.combine_chunks()
+    return _np(pc.list_parent_indices(lists)), pc.list_flatten(lists)
+
+
+def _first(n: int, idx: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Per index in ``range(n)``, the MIN of its ``ev``; EV_NONE if none."""
+    out = np.full(n, EV_NONE)
+    np.minimum.at(out, idx, ev)
     return out
 
 
-def _true_keys(d: dict) -> np.ndarray:
-    return np.fromiter(d, np.int64, len(d))
+class DiffEvidence:
+    """The polygon-independent part of one diff's filter.  Ids are
+    indices into the sorted universes ``N`` (node ids), ``W`` (way ids)
+    and ``R`` (relation ids) of every id a verdict can probe; a node or
+    way member indexes the evidence vector ``[node ev | way ev]``
+    (``_member_index``), a relation member ``R``."""
+
+    def __init__(self, elements: pa.Table, resolver: Resolver, node_ids: np.ndarray):
+        self.n = elements.num_rows
+        ids = _np(elements["id"]).astype(np.int64)
+        is_node, is_way = (_np(pc.equal(elements["etype"], t).fill_null(False))
+                           for t in ("node", "way"))
+        self.nrow = np.flatnonzero(is_node)
+        self.wrow = np.flatnonzero(is_way)
+        self.rrow = np.flatnonzero(~is_node & ~is_way)
+        self.nlat = _np(elements["lat"])[self.nrow].astype(np.int64)
+        self.nlon = _np(elements["lon"])[self.nrow].astype(np.int64)
+        self.boxrow = np.flatnonzero(_np(pc.is_valid(elements["minlat"])) & ~is_node)
+        self.boxes = [_np(elements[c].take(self.boxrow)).astype(np.int64)
+                      for c in ("minlon", "minlat", "maxlon", "maxlat")]
+        self.wnew_row, wnew = _exploded(elements["refs"].take(self.wrow))
+        wnew = _np(wnew).astype(np.int64)
+        dm_row, dm = _exploded(elements["members"].take(self.rrow))
+        dm_kind = _np(_mtype_codes(pc.struct_field(dm, "type")))
+        dm_ref = _np(pc.struct_field(dm, "ref")).astype(np.int64)
+
+        # relations the walk can reach: diff relations and relation
+        # members, then their store members' relations, to closure
+        src, kind, ref = [], [], []
+        front = np.unique(np.concatenate([ids[self.rrow], dm_ref[dm_kind == MTYPE_REL]]))
+        seen = front
+        while len(front):
+            off, types, refs = resolver.relation_members(front)
+            k = _np(_mtype_codes(types))
+            src.append(np.repeat(front, np.diff(off)))
+            kind.append(k)
+            ref.append(refs)
+            front = np.setdiff1d(refs[k == MTYPE_REL], seen)
+            seen = np.union1d(seen, front)
+        self.R = seen
+        st_src, st_kind, st_ref = (np.concatenate(a) if a else np.empty(0, np.int64)
+                                   for a in (src, kind, ref))
+        self.W = np.unique(np.concatenate(
+            [ids[self.wrow], dm_ref[dm_kind == MTYPE_WAY], st_ref[st_kind == MTYPE_WAY]]
+        ))
+        off, wst = resolver.way_refs(self.W)
+        self.wst_w = np.repeat(np.arange(len(self.W)), np.diff(off))
+        self.N = np.unique(np.concatenate([
+            ids[self.nrow], wnew, wst,
+            dm_ref[dm_kind == MTYPE_NODE], st_ref[st_kind == MTYPE_NODE],
+        ]))
+        found, lat, lon = resolver.read_nodes(self.N)
+        resolver.num_read_nodes -= len(self.N)  # a bulk read, not a probe
+        found &= np.isin(self.N, node_ids)
+        self.old = np.flatnonzero(found)
+        self.old_lon, self.old_lat = lon[found], lat[found]
+
+        self.nrow_u = np.searchsorted(self.N, ids[self.nrow])
+        self.wrow_u = np.searchsorted(self.W, ids[self.wrow])
+        self.rrow_u = np.searchsorted(self.R, ids[self.rrow])
+        self.wnew_u = np.searchsorted(self.N, wnew)
+        self.wst_u = np.searchsorted(self.N, wst)
+        # diff members per relation row and store members per R: the
+        # node/way leaves, and the relation edges
+        leaf = dm_kind != MTYPE_REL
+        self.dleaf_row, self.dleaf = dm_row[leaf], self._member_index(dm_kind[leaf], dm_ref[leaf])
+        self.drel_row, self.drel = dm_row[~leaf], np.searchsorted(self.R, dm_ref[~leaf])
+        st_u, leaf = np.searchsorted(self.R, st_src), st_kind != MTYPE_REL
+        self.sleaf_r, self.sleaf = st_u[leaf], self._member_index(st_kind[leaf], st_ref[leaf])
+        self.edge_src, self.edge_dst = st_u[~leaf], np.searchsorted(self.R, st_ref[~leaf])
+
+    def _member_index(self, kind: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        return np.where(kind == MTYPE_NODE, np.searchsorted(self.N, ref),
+                        len(self.N) + np.searchsorted(self.W, ref))
+
+    def _reach_min(self, base: np.ndarray) -> np.ndarray:
+        """``base`` minimized over the relations each reaches through
+        store relation members (the reference's cycle guard drops only
+        revisits, so any reachable relation counts)."""
+        val = base.copy()
+        while len(self.edge_src):
+            prev = val.copy()
+            np.minimum.at(val, self.edge_src, val[self.edge_dst])
+            if np.array_equal(val, prev):
+                break
+        return val
+
+    def verdicts(self, tests: PolyTests, live: np.ndarray) -> np.ndarray:
+        """int8 verdict per row (KEEP / DELETE / DROP) for the polygon of
+        ``tests`` over the rows where ``live`` is set; other rows DROP
+        and memoize nothing."""
+        v = np.full(self.n, DROP, np.int8)
+        ex, bf = np.full(len(self.N), EV_NONE), np.full(len(self.N), EV_NONE)
+        old_ex, old_bf = tests.points(self.old_lon, self.old_lat)
+        ex[self.old[old_ex]] = EV_OLD
+        bf[self.old[old_bf]] = EV_OLD
+
+        m = live[self.nrow]
+        rows, u = self.nrow[m], self.nrow_u[m]
+        new_ex, new_bf = tests.points(self.nlon[m], self.nlat[m])
+        np.minimum.at(bf, u[new_bf], rows[new_bf])
+        keep, event = node_ladder(bf[u], new_ex, rows)
+        np.minimum.at(ex, u[keep], rows[keep])
+        v[rows] = verdict_codes(keep, event)
+
+        gate = np.zeros(self.n, bool)
+        m = live[self.boxrow]
+        gate[self.boxrow[m]] = tests.boxes(*(c[m] for c in self.boxes))
+
+        st_ex, st_bf = (_first(len(self.W), self.wst_w, e[self.wst_u]) for e in (ex, bf))
+        m = live[self.wrow]
+        rows, u = self.wrow[m], self.wrow_u[m]
+        new_ex_ev, new_bf_ev = (_first(len(self.wrow), self.wnew_row, e[self.wnew_u])[m]
+                                for e in (ex, bf))
+        buf_ev = np.minimum(new_bf_ev, st_bf[u])
+        keep, event = ladder(gate[rows], new_ex_ev, buf_ev, rows)
+        # the first keep-or-delete row also memoizes the id for its
+        # later rows; it is an event without that term
+        first_event = _first(len(self.W), u[event], rows[event])
+        keep, event = ladder(gate[rows], new_ex_ev, np.minimum(buf_ev, first_event[u]), rows)
+        v[rows] = verdict_codes(keep, event)
+        ex = np.concatenate([ex, np.minimum(st_ex, _first(len(self.W), u[keep], rows[keep]))])
+        bf = np.concatenate([bf, np.minimum(st_bf, first_event)])
+
+        m = live[self.rrow]
+        if not m.any():
+            return v
+        rows, u, g = self.rrow[m], self.rrow_u[m], gate[self.rrow[m]]
+        n_r = len(self.rrow)
+        dm_ex, dm_bf = (_first(n_r, self.dleaf_row, e[self.dleaf])[m] for e in (ex, bf))
+        sl_ex, sl_bf = (_first(len(self.R), self.sleaf_r, e[self.sleaf]) for e in (ex, bf))
+        first_keep = first_event = np.full(len(self.R), EV_NONE)
+        for _ in range(REL_ROUNDS_CAP):
+            r_ex = self._reach_min(np.minimum(sl_ex, first_keep))
+            r_bf = self._reach_min(np.minimum(sl_bf, first_event))
+            keep, event = ladder(
+                g,
+                np.minimum(dm_ex, _first(n_r, self.drel_row, r_ex[self.drel])[m]),
+                np.minimum.reduce([dm_bf, _first(n_r, self.drel_row, r_bf[self.drel])[m], r_bf[u]]),
+                rows,
+            )
+            nk = _first(len(self.R), u[keep], rows[keep])
+            ne = _first(len(self.R), u[event], rows[event])
+            if np.array_equal(nk, first_keep) and np.array_equal(ne, first_event):
+                break
+            first_keep, first_event = nk, ne
+        else:
+            raise FixpointCapError(
+                f"filter relation fixpoint did not converge within "
+                f"REL_ROUNDS_CAP={REL_ROUNDS_CAP} rounds (earlier-row "
+                f"relation memo chain deeper than the cap)"
+            )
+        v[rows] = verdict_codes(keep, event)
+        return v
 
 
 def filter_elements(
@@ -308,36 +316,15 @@ def filter_elements(
 ) -> pa.Table:
     """One polygon filter: returns kept+deleted rows with the action
     rewrite applied (the engine's .osc-equivalent output)."""
-    memb = precompute_membership(elements, mp, resolver, node_ids)
-    # Candidates: a node whose id has buffered evidence (a new point in
-    # any of its rows, or its old store point) — the buffered
-    # nodes_seen set only ever holds such ids — and a way/relation whose
-    # bbox gate hit.  Every other row drops without touching a memo
-    # set, so the automaton over the candidates alone gives the same
-    # verdicts (not the same lookup counts) as over every row.
-    etype = np.asarray(elements["etype"])
-    ids = elements["id"].to_numpy(zero_copy_only=False)
-    pos = elements["pos"].to_numpy(zero_copy_only=False)
-    hot_ids = np.concatenate([
-        ids[np.isin(pos, _true_keys(memb.new_in_buffered))],
-        _true_keys(memb.old_in_buffered),
-    ])
-    cand = np.where(
-        etype == "node",
-        np.isin(ids, hot_ids),
-        np.isin(pos, _true_keys(memb.bbox_hits_buffered)),
+    v = DiffEvidence(elements, resolver, node_ids).verdicts(
+        PolyTests(mp), np.ones(elements.num_rows, bool)
     )
-    sub = elements.take(np.nonzero(cand)[0])
-    verdicts = filter_verdicts(sub, memb, resolver)
-    keep_mask = verdicts != "drop"
-    sub = sub.filter(pa.array(keep_mask.astype(bool)))
-    v = verdicts[keep_mask]
-    action = np.asarray(sub["action"].to_pylist(), dtype=object)
-    action[v == "delete"] = "delete"
-    sub = sub.set_column(
-        sub.schema.get_field_index("action"), "action", pa.array(action.tolist())
+    rows = np.flatnonzero(v != DROP)
+    sub = elements.take(rows)
+    return sub.set_column(
+        sub.schema.get_field_index("action"), "action",
+        pc.if_else(pa.array(v[rows] == DELETE), "delete", sub["action"]),
     )
-    return sub
 
 
 def filter_tree(
@@ -349,51 +336,38 @@ def filter_tree(
 ) -> pa.Table:
     """Multi-label assignment over a polygon tree.
 
-    For each tree node with a polygon, the input is its parent's OUTPUT
-    rows (reference chains outputs, src/diffs.rs:174-185).  Returns an
+    Each tree node with a polygon filters its parent's OUTPUT rows
+    (reference chains outputs, src/diffs.rs:174-185).  Returns an
     assignments table (pos, etype, id, poly_path, action) — one row per
     (element, tree path) the element survives to, exactly the union of
     the per-path .osc outputs."""
-    results = []
-    empty = elements.slice(0, 0)
-    outputs: dict[str | None, pa.Table] = {None: elements}
+    diff = DiffEvidence(elements, resolver, node_ids)
+    none = np.zeros(diff.n, bool)
+    live, deleted = {None: ~none}, {None: none}
     for path, _name, mp in tree_polys:  # topological (parents first)
-        src = outputs.get(tree_parent.get(path), empty)
-        out = src
-        if src.num_rows:
-            out = filter_elements(src, mp, resolver, node_ids)
-        outputs[path] = out
-        if out.num_rows:
-            results.append(_assignments_of(path, out))
-    if not results:
-        return _empty_assignments()
-    return pa.concat_tables(results)
+        parent = tree_parent.get(path)
+        rows = live.get(parent, none)
+        v = diff.verdicts(PolyTests(mp), rows) if rows.any() else np.full(diff.n, DROP)
+        live[path] = v != DROP
+        deleted[path] = deleted.get(parent, none) | (v == DELETE)
+    paths = np.array([p for p, _n, _mp in tree_polys], object)
+    out = np.stack([live[p] for p in paths] or [none])
+    which, row = np.nonzero(out)
+    take = pa.array(row)
+    return pa.table(
+        {
+            "pos": elements["pos"].take(take),
+            "etype": elements["etype"].take(take),
+            "id": elements["id"].take(take),
+            "poly_path": pa.array(paths[which], pa.string()),
+            "action": pc.if_else(
+                pa.array(np.stack([deleted[p] for p in paths] or [none])[out]),
+                "delete", elements["action"].take(take),
+            ),
+        }
+    )
 
 
 # The benchmark tracer (perfbench/trace.py, MAIN_TARGETS) wraps this
 # name to time the tree filter; traced runs fail without it.
 filter_tree_parallel = filter_tree
-
-
-def _empty_assignments() -> pa.Table:
-    return pa.table(
-        {
-            "pos": pa.array([], pa.int64()),
-            "etype": pa.array([], pa.string()),
-            "id": pa.array([], pa.int64()),
-            "poly_path": pa.array([], pa.string()),
-            "action": pa.array([], pa.string()),
-        }
-    )
-
-
-def _assignments_of(path: str, filtered: pa.Table) -> pa.Table:
-    return pa.table(
-        {
-            "pos": filtered["pos"],
-            "etype": filtered["etype"],
-            "id": filtered["id"],
-            "poly_path": pa.array([path] * filtered.num_rows, pa.string()),
-            "action": filtered["action"],
-        }
-    )

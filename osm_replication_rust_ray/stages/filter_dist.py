@@ -1,9 +1,10 @@
 """Distributed polygon diff filter — the scale path of OsmXmlFilter.
 
-Produces verdicts IDENTICAL to the sequential automaton
-(`stages/filter.py:filter_verdicts`, kept as the reference-parity /
-lookup-count oracle) with the diff streaming through ``ray.data``
-blocks.  The enabling observation: every memo set of the reference
+Produces verdicts IDENTICAL to the in-process kernel
+(`stages/filter.py`) and to the per-row automaton kept as the
+reference-parity / lookup-count test oracle (`tests/filter_oracle.py`),
+with the diff streaming through ``ray.data`` blocks.  The enabling
+observation: every memo set of the reference
 (``PolyInfo::*_seen_in_poly``, src/osmxml/filter.rs:13-18) is MONOTONE
 — evidence only accrues — so "id X is in the memo when file position p
 is processed" collapses to a per-id scalar ``evidence position``:
@@ -25,14 +26,15 @@ memo probe) is a monotone fixpoint over positions, iterated to
 convergence (round count = longest earlier-position chain; 1-2 in
 practice, the reference's sequential pass is the degenerate case).
 
-Verdict ladders reproduced exactly (src/osmxml/filter.rs:219-299):
-node keep iff its new point is in the EXACT polygon (exact ⊆ buffered
-makes the in-buffered gate implied), way/relation keep from exact
-evidence over NEW refs / diff members only, delete from buffered
-evidence incl. store geometry and memos, bbox-gate short-circuit with
-missing-bbox ways/relations silently dropped.  The block functions
-test geometry through `stages/filter.py:PolyTests`, so points and
-boxes outside the polygon's bbox ± buffer drop without a test.
+Verdict ladders (src/osmxml/filter.rs:219-299): the block functions
+call the in-process kernel's `node_ladder` / `ladder` /
+`verdict_codes`, so each formula exists once — node keep iff its new
+point is in the EXACT polygon, way/relation keep from exact evidence
+over NEW refs / diff members only, delete from buffered evidence incl.
+store geometry and memos, bbox-gate short-circuit with missing-bbox
+ways/relations silently dropped.  They test geometry through
+`stages/filter.py:PolyTests`, so points and boxes outside the
+polygon's bbox ± buffer drop without a test.
 
 Tree driver (`filter_tree_dist`): each child polygon runs on its
 parent's OUTPUT rows (src/diffs.rs:168-191).  The driver keeps two
@@ -68,12 +70,18 @@ from .dist import (
     reroot,
     safe_join,
 )
-from .filter import PolyTests
+from .filter import (
+    DELETE,
+    DROP,
+    EV_NONE,
+    EV_OLD,
+    REL_ROUNDS_CAP,
+    PolyTests,
+    ladder,
+    node_ladder,
+    verdict_codes,
+)
 
-EV_OLD = np.int64(-1)              # static (old-store) evidence
-EV_NONE = np.iinfo(np.int64).max   # no evidence
-
-KEEP, DELETE, DROP = np.int8(0), np.int8(1), np.int8(2)
 VERDICT_NAMES = np.array(["keep", "delete", "drop"])
 
 
@@ -96,11 +104,55 @@ def _fill_ev(batch: pa.Table, cols: list[str]) -> dict[str, np.ndarray]:
     return out
 
 
+def _ladder_of(batch: pa.Table, ex: list[str], buf: list[str]):
+    """(pos, keep, keep-or-delete) of way / relation occurrences: the
+    MIN of the ``ex`` evidence columns and of the ``buf`` ones."""
+    pos = batch["pos"].to_numpy(zero_copy_only=False)
+    ev = _fill_ev(batch, ex + buf)
+    return pos, *ladder(
+        batch["gate"].to_numpy(zero_copy_only=False),
+        np.minimum.reduce([ev[c] for c in ex]), np.minimum.reduce([ev[c] for c in buf]), pos,
+    )
+
+
+def _way_ladder(batch: pa.Table, own: tuple = ()):
+    """New-ref exact evidence; new-ref and store-ref buffered evidence,
+    plus ``own`` (the id's first keep-or-delete) for the verdict."""
+    return _ladder_of(batch, ["new_ex_ev"], ["new_buf_ev", "st_buf_ev", *own])
+
+
+def _rel_ladder(batch: pa.Table):
+    """Diff-member (``dm_*``) and relation-member (``rm_*``) evidence,
+    plus the relation's own store closure (``r_buf``) for delete."""
+    return _ladder_of(batch, ["dm_ex", "rm_ex"], ["dm_buf", "rm_buf", "r_buf"])
+
+
+def _occ_first(ladder_of):
+    """map_batches fn -> (id, keep_pos, event_pos): each occurrence's
+    position where ``ladder_of`` keeps / keeps-or-deletes it."""
+    def fn(batch: pa.Table) -> pa.Table:
+        pos, keep, event = ladder_of(batch)
+        return pa.table({
+            "id": batch["id"],
+            "keep_pos": pa.array(np.where(keep, pos, EV_NONE)),
+            "event_pos": pa.array(np.where(event, pos, EV_NONE)),
+        })
+    return fn
+
+
+def _occ_verdict(ladder_of):
+    """map_batches fn -> (pos, verdict) by ``ladder_of``."""
+    def fn(batch: pa.Table) -> pa.Table:
+        _pos, keep, event = ladder_of(batch)
+        return pa.table({"pos": batch["pos"], "verdict": pa.array(verdict_codes(keep, event))})
+    return fn
+
+
 def filter_verdicts_dist(
     plan: DiffPlan,
     boxes,
     mp: MultiPolygon,
-    rel_rounds_cap: int = 64,
+    rel_rounds_cap: int = REL_ROUNDS_CAP,
 ):
     """-> Dataset (pos, verdict int8 0=keep/1=delete/2=drop) over every
     diff row in ``plan``.  ``boxes``: Dataset (pos, minlat..) from
@@ -262,9 +314,8 @@ def filter_verdicts_dist(
         pos = batch["pos"].to_numpy(zero_copy_only=False)
         ev = _fill_ev(batch, ["n_buf"])["n_buf"]
         new_ex = batch["new_ex"].to_numpy(zero_copy_only=False)
-        in_buffered = ev <= pos
-        v = np.where(~in_buffered, DROP, np.where(new_ex, KEEP, DELETE))
-        return pa.table({"pos": batch["pos"], "verdict": pa.array(v.astype(np.int8))})
+        v = verdict_codes(*node_ladder(ev, new_ex, pos))
+        return pa.table({"pos": batch["pos"], "verdict": pa.array(v)})
 
     node_verdicts = nodes_ev.map_batches(node_verdict, batch_format="pyarrow")
 
@@ -351,22 +402,8 @@ def filter_verdicts_dist(
         payload={"st_ex_ev": pa.int64(), "st_buf_ev": pa.int64()},
     ).materialize()
 
-    def way_ev_occ(batch: pa.Table) -> pa.Table:
-        pos = batch["pos"].to_numpy(zero_copy_only=False)
-        gate = batch["gate"].to_numpy(zero_copy_only=False)
-        ev = _fill_ev(batch, ["new_ex_ev", "new_buf_ev", "st_buf_ev"])
-        keep_ev = gate & (ev["new_ex_ev"] < pos)
-        event = gate & ((ev["new_buf_ev"] < pos) | (ev["st_buf_ev"] < pos) | keep_ev)
-        return pa.table(
-            {
-                "id": batch["id"],
-                "keep_pos": pa.array(np.where(keep_ev, pos, EV_NONE)),
-                "event_pos": pa.array(np.where(event, pos, EV_NONE)),
-            }
-        )
-
     way_first = _ev_min_agg(
-        way_tab.map_batches(way_ev_occ, batch_format="pyarrow"),
+        way_tab.map_batches(_occ_first(_way_ladder), batch_format="pyarrow"),
         "id", ["keep_pos", "event_pos"],
     ).materialize()
 
@@ -399,26 +436,9 @@ def filter_verdicts_dist(
         payload={"f_event": pa.int64()},
     )
 
-    def way_verdict(batch: pa.Table) -> pa.Table:
-        pos = batch["pos"].to_numpy(zero_copy_only=False)
-        gate = batch["gate"].to_numpy(zero_copy_only=False)
-        ev = _fill_ev(
-            batch, ["new_ex_ev", "new_buf_ev", "st_buf_ev", "f_event"]
-        )
-        keep = gate & (ev["new_ex_ev"] < pos)
-        delete = (
-            gate
-            & ~keep
-            & (
-                (ev["new_buf_ev"] < pos)
-                | (ev["st_buf_ev"] < pos)
-                | (ev["f_event"] < pos)
-            )
-        )
-        v = np.where(keep, KEEP, np.where(delete, DELETE, DROP))
-        return pa.table({"pos": batch["pos"], "verdict": pa.array(v.astype(np.int8))})
-
-    way_verdicts = way_tab2.map_batches(way_verdict, batch_format="pyarrow")
+    way_verdicts = way_tab2.map_batches(
+        _occ_verdict(lambda b: _way_ladder(b, ("f_event",))), batch_format="pyarrow"
+    )
 
     # ---------------- relation evidence (fixpoint) ----------------
     kind_tab = {
@@ -584,26 +604,8 @@ def filter_verdicts_dist(
             payload={"r_ex": pa.int64(), "r_buf": pa.int64()},
         ).materialize()
 
-        def rel_occ_ev(batch: pa.Table) -> pa.Table:
-            pos = batch["pos"].to_numpy(zero_copy_only=False)
-            gate = batch["gate"].to_numpy(zero_copy_only=False)
-            ev = _fill_ev(batch, ["dm_ex", "dm_buf", "rm_ex", "rm_buf", "r_buf"])
-            keep = gate & (
-                np.minimum(ev["dm_ex"], ev["rm_ex"]) < pos
-            )
-            event = gate & (
-                np.minimum(np.minimum(ev["dm_buf"], ev["rm_buf"]), ev["r_buf"]) < pos
-            )
-            return pa.table(
-                {
-                    "id": batch["id"],
-                    "keep_pos": pa.array(np.where(keep, pos, EV_NONE)),
-                    "event_pos": pa.array(np.where(event, pos, EV_NONE)),
-                }
-            )
-
         new_first = reroot(_ev_min_agg(
-            tab.map_batches(rel_occ_ev, batch_format="pyarrow"),
+            tab.map_batches(_occ_first(_rel_ladder), batch_format="pyarrow"),
             "id", ["keep_pos", "event_pos"],
         ))
         rel_tab = tab
@@ -652,19 +654,8 @@ def filter_verdicts_dist(
             f"rel_rounds_cap"
         )
 
-    def rel_verdict(batch: pa.Table) -> pa.Table:
-        pos = batch["pos"].to_numpy(zero_copy_only=False)
-        gate = batch["gate"].to_numpy(zero_copy_only=False)
-        ev = _fill_ev(batch, ["dm_ex", "dm_buf", "rm_ex", "rm_buf", "r_buf"])
-        keep = gate & (np.minimum(ev["dm_ex"], ev["rm_ex"]) < pos)
-        event = gate & (
-            np.minimum(np.minimum(ev["dm_buf"], ev["rm_buf"]), ev["r_buf"]) < pos
-        )
-        v = np.where(keep, KEEP, np.where(event, DELETE, DROP))
-        return pa.table({"pos": batch["pos"], "verdict": pa.array(v.astype(np.int8))})
-
     if rel_tab is not None:
-        rel_verdicts = rel_tab.map_batches(rel_verdict, batch_format="pyarrow")
+        rel_verdicts = rel_tab.map_batches(_occ_verdict(_rel_ladder), batch_format="pyarrow")
         return node_verdicts.union(way_verdicts).union(rel_verdicts)
     return node_verdicts.union(way_verdicts)
 

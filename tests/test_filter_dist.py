@@ -1,6 +1,6 @@
 """Distributed polygon filter (stages/filter_dist.py) parity.
 
-The sequential automaton (`stages/filter.py:filter_verdicts`) is the
+The sequential automaton (`tests/filter_oracle.py:filter_verdicts`) is the
 reference-parity oracle (pinned to the reference's fixtures and the
 33/7/9 + 50/7/2 lookup-count invariants); the distributed join/fixpoint
 formulation must produce IDENTICAL verdicts with the diff flowing
@@ -30,16 +30,14 @@ from osm_replication_rust_ray.stages.dist import (
     flat_store_from_store,
     flat_store_from_tables,
 )
-from osm_replication_rust_ray.stages.filter import (
-    filter_tree,
-    filter_verdicts,
-    precompute_membership,
-)
+from osm_replication_rust_ray.stages.filter import filter_tree
 from osm_replication_rust_ray.stages.filter_dist import (
     VERDICT_NAMES,
     filter_tree_dist,
     filter_verdicts_dist,
 )
+
+from filter_oracle import filter_verdicts, precompute_membership
 
 
 def _rect(cx, cy, half):

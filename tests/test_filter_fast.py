@@ -1,8 +1,9 @@
-"""The pruned in-process filter must give byte-identical outputs to the
+"""The in-process filter kernel must give byte-identical outputs to the
 reference-parity automaton run over EVERY row with unpruned geometry —
 on the reference fixture, on synthetic diffs against a real synthetic
-store, through the polygon tree, and on hand-built rows that each need
-one clause of the candidate gate in `filter_elements`."""
+store, through the polygon tree, and on hand-built rows that each hit
+one kind of evidence (a node memo from an earlier row, old store
+points, store way refs, a relation cycle, a missing bbox)."""
 
 import numpy as np
 import pyarrow as pa
@@ -30,12 +31,9 @@ from osm_replication_rust_ray.stages.bbox import (
     closure_node_ids,
     needed_ids,
 )
-from osm_replication_rust_ray.stages.filter import (
-    PolyMembership,
-    filter_elements,
-    filter_tree,
-    filter_verdicts,
-)
+from osm_replication_rust_ray.stages.filter import filter_elements, filter_tree
+
+from filter_oracle import PolyMembership, filter_verdicts
 
 RES = "/root/reference/tests/resources"
 COLS = ["pos", "etype", "id", "poly_path", "action"]

@@ -1,0 +1,221 @@
+"""The whole-diff filter kernel (`stages/filter.py`) against the per-row
+automaton oracle (`tests/filter_oracle.py`), chained through a polygon
+tree, on seeded random diffs small enough that ids repeat at many
+positions: node, way and relation ids come from pools of 15, so memo
+evidence from earlier rows, store refs and store members, relation
+self-loops and 2-/3-cycles (in the store and in the diff), null bboxes
+and delete actions all occur.  Hand-built chains pin the relation
+fixpoint: one that needs several rounds, and one past the round cap.
+
+Also a multi-sequence soak: 18 synthetic sequences through
+`run_update` on one store (crossing two store folds) against the
+automaton tree plus `apply_changes` on a second store."""
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from osm_replication_rust_ray.geom import MultiPolygon
+from osm_replication_rust_ray.sources.osmxml import ELEMENTS_SCHEMA
+from osm_replication_rust_ray.sources.store import ElementStore, Resolver
+from osm_replication_rust_ray.stages import filter as kernel
+from osm_replication_rust_ray.stages.bbox import annotate_bbox, closure_node_ids
+from osm_replication_rust_ray.stages.dist import FixpointCapError
+from osm_replication_rust_ray.stages.filter import filter_tree
+
+from filter_oracle import oracle_tree
+
+MEMBER_T = ELEMENTS_SCHEMA.field("members").type.value_type
+POOL = 15
+NODES = 1 + np.arange(POOL)
+WAYS = 101 + np.arange(POOL)
+RELS = 201 + np.arange(POOL)
+M = 1_000_000  # 0.1°: the filter's buffer
+
+
+def _square(cx, cy, half):
+    return MultiPolygon.from_rings([(
+        np.array([cx - half, cx + half, cx + half, cx - half]),
+        np.array([cy - half, cy - half, cy + half, cy + half]),
+    )])
+
+
+# A and B are roots; A/c straddles A's edge, so the chain decides what
+# its rows see, and its parent's delete verdicts carry into it
+TREE = [
+    ("./A", "A", _square(0, 0, 2 * M)),
+    ("./A/c", "c", _square(2 * M, 0, M)),
+    ("./B", "B", _square(7 * M, 0, 2 * M)),
+]
+PARENT = {"./A": None, "./A/c": "./A", "./B": None}
+
+
+def _member(rng, self_id):
+    t = rng.choice(["node", "way", "relation"], p=[0.3, 0.3, 0.4])
+    pool = {"node": NODES, "way": WAYS, "relation": RELS}[t]
+    ref = self_id if t == "relation" and rng.random() < 0.2 else int(rng.choice(pool))
+    return {"type": str(t), "ref": int(ref), "role": ""}
+
+
+def _point(rng):
+    return int(rng.integers(-4 * M, 10 * M)), int(rng.integers(-3 * M, 3 * M))
+
+
+def _store(rng):
+    nodes = [(int(i), *_point(rng)) for i in NODES if rng.random() < 0.7]
+    ways = [
+        (int(w), [int(r) for r in rng.choice(NODES, rng.integers(1, 5))] + [999] * (rng.random() < 0.1))
+        for w in WAYS if rng.random() < 0.7
+    ]
+    rels = {int(r): [_member(rng, int(r)) for _ in range(rng.integers(0, 4))]
+            for r in RELS if rng.random() < 0.7}
+    # a 2-cycle and a 3-cycle through relation members
+    a, b, c = (int(x) for x in rng.choice(RELS, 3, replace=False))
+    for src, dst in ((a, b), (b, a), (b, c), (c, a)):
+        rels.setdefault(src, []).append({"type": "relation", "ref": dst, "role": ""})
+    return Resolver(
+        pa.table({
+            "id": pa.array([i for i, _x, _y in nodes], pa.int64()),
+            "lat": pa.array([y for _i, _x, y in nodes], pa.int64()),
+            "lon": pa.array([x for _i, x, _y in nodes], pa.int64()),
+        }),
+        pa.table({
+            "id": pa.array([w for w, _r in ways], pa.int64()),
+            "refs": pa.array([r for _w, r in ways], pa.list_(pa.int64())),
+        }),
+        pa.table({
+            "id": pa.array(list(rels), pa.int64()),
+            "members": pa.array(list(rels.values()), pa.list_(MEMBER_T)),
+        }),
+    )
+
+
+def _box(rng):
+    if rng.random() < 0.2:
+        return {}
+    (x, y), (w, h) = _point(rng), rng.integers(0, 2 * M, 2)
+    return {"minlon": x, "maxlon": x + int(w), "minlat": y, "maxlat": y + int(h)}
+
+
+def _diff(rng):
+    rows = []
+    for _ in range(rng.integers(20, 81)):
+        row = {"action": str(rng.choice(["create", "modify", "delete"]))}
+        t = rng.choice(["node", "way", "relation"], p=[0.45, 0.3, 0.25])
+        if t == "node":
+            lon, lat = _point(rng)
+            row.update(etype="node", id=int(rng.choice(NODES)), lon=lon, lat=lat)
+        elif t == "way":
+            refs = [int(r) for r in rng.choice(NODES, rng.integers(0, 4))]
+            row.update(etype="way", id=int(rng.choice(WAYS)),
+                       refs=refs if rng.random() < 0.9 else None, **_box(rng))
+        else:
+            rid = int(rng.choice(RELS))
+            row.update(etype="relation", id=rid,
+                       members=[_member(rng, rid) for _ in range(rng.integers(0, 4))]
+                       if rng.random() < 0.95 else None, **_box(rng))
+        rows.append(row)
+    # positions need only grow in table order; some seeds space them out
+    step = int(rng.integers(1, 4))
+    return pa.Table.from_pylist(
+        [{"pos": 7 + step * p, **r} for p, r in enumerate(rows)], schema=ELEMENTS_SCHEMA
+    )
+
+
+def test_kernel_matches_automaton_on_random_diffs():
+    seen = {}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        resolver = _store(rng)
+        elements = _diff(rng)
+        if seed % 2:
+            node_ids = closure_node_ids(elements, resolver)
+        else:  # old evidence only for the given ids
+            node_ids = np.sort(rng.choice(NODES, 10, replace=False))
+        got = filter_tree(elements, TREE, PARENT, resolver, node_ids)
+        rows = sorted(zip(*(got[c].to_pylist()
+                            for c in ("pos", "etype", "id", "action", "poly_path"))))
+        assert rows == oracle_tree(elements, TREE, PARENT, resolver, node_ids), seed
+        for _pos, t, _id, action, path in rows:
+            seen[t, action == "delete", path] = seen.get((t, action == "delete", path), 0) + 1
+    # every element type kept and deleted under every polygon
+    for t in ("node", "way", "relation"):
+        for path, _n, _mp in TREE:
+            assert seen.get((t, False, path)) and seen.get((t, True, path)), (t, path)
+
+
+def _chain(k):
+    """Relation rows 301..300+k, each with only the previous one as a
+    member; the first has a node inside the polygon.  Row j keeps
+    only once row j-1 is known to keep, so the fixpoint needs k rounds
+    to see the last keep and one more to confirm."""
+    rows = [{"etype": "node", "id": 1, "lon": 0, "lat": 0}]
+    for j in range(k):
+        ref = {"type": "node", "ref": 1} if j == 0 else {"type": "relation", "ref": 300 + j}
+        rows.append({"etype": "relation", "id": 301 + j, "members": [{**ref, "role": ""}],
+                     "minlon": 0, "maxlon": 0, "minlat": 0, "maxlat": 0})
+    return pa.Table.from_pylist(
+        [{"pos": p, "action": "modify", **r} for p, r in enumerate(rows)], schema=ELEMENTS_SCHEMA
+    )
+
+
+def test_relation_chain_needs_one_round_per_link(monkeypatch):
+    tree, parent = [("./A", "A", _square(0, 0, M))], {"./A": None}
+    elements, resolver = _chain(5), Resolver.empty()
+    want = oracle_tree(elements, tree, parent, resolver, [1])
+    assert len(want) == 6 and {r[3] for r in want} == {"modify"}
+    got = filter_tree(elements, tree, parent, resolver, [1])
+    assert sorted(zip(*(got[c].to_pylist() for c in ("pos", "etype", "id", "action", "poly_path")))) == want
+    monkeypatch.setattr(kernel, "REL_ROUNDS_CAP", 5)  # 5 links need 6 rounds
+    with pytest.raises(FixpointCapError):
+        filter_tree(elements, tree, parent, resolver, [1])
+
+
+def test_relation_chain_past_the_cap_raises():
+    tree, parent = [("./A", "A", _square(0, 0, M))], {"./A": None}
+    with pytest.raises(FixpointCapError):
+        filter_tree(_chain(kernel.REL_ROUNDS_CAP), tree, parent, Resolver.empty(), [1])
+
+
+def test_soak_18_sequences_cross_two_folds(tmp_path, monkeypatch):
+    """18 sequences through run_update on one store: each sequence's
+    partitions hold exactly the automaton tree's rows over a second
+    store that only ever sees apply_changes."""
+    from osm_replication_rust_ray.pipelines.update import run_update
+    from osm_replication_rust_ray.sources.synth import synth_changes
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+    from resume_kill_child import load_inputs, seed_store
+
+    work = str(tmp_path)
+    store = seed_store("synthetic", work)
+    oracle_store = seed_store("synthetic", f"{work}/oracle")
+    _changes, tree, parent = load_inputs("synthetic", work)
+    diffs = {k: synth_changes(2000, seed=5, seq=k) for k in range(1, 19)}
+    folds = []
+    real_fold = ElementStore._fold
+
+    def fold(self, tname, pending, extra=None):
+        if self is store and pending:
+            folds.append(tname)
+        return real_fold(self, tname, pending, extra)
+
+    monkeypatch.setattr(ElementStore, "_fold", fold)
+    m = CheckpointManifest(f"{work}/ckpt")
+    assert run_update(diffs, store, tree, parent, f"{work}/diffs", m) == list(range(1, 19))
+    assert folds.count("nodes") == 2
+    recs = CheckpointManifest(f"{work}/ckpt")._state["partitions"]
+    for k in range(1, 19):
+        resolver = Resolver.from_store(oracle_store)
+        annotated = annotate_bbox(diffs[k], resolver)
+        want = oracle_tree(annotated, tree, parent, resolver,
+                           closure_node_ids(annotated, resolver))
+        got = []
+        for pid, rec in recs.items():
+            if pid.startswith(f"seq={k}/"):
+                t = pq.read_table(rec["path"])
+                path = pid[len(f"seq={k}/"):]
+                got += [(*r, path) for r in zip(*(t[c].to_pylist()
+                                                  for c in ("pos", "etype", "id", "action")))]
+        assert want and sorted(got) == want, k
+        oracle_store.apply_changes(diffs[k])

@@ -13,11 +13,9 @@ from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
 from osm_replication_rust_ray.sources.polyfile import read_multipolygon
 from osm_replication_rust_ray.sources.store import Resolver
 from osm_replication_rust_ray.stages.bbox import needed_ids
-from osm_replication_rust_ray.stages.filter import (
-    filter_elements,
-    filter_verdicts,
-    precompute_membership,
-)
+from osm_replication_rust_ray.stages.filter import filter_elements
+
+from filter_oracle import filter_verdicts, precompute_membership
 
 RES = "/root/reference/tests/resources"
 
