@@ -42,9 +42,9 @@ from ..state.manifest import CheckpointManifest, write_partitioned
 # 4M on 32 CPUs the distributed path wins (186 s vs ~286 s).  The 5M
 # bound itself was never measured as a speed crossover.  In-process
 # peak RSS (tools/kernel_rss_probe.py filter, synth_store(n) +
-# synth_changes(n), 12-polygon tree): 237 MB at 10^5, 1355 MB at 10^6,
-# 2593 MB at 2*10^6 elements — ~1300 B per element, reached before
-# filter_tree (diff table + annotate_bbox), so ~6.5 GB at 5M.
+# synth_changes(n), 12-polygon tree): 210 MB at 10^5, 1097 MB at 10^6,
+# 2088 MB at 2*10^6 elements — ~1040 B per element, reached before
+# filter_tree (diff table + annotate_bbox), so ~5.2 GB at 5M.
 DIST_DIFF_ROWS = 5_000_000
 
 

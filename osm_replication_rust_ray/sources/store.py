@@ -421,16 +421,20 @@ class Resolver:
     def read_nodes(self, ids: np.ndarray):
         ids = np.asarray(ids, np.int64)
         self.num_read_nodes += len(ids)
-        if len(self._nid) == 0 or len(ids) == 0:
-            z = np.zeros(len(ids), np.int64)
-            return np.zeros(len(ids), bool), z, z
+        return self.node_points(ids)
+
+    # --- whole-diff batch reads (the bbox and filter kernels'): not
+    #     counted, the counters pin the reference's per-probe lookups
+    def node_points(self, ids: np.ndarray):
+        """(found, lat, lon) of ``ids``; 0 where missing."""
+        ids = np.asarray(ids, np.int64)
         found, idx_c = _lookup(self._nid, ids)
+        if not len(self._nid):
+            return found, idx_c, idx_c
         lat = np.where(found, self._nlat[idx_c], 0)
         lon = np.where(found, self._nlon[idx_c], 0)
         return found, lat, lon
 
-    # --- whole-diff batch reads (the filter kernel's): not counted, the
-    #     counters pin the reference's per-probe lookups
     def way_refs(self, wids: np.ndarray):
         """CSR (offsets, flat refs) of the store refs of ``wids``; a
         missing way has none."""

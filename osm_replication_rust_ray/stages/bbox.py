@@ -7,24 +7,37 @@ Semantics reproduced exactly:
   same diff **modified at an earlier file position** (the reference's
   ``nodes/ways/relations_modified`` maps, src/osmxml/bbox.rs:16-18).
 - the modified-map entries are monotone non-decreasing (each new
-  occurrence unions the previous), so "map state at position p" equals
-  the prefix-union over occurrences with pos < p — which is what the
-  vectorized implementation computes.
-- relation expansion recurses through store relations with the same
-  cycle guard as the reference (drop the recursive edge,
-  src/osmxml/bbox.rs:106-123).
+  occurrence unions the previous), so "map state at position p" is the
+  latest running-union entry with pos < p (``_PrefixBoxes``).
+- a relation's box covers every relation its own id and its diff
+  relation members reach through store members.  The reference
+  recurses and drops only an edge back onto its own path
+  (src/osmxml/bbox.rs:106-123), so every reachable relation counts;
+  a box union is commutative, associative and idempotent, so one
+  visited-set walk gives the same box.
 
-Execution model: one diff (a minute of planet changes) is bounded —
-the reference holds its modified-maps in RAM — so the per-diff
-computation runs vectorized inside a single task/group, while the
-expensive part at scale (resolving OLD geometry out of the 100 TB
-store) is a distributed semi-join done by the caller, which passes the
-resulting Resolver here.  ``needed_ids`` computes that closure.
+One pass of numpy over the whole diff, on the diff's store closure
+(``stages/filter.py:DiffClosure``, the walk the filter uses too):
 
-The stage also returns the store-lookup counts; the reference pins
-lookup amplification at 33 nodes / 7 ways / 9 relations on the
-saint_barthelemy fixture (src/osmxml/bbox.rs:269-271) and our edge
-enumeration reproduces the same multiset.
+1. nodes: new point ∪ store point, running union per id in pos order.
+2. ways: store refs (one CSR read for every way) and new refs, each
+   ref's store point ∪ its node box before the way's position;
+   segment union per occurrence, then running union per way id.
+3. relations: per row, the relations it reaches (``_reach``, a
+   visited set per row); the node leaves (member nodes and the store
+   refs of member ways) and the way leaves of those relations and of
+   the row, each read as in phase 2 at the row's position.  A row's
+   box also unions the boxes of earlier rows of every relation it
+   reaches (``relations_modified``).  That carry depends only on
+   earlier rows, so it is a monotone fixpoint, solved as the filter's
+   and ``stages/bbox_dist.py``'s are: one round per earlier-row
+   link, at most ``REL_ROUNDS_CAP`` rounds, else ``FixpointCapError``.
+
+The kernel reads the store in bulk through the Resolver's uncounted
+reads.  The per-row pass that probes the store once per visit, and so
+reproduces the reference's lookup counts (33 nodes / 7 ways / 9
+relations on the saint_barthelemy fixture, src/osmxml/bbox.rs:269-271),
+is the test oracle ``tests/bbox_oracle.py``.
 """
 
 from __future__ import annotations
@@ -33,450 +46,173 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.scan import BOX_COLS, SENT_MAX, SENT_MIN
 from ..sources.store import Resolver
+from .dist import REL_ROUNDS_CAP, FixpointCapError
+from .filter import DiffClosure, _np
 
-_I64MAX = np.iinfo(np.int64).max
-_I64MIN = np.iinfo(np.int64).min
+# boxes are (4, k) int64 arrays in BOX_COLS order; the empty box (the
+# sentinels) is the identity of the union
+_EMPTY = np.array([SENT_MIN, SENT_MAX, SENT_MIN, SENT_MAX])[:, None]
+_OPS = (np.minimum, np.maximum, np.minimum, np.maximum)
 
 
-class _Box:
-    """Mutable optional bounding box (expand-only)."""
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([op(x, y) for op, x, y in zip(_OPS, a, b)])
 
-    __slots__ = ("minlat", "maxlat", "minlon", "maxlon", "some")
 
-    def __init__(self):
-        self.minlat = _I64MAX
-        self.maxlat = _I64MIN
-        self.minlon = _I64MAX
-        self.maxlon = _I64MIN
-        self.some = False
+def _segment_union(n: int, idx: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Per index in ``range(n)``, the union of its ``boxes``."""
+    out = np.repeat(_EMPTY, n, axis=1)
+    for op, o, b in zip(_OPS, out, boxes):
+        op.at(o, idx, b)
+    return out
 
-    def add(self, minlat, maxlat, minlon, maxlon):
-        if minlat is None:
-            return
-        self.minlat = min(self.minlat, minlat)
-        self.maxlat = max(self.maxlat, maxlat)
-        self.minlon = min(self.minlon, minlon)
-        self.maxlon = max(self.maxlon, maxlon)
-        self.some = True
 
-    def tuple(self):
-        if not self.some:
-            return (None, None, None, None)
-        return (self.minlat, self.maxlat, self.minlon, self.maxlon)
+def _running_union(key: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Per run of equal ``key`` (sorted), the running union of ``boxes``."""
+    g = pd.DataFrame(boxes.T).groupby(key, sort=False)
+    return np.stack([(g[c].cummin() if c % 2 == 0 else g[c].cummax()).to_numpy(np.int64)
+                     for c in range(4)])
 
 
 class _PrefixBoxes:
-    """Per-id, pos-sorted prefix-union boxes: query = box state with pos < p."""
+    """Per key, a history of running-union boxes by position:
+    ``at(keys, ps)`` is the latest entry with pos < p, empty if none."""
 
-    def __init__(self, df: pd.DataFrame):
-        # df columns: id, pos, minlat, maxlat, minlon, maxlon  (box per occurrence,
-        # already cumulative per id in pos order)
-        df = df.sort_values(["id", "pos"], kind="stable")
-        self.ids = df["id"].to_numpy(np.int64)
-        self.pos = df["pos"].to_numpy(np.int64)
-        self.minlat = df["minlat"].to_numpy()
-        self.maxlat = df["maxlat"].to_numpy()
-        self.minlon = df["minlon"].to_numpy()
-        self.maxlon = df["maxlon"].to_numpy()
-        self.id_start = {}
-        uniq, starts = np.unique(self.ids, return_index=True)
-        ends = np.append(starts[1:], len(self.ids))
-        for u, s, e in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            self.id_start[u] = (s, e)
+    def __init__(self, key: np.ndarray, pos: np.ndarray, boxes: np.ndarray):
+        o = np.lexsort((pos, key))
+        self.key, self.boxes = key[o], boxes[:, o]
+        # one sortable key; positions are file offsets, far below it
+        self.m = int(pos.max()) + 2 if len(pos) else 1
+        self.packed = self.key * self.m + pos[o]
 
-    def query(self, eid: int, p: int):
-        se = self.id_start.get(int(eid))
-        if se is None:
-            return None
-        s, e = se
-        k = np.searchsorted(self.pos[s:e], p)  # pos < p
-        if k == 0:
-            return None
-        i = s + k - 1
-        ml = self.minlat[i]
-        if pd.isna(ml):
-            return None
-        return (int(ml), int(self.maxlat[i]), int(self.minlon[i]), int(self.maxlon[i]))
-
-    def query_many(self, eids: np.ndarray, ps: np.ndarray):
-        """Vectorized prefix query: per (id, pos) pair, the box state
-        with pos < p, as (valid, minlat, maxlat, minlon, maxlon)."""
-        n = len(eids)
-        if n == 0 or len(self.ids) == 0:
-            z = np.zeros(n, np.int64)
-            return np.zeros(n, bool), z, z, z, z
-        # entries are (id, pos)-lexicographically sorted; pack into one
-        # sortable key (positions are file offsets, far below the pack)
-        m = np.int64(max(int(self.pos.max()), int(ps.max())) + 2)
-        keys = self.ids * m + self.pos
-        probe = eids.astype(np.int64) * m + ps.astype(np.int64)
-        k = np.searchsorted(keys, probe, side="left")
-        has = k > 0
-        i = np.maximum(k - 1, 0)
-        has &= self.ids[i] == eids
-        has &= ~pd.isna(self.minlat[i])
-        z = np.zeros(n, np.int64)
-        sel = np.where(has, i, 0)
-        take = lambda a: np.where(  # noqa: E731
-            has, np.nan_to_num(a[sel]).astype(np.int64), z
-        )
-        return has, take(self.minlat), take(self.maxlat), take(self.minlon), take(self.maxlon)
+    def at(self, keys: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        if not len(self.key):
+            return np.repeat(_EMPTY, len(keys), axis=1)
+        k = np.searchsorted(self.packed, keys * self.m + np.minimum(ps, self.m - 1)) - 1
+        i = np.maximum(k, 0)
+        return np.where((k >= 0) & (self.key[i] == keys), self.boxes[:, i], _EMPTY)
 
 
-def needed_ids(elements: pa.Table, resolver: Resolver, max_depth: int = 64):
-    """Transitive closure of store ids a diff's bbox pass will touch.
-
-    At cluster scale this drives the semi-join that builds the
-    Resolver (diff ids are few; the store is huge).
-
-    Raises if relation nesting exceeds ``max_depth`` with members still
-    unexpanded — a silently truncated closure yields membership maps
-    that miss real store evidence (the same silent-cap class the
-    distributed fixpoints guard against, stages/dist.FixpointCapError);
-    the seen_rels dedup bounds rounds by distinct relation count, so
-    only a pathologically deep (or adversarial) store can hit this."""
-    df = elements.select(["pos", "etype", "id", "refs", "members"]).to_pandas()
-    node_ids: set[int] = set(df.loc[df.etype == "node", "id"])
-    way_ids: set[int] = set(df.loc[df.etype == "way", "id"])
-    rel_ids: set[int] = set(df.loc[df.etype == "relation", "id"])
-    for refs in df.loc[df.etype == "way", "refs"]:
-        if refs is not None:
-            node_ids.update(int(r) for r in refs)
-    pending_members = [m for ms in df.loc[df.etype == "relation", "members"] if ms is not None for m in ms]
-    seen_rels = set(rel_ids)
-    # a diff relation's OWN store members are walked too: the verdict
-    # ladder's delete arm falls back to relation_in_poly(rid) which
-    # reads THIS relation from the store and tests its old members
-    # (src/osmxml/filter.rs:284-291) — seeding seen_rels with diff rel
-    # ids without expanding them left those members (and their ways'
-    # nodes) out of the closure, silently turning real store-side
-    # delete evidence into drop.  Found by the 1M-element distributed
-    # parity run (relation 914395), the same bug class closure_node_ids
-    # fixed one level up.
-    if resolver is not None:
-        for r in sorted(rel_ids):
-            mem = resolver.read_relation(r)
-            if mem:
-                pending_members.extend(mem)
-    depth = 0
-    while pending_members and depth < max_depth:
-        depth += 1
-        nxt = []
-        for m in pending_members:
-            t, r = m["type"], int(m["ref"])
-            if t == "node":
-                node_ids.add(r)
-            elif t == "way":
-                way_ids.add(r)
-            else:
-                if r not in seen_rels:
-                    seen_rels.add(r)
-                    rel_ids.add(r)
-                    mem = resolver.read_relation(r) if resolver else None
-                    if mem:
-                        nxt.extend(mem)
-        pending_members = nxt
-    if pending_members:
-        raise RuntimeError(
-            f"needed_ids: relation nesting exceeded {max_depth} rounds "
-            f"with {len(pending_members)} members unexpanded — refusing "
-            f"to silently truncate the evidence closure"
-        )
-    # ways (diff + member) old refs need their nodes too — callers that
-    # feed the FILTER's membership maps must use closure_node_ids below
-    return node_ids, way_ids, rel_ids
+def _csr(keys: np.ndarray, n: int):
+    """(offsets, order): ``keys`` grouped by value in ``range(n)``."""
+    order = np.argsort(keys, kind="stable")
+    return np.searchsorted(keys[order], np.arange(n + 1)), order
 
 
-def closure_node_ids(elements: pa.Table, resolver: Resolver,
-                     max_depth: int = 16) -> np.ndarray:
-    """Sorted node-id closure INCLUDING the store refs of every way the
-    filter may probe (diff ways + relation-member ways).
+def _csr_rows(off: np.ndarray, sel: np.ndarray):
+    """(i, k): for each ``sel[i]``, every flat index ``k`` of its row."""
+    n = off[sel + 1] - off[sel]
+    i = np.repeat(np.arange(len(sel)), n)
+    return i, off[sel][i] + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
 
-    The reference's evidence walk reads store geometry ON DEMAND
-    (src/osmxml/filter.rs:118-148: way_in_poly reads STORE refs and
-    node_in_poly tests each old point), so the precomputed
-    old_in_exact / old_in_buffered maps must cover those nodes —
-    ``needed_ids`` alone misses them, which silently turned real
-    keep/delete evidence into drop (found by the distributed path's
-    parity run on the saint_barthelemy fixture, relation 1106302)."""
-    node_ids, way_ids, _rel_ids = needed_ids(elements, resolver, max_depth)
-    for wid in way_ids:
-        refs = resolver.read_way(wid)
-        if refs is not None:
-            node_ids.update(int(r) for r in refs)
-    return np.array(sorted(node_ids), np.int64)
+
+def _reach(c: DiffClosure, row: np.ndarray, start: np.ndarray):
+    """(row, relation) pairs: every relation of ``c.R`` that a row's
+    ``start`` relations reach through store relation members, the
+    starts included.  The visited set of each row bounds the walk."""
+    n_r = len(c.R)
+    off, order = _csr(c.edge_src, n_r)
+    dst = c.edge_dst[order]
+    seen = front = np.unique(row * n_r + start)
+    while len(front):
+        i, k = _csr_rows(off, front % n_r)
+        front = np.setdiff1d(front[i] - front[i] % n_r + dst[k], seen)
+        seen = np.union1d(seen, front)
+    return np.divmod(seen, n_r)
+
+
+def closure_node_ids(elements: pa.Table, resolver: Resolver) -> np.ndarray:
+    """Sorted ids of every node the filter may probe: diff nodes, diff
+    and store refs of every way it may probe, and member nodes through
+    the store relation closure (``DiffClosure.N``).  The reference reads
+    store geometry on demand (src/osmxml/filter.rs:118-148), so the
+    filter's old points must cover all of them."""
+    return DiffClosure(elements, resolver).N
 
 
 def annotate_bbox(elements: pa.Table, resolver: Resolver) -> pa.Table:
-    """Return ``elements`` with minlat/maxlat/minlon/maxlon filled.
-
-    Exact reproduction of the reference's sequential pass via the
-    three-phase prefix-union formulation (see module docstring)."""
-    df = elements.to_pandas()
-    n = len(df)
-    out = {
-        "minlat": np.full(n, np.nan),
-        "maxlat": np.full(n, np.nan),
-        "minlon": np.full(n, np.nan),
-        "maxlon": np.full(n, np.nan),
-    }
-    # O(1) row lookup by file position (the per-way/relation writes
-    # below would otherwise scan the frame per element)
-    row_of_pos = dict(zip(df["pos"].tolist(), df.index.tolist()))
+    """Return ``elements`` with minlat/maxlat/minlon/maxlon filled
+    (see module docstring)."""
+    c = DiffClosure(elements, resolver)
+    pos = _np(elements["pos"]).astype(np.int64)
+    box = np.repeat(_EMPTY, c.n, axis=1)
+    stored = np.where(c.found, np.stack([c.lat, c.lat, c.lon, c.lon]), _EMPTY)
 
     # ---------------- phase 1: nodes ----------------
-    nmask = (df.etype == "node").to_numpy()
-    ndf = df.loc[nmask, ["pos", "id", "lat", "lon"]].copy()
-    if len(ndf):
-        found, olat, olon = resolver.read_nodes(ndf["id"].to_numpy(np.int64))
-        ndf = ndf.sort_values(["id", "pos"], kind="stable")
-        # reorder old-point arrays to the sorted frame
-        order = ndf.index.to_numpy()
-        pos_of = {ix: k for k, ix in enumerate(df.index[nmask])}
-        sel = np.array([pos_of[ix] for ix in order])
-        found, olat, olon = found[sel], olat[sel], olon[sel]
-        g = ndf.groupby("id", sort=False)
-        cmin_lat = g["lat"].cummin().to_numpy(np.int64)
-        cmax_lat = g["lat"].cummax().to_numpy(np.int64)
-        cmin_lon = g["lon"].cummin().to_numpy(np.int64)
-        cmax_lon = g["lon"].cummax().to_numpy(np.int64)
-        bminlat = np.where(found, np.minimum(cmin_lat, olat), cmin_lat)
-        bmaxlat = np.where(found, np.maximum(cmax_lat, olat), cmax_lat)
-        bminlon = np.where(found, np.minimum(cmin_lon, olon), cmin_lon)
-        bmaxlon = np.where(found, np.maximum(cmax_lon, olon), cmax_lon)
-        rows = ndf.index.to_numpy()
-        out["minlat"][rows] = bminlat
-        out["maxlat"][rows] = bmaxlat
-        out["minlon"][rows] = bminlon
-        out["maxlon"][rows] = bmaxlon
-        node_prefix = _PrefixBoxes(
-            pd.DataFrame(
-                {
-                    "id": ndf["id"].to_numpy(np.int64),
-                    "pos": ndf["pos"].to_numpy(np.int64),
-                    "minlat": bminlat,
-                    "maxlat": bmaxlat,
-                    "minlon": bminlon,
-                    "maxlon": bmaxlon,
-                }
-            )
-        )
-    else:
-        node_prefix = _PrefixBoxes(
-            pd.DataFrame(columns=["id", "pos", "minlat", "maxlat", "minlon", "maxlon"])
-        )
+    o = np.lexsort((pos[c.nrow], c.nrow_u))
+    rows, u = c.nrow[o], c.nrow_u[o]
+    lat, lon = (elements[k].take(rows) for k in ("lat", "lon"))
+    lat_ok, lon_ok = _np(lat.is_valid()), _np(lon.is_valid())
+    lat, lon = (_np(a.fill_null(0)).astype(np.int64) for a in (lat, lon))
+    new = np.stack([np.where(lat_ok, lat, SENT_MIN), np.where(lat_ok, lat, SENT_MAX),
+                    np.where(lon_ok, lon, SENT_MIN), np.where(lon_ok, lon, SENT_MAX)])
+    cum = _running_union(u, new)
+    # a row with no lat (lon) reads int64 min (SENT_MAX) there, as the
+    # reference pass's cast of its NaN running min does (tests/bbox_oracle.py)
+    cum[:2, ~lat_ok] = SENT_MAX
+    cum[2:, ~lon_ok] = SENT_MAX
+    box[:, rows] = _union(cum, stored[:, u])
+    node_prefix = _PrefixBoxes(u, pos[rows], box[:, rows])
 
-    def node_box_at(nid: int, p: int) -> tuple | None:
-        """expand_bbox_node_id: modified-map prefix ∪ store point.
-        Issues one store node lookup (counting parity)."""
-        b = _Box()
-        pref = node_prefix.query(nid, p)
-        if pref is not None:
-            b.add(*pref)
-        f, la, lo = resolver.read_nodes(np.array([nid], np.int64))
-        if f[0]:
-            b.add(int(la[0]), int(la[0]), int(lo[0]), int(lo[0]))
-        return b.tuple() if b.some else None
+    def node_boxes(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Store point ∪ node box before ``p``, per node index."""
+        return _union(stored[:, n], node_prefix.at(n, p))
 
-    # batch variant for way refs (same lookup counts, vectorized)
-    def node_boxes_at(nids: np.ndarray, p: int) -> _Box:
-        b = _Box()
-        if len(nids) == 0:
-            return b
-        f, la, lo = resolver.read_nodes(nids)
-        if f.any():
-            b.add(
-                int(la[f].min()), int(la[f].max()), int(lo[f].min()), int(lo[f].max())
-            )
-        for nid in nids.tolist():
-            pref = node_prefix.query(nid, p)
-            if pref is not None:
-                b.add(*pref)
-        return b
-
-    # ---------------- phase 2: ways (vectorized) ----------------
-    # A way occurrence's box is prev-occurrence-box ∪ (old store refs ∪
-    # new diff refs, each ref contributing its store point and its
-    # node-modified prefix state at this pos).  The prev-box chain is a
-    # per-way-id cumulative union in pos order, so the whole phase is:
-    # explode refs -> one batched store lookup + one vectorized prefix
-    # query -> segment min/max per occurrence -> groupby-cummin/cummax.
-    # Store-lookup COUNTS are preserved exactly (read_way once per
-    # occurrence, read_nodes over the same ref multiset) — the 7-way /
-    # 33-node invariant of src/osmxml/bbox.rs:269-271 still pins them.
-    wmask = (df.etype == "way").to_numpy()
-    wdf = df.loc[wmask, ["pos", "id", "refs"]].sort_values("pos", kind="stable")
-    n_w = len(wdf)
-    w_pos = wdf["pos"].to_numpy(np.int64)
-    w_id = wdf["id"].to_numpy(np.int64)
-    ref_ids: list[np.ndarray] = []
-    ref_occ: list[np.ndarray] = []
-    for k, (wid, refs) in enumerate(zip(w_id.tolist(), wdf["refs"].tolist())):
-        old_refs = resolver.read_way(int(wid))  # 1 way lookup/occurrence
-        parts = []
-        if old_refs is not None:
-            parts.append(np.asarray(old_refs, np.int64))
-        if refs is not None and len(refs):
-            parts.append(np.asarray(list(refs), np.int64))
-        if parts:
-            ids = np.concatenate(parts)
-            ref_ids.append(ids)
-            ref_occ.append(np.full(len(ids), k, np.int64))
-    if n_w:
-        big_minlat = np.full(n_w, _I64MAX)
-        big_maxlat = np.full(n_w, _I64MIN)
-        big_minlon = np.full(n_w, _I64MAX)
-        big_maxlon = np.full(n_w, _I64MIN)
-        if ref_ids:
-            rid_all = np.concatenate(ref_ids)
-            rocc_all = np.concatenate(ref_occ)
-            f, la, lo = resolver.read_nodes(rid_all)  # one batched lookup
-            pv, pminlat, pmaxlat, pminlon, pmaxlon = node_prefix.query_many(
-                rid_all, w_pos[rocc_all]
-            )
-            # per-exploded-row candidate extents (store point ∪ prefix)
-            any_src = f | pv
-            cminlat = np.where(f, la, _I64MAX)
-            cmaxlat = np.where(f, la, _I64MIN)
-            cminlon = np.where(f, lo, _I64MAX)
-            cmaxlon = np.where(f, lo, _I64MIN)
-            cminlat = np.minimum(cminlat, np.where(pv, pminlat, _I64MAX))
-            cmaxlat = np.maximum(cmaxlat, np.where(pv, pmaxlat, _I64MIN))
-            cminlon = np.minimum(cminlon, np.where(pv, pminlon, _I64MAX))
-            cmaxlon = np.maximum(cmaxlon, np.where(pv, pmaxlon, _I64MIN))
-            # segment-reduce per occurrence (rows already occ-ordered)
-            m = any_src
-            if m.any():
-                occ = rocc_all[m]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], occ[1:] != occ[:-1]))
-                )
-                o = occ[starts]
-                big_minlat[o] = np.minimum.reduceat(cminlat[m], starts)
-                big_maxlat[o] = np.maximum.reduceat(cmaxlat[m], starts)
-                big_minlon[o] = np.minimum.reduceat(cminlon[m], starts)
-                big_maxlon[o] = np.maximum.reduceat(cmaxlon[m], starts)
-        # cumulative union per way id in pos order (prev-box chaining)
-        wb = pd.DataFrame(
-            {
-                "id": w_id,
-                "minlat": np.where(big_minlat == _I64MAX, np.nan, big_minlat),
-                "maxlat": np.where(big_maxlat == _I64MIN, np.nan, big_maxlat),
-                "minlon": np.where(big_minlon == _I64MAX, np.nan, big_minlon),
-                "maxlon": np.where(big_maxlon == _I64MIN, np.nan, big_maxlon),
-            }
-        )
-        g = wb.groupby("id", sort=False)
-        # cummin/cummax leave NaN AT a no-contribution occurrence (they
-        # only skip NaN for later positions), but the reference carries
-        # the previous occurrence's box there (ways_modified is a
-        # monotone prefix union, src/osmxml/bbox.rs:78-85) — forward-
-        # fill within each way id restores the carry (one grouped
-        # ffill over all four cum columns)
-        cum = pd.DataFrame(
-            {
-                "id": wb["id"],
-                "minlat": g["minlat"].cummin(),
-                "maxlat": g["maxlat"].cummax(),
-                "minlon": g["minlon"].cummin(),
-                "maxlon": g["maxlon"].cummax(),
-            }
-        ).groupby("id", sort=False).ffill()
-        cum_minlat = cum["minlat"].to_numpy()
-        cum_maxlat = cum["maxlat"].to_numpy()
-        cum_minlon = cum["minlon"].to_numpy()
-        cum_maxlon = cum["maxlon"].to_numpy()
-        some = ~np.isnan(cum_minlat)
-        rows_idx = np.array([row_of_pos[int(p)] for p in w_pos[some]], np.int64)
-        out["minlat"][rows_idx] = cum_minlat[some]
-        out["maxlat"][rows_idx] = cum_maxlat[some]
-        out["minlon"][rows_idx] = cum_minlon[some]
-        out["maxlon"][rows_idx] = cum_maxlon[some]
-        way_prefix = _PrefixBoxes(
-            pd.DataFrame(
-                {
-                    "id": w_id,
-                    "pos": w_pos,
-                    "minlat": cum_minlat,
-                    "maxlat": cum_maxlat,
-                    "minlon": cum_minlon,
-                    "maxlon": cum_maxlon,
-                }
-            )
-        )
-    else:
-        way_prefix = _PrefixBoxes(
-            pd.DataFrame(columns=["id", "pos", "minlat", "maxlat", "minlon", "maxlon"])
-        )
-
-    def way_box_at(wid: int, p: int) -> tuple | None:
-        """expand_bbox_way_id inside relation expansion."""
-        b = _Box()
-        pref = way_prefix.query(wid, p)
-        if pref is not None:
-            b.add(*pref)
-        old_refs = resolver.read_way(wid)
-        if old_refs is not None:
-            sub = node_boxes_at(np.asarray(old_refs, np.int64), p)
-            if sub.some:
-                b.add(*sub.tuple())
-        return b.tuple() if b.some else None
+    # ---------------- phase 2: ways ----------------
+    o = np.lexsort((pos[c.wrow], c.wrow_u))
+    rows, w = c.wrow[o], c.wrow_u[o]
+    p = pos[rows]
+    occ_of = np.empty_like(o)
+    occ_of[o] = np.arange(len(o))
+    occ, k = _csr_rows(c.wst_off, w)
+    occ = np.concatenate([occ, occ_of[c.wnew_row]])
+    ref = np.concatenate([c.wst_u[k], c.wnew_u])
+    occ_box = _segment_union(len(rows), occ, node_boxes(ref, p[occ]))
+    box[:, rows] = _running_union(w, occ_box)
+    way_prefix = _PrefixBoxes(w, p, box[:, rows])
 
     # ---------------- phase 3: relations ----------------
-    rmask = (df.etype == "relation").to_numpy()
-    rdf = df.loc[rmask, ["pos", "id", "members"]].sort_values("pos", kind="stable")
-    relations_modified: dict[int, tuple] = {}
-
-    def expand_rel_only(b: _Box, members, prev: list[int], p: int):
-        for m in members:
-            t, r = m["type"], int(m["ref"])
-            if t == "node":
-                nb = node_box_at(r, p)
-                if nb:
-                    b.add(*nb)
-            elif t == "way":
-                wb = way_box_at(r, p)
-                if wb:
-                    b.add(*wb)
-            elif t == "relation":
-                expand_rel_id(b, r, prev, p)
-            else:  # pragma: no cover
-                raise ValueError(f"Unsupported relation member: {m}")
-
-    def expand_rel_id(b: _Box, rid: int, prev: list[int], p: int):
-        if rid in prev:
-            return  # recursion dropped (src/osmxml/bbox.rs:112-115)
-        rm = relations_modified.get(rid)
-        if rm is not None:
-            b.add(*rm)
-        members = resolver.read_relation(rid)
-        if members is not None:
-            expand_rel_only(b, members, prev + [rid], p)
-
-    for row in rdf.itertuples():
-        p = int(row.pos)
-        rid = int(row.id)
-        b = _Box()
-        expand_rel_id(b, rid, [], p)
-        members = row.members if row.members is not None else []
-        expand_rel_only(b, members, [rid], p)
-        if b.some:
-            t = b.tuple()
-            relations_modified[rid] = t
-            i = row_of_pos[p]
-            out["minlat"][i] = t[0]
-            out["maxlat"][i] = t[1]
-            out["minlon"][i] = t[2]
-            out["maxlon"][i] = t[3]
-
-    res = elements.drop_columns(["minlat", "maxlat", "minlon", "maxlon"])
-    for c in ("minlat", "maxlat", "minlon", "maxlon"):
-        vals = out[c]
-        invalid = np.isnan(vals)
-        arr = pa.array(
-            np.where(invalid, 0, vals).astype(np.int64), pa.int64(),
-            mask=invalid,
+    n_r, n_n = len(c.rrow), len(c.N)
+    p = pos[c.rrow]
+    row, rel = _reach(c, np.concatenate([np.arange(n_r), c.drel_row]),
+                      np.concatenate([c.rrow_u, c.drel]))
+    off, order = _csr(c.sleaf_r, len(c.R))
+    i, k = _csr_rows(off, rel)
+    lrow = np.concatenate([c.dleaf_row, row[i]])
+    leaf = np.concatenate([c.dleaf, c.sleaf[order][k]])
+    # node leaves: member nodes, then the store refs of member ways
+    is_node = leaf < n_n
+    wrow, wl = lrow[~is_node], leaf[~is_node] - n_n
+    j, k = _csr_rows(c.wst_off, wl)
+    nrow = np.concatenate([lrow[is_node], wrow[j]])
+    nl = np.concatenate([leaf[is_node], c.wst_u[k]])
+    base = _segment_union(
+        n_r, np.concatenate([nrow, wrow]),
+        np.concatenate([node_boxes(nl, p[nrow]), way_prefix.at(wl, p[wrow])], axis=1),
+    )
+    # relations_modified: earlier rows of every relation a row reaches
+    o = np.lexsort((p, c.rrow_u))
+    rel_box = base
+    for _ in range(REL_ROUNDS_CAP):
+        carry = _PrefixBoxes(c.rrow_u[o], p[o], _running_union(c.rrow_u[o], rel_box[:, o]))
+        nxt = _union(base, _segment_union(n_r, row, carry.at(rel, p[row])))
+        if np.array_equal(nxt, rel_box):
+            break
+        rel_box = nxt
+    else:
+        raise FixpointCapError(
+            f"bbox relation fixpoint did not converge within "
+            f"REL_ROUNDS_CAP={REL_ROUNDS_CAP} rounds (earlier-row "
+            f"relation memo chain deeper than the cap)"
         )
-        res = res.append_column(c, arr)
+    box[:, c.rrow] = rel_box
+
+    invalid = box[0] == SENT_MIN
+    res = elements.drop_columns(list(BOX_COLS))
+    for name, vals in zip(BOX_COLS, box):
+        res = res.append_column(
+            name, pa.array(np.where(invalid, 0, vals), pa.int64(), mask=invalid)
+        )
     return res

@@ -1,10 +1,9 @@
 """Distributed bbox annotation — the scale path of OsmXmlBBox.
 
 Same semantics as ``stages/bbox.py:annotate_bbox`` (the sequential
-parity path, kept as the lookup-count oracle), re-expressed as the
-3-round topological join SURVEY §7 hard-part #1 specifies, so a
-catch-up diff of 10^8 elements streams through ``ray.data`` blocks
-instead of one driver pandas frame:
+parity path), re-expressed as the 3-round topological join SURVEY §7
+hard-part #1 specifies, so a catch-up diff of 10^8 elements streams
+through ``ray.data`` blocks instead of one driver process:
 
 1. **nodes**: new point ∪ old store point per occurrence, then a
    per-id prefix-union scan (``functions/scan.py``) — this IS the
@@ -35,7 +34,8 @@ import pyarrow.compute as pc
 from ..functions.agg import small_sorted_aggregate
 from ..functions.asof import asof_join
 from ..functions.scan import SENT_MAX, SENT_MIN, prefix_box_scan
-from .dist import DiffPlan, FixpointCapError, mat_coalesced, reroot, safe_join
+from .dist import (REL_ROUNDS_CAP, DiffPlan, FixpointCapError, mat_coalesced,
+                   reroot, safe_join)
 
 BOX = ("minlat", "maxlat", "minlon", "maxlon")
 _SENT = {"minlat": SENT_MIN, "maxlat": SENT_MAX, "minlon": SENT_MIN, "maxlon": SENT_MAX}
@@ -88,7 +88,7 @@ def _fill_box_sentinels(batch: pa.Table, keep: list[str]) -> pa.Table:
     return pa.table(cols)
 
 
-def annotate_bbox_dist(plan: DiffPlan, rel_rounds_cap: int = 64):
+def annotate_bbox_dist(plan: DiffPlan, rel_rounds_cap: int = REL_ROUNDS_CAP):
     """-> Dataset (pos, minlat, maxlat, minlon, maxlon), nullable int64
     box columns; one row per diff element (null box where none)."""
     import ray.data

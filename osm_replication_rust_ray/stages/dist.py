@@ -43,6 +43,11 @@ class FixpointCapError(RuntimeError):
     with genuinely deeper data raise the cap parameter explicitly."""
 
 
+# rounds of the relation fixpoints (bbox and filter, both paths) and of
+# the distributed store-relation closure before FixpointCapError
+REL_ROUNDS_CAP = 64
+
+
 @dataclass
 class FlatStore:
     nodes: object       # Dataset (id, lat, lon)
@@ -442,7 +447,7 @@ def mat_concurrently(datasets: list) -> list:
 
 
 def rel_closure(seed_ids, rel_members, num_partitions: int = 4,
-                max_rounds: int = 64):
+                max_rounds: int = REL_ROUNDS_CAP):
     """Transitive store-member closure per distinct seed relation id.
 
     ``seed_ids``: Dataset with one int64 column ``src``.

@@ -30,10 +30,13 @@ functions.  A relation's verdict feeds the memo that later relation
 rows probe, so relation verdicts iterate to a fixpoint (rounds =
 longest earlier-row chain + 1, at most ``REL_ROUNDS_CAP``).
 
-`DiffEvidence` reads what does not depend on the polygon once per
-diff: exploded way refs and relation members, the store refs of every
-way and the store members of every relation the walk can reach, and
-the old points.  `PolyTests` tests the geometry of one polygon.
+`DiffClosure` is the diff's one relation walk: exploded way refs and
+relation members, the store members of every relation the walk can
+reach (a visited set bounds it; no depth cap), the store refs of every
+way and the store point of every node it can probe.  The bbox pass
+(`stages/bbox.py`) runs on it too.  `DiffEvidence` adds what else does
+not depend on the polygon: new points, boxes, and the old points of
+the ids in ``node_ids``.  `PolyTests` tests the geometry of one polygon.
 
 The polygon-tree driver (`filter_tree`) replaces the reference's
 recursive rayon fan-out (src/diffs.rs:168-191): each child runs on its
@@ -59,15 +62,13 @@ from ..geom import (
     points_in_multipolygon,
 )
 from ..sources.store import Resolver
-from .dist import MTYPE_NODE, MTYPE_REL, MTYPE_WAY, FixpointCapError, _mtype_codes
+from .dist import (MTYPE_NODE, MTYPE_REL, MTYPE_WAY, REL_ROUNDS_CAP, FixpointCapError,
+                   _mtype_codes)
 
 EV_OLD = np.int64(-1)              # static (old-store) evidence
 EV_NONE = np.iinfo(np.int64).max   # no evidence
 
 KEEP, DELETE, DROP = np.int8(0), np.int8(1), np.int8(2)
-
-# relation-verdict fixpoint rounds before FixpointCapError (both paths)
-REL_ROUNDS_CAP = 64
 
 
 class PolyTests:
@@ -152,14 +153,23 @@ def _first(n: int, idx: np.ndarray, ev: np.ndarray) -> np.ndarray:
     return out
 
 
-class DiffEvidence:
-    """The polygon-independent part of one diff's filter.  Ids are
-    indices into the sorted universes ``N`` (node ids), ``W`` (way ids)
-    and ``R`` (relation ids) of every id a verdict can probe; a node or
-    way member indexes the evidence vector ``[node ev | way ev]``
-    (``_member_index``), a relation member ``R``."""
+class DiffClosure:
+    """The store closure of one diff, walked once: every relation, way
+    and node id the bbox pass or a filter verdict can probe, with the
+    store edges between them.  Ids are indices into the sorted
+    universes ``N`` (node ids), ``W`` (way ids) and ``R`` (relation
+    ids); a node or way member indexes ``[N | W]`` (``_member_index``),
+    a relation member ``R``.
 
-    def __init__(self, elements: pa.Table, resolver: Resolver, node_ids: np.ndarray):
+    The relation walk starts from the diff's relations and relation
+    members and follows store relation members breadth-first; the
+    visited set ``R`` bounds it, so cycles and any nesting depth end
+    after one read per relation.  ``W`` is every diff way, member way
+    and store member way, with its store refs as CSR (``wst_off``,
+    ``wst_u``); ``N`` every diff node, diff or store way ref and
+    member node, with its store point (``found``, ``lat``, ``lon``)."""
+
+    def __init__(self, elements: pa.Table, resolver: Resolver):
         self.n = elements.num_rows
         ids = _np(elements["id"]).astype(np.int64)
         is_node, is_way = (_np(pc.equal(elements["etype"], t).fill_null(False))
@@ -167,19 +177,12 @@ class DiffEvidence:
         self.nrow = np.flatnonzero(is_node)
         self.wrow = np.flatnonzero(is_way)
         self.rrow = np.flatnonzero(~is_node & ~is_way)
-        self.nlat = _np(elements["lat"])[self.nrow].astype(np.int64)
-        self.nlon = _np(elements["lon"])[self.nrow].astype(np.int64)
-        self.boxrow = np.flatnonzero(_np(pc.is_valid(elements["minlat"])) & ~is_node)
-        self.boxes = [_np(elements[c].take(self.boxrow)).astype(np.int64)
-                      for c in ("minlon", "minlat", "maxlon", "maxlat")]
         self.wnew_row, wnew = _exploded(elements["refs"].take(self.wrow))
         wnew = _np(wnew).astype(np.int64)
         dm_row, dm = _exploded(elements["members"].take(self.rrow))
         dm_kind = _np(_mtype_codes(pc.struct_field(dm, "type")))
         dm_ref = _np(pc.struct_field(dm, "ref")).astype(np.int64)
 
-        # relations the walk can reach: diff relations and relation
-        # members, then their store members' relations, to closure
         src, kind, ref = [], [], []
         front = np.unique(np.concatenate([ids[self.rrow], dm_ref[dm_kind == MTYPE_REL]]))
         seen = front
@@ -197,23 +200,17 @@ class DiffEvidence:
         self.W = np.unique(np.concatenate(
             [ids[self.wrow], dm_ref[dm_kind == MTYPE_WAY], st_ref[st_kind == MTYPE_WAY]]
         ))
-        off, wst = resolver.way_refs(self.W)
-        self.wst_w = np.repeat(np.arange(len(self.W)), np.diff(off))
-        self.N = np.unique(np.concatenate([
-            ids[self.nrow], wnew, wst,
-            dm_ref[dm_kind == MTYPE_NODE], st_ref[st_kind == MTYPE_NODE],
-        ]))
-        found, lat, lon = resolver.read_nodes(self.N)
-        resolver.num_read_nodes -= len(self.N)  # a bulk read, not a probe
-        found &= np.isin(self.N, node_ids)
-        self.old = np.flatnonzero(found)
-        self.old_lon, self.old_lat = lon[found], lat[found]
+        self.wst_off, wst = resolver.way_refs(self.W)
+        nodes = [ids[self.nrow], wnew, wst,
+                 dm_ref[dm_kind == MTYPE_NODE], st_ref[st_kind == MTYPE_NODE]]
+        # the inverse indexes the big parts faster than a searchsorted
+        self.N, inv = np.unique(np.concatenate(nodes), return_inverse=True)
+        self.nrow_u, self.wnew_u, self.wst_u = np.split(
+            inv, np.cumsum([len(a) for a in nodes[:3]]))[:3]
+        self.found, self.lat, self.lon = resolver.node_points(self.N)
 
-        self.nrow_u = np.searchsorted(self.N, ids[self.nrow])
         self.wrow_u = np.searchsorted(self.W, ids[self.wrow])
         self.rrow_u = np.searchsorted(self.R, ids[self.rrow])
-        self.wnew_u = np.searchsorted(self.N, wnew)
-        self.wst_u = np.searchsorted(self.N, wst)
         # diff members per relation row and store members per R: the
         # node/way leaves, and the relation edges
         leaf = dm_kind != MTYPE_REL
@@ -226,6 +223,27 @@ class DiffEvidence:
     def _member_index(self, kind: np.ndarray, ref: np.ndarray) -> np.ndarray:
         return np.where(kind == MTYPE_NODE, np.searchsorted(self.N, ref),
                         len(self.N) + np.searchsorted(self.W, ref))
+
+
+class DiffEvidence(DiffClosure):
+    """The polygon-independent part of one diff's filter: its closure,
+    the new points and boxes of its rows, and the old points of the
+    closure's nodes that are in ``node_ids``.  A node or way member
+    indexes the evidence vector ``[node ev | way ev]``."""
+
+    def __init__(self, elements: pa.Table, resolver: Resolver, node_ids: np.ndarray):
+        super().__init__(elements, resolver)
+        self.nlat = _np(elements["lat"])[self.nrow].astype(np.int64)
+        self.nlon = _np(elements["lon"])[self.nrow].astype(np.int64)
+        boxed = _np(pc.is_valid(elements["minlat"]))
+        boxed[self.nrow] = False
+        self.boxrow = np.flatnonzero(boxed)
+        self.boxes = [_np(elements[c].take(self.boxrow)).astype(np.int64)
+                      for c in ("minlon", "minlat", "maxlon", "maxlat")]
+        found = self.found & np.isin(self.N, node_ids)
+        self.old = np.flatnonzero(found)
+        self.old_lon, self.old_lat = self.lon[found], self.lat[found]
+        self.wst_w = np.repeat(np.arange(len(self.W)), np.diff(self.wst_off))
 
     def _reach_min(self, base: np.ndarray) -> np.ndarray:
         """``base`` minimized over the relations each reaches through

@@ -63,8 +63,7 @@ def precompute_membership(
     new_in_exact, new_in_buffered = points(pos[nmask], lon, lat)
     # old store positions (only ids found in the store)
     node_ids = np.asarray(node_ids, np.int64)
-    found, olat, olon = resolver.read_nodes(node_ids)
-    resolver.num_read_nodes -= len(node_ids)  # precompute is not a "read"
+    found, olat, olon = resolver.node_points(node_ids)  # a bulk read, not a probe
     old_in_exact, old_in_buffered = points(node_ids[found], olon[found], olat[found])
     # bbox gate for ways/relations that carry a bbox annotation
     minlat = elements["minlat"].to_numpy(zero_copy_only=False)

@@ -1,8 +1,9 @@
 """Distributed bbox annotation (stages/bbox_dist.py) parity.
 
 The sequential `annotate_bbox` is the reference-parity oracle (itself
-byte-golden vs saint_barthelemy.bbox.osc.gz and pinned to the 33/7/9
-lookup counts); the distributed path must produce IDENTICAL boxes on:
+byte-golden vs saint_barthelemy.bbox.osc.gz and equal to the per-row
+pass of tests/bbox_oracle.py, which pins the 33/7/9 lookup counts); the
+distributed path must produce IDENTICAL boxes on:
 
 - deterministic synthetic diffs + stores across sizes (covers node
   prefix chaining, way old/new refs, missing store elements, relation

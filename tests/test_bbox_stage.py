@@ -2,19 +2,22 @@
 
 - lookup-amplification invariant: 33 nodes / 7 ways / 9 relations on
   saint_barthelemy.osc.gz with an empty store + the mutually-recursive
-  mock relations 7801<->7802 (src/osmxml/bbox.rs:259-272).
+  mock relations 7801<->7802 (src/osmxml/bbox.rs:259-272), made by the
+  per-row oracle (tests/bbox_oracle.py); the kernel reads in bulk.
 - full golden: with the store imported from saint_barthelemy.osm.pbf,
   the annotated bboxes must equal the repo's committed expected output
   saint_barthelemy.bbox.osc.gz.
 """
 
-import numpy as np
 import pyarrow.compute as pc
 import pytest
 
 from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
 from osm_replication_rust_ray.sources.store import ElementStore, Resolver
-from osm_replication_rust_ray.stages.bbox import annotate_bbox, needed_ids
+from osm_replication_rust_ray.stages.bbox import annotate_bbox
+from osm_replication_rust_ray.stages.filter import DiffClosure
+
+import bbox_oracle
 
 RES = "/root/reference/tests/resources"
 
@@ -38,7 +41,7 @@ class MockResolver(Resolver):
 def test_lookup_amplification_invariant():
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
     resolver = MockResolver()
-    annotate_bbox(elements, resolver)
+    bbox_oracle.annotate_bbox(elements, resolver)
     assert resolver.num_read_nodes == 33
     assert resolver.num_read_ways == 7
     assert resolver.num_read_relations == 9
@@ -66,29 +69,17 @@ def test_bbox_golden_vs_reference_output(store):
         assert g == e, f"{col}: {list(zip(got['id'].to_pylist(), g, e))}"
 
 
-def test_needed_ids_closure(store):
+def test_walk_scoped_resolver_on_fixture(store):
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
-    resolver = Resolver.from_store(store)
-    node_ids, way_ids, rel_ids = needed_ids(elements, resolver)
+    walk = DiffClosure(elements, Resolver.from_store(store))
     # all diff node ids present
     diff_nodes = set(
         elements.filter(pc.equal(elements["etype"], "node"))["id"].to_pylist()
     )
-    assert diff_nodes <= node_ids
-    # a scoped resolver built from the closure gives identical output
-    # (needs old-way refs' nodes too: widen with the store ways' refs)
-    extra = set()
-    for wid in way_ids:
-        refs = store.read_for_ids("ways", np.array(sorted(way_ids), np.int64))
-        if refs is not None:
-            for lst in refs["refs"].to_pylist():
-                extra.update(lst)
-        break
+    assert diff_nodes <= set(walk.N.tolist())
+    # a scoped resolver built from the walk's ids gives identical output
     scoped = Resolver.from_store(
-        store,
-        node_ids=np.array(sorted(node_ids | extra), np.int64),
-        way_ids=np.array(sorted(way_ids), np.int64),
-        rel_ids=np.array(sorted(rel_ids), np.int64),
+        store, node_ids=walk.N, way_ids=walk.W, rel_ids=walk.R
     )
     got_scoped = annotate_bbox(elements, scoped)
     got_full = annotate_bbox(elements, Resolver.from_store(store))

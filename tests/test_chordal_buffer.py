@@ -126,7 +126,7 @@ def test_filter_verdicts_agree_on_reference_fixture():
 
     from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
     from osm_replication_rust_ray.sources.store import Resolver
-    from osm_replication_rust_ray.stages.bbox import needed_ids
+    from osm_replication_rust_ray.stages.bbox import closure_node_ids
     from osm_replication_rust_ray.stages.filter import filter_elements
 
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
@@ -138,8 +138,7 @@ def test_filter_verdicts_agree_on_reference_fixture():
     assert len(lon) > 0
     assert (points_in_buffered(lon, lat, mp)
             == points_in_buffered_chordal(lon, lat, mp)).all()
-    node_ids, _w, _r = needed_ids(elements, Resolver.empty())
-    nid = np.array(sorted(node_ids), np.int64)
+    nid = closure_node_ids(elements, Resolver.empty())
     out = filter_elements(elements, mp, Resolver.empty(), nid)
     assert out.num_rows > 0
 

@@ -29,7 +29,6 @@ from osm_replication_rust_ray.sources.synth import (
 from osm_replication_rust_ray.stages.bbox import (
     annotate_bbox,
     closure_node_ids,
-    needed_ids,
 )
 from osm_replication_rust_ray.stages.filter import filter_elements, filter_tree
 
@@ -122,8 +121,7 @@ def _rect(cx, cy, half):
 def test_pruned_filter_matches_full_automaton_on_reference_fixture():
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
     _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
-    nid, _, _ = needed_ids(elements, Resolver.empty())
-    nid = np.array(sorted(nid), np.int64)
+    nid = closure_node_ids(elements, Resolver.empty())
     got = filter_elements(elements, mp, Resolver.empty(), nid)
     assert _rows(got) == _rows(_full_filter(elements, mp, Resolver.empty(), nid))
 

@@ -12,7 +12,7 @@ import pyarrow.compute as pc
 from osm_replication_rust_ray.sources.osmxml import parse_osm_xml
 from osm_replication_rust_ray.sources.polyfile import read_multipolygon
 from osm_replication_rust_ray.sources.store import Resolver
-from osm_replication_rust_ray.stages.bbox import needed_ids
+from osm_replication_rust_ray.stages.bbox import closure_node_ids
 from osm_replication_rust_ray.stages.filter import filter_elements
 
 from filter_oracle import filter_verdicts, precompute_membership
@@ -33,16 +33,11 @@ class MockResolver(Resolver):
         return None
 
 
-def _closure_node_ids(elements, resolver):
-    node_ids, way_ids, rel_ids = needed_ids(elements, resolver)
-    return np.array(sorted(node_ids), np.int64)
-
-
 def test_filter_lookup_invariant():
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
     _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
     resolver = MockResolver()
-    node_ids = _closure_node_ids(elements, MockResolver())
+    node_ids = closure_node_ids(elements, MockResolver())
     memb = precompute_membership(elements, mp, resolver, node_ids)
     assert resolver.num_read_nodes == 0  # precompute is not a lookup
     filter_verdicts(elements, memb, resolver)
@@ -57,7 +52,7 @@ def test_filter_output_mock_matches_new_geometry_only():
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
     _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
     resolver = MockResolver()
-    node_ids = _closure_node_ids(elements, MockResolver())
+    node_ids = closure_node_ids(elements, MockResolver())
     out = filter_elements(elements, mp, resolver, node_ids)
     # every output row existed in the input
     in_ids = set(zip(elements["etype"].to_pylist(), elements["id"].to_pylist()))
@@ -96,15 +91,15 @@ def test_diff_relation_own_store_member_evidence():
     store members do must verdict delete: the ladder's delete arm falls
     back to relation_in_poly(rid), which reads THIS relation from the
     store (src/osmxml/filter.rs:284-291).  Round-4 regression test —
-    needed_ids seeded seen_rels with diff relation ids without
-    expanding their store members, so the membership maps missed the
+    the closure once seeded its visited set with diff relation ids
+    without expanding their store members, so the membership maps missed the
     evidence node and the verdict silently became drop (found by the
     1M-element distributed parity run, relation 914395)."""
     import pyarrow as pa
 
     from osm_replication_rust_ray.geom import MultiPolygon
     from osm_replication_rust_ray.sources.osmxml import ELEMENTS_SCHEMA
-    from osm_replication_rust_ray.stages.bbox import annotate_bbox, closure_node_ids
+    from osm_replication_rust_ray.stages.bbox import annotate_bbox
 
     store_nodes = pa.table(
         {"id": pa.array([555], pa.int64()),
