@@ -158,10 +158,7 @@ def _cmd_diffs(args) -> int:
     changes = parse_osm_xml(args.input)
     m = CheckpointManifest(args.ckpt or os.path.join(args.output_dir, ".ckpt"))
     out = run_sequence(changes, store, tree, parent, args.output_dir, m, sequence=1)
-    # run_sequence returns a pyarrow Table on the sequential path and a
-    # ray.data Dataset on the distributed (>= DIST_DIFF_ROWS) path
-    n_rows = out.num_rows if hasattr(out, "num_rows") else out.count()
-    print(json.dumps({"assignments": n_rows, "partitions": len(m.done())}))
+    print(json.dumps({"assignments": out.num_rows, "partitions": len(m.done())}))
     return 0
 
 

@@ -17,9 +17,9 @@ after the sort, only a block's FIRST key run can have states in
 earlier blocks, and the valid carry is exactly the latest earlier
 state of that key — reconstructed from ONE summary row per block with
 a driver walk bounded by the block count (the same bounded-merge
-pattern as functions/scan.py:prefix_box_scan).  An earlier per-key
-``groupby().map_groups`` merge paid a Python call per key and became
-the pipeline bottleneck at 1M-element diffs (millions of
+pattern as functions/windows.py:running_sum_cents).  An earlier
+per-key ``groupby().map_groups`` merge paid a Python call per key and
+became the pipeline bottleneck at 1M-row inputs (millions of
 mostly-stateless probe keys); the block-summary walk replaces it.
 
 States must be unique per (by, on) for a deterministic result (ties

@@ -11,7 +11,7 @@ Scale shape: ONE range-partition sort by the document key, a
 vectorized per-block exclusive prefix sum, one summary row per block,
 a driver walk bounded by BLOCK COUNT to accumulate cross-block
 offsets (same bounded-merge pattern as functions/windows.py
-running_sum_cents and functions/scan.py), and a final vectorized map.
+running_sum_cents), and a final vectorized map.
 No per-row Python, no per-key shuffle beyond the sort.
 
 Reference analogue: none (reference has no training-data surface);

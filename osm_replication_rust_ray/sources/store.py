@@ -29,10 +29,10 @@ relation JSON files).  The engine replaces this with an id-hash
                        (rewrites the touched buckets, then deletes the
                        deltas; a fold cut short folds again to the same
                        bytes).  A type with no bucket yet is folded at
-                       once, and the bulk paths (``as_dataset``,
-                       ``write_table``) fold first.  ``digest`` hashes
-                       the delta's contents: an apply whose delta
-                       equals the type's newest pending one is skipped,
+                       once, and the bulk import (``write_table``)
+                       folds first.  ``digest`` hashes the delta's
+                       contents: an apply whose delta equals the
+                       type's newest pending one is skipped,
                        so re-running a diff after a crash between apply
                        and commit leaves the store byte-identical.
 
@@ -351,16 +351,6 @@ class ElementStore:
             pa.array(np.argsort(merged["id"].to_numpy(zero_copy_only=False)))
         )
         self._write_bucket(path, merged)
-
-    def as_dataset(self, etype: str):
-        """Ray-native bulk read of one element type: a streaming
-        `read_parquet` over the bucket directory (the cluster-side
-        counterpart of read_type — blocks map to buckets, so downstream
-        joins on id stay co-partitioned with the store layout)."""
-        import ray.data
-
-        self._fold(etype, self._deltas(etype))
-        return ray.data.read_parquet(os.path.join(self.dir, etype))
 
     def destroy(self):
         self._memo.clear()

@@ -629,8 +629,8 @@ def synth_store_elements(n: int, seed: int = SEED) -> pa.Table:
     """ELEMENTS_SCHEMA "create" table carrying exactly
     :func:`synth_store`'s contents — ``ElementStore.apply_changes`` of
     this table seeds a REAL bucketed store with the synthetic fixture,
-    so end-to-end ``run_sequence`` parity (sequential vs distributed)
-    can run at representative scale (round-3 verdict item #5).  Fully
+    so end-to-end ``run_sequence`` tests and probes can run at
+    representative scale.  Fully
     column-wise: list columns are reused from the store tables, no
     per-row Python."""
     from .osmxml import ELEMENTS_SCHEMA, MEMBER_T, TAG_T

@@ -30,14 +30,15 @@ One pass of numpy over the whole diff, on the diff's store closure
    box also unions the boxes of earlier rows of every relation it
    reaches (``relations_modified``).  That carry depends only on
    earlier rows, so it is a monotone fixpoint, solved as the filter's
-   and ``stages/bbox_dist.py``'s are: one round per earlier-row
-   link, at most ``REL_ROUNDS_CAP`` rounds, else ``FixpointCapError``.
+   is: one round per earlier-row link, at most ``REL_ROUNDS_CAP``
+   rounds, else ``FixpointCapError``.
 
-The kernel reads the store in bulk through the Resolver's uncounted
-reads.  The per-row pass that probes the store once per visit, and so
-reproduces the reference's lookup counts (33 nodes / 7 ways / 9
-relations on the saint_barthelemy fixture, src/osmxml/bbox.rs:269-271),
-is the test oracle ``tests/bbox_oracle.py``.
+Every diff runs through this kernel in the calling process, whatever
+its size.  The kernel reads the store in bulk through the Resolver's
+uncounted reads.  The per-row pass that probes the store once per
+visit, and so reproduces the reference's lookup counts (33 nodes / 7
+ways / 9 relations on the saint_barthelemy fixture,
+src/osmxml/bbox.rs:269-271), is the test oracle ``tests/bbox_oracle.py``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.scan import BOX_COLS, SENT_MAX, SENT_MIN
 from ..sources.store import Resolver
 from .dist import REL_ROUNDS_CAP, FixpointCapError
 from .filter import DiffClosure, _np
 
+SENT_MIN = np.iinfo(np.int64).max  # empty value for min-aggregated cols
+SENT_MAX = np.iinfo(np.int64).min  # empty value for max-aggregated cols
+BOX_COLS = ("minlat", "maxlat", "minlon", "maxlon")
+
 # boxes are (4, k) int64 arrays in BOX_COLS order; the empty box (the
-# sentinels) is the identity of the union
+# sentinels) is the identity of the union, so a plain elementwise
+# min/max carries the previous box past a row that adds nothing
 _EMPTY = np.array([SENT_MIN, SENT_MAX, SENT_MIN, SENT_MAX])[:, None]
 _OPS = (np.minimum, np.maximum, np.minimum, np.maximum)
 

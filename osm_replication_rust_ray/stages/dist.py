@@ -1,135 +1,40 @@
-"""Shared machinery for the DISTRIBUTED diff pipeline.
+"""Join and materialization helpers for the Ray Data query plans.
 
-The reference's bbox/filter passes (src/osmxml/bbox.rs, filter.rs) are
-sequential over one in-RAM diff.  The engine's sequential parity path
-(`stages/bbox.py`, `stages/filter.py`) reproduces them byte-for-byte
-including store-lookup counts; THIS module provides the scale path the
-north rule demands: the diff flows through ``ray.data`` blocks and the
-"modified-children" state becomes joins (SURVEY §7 hard-part #1's
-3-round topological formulation, nodes -> ways -> relations).
+The query registry (`pipelines/queries.py`), connected components,
+PageRank, triangles, DBSCAN and the graph-local queries build their
+distributed plans from these pieces:
 
-Pieces:
+- ``safe_join``: ``Dataset.join`` hardened for sparse inputs, with a
+  broadcast path for a small counted side;
+- ``crossover_join``: an inner join whose broadcast-vs-shuffle choice
+  is made from metadata estimates, without executing either side;
+- ``reroot``, ``mat_coalesced``, ``mat_concurrently``: materialization
+  that drops the logical plan, coalesces microblocks, and runs
+  independent barriers side by side;
+- ``FixpointCapError`` and ``REL_ROUNDS_CAP``: the round cap of the
+  iterated fixpoints, the diff kernels' relation rounds included.
 
-- ``FlatStore``: the element store as three FLAT Ray Datasets —
-  ``nodes (id, lat, lon)``, ``way_refs (id, ref)``, ``rel_members
-  (id, mtype, mref)``.  Flat tables keep every join list-free (Ray's
-  hash join rejects list-typed payload columns) and make the relation
-  graph walk a plain equi-join per round.
-- ``rel_closure``: per DISTINCT relation id, the transitive member
-  closure through the store graph (visited-set BFS = the reference's
-  per-path cycle drop, equivalent under OR/union semantics because
-  evidence and boxes are monotone and idempotent).
-- ``build_diff_plan``: projects/explodes the diff once into the keyed
-  part tables both bbox and filter consume.
+The replication diff (bbox annotation and the polygon-tree filter)
+uses only the last two: it runs in the calling process on whole-diff
+numpy kernels (`stages/bbox.py`, `stages/filter.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-
-MTYPE_NODE, MTYPE_WAY, MTYPE_REL = 0, 1, 2
 
 
 class FixpointCapError(RuntimeError):
-    """A bounded distributed fixpoint hit its round cap WITHOUT
-    converging (round-3 advice, medium): a memo chain or relation
-    nesting deeper than the cap would otherwise yield verdicts/boxes
-    that silently diverge from the sequential parity path.  Raising
-    makes the cap a correctness guard, not a silent truncation; callers
-    with genuinely deeper data raise the cap parameter explicitly."""
+    """A bounded fixpoint hit its round cap WITHOUT converging: a memo
+    chain or relation nesting deeper than the cap would otherwise yield
+    results that silently diverge from the unbounded computation.
+    Raising makes the cap a correctness guard, not a silent truncation;
+    callers with genuinely deeper data raise the cap explicitly."""
 
 
-# rounds of the relation fixpoints (bbox and filter, both paths) and of
-# the distributed store-relation closure before FixpointCapError
+# rounds of the relation fixpoints of the bbox and filter kernels
+# before FixpointCapError
 REL_ROUNDS_CAP = 64
-
-
-@dataclass
-class FlatStore:
-    nodes: object       # Dataset (id, lat, lon)
-    way_refs: object    # Dataset (id, ref)
-    rel_members: object  # Dataset (id, mtype int8, mref)
-
-
-def _mtype_codes(type_str: pa.Array) -> pa.Array:
-    return pc.cast(
-        pc.if_else(
-            pc.equal(type_str, "node"), 0,
-            pc.if_else(pc.equal(type_str, "way"), 1, 2),
-        ),
-        pa.int8(),
-    )
-
-
-def _flat_way_refs(batch: pa.Table) -> pa.Table:
-    la = batch["refs"].combine_chunks()
-    parent = pc.list_parent_indices(la)
-    return pa.table(
-        {
-            "id": batch["id"].take(parent),
-            "ref": pc.list_flatten(la),
-        }
-    )
-
-
-def _flat_rel_members(batch: pa.Table) -> pa.Table:
-    la = batch["members"].combine_chunks()
-    parent = pc.list_parent_indices(la)
-    flat = pc.list_flatten(la)
-    return pa.table(
-        {
-            "id": batch["id"].take(parent),
-            "mtype": _mtype_codes(pc.struct_field(flat, "type")),
-            "mref": pc.struct_field(flat, "ref"),
-        }
-    )
-
-
-def flat_store_from_tables(
-    nodes: pa.Table | None, ways: pa.Table | None, rels: pa.Table | None
-) -> FlatStore:
-    import ray.data
-
-    def mk(t, fn, empty_schema):
-        if t is None or t.num_rows == 0:
-            return ray.data.from_arrow(empty_schema.empty_table())
-        return ray.data.from_arrow(fn(t))
-
-    return FlatStore(
-        nodes=mk(
-            nodes,
-            lambda t: t.select(["id", "lat", "lon"]),
-            pa.schema([("id", pa.int64()), ("lat", pa.int64()), ("lon", pa.int64())]),
-        ),
-        way_refs=mk(
-            ways, _flat_way_refs,
-            pa.schema([("id", pa.int64()), ("ref", pa.int64())]),
-        ),
-        rel_members=mk(
-            rels, _flat_rel_members,
-            pa.schema([("id", pa.int64()), ("mtype", pa.int8()), ("mref", pa.int64())]),
-        ),
-    )
-
-
-def flat_store_from_store(store) -> FlatStore:
-    """Streaming flat views over the bucketed parquet store — blocks
-    map to buckets, so the flatten never materializes the store."""
-    return FlatStore(
-        nodes=store.as_dataset("nodes").map_batches(
-            lambda b: b.select(["id", "lat", "lon"]), batch_format="pyarrow"
-        ),
-        way_refs=store.as_dataset("ways").map_batches(
-            _flat_way_refs, batch_format="pyarrow"
-        ),
-        rel_members=store.as_dataset("relations").map_batches(
-            _flat_rel_members, batch_format="pyarrow"
-        ),
-    )
 
 
 def safe_join(left, right, join_type: str, num_partitions: int,
@@ -142,7 +47,7 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     Shuffle-path hardening: Ray 2.49's hash-shuffle join broadcasts
     each side's schema with the FIRST block only; ``_shuffle_block``
     early-returns on an empty block, so a dataset whose first block is
-    empty (routine for filtered diff projections) leaves some
+    empty (routine after a selective filter) leaves some
     aggregator partitions with a schema-less side and pyarrow fails
     with "No match ... FieldRef".  Fix: materialize + repartition both
     sides so every block is non-empty, and resolve empty-side joins
@@ -157,18 +62,16 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     paths are interchangeable; tests force one by setting the two
     constants to 0 or past any input.  At 10^12-row scale this is the
     documented "broadcast small sides" pattern: the store side
-    streams, only the diff/candidate side (bounded per micro-batch)
-    broadcasts.
+    streams, only the candidate side broadcasts.
 
     ``payload``: right-side non-key output columns (name -> type),
     required to type the result when the right side is empty.
     """
     payload = payload or {}
     # FAST PATH: small right side -> broadcast it and keep the LEFT
-    # side fully LAZY (no materialize barrier).  A distributed-diff run
-    # chains ~30 joins whose left sides are short map chains off
-    # already-materialized part tables; skipping the per-join
-    # materialize removes one full pipeline execution each.  The map fn
+    # side fully LAZY (no materialize barrier).  A plan that chains
+    # joins whose left sides are short map chains off materialized
+    # tables skips one full pipeline execution per join.  The map fn
     # is deterministic per row, so a downstream double-consume
     # re-executes to identical results (unlike sort-boundary logic).
     if join_type in _PA_JOIN_TYPE:
@@ -235,8 +138,8 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     k = max(lparts, rparts)
     # The schema hazard needs an EMPTY INPUT BLOCK; when the block
     # metadata of both (already materialized) sides proves every block
-    # non-empty, skip the two guard repartitions — at ~30 joins per
-    # distributed-diff run those all-to-alls dominate wall time.
+    # non-empty, skip the two guard repartitions — in a chain of joins
+    # those all-to-alls dominate wall time.
     if _blocks_all_nonempty(left) and _blocks_all_nonempty(right):
         return left.join(right, join_type, k, on=on, right_on=right_on)
     return left.repartition(lparts).join(
@@ -268,11 +171,11 @@ _PA_JOIN_TYPE = {
 
 # MEASURED crossover, not a guess: the per-block Acero hash build is
 # linear in the broadcast side, so a big broadcast side pays that build
-# once per streamed block — at 1M broadcast rows the 1M-element dist
-# probe ran 5x SLOWER than the shuffle join (837 s vs ~170 s).  200k
-# rows / 32 MB keeps the per-block build in the low milliseconds while
-# covering every genuinely small side (diff projections, candidate
-# sets, memo tables).  A side broadcasts only when it is under BOTH.
+# once per streamed block — at 1M broadcast rows a 1M-row join chain
+# ran 5x SLOWER than the shuffle join (837 s vs ~170 s).  200k rows /
+# 32 MB keeps the per-block build in the low milliseconds while
+# covering every genuinely small side (candidate sets, memo tables).
+# A side broadcasts only when it is under BOTH.
 BROADCAST_ROWS = 200_000
 BROADCAST_BYTES = 32 << 20
 
@@ -389,33 +292,13 @@ def _broadcast_inner_swapped(left, right, on: tuple,
     return right.map_batches(join_l, batch_format="pyarrow")
 
 
-def _local_dedup(cols: list[str]):
-    """Per-block dedup map fn (cuts volume; global dedup not required
-    for correctness — downstream consumers are OR/union-idempotent)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        arrs = [batch[c].to_numpy(zero_copy_only=False) for c in cols]
-        order = np.lexsort(arrs[::-1])
-        keep = np.ones(len(order), bool)
-        eq = np.ones(len(order) - 1, bool)
-        for a in arrs:
-            s = a[order]
-            eq &= s[1:] == s[:-1]
-        keep[1:] = ~eq
-        return batch.take(pa.array(order[keep]))
-
-    return fn
-
-
 def _coalesce_blocks(n_rows: int, rows_per_block: int = 500_000) -> int:
     """Block count for a SMALL derived table: one block per ~500k rows.
-    The diff enters at O(cpus) blocks and every union doubles the block
-    count, so without coalescing a 100k-row relation table drags 100+
-    microblocks through every downstream execution — measured at 1M
-    elements this microblock train (not data volume) dominated the
-    distributed-diff wall time."""
+    An input enters at O(cpus) blocks and every union doubles the block
+    count, so without coalescing a 100k-row derived table drags 100+
+    microblocks through every downstream execution — measured on a
+    1M-row join chain, this microblock train (not data volume)
+    dominated the wall time."""
     return max(1, n_rows // rows_per_block + 1)
 
 
@@ -434,331 +317,10 @@ def mat_concurrently(datasets: list) -> list:
     """Materialize+coalesce INDEPENDENT datasets concurrently, one
     driver thread each — every dataset gets its own streaming executor
     and Ray schedules their tasks side by side, so a chain of small
-    barriers costs ~max() instead of sum() of its members.  (The
-    distributed-diff path is a DAG of dozens of small materializations;
-    running the independent antichains in parallel is the single
-    biggest orchestration win, round-3 verdict item #2.)"""
+    barriers costs ~max() instead of sum() of its members."""
     if len(datasets) <= 1:
         return [mat_coalesced(d) for d in datasets]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=len(datasets)) as ex:
         return list(ex.map(mat_coalesced, datasets))
-
-
-def rel_closure(seed_ids, rel_members, num_partitions: int = 4,
-                max_rounds: int = REL_ROUNDS_CAP):
-    """Transitive store-member closure per distinct seed relation id.
-
-    ``seed_ids``: Dataset with one int64 column ``src``.
-    -> materialized Dataset (src, kind int8, ref): every node/way leaf
-    reachable from ``src`` through store relations, plus every VISITED
-    relation id (kind=2, including ``src`` itself — callers consume the
-    per-relation memo terms for exactly the visited set, mirroring
-    relations_modified / relations_seen consultation at each expansion,
-    src/osmxml/bbox.rs:106-123, src/osmxml/filter.rs:149-192).
-
-    Round-4 rewrite (round-3 verdict item #2): the BFS walks ONLY the
-    rel->rel edge projection of the store (a small fraction of
-    ``rel_members``); node/way leaves are gathered in ONE join at the
-    end against the full reached set instead of per round.  Each
-    round's frontier is dedup'd and coalesced in the same execution
-    that materializes it, and the visited set accumulates as a list of
-    materialized parts (no per-round union re-materialization) — at 1M
-    elements this cut the closure from 133 s / 1736 output blocks to a
-    few seconds / O(1) blocks.
-    """
-    import ray.data
-
-    # rel->rel edges only; coalesced once (tiny vs full rel_members)
-    rel_edges = rel_members.map_batches(
-        lambda b: pa.table(
-            {"id": b["id"], "mref": b["mref"]}
-        ).filter(pc.equal(b["mtype"], MTYPE_REL)),
-        batch_format="pyarrow",
-    ).materialize()
-    rel_edges = rel_edges.repartition(
-        _coalesce_blocks(rel_edges.count())
-    ).materialize()
-
-    seeds = seed_ids.map_batches(
-        _local_dedup(["src"]), batch_format="pyarrow"
-    )
-    # visited/frontier carry (src, id) pairs; id = relation reached
-    frontier = seeds.map_batches(
-        lambda b: pa.table({"src": b["src"], "id": b["src"]}),
-        batch_format="pyarrow",
-    ).materialize()
-    n_front = frontier.count()
-    frontier = frontier.repartition(_coalesce_blocks(n_front)).materialize()
-    visited_parts = [frontier]
-    rounds = 0
-    converged = n_front == 0
-    while not converged and rounds < max_rounds:
-        rounds += 1
-        nxt = safe_join(
-            frontier, rel_edges, "inner", num_partitions, on=("id",),
-            payload={"mref": pa.int64()},
-            left_fields={"src": pa.int64(), "id": pa.int64()},
-        ).map_batches(
-            lambda b: pa.table({"src": b["src"], "id": b["mref"]}),
-            batch_format="pyarrow",
-        ).map_batches(_local_dedup(["src", "id"]), batch_format="pyarrow")
-        visited = visited_parts[0]
-        for p in visited_parts[1:]:
-            visited = visited.union(p)
-        nxt = safe_join(
-            nxt, visited, "left_anti", num_partitions, on=("src", "id"),
-            left_fields={"src": pa.int64(), "id": pa.int64()},
-        ).materialize()
-        n_nxt = nxt.count()
-        if n_nxt == 0:
-            converged = True
-            break
-        nxt = nxt.repartition(_coalesce_blocks(n_nxt)).materialize()
-        visited_parts.append(nxt)
-        frontier = nxt
-    if not converged:
-        raise FixpointCapError(
-            f"rel_closure: store-relation nesting exceeds max_rounds="
-            f"{max_rounds} with {frontier.count()} unexpanded (src, rel) "
-            f"pairs remaining; raise max_rounds"
-        )
-    reached = visited_parts[0]
-    for p in visited_parts[1:]:
-        reached = reached.union(p)
-    # every reached relation id (kind=2, incl. the seed itself) ...
-    self_rows = reached.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b["src"],
-                "kind": pa.array(np.full(len(b), MTYPE_REL, np.int8), pa.int8()),
-                "ref": b["id"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    # ... plus its node/way leaf members, gathered in ONE join
-    leaf_members = rel_members.map_batches(
-        lambda b: pa.table(
-            {"id": b["id"], "mtype": b["mtype"], "mref": b["mref"]}
-        ).filter(pc.less(b["mtype"], MTYPE_REL)),
-        batch_format="pyarrow",
-    )
-    leaves = safe_join(
-        reached, leaf_members, "inner", num_partitions, on=("id",),
-        payload={"mtype": pa.int8(), "mref": pa.int64()},
-        left_fields={"src": pa.int64(), "id": pa.int64()},
-    ).map_batches(
-        lambda b: pa.table(
-            {"src": b["src"], "kind": b["mtype"], "ref": b["mref"]}
-        ),
-        batch_format="pyarrow",
-    ).map_batches(_local_dedup(["src", "kind", "ref"]), batch_format="pyarrow")
-    out = self_rows.union(leaves).materialize()
-    return out.repartition(_coalesce_blocks(out.count())).materialize()
-
-
-@dataclass
-class DiffPlan:
-    """Projected/exploded diff part tables + the relation closure."""
-
-    diff: object           # full diff rows, materialized
-    nodes: object          # (pos, id, lat, lon)
-    way_occ: object        # (pos, id)
-    way_new_refs: object   # (pos, id, ref)
-    way_old_refs: object   # (pos, id, ref)     store refs per occurrence
-    rel_occ: object        # (pos, id)
-    rel_m_nodes: object    # (pos, ref)         diff node members
-    rel_m_ways: object     # (pos, ref)         diff way members
-    rel_m_rels: object     # (pos, ref)         diff relation members
-    clos: object           # (src, kind, ref)   store closure per rel id
-    rel_node_probes: object  # (pos, ref)  node ids probed by relations
-    rel_way_probes: object   # (pos, ref)  way ids probed by relations
-    rel_rel_probes: object   # (pos, ref)  rel-memo probes (incl. self)
-    rel_way_store_refs: object  # (pos, wid, ref)  store refs of probed ways
-    flat: FlatStore
-    num_partitions: int
-
-
-def _project(etype: str, cols: list[str]):
-    def fn(batch: pa.Table) -> pa.Table:
-        m = pc.equal(batch["etype"], etype)
-        return batch.filter(m).select(cols)
-
-    return fn
-
-
-def build_diff_plan(diff_ds, flat: FlatStore, num_partitions: int = 4) -> DiffPlan:
-    """Project the diff once; all part tables are list-free.
-
-    Round-4 orchestration (round-3 verdict item #2): every part table
-    is MATERIALIZED exactly once, coalesced to row-proportional block
-    counts, and independent barriers run concurrently — previously the
-    expensive lazy chains (``way_old_refs``, ``rel_way_store_refs``:
-    shuffle joins against the store) re-executed inside every
-    downstream consumer, and the relation-side microtables dragged
-    O(diff blocks) empty microblocks through every execution."""
-    diff = diff_ds.materialize()  # one execution feeds every projection
-
-    def explode_way_refs(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.equal(batch["etype"], "way"))
-        la = b["refs"].combine_chunks()
-        parent = pc.list_parent_indices(la)
-        return pa.table(
-            {
-                "pos": b["pos"].take(parent),
-                "id": b["id"].take(parent),
-                "ref": pc.list_flatten(la),
-            }
-        )
-
-    def explode_members(want_mtype: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            b = batch.filter(pc.equal(batch["etype"], "relation"))
-            la = b["members"].combine_chunks()
-            parent = pc.list_parent_indices(la)
-            flatm = pc.list_flatten(la)
-            t = pa.table(
-                {
-                    "pos": b["pos"].take(parent),
-                    "mtype": _mtype_codes(pc.struct_field(flatm, "type")),
-                    "ref": pc.struct_field(flatm, "ref"),
-                }
-            )
-            return t.filter(pc.equal(t["mtype"], want_mtype)).select(
-                ["pos", "ref"]
-            )
-
-        return fn
-
-    # ---- antichain 1: the seven diff projections, concurrently ----
-    (nodes, way_occ, way_new_refs, rel_occ, rel_m_nodes, rel_m_ways,
-     rel_m_rels) = mat_concurrently(
-        [
-            diff.map_batches(
-                _project("node", ["pos", "id", "lat", "lon"]),
-                batch_format="pyarrow",
-            ),
-            diff.map_batches(
-                _project("way", ["pos", "id"]), batch_format="pyarrow"
-            ),
-            diff.map_batches(explode_way_refs, batch_format="pyarrow"),
-            diff.map_batches(
-                _project("relation", ["pos", "id"]), batch_format="pyarrow"
-            ),
-            diff.map_batches(explode_members(MTYPE_NODE), batch_format="pyarrow"),
-            diff.map_batches(explode_members(MTYPE_WAY), batch_format="pyarrow"),
-            diff.map_batches(explode_members(MTYPE_REL), batch_format="pyarrow"),
-        ]
-    )
-
-    # ---- antichain 2: the store-ref join and the relation closure
-    # are independent — run them side by side ----
-    from concurrent.futures import ThreadPoolExecutor
-
-    def mk_way_old_refs():
-        return mat_coalesced(
-            safe_join(
-                way_occ,
-                flat.way_refs.map_batches(
-                    lambda b: pa.table({"wid": b["id"], "ref": b["ref"]}),
-                    batch_format="pyarrow",
-                ),
-                "inner", num_partitions, on=("id",), right_on=("wid",),
-                payload={"ref": pa.int64()},
-            )
-        )
-
-    def mk_clos():
-        # closure over every seed relation id: the occurrence's own id
-        # (store expansion + own memo) and its diff relation members
-        seeds = rel_occ.map_batches(
-            lambda b: pa.table({"src": b["id"]}), batch_format="pyarrow"
-        ).union(
-            rel_m_rels.map_batches(
-                lambda b: pa.table({"src": b["ref"]}), batch_format="pyarrow"
-            )
-        )
-        return rel_closure(seeds, flat.rel_members, num_partitions)
-
-    with ThreadPoolExecutor(max_workers=2) as ex:
-        f_wor = ex.submit(mk_way_old_refs)
-        f_clos = ex.submit(mk_clos)
-        way_old_refs = f_wor.result()
-        clos = f_clos.result()
-
-    # per-occurrence probe pairs: (pos, seed) x closure
-    seed_pairs = rel_occ.map_batches(
-        lambda b: pa.table({"pos": b["pos"], "src": b["id"]}),
-        batch_format="pyarrow",
-    ).union(
-        rel_m_rels.map_batches(
-            lambda b: pa.table({"pos": b["pos"], "src": b["ref"]}),
-            batch_format="pyarrow",
-        )
-    )
-    probes = safe_join(
-        seed_pairs, clos, "inner", num_partitions, on=("src",),
-        payload={"kind": pa.int8(), "ref": pa.int64()},
-        left_fields={"pos": pa.int64(), "src": pa.int64()},
-    )
-    probes = mat_coalesced(
-        probes.map_batches(
-            _local_dedup(["pos", "kind", "ref"]), batch_format="pyarrow"
-        )
-    )
-
-    def kind_sel(k: int):
-        return lambda b: b.filter(pc.equal(b["kind"], k)).select(["pos", "ref"])
-
-    # ---- antichain 3: the three kind-projections, concurrently ----
-    rel_node_probes, rel_way_probes, rel_rel_probes = mat_concurrently(
-        [
-            probes.map_batches(
-                kind_sel(MTYPE_NODE), batch_format="pyarrow"
-            ).union(rel_m_nodes),
-            probes.map_batches(
-                kind_sel(MTYPE_WAY), batch_format="pyarrow"
-            ).union(rel_m_ways).map_batches(
-                _local_dedup(["pos", "ref"]), batch_format="pyarrow"
-            ),
-            probes.map_batches(kind_sel(MTYPE_REL), batch_format="pyarrow"),
-        ]
-    )
-    rel_way_store_refs = mat_coalesced(
-        safe_join(
-            rel_way_probes,
-            flat.way_refs.map_batches(
-                lambda b: pa.table({"wid": b["id"], "sref": b["ref"]}),
-                batch_format="pyarrow",
-            ),
-            "inner", num_partitions, on=("ref",), right_on=("wid",),
-            payload={"sref": pa.int64()},
-            left_fields={"pos": pa.int64(), "ref": pa.int64()},
-        ).map_batches(
-            lambda b: pa.table(
-                {"pos": b["pos"], "wid": b["ref"], "ref": b["sref"]}
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-    return DiffPlan(
-        diff=diff,
-        nodes=nodes,
-        way_occ=way_occ,
-        way_new_refs=way_new_refs,
-        way_old_refs=way_old_refs,
-        rel_occ=rel_occ,
-        rel_m_nodes=rel_m_nodes,
-        rel_m_ways=rel_m_ways,
-        rel_m_rels=rel_m_rels,
-        clos=clos,
-        rel_node_probes=rel_node_probes,
-        rel_way_probes=rel_way_probes,
-        rel_rel_probes=rel_rel_probes,
-        rel_way_store_refs=rel_way_store_refs,
-        flat=flat,
-        num_partitions=num_partitions,
-    )

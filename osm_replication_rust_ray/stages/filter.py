@@ -13,8 +13,8 @@ One kernel, in process, numpy over the whole diff.  The reference
 walks the diff in file order and memoizes evidence per polygon
 (`PolyInfo::*_seen_in_poly`, src/osmxml/filter.rs:13-18).  Every memo
 set only grows, so "id X is in the memo when row t is probed" is
-``ev(X) < t`` for one evidence position per id — the formulation of
-`stages/filter_dist.py`, here with the table row as the position:
+``ev(X) < t`` for one evidence position per id, with the table row as
+the position:
 
     node  ev = -1 if its OLD store point is inside (ids in ``node_ids``
                only), else the first row whose verdict memoized it
@@ -25,10 +25,9 @@ set only grows, so "id X is in the memo when row t is probed" is
 
 "Memoizing" is keep for the exact sets and keep-or-delete for the
 buffered ones.  The verdict ladders (`node_ladder`, `ladder`) turn
-evidence into keep/delete; `stages/filter_dist.py` calls the same
-functions.  A relation's verdict feeds the memo that later relation
-rows probe, so relation verdicts iterate to a fixpoint (rounds =
-longest earlier-row chain + 1, at most ``REL_ROUNDS_CAP``).
+evidence into keep/delete.  A relation's verdict feeds the memo that
+later relation rows probe, so relation verdicts iterate to a fixpoint
+(rounds = longest earlier-row chain + 1, at most ``REL_ROUNDS_CAP``).
 
 `DiffClosure` is the diff's one relation walk: exploded way refs and
 relation members, the store members of every relation the walk can
@@ -41,8 +40,9 @@ the ids in ``node_ids``.  `PolyTests` tests the geometry of one polygon.
 The polygon-tree driver (`filter_tree`) replaces the reference's
 recursive rayon fan-out (src/diffs.rs:168-191): each child runs on its
 parent's ``live`` rows (a bool mask over the diff), and a ``deleted``
-mask carries the parent's action rewrite.  Diffs of `DIST_DIFF_ROWS`
-elements or more take `stages/filter_dist.py` instead.  The per-row
+mask carries the parent's action rewrite.  Every diff, whatever its
+size, runs here in the calling process; its peak memory is about 1 kB
+per element of store plus diff (SCALE.md §2).  The per-row
 automaton that mirrors the reference's memo sets is the test oracle
 (``tests/filter_oracle.py``); it also pins the reference's store-lookup
 counts.
@@ -62,20 +62,32 @@ from ..geom import (
     points_in_multipolygon,
 )
 from ..sources.store import Resolver
-from .dist import (MTYPE_NODE, MTYPE_REL, MTYPE_WAY, REL_ROUNDS_CAP, FixpointCapError,
-                   _mtype_codes)
+from .dist import REL_ROUNDS_CAP, FixpointCapError
 
 EV_OLD = np.int64(-1)              # static (old-store) evidence
 EV_NONE = np.iinfo(np.int64).max   # no evidence
 
 KEEP, DELETE, DROP = np.int8(0), np.int8(1), np.int8(2)
 
+MTYPE_NODE, MTYPE_WAY, MTYPE_REL = 0, 1, 2
+
+
+def _mtype_codes(type_str: pa.Array) -> pa.Array:
+    """Relation member type strings -> MTYPE_* codes (int8)."""
+    return pc.cast(
+        pc.if_else(
+            pc.equal(type_str, "node"), MTYPE_NODE,
+            pc.if_else(pc.equal(type_str, "way"), MTYPE_WAY, MTYPE_REL),
+        ),
+        pa.int8(),
+    )
+
 
 class PolyTests:
     """The geometry tests of one polygon, pruned to its bbox widened by
     the 0.1° buffer (``BUFFER_DECIMICRO``): the exact polygon and both
     buffers lie inside that rectangle, so a point or box outside it is
-    "not in" without a test.  Both filter paths call it.
+    "not in" without a test.
 
     The point buffer test is chordal (GEOS quadrant-segment parity,
     geom.points_in_buffered_chordal): it matches the reference's

@@ -179,7 +179,7 @@ def run_replication(
 
             run_sequence(
                 parse_osm_xml(orig_diff), store, tree_polys, tree_parent,
-                out_dir, manifest, n, distributed=False,
+                out_dir, manifest, n,
                 on_annotated=write_bbox_diff,
                 before_commit=lambda: _symlink_state(state_file, split),
             )

@@ -6,9 +6,9 @@ def ray_session():
     import ray
 
     if not ray.is_initialized():
-        # 8 cpus: the distributed-diff tests run many small hash-
-        # shuffle joins whose aggregator actors (0.25 CPU each) starve
-        # behind map tasks at 4 cpus (measured 2-3x slowdown)
+        # 8 cpus: the join-regime tests run many small hash-shuffle
+        # joins whose aggregator actors (0.25 CPU each) starve behind
+        # map tasks at 4 cpus (measured 2-3x slowdown)
         ray.init(
             address="local",
             num_cpus=8,

@@ -1,6 +1,6 @@
 """The per-row evidence automaton of OsmXmlFilter (src/osmxml/filter.rs),
-kept as the test oracle of the filter kernel (`stages/filter.py`) and
-of the distributed filter (`stages/filter_dist.py`).
+kept as the test oracle of the filter kernel (`stages/filter.py`), the
+one filter every diff runs through.
 
 It walks the diff in table order with the reference's sequential memo
 sets (`PolyInfo::*_seen_in_poly`, src/osmxml/filter.rs:13-18) and its

@@ -174,3 +174,41 @@ def test_headline_job_entrypoint(tmp_path):
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout.strip().splitlines()[-1])
     assert out["rows"] == 20000 and out["rows_per_s"] > 0
+
+
+def test_cli_diffs_synthetic(tmp_path, capsys):
+    """`diffs` on a synthetic .osc, store and polygon tree prints the
+    assignment and partition counts of a direct `run_sequence` over a
+    copy of the same store."""
+    import shutil
+
+    from osm_replication_rust_ray.cli import _load_tree, main
+    from osm_replication_rust_ray.pipelines.update import run_sequence
+    from osm_replication_rust_ray.sources.osmxml import elements_to_osc, parse_osm_xml
+    from osm_replication_rust_ray.sources.store import ElementStore
+    from osm_replication_rust_ray.sources.synth import (
+        synth_changes,
+        synth_store_elements,
+        write_polygon_tree,
+    )
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    osc = str(tmp_path / "diff.osc")
+    with open(osc, "w", encoding="utf-8") as f:
+        f.write(elements_to_osc(synth_changes(800), change=True))
+    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store.init()
+    store.apply_changes(synth_store_elements(3000))
+    shutil.copytree(store.dir, tmp_path / "db_copy")
+    polys = write_polygon_tree(str(tmp_path / "polys"))
+
+    assert main(["diffs", "--store", store.dir, "--polygons", polys, "--input", osc,
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    tree, parent = _load_tree(polys)
+    m = CheckpointManifest(str(tmp_path / "ckpt"))
+    got = run_sequence(parse_osm_xml(osc), ElementStore(str(tmp_path / "db_copy")),
+                       tree, parent, str(tmp_path / "direct"), m, 1)
+    assert got.num_rows > 0
+    assert printed == {"assignments": got.num_rows, "partitions": len(m.done())}

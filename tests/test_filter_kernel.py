@@ -219,3 +219,78 @@ def test_soak_18_sequences_cross_two_folds(tmp_path, monkeypatch):
                                                   for c in ("pos", "etype", "id", "action")))]
         assert want and sorted(got) == want, k
         oracle_store.apply_changes(diffs[k])
+
+
+def _run_sequence_vs_oracle(work, seed_store, changes, seq):
+    """``run_sequence`` on one store built by ``seed_store(store)``,
+    against the bbox oracle, the automaton tree and ``apply_changes``
+    on a second store built the same way: the written partitions hold
+    exactly the oracle's rows, and the two stores end up equal."""
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.pipelines.update import run_sequence
+    from osm_replication_rust_ray.sources.store import check_store
+    from osm_replication_rust_ray.sources.synth import write_polygon_tree
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    import bbox_oracle
+
+    tree, parent = _load_tree(write_polygon_tree(f"{work}/polys"))
+    store = ElementStore(f"{work}/db", n_buckets=16)
+    oracle_store = ElementStore(f"{work}/oracle", n_buckets=16)
+    for s in (store, oracle_store):
+        s.init()
+        seed_store(s)
+    resolver = Resolver.from_store(oracle_store)
+    annotated = bbox_oracle.annotate_bbox(changes, resolver)
+    want = oracle_tree(annotated, tree, parent, resolver,
+                       closure_node_ids(annotated, resolver))
+    oracle_store.apply_changes(changes)
+
+    got = run_sequence(changes, store, tree, parent, f"{work}/diffs",
+                       CheckpointManifest(f"{work}/ckpt"), seq)
+    m = CheckpointManifest(f"{work}/ckpt")
+    assert m.sequence == seq
+    written = []
+    for pid, rec in m._state["partitions"].items():
+        t = pq.read_table(rec["path"])
+        written += [(*r, pid[len(f"seq={seq}/"):]) for r in zip(*(
+            t[c].to_pylist() for c in ("pos", "etype", "id", "action")))]
+    assert want and sorted(written) == want
+    assert sorted(zip(*(got[c].to_pylist()
+                        for c in ("pos", "etype", "id", "action", "poly_path")))) == want
+    fresh = ElementStore(store.dir)
+    for t in ("nodes", "ways", "relations"):
+        assert fresh.read_type(t).sort_by("id").equals(oracle_store.read_type(t).sort_by("id"))
+    assert check_store(fresh).equals(check_store(oracle_store))
+    return fresh
+
+
+def test_run_sequence_nodes_only_diff_with_sparse_pos(tmp_path):
+    """A diff of node rows only: no way or relation row reaches the bbox
+    gate, and the positions are sparse (the way and relation rows are
+    gone), so nothing may index by position as if it were the row."""
+    import pyarrow.compute as pc
+
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
+
+    changes = synth_changes(800)
+    changes = changes.filter(pc.equal(changes["etype"], "node"))
+    assert pc.max(changes["pos"]).as_py() + 1 > changes.num_rows
+    _run_sequence_vs_oracle(
+        str(tmp_path), lambda s: s.apply_changes(synth_store_elements(3000)), changes, 1)
+
+
+def test_run_sequence_over_two_pending_node_deltas(tmp_path):
+    """A store holding two pending node deltas: ``run_sequence`` reads
+    it merged with its deltas, writes the oracle's rows, and leaves a
+    third delta pending (no fold below ``FOLD_DELTAS``)."""
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
+
+    def seed(s):
+        s.apply_changes(synth_store_elements(3000))
+        for k in (1, 2):
+            s.apply_changes(synth_changes(800, seq=k))
+        assert len(s._deltas("nodes")) == 2
+
+    fresh = _run_sequence_vs_oracle(str(tmp_path), seed, synth_changes(800, seq=3), 3)
+    assert len(fresh._deltas("nodes")) == 3

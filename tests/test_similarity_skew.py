@@ -89,28 +89,6 @@ def test_embedding_near_dup_broadcast_cap_refuses(ray_session):
         q_embedding_near_dup(sf, max_rows=1)
 
 
-def test_store_as_dataset(ray_session, tmp_path):
-    import numpy as np
-    import pyarrow as pa
-
-    from osm_replication_rust_ray.sources.store import ElementStore
-
-    s = ElementStore(str(tmp_path / "db"), n_buckets=4)
-    s.init()
-    t = pa.table(
-        {
-            "id": pa.array(np.arange(100, dtype=np.int64)),
-            "lat": pa.array(np.arange(100, dtype=np.int64) * 7),
-            "lon": pa.array(np.arange(100, dtype=np.int64) * 11),
-        }
-    )
-    s.write_table("nodes", t)
-    ds = s.as_dataset("nodes")
-    got = ds.to_pandas().sort_values("id").reset_index(drop=True)
-    assert len(got) == 100
-    assert (got["lat"].to_numpy() == got["id"].to_numpy() * 7).all()
-
-
 def test_ann_ivf_recall_vs_brute_force(ray_session):
     from osm_replication_rust_ray.pipelines.queries import q_ann_ivf, q_ann_topk
 

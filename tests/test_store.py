@@ -359,18 +359,14 @@ def test_memo_drops_deltas_another_instance_folded(tmp_path):
     assert _memo_deltas(a) == a._deltas("nodes")
 
 
-def test_bulk_paths_fold_pending_deltas_first(ray_session, tmp_path):
+def test_bulk_paths_fold_pending_deltas_first(tmp_path):
     store = _hand_store(tmp_path / "db")
     store.apply_changes(_elements([_node(2, 21), _node(3, None, "delete")]))
     store.apply_changes(_elements([_node(9, 90, "create")]))
     want = _sorted_rows(store.read_type("nodes"))
-    ds = store.as_dataset("nodes")
-    assert _n_deltas(store, "nodes") == 0
-    rows = pa.concat_tables(ray.get(ds.to_arrow_refs())).select(["id", "lat", "lon"])
-    assert _sorted_rows(rows) == want
-    assert _sorted_rows(store.read_type("nodes")) == want
 
     store.apply_changes(_elements([_node(5, 55)]))
+    assert _n_deltas(store, "nodes") == 3
     store.write_table("nodes", pa.table({
         "id": pa.array([5, 6], pa.int64()),
         "lat": pa.array([500, 600], pa.int64()),

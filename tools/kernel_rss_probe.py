@@ -3,12 +3,13 @@ are sized in rows: ``cc._cc_local_kernel`` (connected components, local
 regime), ``triangles._tri_build`` (the broadcast regime's build task)
 and the in-process replication filter (``filter``: ``synth_store(n)`` +
 ``synth_changes(n)`` -> ``annotate_bbox`` -> ``closure_node_ids`` ->
-``filter_tree`` on the 12-polygon synthetic tree, the sequential side
-of ``pipelines/update.py:DIST_DIFF_ROWS``).
+``filter_tree`` on the 12-polygon synthetic tree: the phases of
+``pipelines/update.py:run_sequence``, which runs every diff in the
+calling process, so its peak is the memory one diff needs).
 
     python tools/kernel_rss_probe.py cc 1000000 2000000 4000000
     python tools/kernel_rss_probe.py tri 1000000 2000000 4000000
-    python tools/kernel_rss_probe.py filter 100000 1000000 2000000
+    python tools/kernel_rss_probe.py filter 100000 1000000 2000000 4000000
 
 Each size runs in a fresh child process (no Ray), so
 ``RUSAGE_CHILDREN.ru_maxrss`` is that child's own peak; sizes must be
