@@ -11201,9 +11201,8 @@ DIGEST_P = 2_147_483_647  # Mersenne prime 2^31-1
 def q_bucket_digest(sf_dir: str):
     """Anti-entropy PARTITION DIGESTS — the replica-comparison
     primitive behind the reference's replication/update flow
-    (compare per-bucket checksums, re-sync only mismatched buckets;
-    the same bucketing the engine's parquet store uses,
-    sources/store.py): every orders row hashes through a 3-stage
+    (compare per-bucket checksums, re-sync only mismatched buckets):
+    every orders row hashes through a 3-stage
     chained splitmix64 over (orderkey, custkey, cents) and lands in
     bucket mix64(orderkey) % 64; the bucket digest is the
     ORDER-INSENSITIVE sum of row hashes mod p (p = 2^31-1) plus the

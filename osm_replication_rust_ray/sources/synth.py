@@ -628,7 +628,7 @@ def synth_store(n: int, seed: int = SEED):
 def synth_store_elements(n: int, seed: int = SEED) -> pa.Table:
     """ELEMENTS_SCHEMA "create" table carrying exactly
     :func:`synth_store`'s contents — ``ElementStore.apply_changes`` of
-    this table seeds a REAL bucketed store with the synthetic fixture,
+    this table seeds a REAL store with the synthetic fixture,
     so end-to-end ``run_sequence`` tests and probes can run at
     representative scale.  Fully
     column-wise: list columns are reused from the store tables, no

@@ -95,7 +95,10 @@ class _PrefixBoxes:
     def at(self, keys: np.ndarray, ps: np.ndarray) -> np.ndarray:
         if not len(self.key):
             return np.repeat(_EMPTY, len(keys), axis=1)
-        k = np.searchsorted(self.packed, keys * self.m + np.minimum(ps, self.m - 1)) - 1
+        q = keys * self.m + np.minimum(ps, self.m - 1)
+        o = np.argsort(q)  # sorted needles walk ``packed`` in order
+        k = np.empty_like(q)
+        k[o] = np.searchsorted(self.packed, q[o]) - 1
         i = np.maximum(k, 0)
         return np.where((k >= 0) & (self.key[i] == keys), self.boxes[:, i], _EMPTY)
 

@@ -19,8 +19,9 @@ would:
   apply_changes).
 - ``mid_delta``: inside apply_changes, after the node delta landed and
   before the way delta.
-- ``in_fold``: inside apply_changes, after the first bucket rewrite of
-  a fold (use with ``synthetic_pending``).
+- ``in_fold``: inside apply_changes, after a fold renamed the new base
+  file into place and before it deleted the folded deltas (use with
+  ``synthetic_pending``).
 - ``after_apply``: the store mutation landed too; only the final
   sequence-pointer commit is lost (the window where a re-run apply
   finds its own delta newest and skips it).
@@ -41,7 +42,7 @@ def seed_store(kind: str, work: str):
     from osm_replication_rust_ray.sources.store import ElementStore
     from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
 
-    store = ElementStore(f"{work}/db", n_buckets=16)
+    store = ElementStore(f"{work}/db")
     if kind == "fixture":
         store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
         return store
@@ -95,22 +96,23 @@ def main() -> None:
     elif point == "after_write":
         ElementStore.apply_changes = die
     elif point == "mid_delta":
-        orig_write = ElementStore._write_bucket
+        orig_write = ElementStore._write
 
         def write_then_die(self, path, table):
             orig_write(self, path, table)
             if os.path.join("deltas", "nodes") in path:
                 die()
 
-        ElementStore._write_bucket = write_then_die
+        ElementStore._write = write_then_die
     elif point == "in_fold":
-        orig_apply = ElementStore._apply_bucket
+        orig_write = ElementStore._write
 
-        def rewrite_then_die(self, *a):
-            orig_apply(self, *a)
-            die()
+        def rewrite_then_die(self, path, table):
+            orig_write(self, path, table)
+            if "deltas" not in path:
+                die()
 
-        ElementStore._apply_bucket = rewrite_then_die
+        ElementStore._write = rewrite_then_die
     elif point == "after_apply":
         orig_commit = CheckpointManifest.commit
 

@@ -16,7 +16,6 @@ import time
 import numpy as np
 import pyarrow as pa
 import pytest
-import ray  # noqa: F401  (run_sequence imports it; keep that out of the timings)
 
 from osm_replication_rust_ray.geom import MultiPolygon
 from osm_replication_rust_ray.pipelines.update import run_sequence
@@ -212,7 +211,7 @@ def test_deep_store_chain_through_run_sequence(tmp_path, depth, twice):
     listed once, which has the same boxes and verdicts (a box union and
     `any` ignore repeats)."""
     nodes, rels = _chain_store(depth, twice)
-    store = ElementStore(str(tmp_path / "db"), n_buckets=4)
+    store = ElementStore(str(tmp_path / "db"))
     store.init()
     store.write_table("nodes", pa.table({
         "id": pa.array([i for i, _x, _y in nodes], pa.int64()),

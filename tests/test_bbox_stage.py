@@ -50,7 +50,7 @@ def test_lookup_amplification_invariant():
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     d = tmp_path_factory.mktemp("osmstore")
-    s = ElementStore(str(d / "db"), n_buckets=16)
+    s = ElementStore(str(d / "db"))
     s.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     return s
 

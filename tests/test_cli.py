@@ -196,7 +196,7 @@ def test_cli_diffs_synthetic(tmp_path, capsys):
     osc = str(tmp_path / "diff.osc")
     with open(osc, "w", encoding="utf-8") as f:
         f.write(elements_to_osc(synth_changes(800), change=True))
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.init()
     store.apply_changes(synth_store_elements(3000))
     shutil.copytree(store.dir, tmp_path / "db_copy")

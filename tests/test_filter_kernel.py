@@ -235,8 +235,8 @@ def _run_sequence_vs_oracle(work, seed_store, changes, seq):
     import bbox_oracle
 
     tree, parent = _load_tree(write_polygon_tree(f"{work}/polys"))
-    store = ElementStore(f"{work}/db", n_buckets=16)
-    oracle_store = ElementStore(f"{work}/oracle", n_buckets=16)
+    store = ElementStore(f"{work}/db")
+    oracle_store = ElementStore(f"{work}/oracle")
     for s in (store, oracle_store):
         s.init()
         seed_store(s)

@@ -18,7 +18,7 @@ def test_filter_output_matches_frozen_golden(tmp_path):
     from osm_replication_rust_ray.stages.bbox import closure_node_ids
     from osm_replication_rust_ray.stages.filter import filter_elements
 
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     elements = parse_osm_xml(f"{RES}/saint_barthelemy.bbox.osc.gz")
     _, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")

@@ -165,7 +165,7 @@ print("NO_RAY")
 def test_update_pipeline_end_to_end(tmp_path):
     from osm_replication_rust_ray.pipelines.update import run_update
 
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     changes = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
     name, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
@@ -197,7 +197,7 @@ def test_update_multi_sequence_writes_every_batch(tmp_path):
     made every sequence after the first write nothing)."""
     from osm_replication_rust_ray.pipelines.update import run_update
 
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     changes = parse_osm_xml(f"{RES}/saint_barthelemy.osc.gz")
     name, mp = read_multipolygon(f"{RES}/saint_barthelemy.poly")
@@ -336,7 +336,7 @@ def test_resume_after_kill_between_write_and_apply(ray_session, tmp_path):
 def test_resume_after_kill_between_apply_and_commit(ray_session, tmp_path):
     """SIGKILL after the store mutation but before the sequence-pointer
     commit: apply_changes re-runs as an idempotent LWW upsert and the
-    resumed state (outputs AND store buckets) is byte-identical."""
+    resumed state (outputs AND store files) is byte-identical."""
     _kill_resume_case(tmp_path, "after_apply")
 
 
@@ -380,9 +380,10 @@ def test_resume_after_kill_mid_write_synthetic(tmp_path):
 
 
 def test_resume_after_kill_in_fold_synthetic(ray_session, tmp_path):
-    """SIGKILL inside a fold, after its first bucket rewrite: the reads
-    of the resumed run merge the half-folded buckets with the still
-    pending deltas, and the fold runs again to the same bytes."""
+    """SIGKILL inside a fold, after the new node base replaced the old
+    one and before the folded deltas were deleted: the reads of the
+    resumed run merge that base with the still pending deltas, and the
+    fold runs again to the same bytes."""
     from osm_replication_rust_ray.sources.store import ElementStore
 
     def crashed(db):

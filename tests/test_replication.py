@@ -108,7 +108,7 @@ def test_run_replication_file_mirror(ray_session, tmp_path, mirror):
     from osm_replication_rust_ray.sources.store import ElementStore
     from osm_replication_rust_ray.state.manifest import CheckpointManifest
 
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     tree, parent = _load_tree(f"{RES}/polygons")
     # the reference tree (africa/europe) excludes the Caribbean, so the
@@ -249,7 +249,7 @@ def test_run_replication_max_state_clamp(ray_session, tmp_path, mirror):
     from osm_replication_rust_ray.sources.store import ElementStore
     from osm_replication_rust_ray.state.manifest import CheckpointManifest
 
-    store = ElementStore(str(tmp_path / "db2"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db2"))
     store.import_pbf(f"{RES}/saint_barthelemy.osm.pbf")
     tree, parent = _load_tree(f"{RES}/polygons")
     diffs = tmp_path / "d2"

@@ -1,7 +1,9 @@
-"""Element store: the stat-keyed bucket memo, the CSR Resolver's parity
-with a per-row dict, and the check_store anti-join."""
+"""Element store: the base file + delta overlay against a
+last-writer-wins model (reads and the Resolver), cut folds, the CSR
+Resolver's parity with a per-row dict, and the check_store anti-join."""
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -13,7 +15,7 @@ from osm_replication_rust_ray.sources.osmxml import MEMBER_T
 from osm_replication_rust_ray.sources.store import (
     ElementStore,
     Resolver,
-    _bucket_of,
+    _read_ipc,
     check_store,
 )
 from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
@@ -24,7 +26,7 @@ _TYPES = ("nodes", "ways", "relations")
 
 
 def _seeded(path, n=600):
-    store = ElementStore(str(path), n_buckets=8)
+    store = ElementStore(str(path))
     store.init()
     store.apply_changes(synth_store_elements(n, seed=2))
     return store
@@ -34,12 +36,16 @@ def _fresh(store, etype):
     return ElementStore(store.dir).read_type(etype)
 
 
+# The memo these three tests are named for is gone (the page cache holds
+# the mapped base now); what they check still holds: an instance reads what
+# another instance on the same directory applied or folded, and its own
+# apply, exactly as a fresh instance reads it.
 def test_memo_rereads_a_bucket_another_instance_replaced(tmp_path):
     a = _seeded(tmp_path / "db")
     before = {t: a.read_type(t) for t in _TYPES}
-    assert a._memo  # the reads were memoized
     b = ElementStore(a.dir)
-    b.apply_changes(synth_changes(300, seed=2, seq=1))
+    b.FOLD_DELTAS = 1
+    b.apply_changes(synth_changes(300, seed=2, seq=1))  # replaces every base
     changed = False
     for t in _TYPES:
         got, want = a.read_type(t), _fresh(b, t)
@@ -55,14 +61,15 @@ def test_memo_after_own_apply_matches_a_fresh_read(tmp_path):
     a.apply_changes(synth_changes(300, seed=2, seq=1))
     for t in _TYPES:
         got, want = a.read_type(t), _fresh(a, t)
-        # a refreshed entry carries the schema a file read returns
         assert got.equals(want) and got.schema.equals(want.schema, check_metadata=True)
 
 
-def test_apply_changes_alone_adds_no_memo_entry(tmp_path):
-    store = _seeded(tmp_path / "db")
-    store.apply_changes(synth_changes(300, seed=2, seq=1))
-    assert store._memo == {}
+def test_an_old_bucket_layout_store_raises(tmp_path):
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "store.json").write_text('{"n_buckets": 64}')
+    with pytest.raises(ValueError, match="import"):
+        ElementStore(str(d))
 
 
 def _lists_tables():
@@ -127,7 +134,7 @@ def test_resolver_rejects_a_null_way_ref():
 
 
 def test_check_store_lists_every_dangling_reference(tmp_path):
-    store = ElementStore(str(tmp_path / "db"), n_buckets=4)
+    store = ElementStore(str(tmp_path / "db"))
     store.init()
     store.write_table("nodes", pa.table({
         "id": pa.array([1, 2, 3], pa.int64()),
@@ -170,7 +177,7 @@ def test_check_store_lists_every_dangling_reference(tmp_path):
 
 
 def test_check_store_on_a_consistent_store_is_empty(tmp_path):
-    store = ElementStore(str(tmp_path / "db"), n_buckets=4)
+    store = ElementStore(str(tmp_path / "db"))
     store.init()
     store.write_table("nodes", pa.table({
         "id": pa.array([1], pa.int64()),
@@ -226,48 +233,73 @@ def _n_deltas(store, t):
     return len(store._deltas(t))
 
 
-def _memo_deltas(store):
-    return [p for p in store._memo if p.startswith(os.path.join(store.dir, "deltas"))]
+def _check_resolver(r, model, ids):
+    """Every Resolver lookup of ``ids`` against the model; a null list
+    reads as missing."""
+    nodes, ways, rels = (model[t] for t in _TYPES)
+    found, lat, lon = r.node_points(ids)
+    assert found.tolist() == [i in nodes for i in ids.tolist()]
+    assert lat.tolist() == [nodes[i]["lat"] if i in nodes else 0 for i in ids.tolist()]
+    assert lon.tolist() == [nodes[i]["lon"] if i in nodes else 0 for i in ids.tolist()]
+    want_ways = [ways[i]["refs"] if i in ways else None for i in ids.tolist()]
+    want_rels = [rels[i]["members"] if i in rels else None for i in ids.tolist()]
+    off, flat = r.way_refs(ids)
+    assert [flat[off[k]:off[k + 1]].tolist() for k in range(len(ids))] == [
+        w or [] for w in want_ways]
+    assert [r.read_way(i) for i in ids.tolist()] == want_ways
+    off, types, refs = r.relation_members(ids)
+    types = types.to_pylist()
+    assert [list(zip(types[off[k]:off[k + 1]], refs[off[k]:off[k + 1]].tolist()))
+            for k in range(len(ids))] == [
+        [(m["type"], m["ref"]) for m in ms or []] for ms in want_rels]
+    assert [r.read_relation(i) for i in ids.tolist()] == want_rels
 
 
 @pytest.mark.parametrize("fold", [ElementStore.FOLD_DELTAS, 1, 10**9])
 def test_delta_store_matches_a_last_writer_wins_model(tmp_path, fold):
     seed = synth_store_elements(4000)
-    store = ElementStore(str(tmp_path / "db"), n_buckets=16)
+    store = ElementStore(str(tmp_path / "db"))
     store.FOLD_DELTAS = fold
     store.init()
     store.apply_changes(seed)
     model = {t: {} for t in _TYPES}
     _model_apply(model, seed)
     assert all(_n_deltas(store, t) == 0 for t in _TYPES)  # the seed folds at once
+    gone = {t: set() for t in _TYPES}  # ids deleted at some step
     rng = np.random.default_rng(fold % 97)
+    fds = len(os.listdir("/proc/self/fd"))
     for seq in range(1, 21):
         diff = synth_changes(600, seed=3, seq=seq)
         store.apply_changes(diff)
+        before = {t: set(model[t]) for t in _TYPES}
         _model_apply(model, diff)
+        r = Resolver.from_store(store)
+        probes = []
         for t in _TYPES:
             want = [model[t][i] for i in sorted(model[t])]
             assert _sorted_rows(store.read_type(t)) == want
             assert _n_deltas(store, t) == (seq - 1) % fold + 1
-            # ids present, deleted and never seen
-            ids = np.unique(np.concatenate([
-                rng.choice(diff["id"].to_numpy(), 50),
-                rng.choice(np.fromiter(model[t], np.int64), 50),
-                np.array([-5, 10**12], np.int64),
-            ]))
+            gone[t] |= before[t] - set(model[t])
+            base = _read_ipc(store._base_path(t))
+            # ids present, deleted, deleted then re-created, only in a
+            # delta, and never seen
+            pools = [diff["id"].to_numpy(), np.fromiter(model[t], np.int64),
+                     np.fromiter(gone[t] - set(model[t]), np.int64),
+                     np.fromiter(gone[t] & set(model[t]), np.int64),
+                     np.setdiff1d(np.fromiter(model[t], np.int64), base["id"].to_numpy())]
+            ids = np.unique(np.concatenate(
+                [rng.choice(p, min(len(p), 40), replace=False) for p in pools]
+                + [np.array([-5, 10**12], np.int64)]))
             want_ids = [model[t][i] for i in ids.tolist() if i in model[t]]
             assert _sorted_rows(store.read_for_ids(t, ids)) == want_ids
-            b = seq % store.n_buckets
-            in_b = _bucket_of(np.fromiter(model[t], np.int64), store.n_buckets) == b
-            want_b = [model[t][i] for i in sorted(np.fromiter(model[t], np.int64)[in_b].tolist())]
-            assert _sorted_rows(store.read_type(t, [b])) == want_b
+            probes.append(ids)
+        _check_resolver(r, model, np.unique(np.concatenate(probes)))
         got = check_store(store).to_pylist()
         assert [(r["src_type"], r["src_id"], r["ref_type"], r["ref_id"])
                 for r in got] == _model_violations(model)
-        # memo bound: one copy of the base plus the pending deltas
-        delta_entries = _memo_deltas(store)
-        assert len(delta_entries) == sum(_n_deltas(store, t) for t in _TYPES)
-        assert len(store._memo) - len(delta_entries) <= 3 * store.n_buckets
+        # reads keep no file open: the mapping outlives its closed handle
+        assert len(os.listdir("/proc/self/fd")) == fds
+    assert all(gone[t] for t in _TYPES)
     # a fresh instance reads the same store
     for t in _TYPES:
         assert _sorted_rows(ElementStore(store.dir).read_type(t)) == _sorted_rows(
@@ -298,7 +330,7 @@ def _snapshot(root):
 
 
 def _hand_store(path):
-    store = ElementStore(str(path), n_buckets=4)
+    store = ElementStore(str(path))
     store.init()
     store.apply_changes(_elements([_node(i, 10 * i, "create") for i in range(1, 9)]))
     return store
@@ -335,11 +367,12 @@ def test_a_tombstone_hides_a_base_row_until_a_later_create(tmp_path):
     store.apply_changes(_elements([_node(4, None, "delete"), _node(9, 90, "create")]))
     assert 4 not in _lat_of(store) and _lat_of(store)[9] == 90
     assert store.read_for_ids("nodes", np.array([4], np.int64)).num_rows == 0
-    # the base bucket still holds the row: only the delta hides it
-    b = int(_bucket_of(np.array([4]), store.n_buckets)[0])
-    assert 4 in store._read_bucket(store._bucket_path("nodes", b))["id"].to_pylist()
+    # the base file still holds the row: only the delta hides it
+    assert 4 in _read_ipc(store._base_path("nodes"))["id"].to_pylist()
+    assert not Resolver.from_store(store).node_points(np.array([4], np.int64))[0][0]
     store.apply_changes(_elements([_node(4, 44, "create")]))
     assert _lat_of(store)[4] == 44
+    assert Resolver.from_store(store).node_points(np.array([4], np.int64))[1][0] == 44
     store.FOLD_DELTAS = 1
     store.apply_changes(_elements([_node(1, 11)]))  # folds both earlier deltas
     assert _n_deltas(store, "nodes") == 1
@@ -351,12 +384,32 @@ def test_memo_drops_deltas_another_instance_folded(tmp_path):
     a.apply_changes(_elements([_node(2, 21)]))
     a.apply_changes(_elements([_node(3, 31)]))
     a.read_type("nodes")
-    assert len(_memo_deltas(a)) == 2
+    assert _n_deltas(a, "nodes") == 2
     b = ElementStore(a.dir)
     b.FOLD_DELTAS = 1
     b.apply_changes(_elements([_node(4, 41)]))  # folds both, writes one
+    assert _n_deltas(a, "nodes") == 1
     assert _lat_of(a) == {1: 10, 2: 21, 3: 31, 4: 41, 5: 50, 6: 60, 7: 70, 8: 80}
-    assert _memo_deltas(a) == a._deltas("nodes")
+    r = Resolver.from_store(a)
+    ok, lat, _lon = r.node_points(np.array([2, 3, 4], np.int64))
+    assert ok.all() and lat.tolist() == [21, 31, 41]
+
+
+def test_a_null_list_reads_as_missing_in_the_base_and_the_overlay(tmp_path):
+    store = ElementStore(str(tmp_path / "db"))
+    store.init()
+    store.write_table("ways", pa.table({
+        "id": pa.array([1, 2, 3], pa.int64()),
+        "refs": pa.array([[1], None, [3]], pa.list_(pa.int64())),
+    }))
+    store.apply_changes(_elements([
+        {"etype": "way", "id": 1, "action": "modify", "refs": None},
+        {"etype": "way", "id": 2, "action": "modify", "refs": [2]},
+    ]))
+    r = Resolver.from_store(store)
+    assert [r.read_way(i) for i in (1, 2, 3)] == [None, [2], [3]]
+    off, flat = r.way_refs(np.array([3, 1, 2], np.int64))
+    assert off.tolist() == [0, 1, 1, 2] and flat.tolist() == [3, 2]
 
 
 def test_bulk_paths_fold_pending_deltas_first(tmp_path):
@@ -373,9 +426,37 @@ def test_bulk_paths_fold_pending_deltas_first(tmp_path):
         "lon": pa.array([-500, -600], pa.int64()),
     }))
     assert _n_deltas(store, "nodes") == 0
-    # the import replaces the buckets it writes; the folded delta (5 -> 55)
+    # the import replaces the rows of its ids; the folded delta (5 -> 55)
     # does not win over it
-    hit = set(_bucket_of(np.array([5, 6]), store.n_buckets).tolist())
-    kept = {r["id"]: r["lat"] for r in want
-            if int(_bucket_of(np.array([r["id"]]), store.n_buckets)[0]) not in hit}
-    assert _lat_of(store) == kept | {5: 500, 6: 600}
+    assert _lat_of(store) == {r["id"]: r["lat"] for r in want} | {5: 500, 6: 600}
+
+
+def test_a_fold_cut_before_its_rename_reads_the_old_base_then_folds_to_the_same_bytes(
+        tmp_path, monkeypatch):
+    store = _hand_store(tmp_path / "db")
+    store.apply_changes(_elements([_node(2, 21), _node(3, None, "delete")]))
+    store.apply_changes(_elements([_node(9, 90, "create")]))
+    shutil.copytree(store.dir, tmp_path / "clean")
+    clean = ElementStore(str(tmp_path / "clean"))
+    want = _lat_of(store)
+    base = _snapshot(store.dir)["nodes.arrow"]
+    last = _elements([_node(5, 55)])
+    store.FOLD_DELTAS = clean.FOLD_DELTAS = 2
+
+    def cut(_src, _dst):
+        raise OSError("cut before the rename")
+
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(OSError, match="cut"):
+        store.apply_changes(last)
+    monkeypatch.undo()
+    on_disk = _snapshot(store.dir)
+    assert "nodes.arrow.tmp" in on_disk and on_disk["nodes.arrow"] == base
+    assert _n_deltas(store, "nodes") == 2
+    assert _lat_of(store) == want
+    found, lat, _lon = Resolver.from_store(store).node_points(np.array([2, 3, 9], np.int64))
+    assert found.tolist() == [True, False, True] and lat.tolist() == [21, 0, 90]
+    store.apply_changes(last)  # the fold runs again
+    clean.apply_changes(last)
+    assert _snapshot(store.dir) == _snapshot(clean.dir)
+    assert _lat_of(store) == want | {5: 55}

@@ -48,7 +48,7 @@ def test_bbox_on_synth_changes_is_deterministic_and_fast():
 def test_update_pipeline_on_synth_changes(ray_session, tmp_path):
     from osm_replication_rust_ray.pipelines.update import run_update
 
-    store = ElementStore(str(tmp_path / "db"), n_buckets=8)
+    store = ElementStore(str(tmp_path / "db"))
     store.init()
     changes = synth_changes(3000)
     # one big polygon covering a quarter of the world

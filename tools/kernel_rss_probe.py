@@ -10,8 +10,17 @@ calling process, so its peak is the memory one diff needs).
     python tools/kernel_rss_probe.py cc 1000000 2000000 4000000
     python tools/kernel_rss_probe.py tri 1000000 2000000 4000000
     python tools/kernel_rss_probe.py filter 100000 1000000 2000000 4000000
+    python tools/kernel_rss_probe.py store 40000 400000 4000000
 
-Each size runs in a fresh child process (no Ray), so
+``store`` measures how a replication sequence scales with the store
+behind it: one child seeds an ``ElementStore`` of ``n`` synthetic
+elements (``synth_store_elements``), then a fresh child runs three
+``pipelines/update.py:run_sequence`` calls with 4000-element diffs on
+the 12-polygon tree against it.  Its line gives each sequence's wall,
+the median of sequences 2-3 (``seq_wall_s``), the ``Resolver.from_store``
+time before each, and that child's own peak RSS.
+
+For the other kinds, each size runs in a fresh child process (no Ray), so
 ``RUSAGE_CHILDREN.ru_maxrss`` is that child's own peak; sizes must be
 increasing, because the figure is a maximum over every child waited
 for.  The child first builds its input — a random sparse graph, int64
@@ -70,7 +79,82 @@ def _filter_input(n: int):
     return changes, run, info
 
 
-def _child(kind: str, rows: int) -> None:
+STORE_DIFF = 4000
+
+
+def _store_seed(rows: int, work: str) -> dict:
+    import time
+
+    from osm_replication_rust_ray.sources.store import ElementStore
+    from osm_replication_rust_ray.sources.synth import synth_store_elements
+
+    elements = synth_store_elements(rows, seed=1)
+    t = time.perf_counter()
+    store = ElementStore(os.path.join(work, "store"))
+    store.init()
+    store.apply_changes(elements)
+    return {"store_elements": elements.num_rows, "seed_s": round(time.perf_counter() - t, 2)}
+
+
+def _store_sequences(work: str) -> dict:
+    import time
+
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.pipelines.update import run_sequence
+    from osm_replication_rust_ray.sources.store import ElementStore, Resolver
+    from osm_replication_rust_ray.sources.synth import synth_changes, write_polygon_tree
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    tree, parent = _load_tree(write_polygon_tree(os.path.join(work, "polys")))
+    store = ElementStore(os.path.join(work, "store"))
+    manifest = CheckpointManifest(os.path.join(work, "ckpt"))
+    diffs = {k: synth_changes(STORE_DIFF, seed=1, seq=k) for k in (1, 2, 3)}
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    load, wall = [], []
+    for k, changes in diffs.items():
+        t = time.perf_counter()
+        Resolver.from_store(store)
+        load.append(round(time.perf_counter() - t, 4))
+        t = time.perf_counter()
+        run_sequence(changes, store, tree, parent, os.path.join(work, "out"), manifest, k)
+        wall.append(round(time.perf_counter() - t, 4))
+    return {"seq_s": wall, "seq_wall_s": round(float(np.median(wall[1:])), 4),
+            "load_s": load, "rss_before_seqs_mb": round(rss_before / 1024),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}
+
+
+def _run_child(*args) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--child", *map(str, args)],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _store_main(sizes: list[int]) -> None:
+    """One seeding child and one sequence child per size; the peak RSS
+    is the sequence child's own (the seeding child's is larger)."""
+    import tempfile
+
+    rows_out = []
+    for rows in sizes:
+        with tempfile.TemporaryDirectory() as work:
+            got = {"kind": "store", "rows": rows, **_run_child("store-seed", rows, work),
+                   **_run_child("store", rows, work)}
+        rows_out.append(got)
+        print(json.dumps(got), flush=True)
+    if len(rows_out) > 1:
+        lo, hi = rows_out[0], rows_out[-1]
+        print(json.dumps({"kind": "store",
+                          "seq_wall_ratio": round(hi["seq_wall_s"] / lo["seq_wall_s"], 2),
+                          "peak_rss_growth_mb": hi["peak_rss_mb"] - lo["peak_rss_mb"]}))
+
+
+def _child(kind: str, rows: int, *args) -> None:
+    if kind == "store-seed":
+        print(json.dumps(_store_seed(rows, *args)))
+        return
+    if kind == "store":
+        print(json.dumps(_store_sequences(*args)))
+        return
     rng = np.random.default_rng(rows)
     info = {}
     if kind == "filter":
@@ -103,15 +187,15 @@ def _child(kind: str, rows: int) -> None:
 
 def main() -> int:
     if sys.argv[1] == "--child":
-        _child(sys.argv[2], int(sys.argv[3]))
+        _child(sys.argv[2], int(sys.argv[3]), *sys.argv[4:])
         return 0
     kind, sizes = sys.argv[1], [int(s) for s in sys.argv[2:]]
+    if kind == "store":
+        _store_main(sizes)
+        return 0
     rows_out = []
     for rows in sizes:
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", kind, str(rows)],
-            check=True, capture_output=True, text=True).stdout
-        got = json.loads(out.strip().splitlines()[-1])
+        got = _run_child(kind, rows)
         peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         got.update(kind=kind, rows=rows, peak_rss_mb=round(peak_kb / 1024))
         rows_out.append(got)
