@@ -10,8 +10,12 @@ owners).
   the sf0.001 smoke scale.
 - ``queries()`` / ``oracle_sql()``: one entry per implemented operator
   from SURVEY.md §2 (+ the training-data extensions); oracle SQL is
-  emitted from the same constants the Ray pipelines use
-  (osm_replication_rust_ray/pipelines/queries.py).
+  emitted from the same constants the Ray pipelines use.  Both read
+  ``QUERIES`` in osm_replication_rust_ray/pipelines/queries.py, derived
+  there from the module's ``q_X`` / ``sql_X`` pairs plus a small dict of
+  exceptions (see that module's docstring).  Its SQL builders are
+  zero-argument callables: ``oracle_sql()`` calls them, so only a caller
+  that asks for the oracle texts pays for building them.
 """
 
 from __future__ import annotations
@@ -44,4 +48,4 @@ def queries() -> dict[str, Callable[[str], Any]]:
 def oracle_sql() -> dict[str, str]:
     from osm_replication_rust_ray.pipelines.queries import QUERIES
 
-    return {name: sql for name, (_fn, sql) in QUERIES.items() if sql is not None}
+    return {name: sql() for name, (_fn, sql) in QUERIES.items()}

@@ -132,18 +132,16 @@ def _cmd_osmxml(args) -> int:
 
 
 def _load_tree(polygons_dir: str):
+    """(tree, parent): the flattened polygon tree and, per path, its
+    nearest ancestor that carries a polygon (None at the top), by the
+    rule ``polygon_chains`` encodes for ``PolyTreeIndex``."""
     from .sources.polytree import get_poly_from_dir, load_tree_polys
+    from .stages.spatial_join import polygon_chains
 
-    root = get_poly_from_dir(polygons_dir)
-    tree = load_tree_polys(root)
-    parent: dict[str, str | None] = {}
+    tree = load_tree_polys(get_poly_from_dir(polygons_dir))
     paths = [p for p, _n, _mp in tree]
-    known = set(paths)
-    for p in paths:
-        par = p.rsplit("/", 1)[0] if "/" in p.strip("./") else None
-        while par and par not in known and "/" in par:
-            par = par.rsplit("/", 1)[0]
-        parent[p] = par if par in known else None
+    parent = {p: paths[c[1]] if len(c) > 1 else None
+              for p, c in zip(paths, polygon_chains(paths))}
     return tree, parent
 
 

@@ -15,9 +15,22 @@ Each pipeline is Ray-Data-first: read_parquet with column pruning ->
 vectorized map_batches (pyarrow/numpy) -> partial pre-aggregation
 inside the batch fn where a groupby follows (skew-safe two-phase) ->
 small groupby/join. Nothing materializes the full table on the driver.
+
+The registry ``QUERIES`` maps a name to ``(pipeline, sql_builder)``: every
+module-level ``q_X`` that has a module-level ``sql_X`` registers as ``X``.
+The dict ``_EXCEPTIONS`` at the bottom of the module holds the 12 entries
+that rule cannot name: pairs filed under another name (``geohash_counts``
+and the two ``*_gate`` pairs), the three ANN recall gates that share
+``sql_ann_recall_gate``, and the six codec gates that share
+``sql_image_ops`` (``gif_ops`` with ``posterize=True``).  A pipeline an
+exception registers is not also registered under its rule name.  Each
+``sql_builder`` is a zero-argument callable, so importing this module
+builds no oracle SQL; ``__ray_entry__.oracle_sql()`` calls the builders.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -6365,6 +6378,10 @@ def q_ann_pq_gate(sf_dir: str):
 
 
 def sql_ann_recall_gate() -> str:
+    """Oracle of the three ANN recall gates (``ann_lsh``, ``ann_ivf``,
+    ``ann_pq``).  An approximate operator runs inside a bound-checking
+    gate, beside its engine-exact twin, so every verification column is
+    SQL-predictable: ``recall_ok`` is TRUE for each query."""
     return """
 SELECT vec_id AS query_id, true AS recall_ok
 FROM embeddings WHERE vec_id < 8 ORDER BY query_id"""
@@ -15232,479 +15249,26 @@ SELECT doc_id,
 FROM ({pos})"""
 
 
-QUERIES: dict[str, tuple] = {
-    # name -> (pipeline fn, oracle sql or None)
-    # exact per-group median: one sort + single-scalar block carry
-    "grouped_median": (q_grouped_median, sql_grouped_median()),
-    # exact-integer Pearson numerators (HUGEINT-parity strings)
-    "corr_pairs": (q_corr_pairs, sql_corr_pairs()),
-    # Markov transition matrix: LAG pairs, packed-key counts
-    "transition_counts": (q_transition_counts, sql_transition_counts()),
-    # k-core decomposition: simultaneous peel to fixpoint, BSP rounds
-    "k_core": (q_k_core, sql_k_core()),
-    # bounded-hop weighted shortest paths (Bellman-Ford frontier)
-    "sssp_bounded": (q_sssp_bounded, sql_sssp_bounded()),
-    # dominant color: per-image 4096-cell palette mode, actor pool
-    "dominant_color": (q_dominant_color, sql_dominant_color()),
-    # greedy NMS: exact cross-multiplied IoU, unrolled rank recurrence
-    "nms_boxes": (q_nms_boxes, sql_nms_boxes()),
-    # silence splitting: WAV round trip -> threshold mask -> runs
-    "silence_segments": (q_silence_segments, sql_silence_segments()),
-    "pip_polygon_join": (q_pip_polygon_join, sql_pip_polygon_join()),
-    "tile_counts": (q_tile_counts, sql_tile_counts()),
-    "bbox_aggregate": (q_bbox_aggregate, sql_bbox_aggregate()),
-    "bbox_prefilter": (q_bbox_prefilter, sql_bbox_prefilter()),
-    "verdict_ladder": (q_verdict_ladder, sql_verdict_ladder()),
-    "knn_nearest_feature": (q_knn_nearest_feature, sql_knn_nearest_feature()),
-    # spatial radius (within-distance) join: broadcast features,
-    # exact int64 squared-distance filter
-    "radius_join": (q_radius_join, sql_radius_join()),
-    # DBSCAN: cell-binned eps self-join + degree cores + CC + borders
-    "dbscan": (q_dbscan, sql_dbscan()),
-    # adaptive quadtree leaves from per-depth count tables
-    "quadtree": (q_quadtree, sql_quadtree()),
-    # JSON field extraction via Arrow C++ line-delimited reader
-    "json_extract": (q_json_extract, sql_json_extract()),
-    # PIVOT long->wide and its exact inverse (lossless round trip)
-    "pivot_events": (q_pivot_events, sql_pivot_events()),
-    # column profiler: nulls + exact distincts per column
-    "profile_orders": (q_profile_orders, sql_profile_orders()),
-    # generic table diff (CDC): added/removed/changed in 3 passes
-    "table_diff": (q_table_diff, sql_table_diff()),
-    # incremental view maintenance: base + deltas == recompute
-    "incremental_agg": (q_incremental_agg, sql_incremental_agg()),
-    # row-level windowed dedup (LAG semantics, one carry per block)
-    "window_dedup": (q_window_dedup, sql_window_dedup()),
-    # self-kNN graph: exact SQ8 integer scoring, broadcast corpus
-    "knn_graph": (q_knn_graph, sql_knn_graph()),
-    # k-anonymity audit: quasi-identifier groups below k
-    "k_anonymity": (q_k_anonymity, sql_k_anonymity()),
-    "unpivot_roundtrip": (q_unpivot_roundtrip, sql_unpivot_roundtrip()),
-    # exact triangle counts: degree-ordered wedge join
-    "triangle_counts": (q_triangle_counts, sql_triangle_counts()),
-    # bounded-hop BFS distances: BSP frontier expansion
-    "bfs_hops": (q_bfs_hops, sql_bfs_hops()),
-    # deterministic random walks: hash-argmin next step, unrolled
-    "random_walks": (q_random_walks, sql_random_walks()),
-    # M4 visualization downsampling: min/max/first/last per bucket
-    "m4_downsample": (q_m4_downsample, sql_m4_downsample()),
-    # gram-matrix accumulation: d x d int64 partials, adaptive merge
-    "gram_matrix": (q_gram_matrix, sql_gram_matrix()),
-    # exact AUC / Mann-Whitney U via score histogram (tie-exact)
-    "auc": (q_auc, sql_auc()),
-    # exact convex hull: Akl-Toussaint prune + monotone chain
-    "convex_hull": (q_convex_hull, sql_convex_hull()),
-    # CUSUM changepoint: associative (T,M,X,D) segmented scan
-    "cusum": (q_cusum, sql_cusum()),
-    # integer z-score outlier flags: moments + broadcast flag pass
-    "outlier_flags": (q_outlier_flags, sql_outlier_flags()),
-    # interval x interval overlap join, max-start reporting rule
-    "interval_overlap": (q_interval_overlap, sql_interval_overlap()),
-    "token_quality": (q_token_quality, sql_token_quality()),
-    # byte-exact lowercase/whitespace normalization (RE2 both sides)
-    "text_normalize": (q_text_normalize, sql_text_normalize()),
-    # JSONL write+read round-trip vs the parquet originals
-    "jsonl_ingest": (q_jsonl_ingest, sql_jsonl_ingest()),
-    # CSV write+read round-trip (quoting/escaping + type inference)
-    "csv_ingest": (q_csv_ingest, sql_csv_ingest()),
-    # hive-partitioned parquet round trip + pruning invariant
-    "partitioned_ingest": (q_partitioned_ingest, sql_partitioned_ingest()),
-    "ipc_ingest": (q_ipc_ingest, sql_ipc_ingest()),
-    # RAG-style overlapping chunking (size 256 / stride 192): offset-
-    # loop of whole-batch Arrow slices, chunk text byte-exact
-    "chunk_documents": (q_chunk_documents, sql_chunk_documents()),
-    "lang_id": (q_lang_id, sql_lang_id()),
-    # PII redaction: RE2 scrub (email/phone/SSN/IPv4) with per-category
-    # counts; the oracle replays the identical patterns byte-for-byte
-    "pii_redact": (q_pii_redact, sql_pii_redact()),
-    # benchmark decontamination: exact 8-gram overlap vs the broadcast
-    # benchmark shingle-hash set (no shuffle); oracle joins the exact
-    # shingle strings
-    "decontam": (q_decontam, sql_decontam()),
-    # Gopher-style repetition quality: duplicate/top 2-gram fractions,
-    # IEEE-identical doubles vs the oracle
-    "rep_ngram_quality": (q_rep_ngram_quality, sql_rep_ngram_quality()),
-    # exact cross-document duplicated k-token spans (Lee et al.
-    # substring dedup): keys-only pair stream, min<max dup rule,
-    # size-routed broadcast-probe vs shuffle-join-back regimes
-    "dup_spans": (q_dup_spans, sql_dup_spans()),
-    # corpus-wide vocabulary census: per-batch partial token counts ->
-    # adaptive grouped sum -> deterministic top-K
-    "vocab_census": (q_vocab_census, sql_vocab_census()),
-    "unigram_surprisal": (q_unigram_surprisal, sql_unigram_surprisal()),
-    # bigram-LM scoring: corpus-scale census met via keys-only
-    # crossover join (never broadcast), exact integer bits
-    "bigram_lm": (q_bigram_lm, sql_bigram_lm()),
-    # SCD type-2 dimension build: LEAD validity intervals via one
-    # sort + next-block first-row carry
-    "scd2_dimension": (q_scd2_dimension, sql_scd2_dimension()),
-    # link prediction: common-neighbor counts on non-edges (wedge
-    # self-join, packed-pair grouped count, left-anti vs edges)
-    "link_prediction": (q_link_prediction, sql_link_prediction()),
-    # WHT spectral band energy: integer-exact butterfly vs the
-    # 256x256 bit_count-parity definition in SQL
-    "hadamard_bands": (q_hadamard_bands, sql_hadamard_bands()),
-    # lag-1 autocorrelation numerators: adjacent-pair sums with the
-    # block-boundary carry, exact integer cents
-    "autocorr_lag1": (q_autocorr_lag1, sql_autocorr_lag1()),
-    # time-weighted average: cents x whole-second holding durations
-    "twap_value": (q_twap_value, sql_twap_value()),
-    # anti-entropy bucket digests: order-insensitive sum-mod-p of
-    # chained row hashes, exact at any partitioning
-    "bucket_digest": (q_bucket_digest, sql_bucket_digest()),
-    # BPE tokenizer training: R census->argmax->merge rounds in the
-    # doubled-space domain (token-aligned greedy replace)
-    "bpe_train": (q_bpe_train, sql_bpe_train()),
-    # 3x3 median rank filter: exact middle order statistic, interior
-    "median_filter": (q_median_filter, sql_median_filter()),
-    # per-doc TF-IDF keyword: df table broadcast, integer fixed-point
-    # score so Ray and SQL agree exactly
-    "tfidf_top_term": (q_tfidf_top_term, sql_tfidf_top_term()),
-    # BM25 full-text search: broadcast query stats, exact integer
-    # rational-idf scoring, scatter-gather partial top-k
-    "bm25_search": (q_bm25_search, sql_bm25_search()),
-    # exact heavy hitters via Misra-Gries candidate pruning:
-    # O(blocks x k) communication, no vocab shuffle, exact counts
-    "heavy_hitters": (q_heavy_hitters, sql_heavy_hitters()),
-    # k-means assignment step: fixed centroids, IEEE-identical
-    # left-associative squared-L2 chain both sides (bit-exact)
-    "kmeans_assign": (q_kmeans_assign, sql_kmeans_assign()),
-    "doc_fingerprint": (q_doc_fingerprint, sql_doc_fingerprint()),
-    "dedup_exact": (q_dedup_exact, sql_dedup_exact()),
-    "corpus_filter": (q_corpus_filter, sql_corpus_filter()),
-    "minhash_dup_pairs": (q_minhash_dup_pairs, sql_minhash_dup_pairs()),
-    # character-level near-dup: PassJoin pigeonhole blocking + banded
-    # DP verify; exact levenshtein oracle
-    "edit_distance_join": (q_edit_distance_join, sql_edit_distance_join()),
-    # multi-detector dedup: Jaccard + edit-distance pair union -> CC
-    "multi_detector_dedup": (q_multi_detector_dedup,
-                             sql_multi_detector_dedup()),
-    # pair list -> components: distributed dedup clustering
-    # (functions/cc.py), recursive-CTE transitive-closure oracle
-    "dup_clusters": (q_dup_clusters, sql_dup_clusters()),
-    # integer fixed-point PageRank: exact unrolled-CTE oracle, edges
-    # materialized once, per-round join + grouped sum, O(1) driver
-    "pagerank": (q_pagerank, sql_pagerank()),
-    # the full fuzzy-dedup decision: anti-join the corpus against the
-    # non-representative cluster members (keys-only)
-    "fuzzy_dedup_corpus": (q_fuzzy_dedup_corpus, sql_fuzzy_dedup_corpus()),
-    "simhash": (q_simhash, sql_simhash()),
-    "ann_topk": (q_ann_topk, sql_ann_topk()),
-    "ann_sq8": (q_ann_sq8, sql_ann_sq8()),
-    "ann_pq": (q_ann_pq_gate, sql_ann_recall_gate()),
-    "embedding_near_dup": (q_embedding_near_dup, sql_embedding_near_dup()),
-    # SemDeDup composition: k-means cluster shuffle bounds the pair
-    # search; within-cluster rule encoded identically in the oracle
-    "semantic_near_dup": (q_semantic_near_dup, sql_semantic_near_dup()),
-    "lww_upsert": (q_lww_upsert, sql_lww_upsert()),
-    "ref_integrity": (q_ref_integrity, sql_ref_integrity()),
-    "grouped_any": (q_grouped_any, sql_grouped_any()),
-    "topk_customers": (q_topk_customers, sql_topk_customers()),
-    # windowed top-k PER GROUP (row_number <= k): partial per-batch
-    # top-k, one sort, segmented rank with a scalar carry per block
-    "topk_per_group": (q_topk_per_group, sql_topk_per_group()),
-    # grouped OLS trend: five int64 power sums through the adaptive
-    # ladder; exact integer slope numerator/denominator
-    "trend_slope": (q_trend_slope, sql_trend_slope()),
-    # retention curve: first-seen day via grouped MIN, bounded day
-    # rollup, one-task running total — no running-distinct state
-    "cume_users": (q_cume_users, sql_cume_users()),
-    # global NTILE(k): one sort + a row-count scalar per block; tiles
-    # reduce to per-block partial grouped sums (no per-row emission)
-    "ntile_orders": (q_ntile_orders, sql_ntile_orders()),
-    # two-step funnel conversion: grouped MIN over a packed
-    # (user, step) key, vectorized lane compare — no join, no window
-    "funnel": (q_funnel, sql_funnel()),
-    # co-occurrence matrix without the pair join: distinct -> bitmask
-    # fold -> <=2^T mask census -> driver pair expansion
-    "co_occurrence": (q_co_occurrence, sql_co_occurrence()),
-    # IDW grid interpolation: fixed-point integer weights, cells
-    # sharded, features broadcast once
-    "idw_grid": (q_idw_grid, sql_idw_grid()),
-    "sessionization": (q_sessionization, sql_sessionization()),
-    # grouped mode/argmax: two exact grouped aggregates on packed
-    # integer keys — no per-group Python, no window sort
-    "mode_event": (q_mode_event, sql_mode_event()),
-    "revenue_by_nation": (q_revenue_by_nation, sql_revenue_by_nation()),
-    # interval-union coverage per key (merged busy time + island
-    # count): one sort, exclusive-cummax sweep, one carry scalar per
-    # (block, key) — the running_sum_cents cross-block pattern
-    "interval_coverage": (q_interval_coverage, sql_interval_coverage()),
-    "group_moments": (q_group_moments, sql_group_moments()),
-    "distinct_users": (q_distinct_users, sql_distinct_users()),
-    "asof_last_order": (q_asof_last_order, sql_asof_last_order()),
-    # temporal gap-fill: daily rollup -> per-user grid -> as-of
-    # forward fill; filled values selected, never recomputed
-    "gap_fill": (q_gap_fill, sql_gap_fill()),
-    # bounded moving window: each observation fans out to the <=7
-    # ticks it affects; one grouped sum, no sort, no per-group Python
-    "moving_sum_7d": (q_moving_sum_7d, sql_moving_sum_7d()),
-    # exact distributed per-group quantiles by iterative histogram
-    # refinement (functions/quantile.py) — no sort, 2-3 pruned scans
-    "exact_quantiles": (q_exact_quantiles, sql_exact_quantiles()),
-    "range_join_prices": (q_range_join_prices, sql_range_join_prices()),
-    # approximate operators run inside bound-checking gates: approx +
-    # engine-exact side by side, verification columns SQL-predictable
-    # (round-2 verdict item #4 — no_oracle 4 -> 0)
-    "ann_ivf": (q_ann_ivf_gate, sql_ann_recall_gate()),
-    "approx_distinct_users": (
-        q_approx_distinct_users_gate, sql_approx_distinct_users_gate()
-    ),
-    # mergeable bottom-k sample sketch -> quantile estimates inside a
-    # binomial 3-sigma exact-rank bound gate (deterministic, so every
-    # verification column is SQL-predictable)
-    "sample_quantile": (q_sample_quantile, sql_sample_quantile()),
-    "flagship_spatial": (q_flagship_spatial, sql_flagship_spatial()),
-    "decode_psnr": (q_decode_psnr, sql_decode_psnr()),
-    "vector_dims": (q_vector_dims, sql_vector_dims()),
-    "ngram_jaccard": (q_ngram_jaccard, sql_ngram_jaccard()),
-    "running_value": (q_running_value, sql_running_value()),
-    # concat-and-chunk sequence packing (LLM context windows):
-    # sort + block prefix sums + bounded driver carry
-    "pack_sequences": (q_pack_sequences, sql_pack_sequences()),
-    "dedup_phash": (q_dedup_phash, sql_dedup_phash()),
-    # multi-zoom tile pyramid: base-zoom agg once, coarser levels
-    # rolled up level-by-level (~4/3 base cost; rollup provably exact)
-    "tile_pyramid": (q_tile_pyramid, sql_tile_pyramid()),
-    # polygon rasterization by center sampling: sharded grid x
-    # broadcast polygons, identical parity arithmetic both sides
-    "polygon_raster": (q_polygon_raster, sql_polygon_raster()),
-    # zonal statistics composed on the raster stage: per-zone band
-    # aggregate (count/sum/min/max), no new geometry kernel
-    "zonal_stats": (q_zonal_stats, sql_zonal_stats()),
-    # Hamming-ball phash near-dup: exact 4x16-bit pigeonhole banding
-    # (keys-only self-join + popcount verify; recall 1.0 by construction)
-    "phash_hamming": (q_phash_hamming, sql_phash_hamming()),
-    "ann_lsh": (q_ann_lsh_gate, sql_ann_recall_gate()),
-    "cell_tile_map": (q_cell_tile_map, sql_cell_tile_map()),
-    "route_payload": (q_route_payload, sql_route_payload()),
-    "embedding_near_dup_lsh": (
-        q_embedding_near_dup_lsh_gate, sql_embedding_near_dup_lsh_gate()
-    ),
-    "hot_cell_stats": (q_hot_cell_stats, sql_hot_cell_stats()),
-    "focal_sum": (q_focal_sum, sql_focal_sum()),
-    "hilbert_order": (q_hilbert_order, sql_hilbert_order()),
-    "hilbert_shards": (q_hilbert_shards, sql_hilbert_shards()),
-    "ring_area_centroid": (q_ring_area_centroid, sql_ring_area_centroid()),
-    # polygon simplification by grid snapping: exact vertex
-    # decimation, kept-position-weighted checksum
-    "ring_simplify": (q_ring_simplify, sql_ring_simplify()),
-    # skyline / Pareto frontier: grouped MIN per bounded dim +
-    # driver dominance filter + one membership-count pass
-    "skyline": (q_skyline, sql_skyline()),
-    "geohash_counts": (q_geohash, sql_geohash()),
-    "hex_cell_counts": (q_hex_cell_counts, sql_hex_cell_counts()),
-    "image_ops": (q_image_ops, sql_image_ops()),
-    # ViT-style patchify: 4x4 patch lattice with exact per-patch
-    # sums/extrema vs the full-pixel-stream regen oracle
-    "patch_stats": (q_patch_stats, sql_patch_stats()),
-    "hist_equalize": (q_hist_equalize, sql_hist_equalize()),
-    # 3x3 morphological erosion/dilation: exact integer min/max
-    # filters, position-weighted checksums, scatter-GROUP BY oracle
-    "morph_ops": (q_morph_ops, sql_morph_ops()),
-    # alpha compositing / watermark overlay: exact integer blend of
-    # the regenerated payload with a coordinate watermark
-    "blend_ops": (q_blend_ops, sql_blend_ops()),
-    # 3x3 box blur (integral image) + Sobel magnitude, valid region
-    "conv_ops": (q_conv_ops, sql_conv_ops()),
-    # blob labeling: per-image 4-connectivity CC, min-index labels
-    "blob_ops": (q_blob_ops, sql_blob_ops()),
-    # Otsu threshold: exact integer between-class-variance argmax
-    "otsu_ops": (q_otsu_ops, sql_otsu_ops()),
-    # broadcast Bloom blocklist: oracle rebuilds the bit array
-    # bit-for-bit, so observed false positives are verified exactly
-    "bloom_blocklist": (q_bloom_blocklist, sql_bloom_blocklist()),
-    # flip/rot90/crop augmentations pinned by destination-position-
-    # weighted exact checksums (wrong placement breaks the hash)
-    "augment_ops": (q_augment_ops, sql_augment_ops()),
-    # exact Q8.8 integer bilinear resize, every output byte recomputed
-    # by the oracle from the four regenerated corner pixels
-    "resize_bilinear": (q_resize_bilinear, sql_resize_bilinear()),
-    "bpe_token_count": (q_bpe_token_count, sql_bpe_token_count()),
-    "video_frames": (q_video_frames, sql_video_frames()),
-    # per-pair exact motion energy over the first 8 frames (shot-
-    # boundary primitive); regen self-join oracle
-    "video_motion": (q_video_motion, sql_video_motion()),
-    "strtree_pairs": (q_strtree_pairs, sql_strtree_pairs()),
-    # north-star STRtree-backed PIP stage under 1080-polygon load
-    "strtree_pip": (q_strtree_pip, sql_strtree_pip()),
-    # segment x polygon-edge proper-crossing join (vector clip
-    # candidate step): STRtree candidates, identical int64 crossing
-    # algebra on both sides
-    "segment_clip": (q_segment_clip, sql_segment_clip()),
-    # same pixel-regen oracle as image_ops: a hash match PROVES the
-    # real-PNG encode->decode roundtrip is bit-exact end to end
-    "png_ops": (q_png_ops, sql_image_ops()),
-    # real BMP + uncompressed-TIFF codecs (stdlib struct/numpy),
-    # alternating per row; same pixel-regen oracle as image_ops —
-    # a hash match proves both lossless roundtrips bit-exact
-    "container_ops": (q_container_ops, sql_image_ops()),
-    # real VP8L lossless WebP codec; same pixel-regen oracle — a hash
-    # match proves the prefix-code/LZ77/subtract-green roundtrip exact
-    "webp_ops": (q_webp_ops, sql_image_ops()),
-    # real GIF codec (LZW + palette): posterize-then-encode, oracle
-    # regenerates the posterized pixels ((v//43)*51) — hash match
-    # proves the quantize->LZW roundtrip exact, incl. interlace and
-    # animated first-frame layouts
-    "gif_ops": (q_gif_ops, sql_image_ops(posterize=True)),
-    # real QOI codec; same pixel-regen oracle — a hash match proves
-    # the RUN/DIFF/LUMA/RGB roundtrip exact
-    "qoi_ops": (q_qoi_ops, sql_image_ops()),
-    # heterogeneous corpus: 7-way lossless codec round-robin through
-    # one fmt-dispatching actor pool; one hash covers every path
-    "mixed_media_ops": (q_mixed_media_ops, sql_image_ops()),
-    # lossy-codec invariant: per-row PSNR>=40dB bar + caption equality,
-    # both SQL-predictable booleans
-    "jpeg_psnr": (q_jpeg_psnr, sql_jpeg_psnr()),
-    # real-FLAC audio codec roundtrip: structure (sample/frame counts)
-    # + lossless bit, all SQL-predictable; decoder CRC/MD5 checks run
-    # on every clip
-    "flac_ops": (q_flac_ops, sql_flac_ops()),
-    # real IMA-ADPCM codec (WAV fmt 0x11): structure + exact container
-    # size + SNR>=25dB bar, all SQL-predictable
-    "adpcm_ops": (q_adpcm_ops, sql_adpcm_ops()),
-    # G.711 mu-law/A-law (WAV fmt 7/6): exact container size, SNR>=30dB
-    # bar, bit-exact stream requantization — all SQL-predictable
-    "g711_ops": (q_g711_ops, sql_g711_ops()),
-    # multimodal composition: decode -> features -> kNN in feature space
-    "image_similarity": (q_image_similarity, sql_image_similarity()),
-    # deterministic per-language quota sampling (data mixing) —
-    # splitmix64-ranked, RNG-free, exact SQL twin
-    "quota_sample": (q_quota_sample, sql_quota_sample()),
-    # weighted sampling without replacement (min-of-w-hashes ticket
-    # lottery): stateless partial bottom-k, one bounded final task
-    "weighted_sample": (q_weighted_sample, sql_weighted_sample()),
-    # deterministic stratified 80/10/10 split; gate verifies the
-    # per-(lang, split) counts + char totals
-    "stratified_split": (q_stratified_split, sql_stratified_split()),
-    # GROUP BY ROLLUP: finest level from the data, coarser levels
-    # rolled up exactly in one bounded final task
-    "rollup_lang_source": (q_rollup_lang_source, sql_rollup_lang_source()),
-    # GROUP BY CUBE: full grouping-set lattice rolled up exactly from
-    # the finest level in one bounded final task
-    "cube_lang_source": (q_cube_lang_source, sql_cube_lang_source()),
-    # median absolute deviation: two exact-quantile runs composed,
-    # medians broadcast between them; rank rule identical in SQL
-    "mad_value": (q_mad_value, sql_mad_value()),
-    # image moments: six exact-int luma power sums (centroid/
-    # orientation bases), O(w+h) marginal-sum kernel
-    "image_moments": (q_image_moments, sql_image_moments()),
-    # ordered Bayer dithering to 1 bit/channel: closed bit-form
-    # matrix, pure-integer threshold, position-weighted checksum
-    "bayer_dither": (q_bayer_dither, sql_bayer_dither()),
-    # Hough line transform: packed-key bincount votes, exact argmax
-    # line per image under the deterministic tie rule
-    "hough_lines": (q_hough_lines, sql_hough_lines()),
-    # Klee's measure: exact rectangle-union area, coarse-grid scatter
-    # + independent per-cell sweeps (quadtree split on the hot cell);
-    # oracle computes the same measure by the islands-window algorithm
-    "rect_union_area": (q_rect_union_area, sql_rect_union_area()),
-    # per-user trajectory stats (path length, moves, duration) on the
-    # shared adjacent-pair kernel — one sort, boundary carry rows
-    "trajectory_stats": (q_trajectory_stats, sql_trajectory_stats()),
-    # marching-squares isoline case census: corner-bit scatter, exact
-    # per-(image, case) counts
-    "marching_squares": (q_marching_squares, sql_marching_squares()),
-    # local binary patterns: 8-bit texture codes, interior checksums
-    "lbp_texture": (q_lbp_texture, sql_lbp_texture()),
-    # Harris corners: exact-integer R16 = 16*det - trace^2 response
-    "harris_corners": (q_harris_corners, sql_harris_corners()),
-    # exact supercover rasterization of trajectory segments: pair
-    # scatter kernel + separating-axis cell test, per-cell counts
-    "segment_raster": (q_segment_raster, sql_segment_raster()),
-    # autocorrelation pitch detection: exact integer argmax lag over
-    # regenerable triangle+noise PCM
-    "pitch_lag": (q_pitch_lag, sql_pitch_lag()),
-    # Soundex phonetic blocking census: identical RE2 chains on both
-    # sides, bounded grouped aggregate
-    "soundex_blocking": (q_soundex_blocking, sql_soundex_blocking()),
-    # seam-carving DP: min vertical seam cost, recursive-CTE twin
-    "seam_cost": (q_seam_cost, sql_seam_cost()),
-    # grouped longest common prefix: LCP(set) = LCP(min, max), two
-    # associative string aggregates
-    "group_lcp": (q_group_lcp, sql_group_lcp()),
-    # exact closest pair via grid-neighborhood ghosts; per-cell
-    # vectorized distance matrices, one bounded final argmin
-    "closest_pair": (q_closest_pair, sql_closest_pair()),
-    # saturated L1 distance transform: 6 vectorized BFS rounds,
-    # recursive-CTE twin
-    "dist_transform": (q_dist_transform, sql_dist_transform()),
-    # histogram matching onto a regenerated partner image: exact
-    # cross-multiplied cdf mapping, no floats, no shuffle
-    "hist_match": (q_hist_match, sql_hist_match()),
-    # exact alpha=1/2 EWMA over each user's latest 16 events:
-    # grouped_topk window + crossover join-back, division-free
-    "ewma_half": (q_ewma_half, sql_ewma_half()),
-    # per-user heading histogram: integer octant classification on
-    # the adjacent-pair kernel
-    "move_directions": (q_move_directions, sql_move_directions()),
-    # 256-point number-theoretic transform mod 65537: fast butterfly
-    # vs the power-table definition oracle
-    "ntt_spectrum": (q_ntt_spectrum, sql_ntt_spectrum()),
-    # Canny: Sobel -> quantized NMS -> double threshold -> bounded
-    # 4-round hysteresis; BFS-recursion oracle
-    "canny_edges": (q_canny_edges, sql_canny_edges()),
-    # exact 5:7 rational resampling in x5 fixed point, sample-exact
-    "resample_audio": (q_resample_audio, sql_resample_audio()),
-    # Douglas-Peucker trajectory simplification: exact int64 cross^2
-    # split rule, interval-recursion oracle
-    "polyline_simplify": (q_polyline_simplify, sql_polyline_simplify()),
-    # per-language Gini impurity numerators of the source mix
-    "gini_impurity": (q_gini_impurity, sql_gini_impurity()),
-    # fixed decision-tree batch inference: broadcast model constants,
-    # pure vector scoring, bounded leaf census
-    "tree_score": (q_tree_score, sql_tree_score()),
-    # streaming watermark late-event detection: arrival-order prefix
-    # max via the per-block carry pattern
-    "late_events": (q_late_events, sql_late_events()),
-    # watermark-corrected windowed aggregate: final + on-time emission
-    # values and per-window correction counts (recompute oracle)
-    "late_corrected_windows": (q_late_corrected_windows,
-                               sql_late_corrected_windows()),
-    # deterministic global shuffle: seed-keyed permutation positions
-    "epoch_shuffle": (q_epoch_shuffle, sql_epoch_shuffle()),
-    # dominant eigenvector of the embedding gram matrix (exact ints)
-    "power_iteration": (q_power_iteration, sql_power_iteration()),
-    # synchronous label-propagation communities (unrolled-round twin)
-    "label_propagation": (q_label_propagation, sql_label_propagation()),
-    # exact per-user 7-row rolling lower median (window scatter +
-    # key-derived target-rank pick; no per-group Python)
-    "rolling_median": (q_rolling_median, sql_rolling_median()),
-    # content-policy phrase blocklist (multi-pattern substring counts)
-    "phrase_blocklist": (q_phrase_blocklist, sql_phrase_blocklist()),
-    # HITS hubs/authorities, exact integer fixed point, unrolled twin
-    "hits_scores": (q_hits_scores, sql_hits_scores()),
-    # predicate+projection pushdown at the parquet scan (runtime-
-    # asserted), grouped revenue over the surviving rows
-    "pushdown_filter": (q_pushdown_filter, sql_pushdown_filter()),
-    # Hampel filter: rolling robust outliers (med + MAD window picks)
-    "hampel_outliers": (q_hampel_outliers, sql_hampel_outliers()),
-    # dedup survivorship by quality rule (longest doc, tie min id)
-    "survivorship_dedup": (q_survivorship_dedup,
-                           sql_survivorship_dedup()),
-    # exact per-group 95th percentile (order-statistic rank pick)
-    "grouped_p95": (q_grouped_p95, sql_grouped_p95()),
-    # co-purchase recommendations: pair counts + per-item top-k
-    "copurchase_topk": (q_copurchase_topk, sql_copurchase_topk()),
-    # end-to-end image dedup: phash pairs -> CC -> representatives
-    "image_dedup_clusters": (q_image_dedup_clusters,
-                             sql_image_dedup_clusters()),
-    # exact-integer modularity terms of the LPA communities
-    "modularity": (q_modularity, sql_modularity()),
-    # market-basket association rules (support + exact-integer lift)
-    "assoc_rules": (q_assoc_rules, sql_assoc_rules()),
-    # rolling 7-day distinct active users (WAU curve), keys-only
-    "rolling_active_users": (q_rolling_active_users,
-                             sql_rolling_active_users()),
-    # language-conditional top-5 vocabulary (per-slice vocab census)
-    "top_terms_per_lang": (q_top_terms_per_lang,
-                           sql_top_terms_per_lang()),
-    # caption content census: parsed captions vs word-list-spec regen
-    # with a per-combo id-hash checksum (pins the caption->row MAPPING)
-    "caption_census": (q_caption_census, sql_caption_census()),
-    # dedup observability: per-source clustered/removed counts
-    "dup_ratio_by_source": (q_dup_ratio_by_source,
-                            sql_dup_ratio_by_source()),
-    # k-NN majority-vote classification (leave-one-out embedding eval)
-    "knn_classify": (q_knn_classify, sql_knn_classify()),
+_EXCEPTIONS = {
+    "geohash_counts": (q_geohash, sql_geohash),
+    "approx_distinct_users": (q_approx_distinct_users_gate,
+                              sql_approx_distinct_users_gate),
+    "embedding_near_dup_lsh": (q_embedding_near_dup_lsh_gate,
+                               sql_embedding_near_dup_lsh_gate),
+    "ann_pq": (q_ann_pq_gate, sql_ann_recall_gate),
+    "ann_ivf": (q_ann_ivf_gate, sql_ann_recall_gate),
+    "ann_lsh": (q_ann_lsh_gate, sql_ann_recall_gate),
+    "png_ops": (q_png_ops, sql_image_ops),
+    "container_ops": (q_container_ops, sql_image_ops),
+    "webp_ops": (q_webp_ops, sql_image_ops),
+    "qoi_ops": (q_qoi_ops, sql_image_ops),
+    "mixed_media_ops": (q_mixed_media_ops, sql_image_ops),
+    "gif_ops": (q_gif_ops, functools.partial(sql_image_ops, posterize=True)),
 }
+_covered = {fn for fn, _sql in _EXCEPTIONS.values()}
+QUERIES: dict[str, tuple] = {
+    name[2:]: (fn, globals()["sql_" + name[2:]])
+    for name, fn in list(globals().items())
+    if name.startswith("q_") and "sql_" + name[2:] in globals()
+    and fn not in _covered
+} | _EXCEPTIONS

@@ -21,6 +21,8 @@ import zlib
 
 import pyarrow as pa
 
+from .osmxml import MEMBER_T, TAG_T, elements_from_store_tables
+
 _MEMBER_TYPES = ("node", "way", "relation")
 
 
@@ -171,51 +173,7 @@ def pbf_to_elements(path: str):
     """.pbf -> unified elements table (ELEMENTS_SCHEMA, action='create')
     — the engine's extension-dispatch path for `osmxml --input x.pbf`
     (reference: OsmWriter::import, src/osm.rs:262-279)."""
-    import pyarrow as pa
-
-    from .osmxml import ELEMENTS_SCHEMA
-
-    nodes, ways, relations = read_pbf(path)
-    rows = []
-    pos = 0
-    for i in range(nodes.num_rows):
-        rows.append(
-            {
-                "pos": pos, "etype": "node", "id": nodes["id"][i].as_py(),
-                "action": "create", "lat": nodes["lat"][i].as_py(),
-                "lon": nodes["lon"][i].as_py(), "refs": None, "members": None,
-                "tags": None, "version": None, "timestamp": None, "uid": None,
-                "user": None, "changeset": None, "minlat": None,
-                "maxlat": None, "minlon": None, "maxlon": None,
-            }
-        )
-        pos += 1
-    for i in range(ways.num_rows):
-        rows.append(
-            {
-                "pos": pos, "etype": "way", "id": ways["id"][i].as_py(),
-                "action": "create", "lat": None, "lon": None,
-                "refs": ways["refs"][i].as_py(), "members": None, "tags": None,
-                "version": None, "timestamp": None, "uid": None, "user": None,
-                "changeset": None, "minlat": None, "maxlat": None,
-                "minlon": None, "maxlon": None,
-            }
-        )
-        pos += 1
-    for i in range(relations.num_rows):
-        rows.append(
-            {
-                "pos": pos, "etype": "relation", "id": relations["id"][i].as_py(),
-                "action": "create", "lat": None, "lon": None, "refs": None,
-                "members": relations["members"][i].as_py(),
-                "tags": relations["tags"][i].as_py(),
-                "version": None, "timestamp": None, "uid": None, "user": None,
-                "changeset": None, "minlat": None, "maxlat": None,
-                "minlon": None, "maxlon": None,
-            }
-        )
-        pos += 1
-    return pa.Table.from_pylist(rows, schema=ELEMENTS_SCHEMA)
+    return elements_from_store_tables(*read_pbf(path))
 
 
 def read_pbf(path: str):
@@ -283,10 +241,6 @@ def read_pbf(path: str):
                     rmembers.append(members)
                     rtags.append(tags)
 
-    member_t = pa.list_(
-        pa.struct([("ref", pa.int64()), ("role", pa.string()), ("type", pa.string())])
-    )
-    tag_t = pa.list_(pa.struct([("k", pa.string()), ("v", pa.string())]))
     nodes = pa.table(
         {
             "id": pa.array(nid, pa.int64()),
@@ -300,8 +254,8 @@ def read_pbf(path: str):
     relations = pa.table(
         {
             "id": pa.array(rid, pa.int64()),
-            "members": pa.array(rmembers, member_t),
-            "tags": pa.array(rtags, tag_t),
+            "members": pa.array(rmembers, pa.list_(MEMBER_T)),
+            "tags": pa.array(rtags, pa.list_(TAG_T)),
         }
     )
     return nodes, ways, relations

@@ -61,6 +61,32 @@ ELEMENTS_SCHEMA = pa.schema(
     ]
 )
 
+
+def elements_from_store_tables(nodes: pa.Table, ways: pa.Table,
+                               relations: pa.Table) -> pa.Table:
+    """The ELEMENTS_SCHEMA "create" table of store-layout tables (nodes:
+    id, lat, lon; ways: id, refs; relations: id, members and, when
+    present, tags), nodes then ways then relations, ``pos`` in that
+    order.  Column-wise: a column the table carries is reused as is,
+    every other one is null; no per-row Python."""
+    out, pos0 = [], 0
+    for tbl, etype in ((nodes, "node"), (ways, "way"), (relations, "relation")):
+        m = tbl.num_rows
+        cols = {
+            "pos": pa.array(pos0 + np.arange(m, dtype=np.int64)),
+            "etype": pa.array([etype] * m, pa.string()),
+            "action": pa.array(["create"] * m, pa.string()),
+        }
+        out.append(pa.table(
+            {f.name: cols[f.name] if f.name in cols
+             else tbl[f.name] if f.name in tbl.column_names
+             else pa.nulls(m, f.type) for f in ELEMENTS_SCHEMA},
+            schema=ELEMENTS_SCHEMA,
+        ))
+        pos0 += m
+    return pa.concat_tables(out)
+
+
 _ACTIONS = {"create", "modify", "delete"}
 
 

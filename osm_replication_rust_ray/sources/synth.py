@@ -630,43 +630,7 @@ def synth_store_elements(n: int, seed: int = SEED) -> pa.Table:
     :func:`synth_store`'s contents — ``ElementStore.apply_changes`` of
     this table seeds a REAL store with the synthetic fixture,
     so end-to-end ``run_sequence`` tests and probes can run at
-    representative scale.  Fully
-    column-wise: list columns are reused from the store tables, no
-    per-row Python."""
-    from .osmxml import ELEMENTS_SCHEMA, MEMBER_T, TAG_T
+    representative scale."""
+    from .osmxml import elements_from_store_tables
 
-    nodes, ways, relations = synth_store(n, seed)
-
-    def lift(tbl: pa.Table, etype: str, pos0: int) -> pa.Table:
-        m = tbl.num_rows
-        cols = {
-            "pos": pa.array(pos0 + np.arange(m, dtype=np.int64)),
-            "etype": pa.array([etype] * m, pa.string()),
-            "id": tbl["id"],
-            "action": pa.array(["create"] * m, pa.string()),
-            "lat": tbl["lat"] if "lat" in tbl.column_names else pa.nulls(m, pa.int64()),
-            "lon": tbl["lon"] if "lon" in tbl.column_names else pa.nulls(m, pa.int64()),
-            "refs": tbl["refs"] if "refs" in tbl.column_names
-            else pa.nulls(m, pa.list_(pa.int64())),
-            "members": tbl["members"] if "members" in tbl.column_names
-            else pa.nulls(m, pa.list_(MEMBER_T)),
-            "tags": pa.nulls(m, pa.list_(TAG_T)),
-            "version": pa.nulls(m, pa.int64()),
-            "timestamp": pa.nulls(m, pa.string()),
-            "uid": pa.nulls(m, pa.int64()),
-            "user": pa.nulls(m, pa.string()),
-            "changeset": pa.nulls(m, pa.int64()),
-            "minlat": pa.nulls(m, pa.int64()),
-            "maxlat": pa.nulls(m, pa.int64()),
-            "minlon": pa.nulls(m, pa.int64()),
-            "maxlon": pa.nulls(m, pa.int64()),
-        }
-        return pa.table(
-            {name: cols[name] for name in ELEMENTS_SCHEMA.names},
-            schema=ELEMENTS_SCHEMA,
-        )
-
-    nt = lift(nodes, "node", 0)
-    wt = lift(ways, "way", nt.num_rows)
-    rt = lift(relations, "relation", nt.num_rows + wt.num_rows)
-    return pa.concat_tables([nt, wt, rt])
+    return elements_from_store_tables(*synth_store(n, seed))

@@ -212,3 +212,19 @@ def test_cli_diffs_synthetic(tmp_path, capsys):
                        tree, parent, str(tmp_path / "direct"), m, 1)
     assert got.num_rows > 0
     assert printed == {"assignments": got.num_rows, "partitions": len(m.done())}
+
+
+def test_load_tree_parent_skips_file_less_levels(tmp_path):
+    """A directory level without a .poly file is no parent: `./a/x/y`
+    hangs under `./a`, and a top-level path has no parent."""
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.sources.polyfile import multipolygon_to_poly_text
+    from osm_replication_rust_ray.sources.synth import synth_polygon_tree
+
+    mp = synth_polygon_tree()[0][1]
+    (tmp_path / "a" / "x").mkdir(parents=True)
+    for rel in ("a.poly", "a/x/y.poly", "b.poly"):
+        (tmp_path / rel).write_text(multipolygon_to_poly_text("p", mp))
+    tree, parent = _load_tree(str(tmp_path))
+    assert [p for p, _n, _mp in tree] == ["./a", "./a/x/y", "./b"]
+    assert parent == {"./a": None, "./a/x/y": "./a", "./b": None}

@@ -1,16 +1,17 @@
-"""Compare the oracle SQL of two checkouts.
+"""Compare the registries of two checkouts: oracle SQL and pipelines.
 
-Loads ``oracle_sql()`` from each checkout (one child process each, so
-the two packages never share an interpreter), prints the entries whose
-SQL text differs, and runs both texts of each such entry in DuckDB over
-the same sf dir, comparing row count, schema and the order-insensitive
-value hash of ``tools/check_correctness.py`` (and printing both run
-times).  Usage:
+Loads ``oracle_sql()`` and ``queries()`` from each checkout (one child
+process each, so the two packages never share an interpreter).  Prints
+every name whose pipeline (``module.qualname``) differs or exists on one
+side only.  Prints the entries whose SQL text differs, and runs both
+texts of each such entry in DuckDB over the same sf dir, comparing row
+count, schema and the order-insensitive value hash of
+``tools/check_correctness.py`` (and printing both run times).  Usage:
 
     python tools/oracle_diff.py OLD_CHECKOUT NEW_CHECKOUT [sf_dir] [query ...]
 
 Named queries run even when their text is unchanged.  Exit status 1 if
-any changed entry's result differs.
+any pipeline changed or any changed entry's result differs.
 """
 
 from __future__ import annotations
@@ -28,13 +29,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from check_correctness import TABLES, value_hash  # noqa: E402
 
 _DUMP = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-         "import __ray_entry__ as m; json.dump(m.oracle_sql(), sys.stdout)")
+         "import __ray_entry__ as m; json.dump({'sql': m.oracle_sql(), "
+         "'fn': {n: f.__module__ + '.' + f.__qualname__ "
+         "for n, f in m.queries().items()}}, sys.stdout)")
 
 
-def load_oracles(checkout: str) -> dict[str, str]:
+def load_registry(checkout: str) -> tuple[dict[str, str], dict[str, str]]:
+    """(oracle SQL by name, pipeline ``module.qualname`` by name)."""
     out = subprocess.run([sys.executable, "-c", _DUMP, checkout],
                          stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(out.stdout)
+    d = json.loads(out.stdout)
+    return d["sql"], d["fn"]
 
 
 def sha(sql: str | None) -> str:
@@ -56,7 +61,12 @@ def main() -> int:
     old_dir, new_dir = sys.argv[1], sys.argv[2]
     sf_dir = sys.argv[3] if len(sys.argv) > 3 else "/root/testdata/sf0.01"
     only = set(sys.argv[4:])
-    old, new = load_oracles(old_dir), load_oracles(new_dir)
+    (old, old_fn), (new, new_fn) = load_registry(old_dir), load_registry(new_dir)
+    fn_changed = sorted(n for n in old_fn.keys() | new_fn.keys()
+                        if old_fn.get(n) != new_fn.get(n))
+    print(f"{len(fn_changed)} of {len(new_fn)} pipelines changed")
+    for name in fn_changed:
+        print(f"[PIPELINE] {name}: {old_fn.get(name, '-')} -> {new_fn.get(name, '-')}")
     con = duckdb.connect()
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
@@ -78,7 +88,7 @@ def main() -> int:
         if not ok:
             bad.append(name)
     print("DIFFERENT:", bad if bad else "none")
-    return 1 if bad else 0
+    return 1 if bad or fn_changed else 0
 
 
 if __name__ == "__main__":
