@@ -136,6 +136,17 @@ class MultiPolygon:
             np.arange(self.n_rings), np.diff(self.starts).astype(np.int64)
         )
 
+    def fan_triangles(self, buffer: int = BUFFER_DECIMICRO, quad_segs: int = 8) -> np.ndarray:
+        """``chordal_fan_triangles(self, buffer, quad_segs)``, built on
+        first use and cached on the polygon (a pure-Python walk over
+        every vertex, so a polygon tree reused across diffs builds each
+        polygon's fans once)."""
+        cache = self.__dict__.setdefault("_fans", {})
+        key = (buffer, quad_segs)
+        if key not in cache:
+            cache[key] = chordal_fan_triangles(self, buffer, quad_segs)
+        return cache[key]
+
 
 def _exact_det2(a1, b1, a2, b2, idx):
     """Exact a1*b1 - a2*b2 sign for the (small) index set ``idx``."""

@@ -44,7 +44,6 @@ src/osmxml/bbox.rs:269-271), is the test oracle ``tests/bbox_oracle.py``.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..sources.store import Resolver
@@ -75,10 +74,20 @@ def _segment_union(n: int, idx: np.ndarray, boxes: np.ndarray) -> np.ndarray:
 
 
 def _running_union(key: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Per run of equal ``key`` (sorted), the running union of ``boxes``."""
-    g = pd.DataFrame(boxes.T).groupby(key, sort=False)
-    return np.stack([(g[c].cummin() if c % 2 == 0 else g[c].cummax()).to_numpy(np.int64)
-                     for c in range(4)])
+    """Per run of equal ``key`` (sorted), the running union of ``boxes``:
+    a log-step (Hillis-Steele) scan, where step ``s`` folds in the box
+    ``s`` rows back within the same run.  Min and max only, so the
+    sentinels pass through exactly."""
+    out = boxes.copy()
+    n = len(key)
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    depth = np.arange(n) - np.repeat(run_start, np.diff(np.append(run_start, n)))
+    s = 1
+    while n and s <= depth.max():
+        i = np.flatnonzero(depth >= s)
+        out[:, i] = _union(out[:, i], out[:, i - s])
+        s *= 2
+    return out
 
 
 class _PrefixBoxes:

@@ -1,6 +1,6 @@
 """Polygon diff filter — engine form of OsmXmlFilter (src/osmxml/filter.rs).
 
-Classifies every diff element into a 3-way verdict against one polygon:
+Classifies every diff element into a 3-way verdict against each polygon:
 
     keep    — geometry evidence inside the EXACT polygon (action kept)
     delete  — evidence only inside the 0.1°-BUFFERED polygon (action
@@ -35,12 +35,25 @@ reach (a visited set bounds it; no depth cap), the store refs of every
 way and the store point of every node it can probe.  The bbox pass
 (`stages/bbox.py`) runs on it too.  `DiffEvidence` adds what else does
 not depend on the polygon: new points, boxes, and the old points of
-the ids in ``node_ids``.  `PolyTests` tests the geometry of one polygon.
+the ids in ``node_ids``.
+
+The geometry is one pass over the whole tree, not one per polygon
+(the batched many-query join of *Joinable Search Over Multi-Source
+Spatial Datasets*, ICDE 2025): a `PolyTreeIndex` over the tree's
+polygons (the tile join's STRtree and pair-segmented kernels) takes
+one candidate query each for the old points, the new node points and
+the row boxes, refines the pairs (exact PIP, the chordal point buffer
+of GEOS buffer(0.1, 8), src/osmxml/filter.rs:44-56, and the Euclidean
+box gate, which only gates candidacy), and `DiffEvidence.tree_hits`
+groups the sparse hits by polygon (`PolyHits`).
 
 The polygon-tree driver (`filter_tree`) replaces the reference's
-recursive rayon fan-out (src/diffs.rs:168-191): each child runs on its
+recursive rayon fan-out (src/diffs.rs:168-191): each child runs the
+evidence kernel (`DiffEvidence.verdicts`) with its hits on its
 parent's ``live`` rows (a bool mask over the diff), and a ``deleted``
-mask carries the parent's action rewrite.  Every diff, whatever its
+mask carries the parent's action rewrite; a polygon with no hit
+drops every row without a kernel run.  `filter_elements` is the same
+pass on a one-polygon tree.  Every diff, whatever its
 size, runs here in the calling process; its peak memory is about 1 kB
 per element of store plus diff (SCALE.md §2).  The per-row
 automaton that mirrors the reference's memo sets is the test oracle
@@ -54,15 +67,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..geom import (
-    BUFFER_DECIMICRO,
-    MultiPolygon,
-    boxes_intersect_buffered,
-    points_in_buffered_chordal,
-    points_in_multipolygon,
-)
+from typing import NamedTuple
+
+from ..geom import MultiPolygon
 from ..sources.store import Resolver
 from .dist import REL_ROUNDS_CAP, FixpointCapError
+from .spatial_join import PolyTreeIndex
 
 EV_OLD = np.int64(-1)              # static (old-store) evidence
 EV_NONE = np.iinfo(np.int64).max   # no evidence
@@ -81,47 +91,6 @@ def _mtype_codes(type_str: pa.Array) -> pa.Array:
         ),
         pa.int8(),
     )
-
-
-class PolyTests:
-    """The geometry tests of one polygon, pruned to its bbox widened by
-    the 0.1° buffer (``BUFFER_DECIMICRO``): the exact polygon and both
-    buffers lie inside that rectangle, so a point or box outside it is
-    "not in" without a test.
-
-    The point buffer test is chordal (GEOS quadrant-segment parity,
-    geom.points_in_buffered_chordal): it matches the reference's
-    buffer(0.1, 8), src/osmxml/filter.rs:44-56, so keep/delete
-    verdicts agree with the Rust binary even for points in the
-    chord/arc gap band.  The bbox gate is Euclidean: it only gates
-    candidacy, and Euclidean ⊇ chordal keeps it a valid superset."""
-
-    def __init__(self, mp: MultiPolygon):
-        self.mp = mp
-        x0, y0, x1, y1 = mp.bbox()
-        b = BUFFER_DECIMICRO
-        self.window = (x0 - b, y0 - b, x1 + b, y1 + b)
-
-    def points(self, lon: np.ndarray, lat: np.ndarray):
-        """-> (in exact, in buffered) bool arrays, one per point."""
-        x0, y0, x1, y1 = self.window
-        near = np.flatnonzero((lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1))
-        ex, bf = np.zeros(len(lon), bool), np.zeros(len(lon), bool)
-        ex[near] = points_in_multipolygon(lon[near], lat[near], self.mp)
-        bf[near] = points_in_buffered_chordal(lon[near], lat[near], self.mp)
-        return ex, bf
-
-    def boxes(self, minlon, minlat, maxlon, maxlat) -> np.ndarray:
-        """-> bool array: the box meets the buffered polygon."""
-        x0, y0, x1, y1 = self.window
-        near = np.flatnonzero(
-            (minlon <= x1) & (maxlon >= x0) & (minlat <= y1) & (maxlat >= y0)
-        )
-        hits = np.zeros(len(minlon), bool)
-        hits[near] = boxes_intersect_buffered(
-            minlon[near], minlat[near], maxlon[near], maxlat[near], self.mp
-        )
-        return hits
 
 
 # ---- verdict ladders (src/osmxml/filter.rs:219-299): ``pos`` is each
@@ -156,6 +125,28 @@ def _exploded(lists) -> tuple[np.ndarray, pa.Array]:
     """(list index, value) of every value of an Arrow list column."""
     lists = lists.combine_chunks()
     return _np(pc.list_parent_indices(lists)), pc.list_flatten(lists)
+
+
+def _mask(n: int, idx: np.ndarray) -> np.ndarray:
+    out = np.zeros(n, bool)
+    out[idx] = True
+    return out
+
+
+def _split(n_polys: int, poly: np.ndarray, item: np.ndarray) -> list[np.ndarray]:
+    """``item`` grouped by ``poly``: one array per polygon in ``range(n_polys)``."""
+    o = np.argsort(poly, kind="stable")
+    return np.split(item[o], np.searchsorted(poly[o], np.arange(1, n_polys)))
+
+
+class PolyHits(NamedTuple):
+    """One polygon's sparse geometry hits over one diff."""
+
+    old_ex: np.ndarray   # closure nodes (``N`` indices): old point in the polygon
+    old_bf: np.ndarray   # ... in its chordal buffer
+    node_ex: np.ndarray  # node rows (``nrow`` indices): new point in the polygon
+    node_bf: np.ndarray  # ... in its chordal buffer
+    box: np.ndarray      # boxed rows (``boxrow`` indices): box meets the buffered polygon
 
 
 def _first(n: int, idx: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -269,27 +260,41 @@ class DiffEvidence(DiffClosure):
                 break
         return val
 
-    def verdicts(self, tests: PolyTests, live: np.ndarray) -> np.ndarray:
+    def tree_hits(self, index: PolyTreeIndex) -> list[PolyHits]:
+        """Per polygon of ``index``, its hits over the whole diff: one
+        candidate query and one pair-segmented refine for each input
+        (old points, new node points, row boxes), for every polygon at
+        once, whatever rows a polygon's parent passes on."""
+        n_polys = len(index.polys)
+        oi, ok, ox = index.point_hits(self.old_lon, self.old_lat)
+        ni, nk, nx = index.point_hits(self.nlon, self.nlat)
+        bi, bk = index.box_hits(*self.boxes)
+        return [PolyHits(*h) for h in zip(
+            _split(n_polys, ok[ox], self.old[oi[ox]]), _split(n_polys, ok, self.old[oi]),
+            _split(n_polys, nk[nx], ni[nx]), _split(n_polys, nk, ni),
+            _split(n_polys, bk, bi),
+        )]
+
+    def verdicts(self, hits: PolyHits, live: np.ndarray) -> np.ndarray:
         """int8 verdict per row (KEEP / DELETE / DROP) for the polygon of
-        ``tests`` over the rows where ``live`` is set; other rows DROP
+        ``hits`` over the rows where ``live`` is set; other rows DROP
         and memoize nothing."""
         v = np.full(self.n, DROP, np.int8)
         ex, bf = np.full(len(self.N), EV_NONE), np.full(len(self.N), EV_NONE)
-        old_ex, old_bf = tests.points(self.old_lon, self.old_lat)
-        ex[self.old[old_ex]] = EV_OLD
-        bf[self.old[old_bf]] = EV_OLD
+        ex[hits.old_ex] = EV_OLD
+        bf[hits.old_bf] = EV_OLD
 
         m = live[self.nrow]
         rows, u = self.nrow[m], self.nrow_u[m]
-        new_ex, new_bf = tests.points(self.nlon[m], self.nlat[m])
+        new_ex = _mask(len(self.nrow), hits.node_ex)[m]
+        new_bf = _mask(len(self.nrow), hits.node_bf)[m]
         np.minimum.at(bf, u[new_bf], rows[new_bf])
         keep, event = node_ladder(bf[u], new_ex, rows)
         np.minimum.at(ex, u[keep], rows[keep])
         v[rows] = verdict_codes(keep, event)
 
-        gate = np.zeros(self.n, bool)
-        m = live[self.boxrow]
-        gate[self.boxrow[m]] = tests.boxes(*(c[m] for c in self.boxes))
+        # read at live rows only, so hits on other rows do not matter
+        gate = _mask(self.n, self.boxrow[hits.box])
 
         st_ex, st_bf = (_first(len(self.W), self.wst_w, e[self.wst_u]) for e in (ex, bf))
         m = live[self.wrow]
@@ -338,22 +343,42 @@ class DiffEvidence(DiffClosure):
         return v
 
 
+def _tree_masks(elements, tree_polys, tree_parent, resolver, node_ids):
+    """Per tree polygon, in ``tree_polys`` order: (live, deleted) bool
+    row masks — the rows it outputs, and those whose action a delete
+    verdict on its root path rewrites.  Each polygon filters its
+    parent's output rows (the reference chains outputs,
+    src/diffs.rs:174-185)."""
+    diff = DiffEvidence(elements, resolver, node_ids)
+    index = PolyTreeIndex([(path, mp) for path, _name, mp in tree_polys])
+    none = np.zeros(diff.n, bool)
+    live, deleted = {None: ~none}, {None: none}
+    for (path, _name, _mp), hits in zip(tree_polys, diff.tree_hits(index)):
+        parent = tree_parent.get(path)  # topological order: parents first
+        rows = live.get(parent, none)
+        # no buffered hit at all: every row drops
+        any_hit = len(hits.old_bf) or len(hits.node_bf) or len(hits.box)
+        v = diff.verdicts(hits, rows) if any_hit and rows.any() else np.full(diff.n, DROP)
+        live[path] = v != DROP
+        deleted[path] = deleted.get(parent, none) | (v == DELETE)
+    return [(live[p], deleted[p]) for p, _n, _mp in tree_polys]
+
+
 def filter_elements(
     elements: pa.Table,
     mp: MultiPolygon,
     resolver: Resolver,
     node_ids: np.ndarray,
 ) -> pa.Table:
-    """One polygon filter: returns kept+deleted rows with the action
-    rewrite applied (the engine's .osc-equivalent output)."""
-    v = DiffEvidence(elements, resolver, node_ids).verdicts(
-        PolyTests(mp), np.ones(elements.num_rows, bool)
-    )
-    rows = np.flatnonzero(v != DROP)
+    """One polygon filter (a one-polygon tree): returns kept+deleted
+    rows with the action rewrite applied (the engine's
+    .osc-equivalent output)."""
+    (live, deleted), = _tree_masks(elements, [(".", ".", mp)], {}, resolver, node_ids)
+    rows = np.flatnonzero(live)
     sub = elements.take(rows)
     return sub.set_column(
         sub.schema.get_field_index("action"), "action",
-        pc.if_else(pa.array(v[rows] == DELETE), "delete", sub["action"]),
+        pc.if_else(pa.array(deleted[rows]), "delete", sub["action"]),
     )
 
 
@@ -370,30 +395,20 @@ def filter_tree(
     (reference chains outputs, src/diffs.rs:174-185).  Returns an
     assignments table (pos, etype, id, poly_path, action) — one row per
     (element, tree path) the element survives to, exactly the union of
-    the per-path .osc outputs."""
-    diff = DiffEvidence(elements, resolver, node_ids)
-    none = np.zeros(diff.n, bool)
-    live, deleted = {None: ~none}, {None: none}
-    for path, _name, mp in tree_polys:  # topological (parents first)
-        parent = tree_parent.get(path)
-        rows = live.get(parent, none)
-        v = diff.verdicts(PolyTests(mp), rows) if rows.any() else np.full(diff.n, DROP)
-        live[path] = v != DROP
-        deleted[path] = deleted.get(parent, none) | (v == DELETE)
-    paths = np.array([p for p, _n, _mp in tree_polys], object)
-    out = np.stack([live[p] for p in paths] or [none])
-    which, row = np.nonzero(out)
-    take = pa.array(row)
+    the per-path .osc outputs, in tree order and then row order."""
+    masks = _tree_masks(elements, tree_polys, tree_parent, resolver, node_ids)
+    rows = [np.flatnonzero(live) for live, _d in masks]
+    take = pa.array(np.concatenate(rows) if rows else np.empty(0, np.int64))
+    paths = [p for p, _n, _mp in tree_polys]
+    which = np.repeat(np.arange(len(paths)), [len(r) for r in rows])
+    dele = np.concatenate([d[r] for (_l, d), r in zip(masks, rows)]) if rows else np.empty(0, bool)
     return pa.table(
         {
             "pos": elements["pos"].take(take),
             "etype": elements["etype"].take(take),
             "id": elements["id"].take(take),
-            "poly_path": pa.array(paths[which], pa.string()),
-            "action": pc.if_else(
-                pa.array(np.stack([deleted[p] for p in paths] or [none])[out]),
-                "delete", elements["action"].take(take),
-            ),
+            "poly_path": pa.array(np.asarray(paths, object)[which], pa.string()),
+            "action": pc.if_else(pa.array(dele), "delete", elements["action"].take(take)),
         }
     )
 

@@ -28,6 +28,11 @@ runs once on the flat expanded arrays, and the per-edge results fold
 back per pair.  The elementwise arithmetic is that of the per-polygon
 ``geom`` predicates, so verdicts are bit-identical to them; the cost
 is O(candidate edges) rather than O(candidate polygons) numpy calls.
+
+The diff filter (``stages/filter.py``) runs its geometry on the same
+index: ``point_hits`` (exact PIP, then the chordal point buffer of the
+reference's GEOS buffer, from edge bands and per-polygon vertex fan
+triangles) and ``box_hits`` (the Euclidean box gate).
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ VERDICTS = ("delete", "keep")
 
 
 class PolyTreeIndex:
-    """Candidate index over a polygon tree (built per actor): a packed
+    """Candidate index over a polygon tree (built per join actor, and
+    per ``stages/filter.py:filter_tree`` call): a packed
     STRtree over the buffered polygon bboxes (the north-star's
     "STRtree-backed PIP stage") yields a candidate SUPERSET of the
     (row, polygon) pairs whose extent meets the buffered polygon, and
@@ -86,6 +92,11 @@ class PolyTreeIndex:
     # expanded (pair, edge) elements per refine chunk (_edge_chunks):
     # bounds the refine's working arrays to a few MB each
     chunk_edges = 1 << 19
+    # query rows per candidate query and candidate pairs per refine
+    # slice in point_hits / box_hits (_refined): bounds the per-pair
+    # arrays whatever the input size and a row's polygon fan-out
+    chunk_rows = 1 << 15
+    chunk_pairs = 1 << 16
 
     def __init__(
         self,
@@ -97,6 +108,8 @@ class PolyTreeIndex:
         self.paths = [p for p, _ in entries]
         self.polys = [mp for _, mp in entries]
         bb = np.array([mp.bbox() for mp in self.polys], np.int64).reshape(-1, 4)
+        self._bb = bb.T  # per-polygon (minx, miny, maxx, maxy), unbuffered
+        self._fans = None  # chordal fan-triangle CSR, built on first use
         self._bbox_tree = STRtree(
             bb[:, 0] - buffer, bb[:, 1] - buffer,
             bb[:, 2] + buffer, bb[:, 3] + buffer,
@@ -169,10 +182,15 @@ class PolyTreeIndex:
         within them, each ring's) form one contiguous run.  A chunk
         ends at the pair whose cumulative edge count crosses the next
         multiple of ``chunk_edges``, which bounds the expanded arrays."""
+        return self._pair_chunks(self._edge_starts, poly_i)
+
+    def _pair_chunks(self, csr_starts, poly_i):
+        """``_edge_chunks`` over any per-polygon CSR table whose
+        offsets are ``csr_starts`` (the edges, or the fan triangles)."""
         if not len(poly_i):
             return
-        starts = self._edge_starts[poly_i]
-        ecnt = self._edge_starts[poly_i + 1] - starts
+        starts = csr_starts[poly_i]
+        ecnt = csr_starts[poly_i + 1] - starts
         cum_all = np.cumsum(ecnt)
         n_chunks = max(1, int(-(-int(cum_all[-1]) // self.chunk_edges)))
         cutpos = np.searchsorted(
@@ -230,9 +248,14 @@ class PolyTreeIndex:
         """Solid (possibly degenerate) box vs polygon per PAIR, by
         geom.boxes_intersect_multipolygon's three tests: the box's min
         corner lies in the polygon, a polygon vertex lies in the box,
-        or (pairs still open) a box side meets a polygon edge."""
-        out = self._points_in_polys_pairs(x0, y0, poly_i)
+        or (pairs still open) a box side meets a polygon edge.  A box
+        that contains the polygon's bbox holds every vertex, so the
+        vertex test accepts it without an edge walk."""
+        bx0, by0, bx1, by1 = (c[poly_i] for c in self._bb)
+        out = (x0 <= bx0) & (y0 <= by0) & (x1 >= bx1) & (y1 >= by1)
         todo = np.flatnonzero(~out)
+        out[todo] = self._points_in_polys_pairs(x0[todo], y0[todo], poly_i[todo])
+        todo = todo[~out[todo]]
         x0, y0, x1, y1 = x0[todo], y0[todo], x1[todo], y1[todo]
         for s, e, rep, eidx in self._edge_chunks(poly_i[todo]):
             bx0, by0 = x0[s:e][rep], y0[s:e][rep]
@@ -287,6 +310,102 @@ class PolyTreeIndex:
             out[s:e] = hit
         return out
 
+    def _fan_table(self):
+        """(offsets, vx, vy, ax, ay, bx, by): every polygon's chordal
+        fan triangles (``MultiPolygon.fan_triangles``, cached on the
+        polygon) as one CSR table of float64 columns, built on the
+        first chordal test; the tile join never builds it."""
+        if self._fans is None:
+            tris = [mp.fan_triangles(self.buffer) for mp in self.polys]
+            starts = np.zeros(len(tris) + 1, np.int64)
+            starts[1:] = np.cumsum([len(t) for t in tris])
+            flat = np.concatenate(tris) if tris else np.empty((0, 6), np.int64)
+            self._fans = (starts, *(flat[:, j].astype(np.float64) for j in range(6)))
+        return self._fans
+
+    def _points_in_chordal_pairs(self, px, py, poly_i) -> np.ndarray:
+        """Per PAIR: the point lies in a perpendicular edge band or a
+        vertex fan triangle of the chord-approximated buffer —
+        geom.points_in_buffered_chordal's two tests, same arithmetic,
+        per expanded edge and per expanded triangle, for pairs the
+        exact PIP test rejected."""
+        out = np.zeros(len(poly_i), bool)
+        buf2 = float(self.buffer) ** 2
+        px, py = px.astype(np.float64), py.astype(np.float64)
+        for s, e, rep, eidx in self._edge_chunks(poly_i):
+            P, Q = px[s:e][rep], py[s:e][rep]
+            x1, y1 = self._fx1[eidx], self._fy1[eidx]
+            dx = self._fx2[eidx] - x1
+            dy = self._fy2[eidx] - y1
+            L2 = dx * dx + dy * dy
+            L2safe = np.where(L2 == 0, 1.0, L2)
+            # t UNCLIPPED: the round end caps are what the fans replace
+            t = ((P - x1) * dx + (Q - y1) * dy) / L2safe
+            d2 = (P - (x1 + t * dx)) ** 2 + (Q - (y1 + t * dy)) ** 2
+            out[s + rep[(t >= 0.0) & (t <= 1.0) & (d2 <= buf2)]] = True
+        todo = np.flatnonzero(~out)
+        starts, VX, VY, AX, AY, BX, BY = self._fan_table()
+        px, py = px[todo], py[todo]
+        for s, e, rep, tidx in self._pair_chunks(starts, poly_i[todo]):
+            P, Q = px[s:e][rep], py[s:e][rep]
+            vx, vy, ax, ay, bx, by = (c[tidx] for c in (VX, VY, AX, AY, BX, BY))
+            d1 = (ax - vx) * (Q - vy) - (P - vx) * (ay - vy)
+            d2 = (bx - ax) * (Q - ay) - (P - ax) * (by - ay)
+            d3 = (vx - bx) * (Q - by) - (P - bx) * (vy - by)
+            intri = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
+            out[todo[s + rep[intri]]] = True
+        return out
+
+    def _refined(self, q, codes):
+        """(row_idx, poly_idx, code) of the candidate pairs of the query
+        boxes ``q`` whose ``codes(x0, y0, x1, y1, poly_i)`` is nonzero
+        (2: in the polygon, 1: only in its buffer).  The query runs on
+        blocks of ``chunk_rows`` rows and the refine on slices of
+        ``chunk_pairs`` pairs."""
+        q = [np.asarray(c, np.int64) for c in q]
+        out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8))]
+        for s in range(0, len(q[0]), self.chunk_rows):
+            block = [c[s:s + self.chunk_rows] for c in q]
+            row_i, poly_i = self.candidate_pairs(*block)
+            for t in range(0, len(row_i), self.chunk_pairs):
+                r, p = row_i[t:t + self.chunk_pairs], poly_i[t:t + self.chunk_pairs]
+                code = codes(*(c[r] for c in block), p)
+                keep = code > 0
+                out.append((r[keep] + s, p[keep], code[keep]))
+        return tuple(np.concatenate(a) for a in zip(*out))
+
+    def _point_codes(self, px, py, _px, _py, poly_i) -> np.ndarray:
+        """Per PAIR: 2 in the polygon, 1 only in its chordal buffer, else 0."""
+        code = self._points_in_polys_pairs(px, py, poly_i).astype(np.int8) * 2
+        todo = np.flatnonzero(code == 0)
+        code[todo] = self._points_in_chordal_pairs(px[todo], py[todo], poly_i[todo])
+        return code
+
+    def _box_codes(self, x0, y0, x1, y1, poly_i) -> np.ndarray:
+        """Per PAIR: 2 the box meets the polygon, 1 only its Euclidean
+        buffer, else 0."""
+        code = self._boxes_in_polys_pairs(x0, y0, x1, y1, poly_i).astype(np.int8) * 2
+        todo = np.flatnonzero(code == 0)
+        code[todo] = self._boxes_near_polys_pairs(
+            x0[todo], y0[todo], x1[todo], y1[todo], poly_i[todo])
+        return code
+
+    def point_hits(self, px, py):
+        """-> (row_idx, poly_idx, exact): every (point, polygon) pair
+        whose point lies in the polygon's CHORDAL buffer (the
+        reference's GEOS buffer(0.1, 8), geom.points_in_buffered_chordal);
+        ``exact`` marks the pairs inside the polygon itself
+        (geom.points_in_multipolygon)."""
+        row_i, poly_i, code = self._refined((px, py, px, py), self._point_codes)
+        return row_i, poly_i, code == 2
+
+    def box_hits(self, minlon, minlat, maxlon, maxlat):
+        """-> (row_idx, poly_idx): every (box, polygon) pair whose box
+        meets the Euclidean-buffered polygon
+        (geom.boxes_intersect_buffered)."""
+        row_i, poly_i, _code = self._refined((minlon, minlat, maxlon, maxlat), self._box_codes)
+        return row_i, poly_i
+
     def verdicts(self, minlon, minlat, maxlon, maxlat, *, codes: bool = False):
         """-> (row_idx, poly_idx, verdict) for assigned pairs, ordered
         by (row, poly).  ``verdict`` is a list of "keep"/"delete", or
@@ -318,15 +437,7 @@ class PolyTreeIndex:
             near = self._points_near_polys_pairs(x0[todo], y0[todo], poly_i[todo])
             vc[todo[near]] = 1
         bidx = np.flatnonzero(~is_point)
-        exact = self._boxes_in_polys_pairs(
-            x0[bidx], y0[bidx], x1[bidx], y1[bidx], poly_i[bidx]
-        )
-        vc[bidx[exact]] = 2
-        todo = bidx[~exact]
-        near = self._boxes_near_polys_pairs(
-            x0[todo], y0[todo], x1[todo], y1[todo], poly_i[todo]
-        )
-        vc[todo[near]] = 1
+        vc[bidx] = self._box_codes(x0[bidx], y0[bidx], x1[bidx], y1[bidx], poly_i[bidx])
         nonzero = vc > 0
         row_i, poly_i, vc = row_i[nonzero], poly_i[nonzero], vc[nonzero]
         # per-row assigned/delete bitmasks (multi-word)

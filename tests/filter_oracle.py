@@ -18,9 +18,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from osm_replication_rust_ray.geom import MultiPolygon
+from osm_replication_rust_ray.geom import (
+    MultiPolygon,
+    boxes_intersect_buffered,
+    points_in_buffered_chordal,
+    points_in_multipolygon,
+)
 from osm_replication_rust_ray.sources.store import Resolver
-from osm_replication_rust_ray.stages.filter import PolyTests
 
 
 @dataclass
@@ -43,16 +47,19 @@ def precompute_membership(
     resolver: Resolver,
     node_ids: np.ndarray,
 ) -> PolyMembership:
-    """Vectorized PIP + bbox tests for one polygon (`PolyTests`).
+    """Vectorized PIP + bbox tests for one polygon, by geom's
+    per-polygon predicates (not the filter's tree-wide pair kernels):
+    exact PIP, the chordal point buffer (GEOS buffer(0.1, 8),
+    src/osmxml/filter.rs:44-56) and the Euclidean box gate.
 
     ``node_ids``: the needed-id closure (diff node ids ∪ way refs ∪
     relation-member closure) whose OLD store positions may be probed.
 
     The maps hold only the True entries; a missing key reads "not in"."""
-    tests = PolyTests(mp)
 
     def points(keys, lon, lat):
-        ex, bf = tests.points(lon, lat)
+        ex = points_in_multipolygon(lon, lat, mp)
+        bf = points_in_buffered_chordal(lon, lat, mp)
         return dict.fromkeys(keys[ex].tolist(), True), dict.fromkeys(keys[bf].tolist(), True)
 
     etype = np.asarray(elements["etype"])
@@ -72,7 +79,7 @@ def precompute_membership(
     def col(name):
         return elements[name].to_numpy(zero_copy_only=False)[wr].astype(np.int64)
 
-    hits = tests.boxes(col("minlon"), col("minlat"), col("maxlon"), col("maxlat"))
+    hits = boxes_intersect_buffered(col("minlon"), col("minlat"), col("maxlon"), col("maxlat"), mp)
     bbox_hits = dict.fromkeys(pos[wr][hits].tolist(), True)
     return PolyMembership(new_in_exact, new_in_buffered, old_in_exact, old_in_buffered, bbox_hits)
 

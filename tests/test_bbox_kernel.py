@@ -150,6 +150,26 @@ def test_synthetic_lookup_counts_of_the_oracle():
         assert _same(annotate_bbox(changes, resolver), want)
 
 
+def test_running_union_matches_per_row_loop():
+    """``_running_union`` (a log-step scan) against a per-row loop, on
+    sorted random keys (runs from one row to the whole array) and boxes
+    that hold the empty-box sentinels (the int64 extremes)."""
+    ext = np.array([kernel.SENT_MIN, kernel.SENT_MAX, -5, 5], np.int64)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        key = np.sort(rng.integers(0, int(rng.integers(1, 60)), int(rng.integers(0, 400))))
+        boxes = rng.integers(-1000, 1000, (4, len(key)))
+        odd = rng.random((4, len(key))) < 0.1
+        boxes[odd] = rng.choice(ext, int(odd.sum()))
+        want = boxes.copy()
+        for i in range(1, len(key)):
+            if key[i] == key[i - 1]:
+                want[0::2, i] = np.minimum(want[0::2, i], want[0::2, i - 1])
+                want[1::2, i] = np.maximum(want[1::2, i], want[1::2, i - 1])
+        got = kernel._running_union(key, boxes)
+        assert got.dtype == np.int64 and np.array_equal(got, want), seed
+
+
 def _chain_rows(k):
     """Relation rows 301..300+k, each with only the previous one as a
     member; the first has node 1.  Row j's box is known only once row

@@ -5,9 +5,11 @@ import gzip
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 RES = "/root/reference/tests/resources"
 ENV_PY = sys.executable
+ROOT = Path(__file__).resolve().parents[1]  # the checkout under test
 
 
 def _run(*argv):
@@ -15,7 +17,7 @@ def _run(*argv):
         [ENV_PY, "-m", "osm_replication_rust_ray.cli", *argv],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=ROOT,
         timeout=300,
     )
 
@@ -168,7 +170,7 @@ def test_headline_job_entrypoint(tmp_path):
     throughput comparison consumes."""
     r = subprocess.run(
         [ENV_PY, "jobs/headline_job.py", "--rows", "20000", "--counts-only"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
         env={**__import__("os").environ, "RAY_ADDRESS": "local"},
     )
     assert r.returncode == 0, r.stderr

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 def test_registry_key_parity():

@@ -58,12 +58,34 @@ def _member(rng, self_id):
     return {"type": str(t), "ref": int(ref), "role": ""}
 
 
-def _point(rng):
-    return int(rng.integers(-4 * M, 10 * M)), int(rng.integers(-3 * M, 3 * M))
+def _uniform(x0, x1, y0, y1):
+    return lambda rng: (int(rng.integers(x0, x1)), int(rng.integers(y0, y1)))
 
 
-def _store(rng):
-    nodes = [(int(i), *_point(rng)) for i in NODES if rng.random() < 0.7]
+def _near_edges(tree, pad):
+    """Points within ``pad`` of a bbox side of a random tree polygon:
+    about half inside it, and many of the rest in its buffer band."""
+    bb = np.array([mp.bbox() for _p, _n, mp in tree])
+
+    def point(rng):
+        x0, y0, x1, y1 = (int(v) for v in bb[rng.integers(len(bb))])
+        if rng.random() < 0.5:
+            return int(rng.integers(x0 - pad, x1 + pad)), int(rng.choice([y0, y1]) + rng.integers(-pad, pad))
+        return int(rng.choice([x0, x1]) + rng.integers(-pad, pad)), int(rng.integers(y0 - pad, y1 + pad))
+
+    return point
+
+
+# where random points and boxes fall: (point generator, longest box side)
+SPAN = (_uniform(-4 * M, 10 * M, -3 * M, 3 * M), 2 * M)
+
+
+def _point(rng, span=SPAN):
+    return span[0](rng)
+
+
+def _store(rng, span=SPAN):
+    nodes = [(int(i), *_point(rng, span)) for i in NODES if rng.random() < 0.7]
     ways = [
         (int(w), [int(r) for r in rng.choice(NODES, rng.integers(1, 5))] + [999] * (rng.random() < 0.1))
         for w in WAYS if rng.random() < 0.7
@@ -91,30 +113,30 @@ def _store(rng):
     )
 
 
-def _box(rng):
+def _box(rng, span):
     if rng.random() < 0.2:
         return {}
-    (x, y), (w, h) = _point(rng), rng.integers(0, 2 * M, 2)
+    (x, y), (w, h) = _point(rng, span), rng.integers(0, span[1], 2)
     return {"minlon": x, "maxlon": x + int(w), "minlat": y, "maxlat": y + int(h)}
 
 
-def _diff(rng):
+def _diff(rng, span=SPAN):
     rows = []
     for _ in range(rng.integers(20, 81)):
         row = {"action": str(rng.choice(["create", "modify", "delete"]))}
         t = rng.choice(["node", "way", "relation"], p=[0.45, 0.3, 0.25])
         if t == "node":
-            lon, lat = _point(rng)
+            lon, lat = _point(rng, span)
             row.update(etype="node", id=int(rng.choice(NODES)), lon=lon, lat=lat)
         elif t == "way":
             refs = [int(r) for r in rng.choice(NODES, rng.integers(0, 4))]
             row.update(etype="way", id=int(rng.choice(WAYS)),
-                       refs=refs if rng.random() < 0.9 else None, **_box(rng))
+                       refs=refs if rng.random() < 0.9 else None, **_box(rng, span))
         else:
             rid = int(rng.choice(RELS))
             row.update(etype="relation", id=rid,
                        members=[_member(rng, rid) for _ in range(rng.integers(0, 4))]
-                       if rng.random() < 0.95 else None, **_box(rng))
+                       if rng.random() < 0.95 else None, **_box(rng, span))
         rows.append(row)
     # positions need only grow in table order; some seeds space them out
     step = int(rng.integers(1, 4))
@@ -143,6 +165,63 @@ def test_kernel_matches_automaton_on_random_diffs():
     for t in ("node", "way", "relation"):
         for path, _n, _mp in TREE:
             assert seen.get((t, False, path)) and seen.get((t, True, path)), (t, path)
+
+
+def _rows(table):
+    return sorted(zip(*(table[c].to_pylist() for c in ("pos", "etype", "id", "action", "poly_path"))))
+
+
+def _wide_tree_check(tree, parent, side, seeds, focus):
+    """The kernel against the automaton over ``seeds`` random diffs,
+    each with its points near ``focus`` random polygons of the tree and
+    boxes up to ``side`` wide; -> the (etype, delete?) pairs output."""
+    seen = set()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        near = [tree[k] for k in rng.choice(len(tree), focus, replace=False)]
+        span = (_near_edges(near, 2 * M), side)
+        resolver = _store(rng, span)
+        elements = _diff(rng, span)
+        node_ids = closure_node_ids(elements, resolver)
+        rows = _rows(filter_tree(elements, tree, parent, resolver, node_ids))
+        assert rows == oracle_tree(elements, tree, parent, resolver, node_ids), seed
+        seen |= {(t, action == "delete") for _pos, t, _id, action, _path in rows}
+    return seen
+
+
+def test_kernel_matches_automaton_on_flat_120_polygon_grid():
+    """120 disjoint grid rectangles, one tree level; points near the
+    sides of 3 of them per diff (so a relation's members can share a
+    rectangle), and boxes up to 1.5 cells wide, so some contain whole
+    rectangles."""
+    from osm_replication_rust_ray.sources.synth import synth_polygon_grid
+
+    grid = [(p, p, mp) for p, mp in synth_polygon_grid(120)]
+    seen = _wide_tree_check(grid, dict.fromkeys((p for p, _n, _mp in grid), None),
+                            150_000_000, range(12), focus=3)
+    assert seen == {(t, d) for t in ("node", "way", "relation") for d in (False, True)}
+
+
+def test_kernel_matches_automaton_on_nested_120_polygon_tree():
+    """10 roots, 9 children each (the outer ones straddle their root's
+    edge) and 2 grandchildren under each central child: 120 polygons,
+    three levels, with children filtering their parent's output."""
+    tree, parent = [], {}
+
+    def add(path, up, cx, cy, half):
+        tree.append((path, path, _square(cx, cy, half)))
+        parent[path] = up
+
+    for i in range(10):
+        root = f"./r{i}"
+        add(root, None, 10 * M * i, 0, 3 * M)
+        for j, (dx, dy) in enumerate((dx, dy) for dx in (-3, 0, 3) for dy in (-3, 0, 3)):
+            add(f"{root}/c{j}", root, 10 * M * i + dx * M, dy * M, M)
+        for k, dx in enumerate((-1, 1)):
+            add(f"{root}/c4/g{k}", f"{root}/c4", 10 * M * i + dx * M // 2, 0, M // 2)
+    assert len(tree) == 120
+    seen = _wide_tree_check(tree, parent, 8 * M, range(20), focus=len(tree))
+    assert seen == {(t, d) for t in ("node", "way", "relation") for d in (False, True)}
 
 
 def _chain(k):
@@ -294,3 +373,68 @@ def test_run_sequence_over_two_pending_node_deltas(tmp_path):
 
     fresh = _run_sequence_vs_oracle(str(tmp_path), seed, synth_changes(800, seq=3), 3)
     assert len(fresh._deltas("nodes")) == 3
+
+
+def test_coordless_nodes_pin_todays_boxes_open_semantics(tmp_path):
+    """OPEN SEMANTICS, pinned as they are: deleted nodes carry no
+    lat/lon, and ``annotate_bbox`` gives such a row an int64-min box
+    that spreads into every way and relation box using the node; the
+    filter then queries the polygon tree with those coordinates.  Only
+    the reference (or its goldens) can say what the right boxes and
+    verdicts are, so this pins today's through ``run_sequence`` to make
+    any change to them a deliberate one."""
+    from osm_replication_rust_ray.pipelines.update import run_sequence
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    lo = np.iinfo(np.int64).min
+    store = ElementStore(str(tmp_path / "db"))
+    store.init()
+    store.apply_changes(pa.Table.from_pylist([
+        {"pos": 0, "etype": "node", "id": 1, "action": "create", "lat": 0, "lon": 0},
+        {"pos": 1, "etype": "node", "id": 2, "action": "create", "lat": 0, "lon": 7 * M},
+        {"pos": 2, "etype": "node", "id": 3, "action": "create", "lat": M // 2, "lon": 5 * M // 2},
+        {"pos": 3, "etype": "way", "id": 101, "action": "create", "refs": [1, 2]},
+        {"pos": 4, "etype": "way", "id": 103, "action": "create", "refs": [3]},
+        {"pos": 5, "etype": "relation", "id": 201, "action": "create",
+         "members": [{"type": "node", "ref": 3, "role": ""}]},
+    ], schema=ELEMENTS_SCHEMA))
+    # node 1 and 3: stored, deleted without coordinates; node 5: neither
+    rows = [
+        {"etype": "node", "id": 1, "action": "delete"},
+        {"etype": "node", "id": 5, "action": "delete"},
+        {"etype": "node", "id": 3, "action": "delete"},
+        {"etype": "way", "id": 101, "action": "modify", "refs": [1, 5]},
+        {"etype": "way", "id": 102, "action": "create", "refs": [5]},
+        {"etype": "way", "id": 103, "action": "modify", "refs": [3]},
+        {"etype": "relation", "id": 201, "action": "modify", "members": [
+            {"type": "node", "ref": 5, "role": ""}, {"type": "way", "ref": 101, "role": ""}]},
+        {"etype": "node", "id": 2, "action": "modify", "lat": 0, "lon": 7 * M},
+    ]
+    changes = pa.Table.from_pylist([{"pos": 10 + p, **r} for p, r in enumerate(rows)],
+                                   schema=ELEMENTS_SCHEMA)
+    seen = []
+    got = run_sequence(changes, store, TREE, PARENT, str(tmp_path / "out"),
+                       CheckpointManifest(str(tmp_path / "ckpt")), 1, on_annotated=seen.append)
+    boxes = list(zip(*(seen[0][c].to_pylist()
+                       for c in ("etype", "id", "minlat", "maxlat", "minlon", "maxlon"))))
+    assert boxes == [
+        ("node", 1, lo, 0, lo, 0),
+        ("node", 5, lo, lo, lo, lo),
+        ("node", 3, lo, M // 2, lo, 5 * M // 2),
+        ("way", 101, lo, 0, lo, 7 * M),
+        ("way", 102, lo, lo, lo, lo),
+        ("way", 103, lo, M // 2, lo, 5 * M // 2),
+        ("relation", 201, lo, M // 2, lo, 7 * M),
+        ("node", 2, 0, 0, 7 * M, 7 * M),
+    ]
+    assert sorted(zip(*(got[c].to_pylist()
+                        for c in ("pos", "etype", "id", "action", "poly_path")))) == [
+        (10, "node", 1, "delete", "./A"), (10, "node", 1, "delete", "./A/c"),
+        (12, "node", 3, "delete", "./A"), (12, "node", 3, "delete", "./A/c"),
+        (13, "way", 101, "delete", "./A/c"), (13, "way", 101, "delete", "./B"),
+        (13, "way", 101, "modify", "./A"),
+        (15, "way", 103, "delete", "./A"), (15, "way", 103, "delete", "./A/c"),
+        (16, "relation", 201, "delete", "./A/c"), (16, "relation", 201, "modify", "./A"),
+        (16, "relation", 201, "modify", "./B"),
+        (17, "node", 2, "modify", "./B"),
+    ]

@@ -288,3 +288,105 @@ def test_multiring_boxes_match_brute_force_across_chunks():
     full = _assignments(hand, _hand_ext())
     hand.chunk_edges = 3
     assert _assignments(hand, _hand_ext()) == full
+
+
+def _test_polys():
+    """The 9-ring region_b, the hand-built square and diamond, and a
+    long-edged triangle whose vertex fans are isolated."""
+    (rb,) = [mp for p, mp in synth_polygon_tree() if p == "region_b.poly"]
+    assert rb.n_rings == 9
+    tri = MultiPolygon.from_rings([([0, 40_000_000, 20_000_000], [0, 0, 30_000_000])])
+    return [("./region_b", rb), *_HAND_TREE, ("./tri", tri)]
+
+
+def test_point_hits_match_geom_chordal_buffer():
+    """``PolyTreeIndex.point_hits`` (the pair-segmented band + fan test)
+    against geom's per-polygon PIP and chordal buffer, on points in
+    every edge band, around every vertex at radii across the chord/arc
+    gap band (some in it: inside the Euclidean buffer, outside the
+    chordal one), and scattered around each polygon; once more with
+    chunk sizes that split rows, pairs, edge runs and fan runs."""
+    from osm_replication_rust_ray.geom import (
+        points_in_buffered,
+        points_in_buffered_chordal,
+        points_in_multipolygon,
+    )
+
+    R = BUFFER_DECIMICRO
+    tree = _test_polys()
+    rng = np.random.default_rng(5)
+    px, py = [], []
+    for _p, mp in tree:
+        # edge bands: perpendicular offsets from points along each edge
+        t = rng.random(len(mp.ex1))
+        ex, ey = mp.ex2 - mp.ex1, mp.ey2 - mp.ey1
+        norm = np.hypot(ex, ey)
+        off = rng.uniform(-1.2 * R, 1.2 * R, len(t))
+        px.append(mp.ex1 + t * ex - off * ey / norm)
+        py.append(mp.ey1 + t * ey + off * ex / norm)
+        # vertex fans, across the gap band (chord depth R*cos(pi/32))
+        ang = rng.uniform(0, 2 * np.pi, (12, len(mp.xs)))
+        rad = rng.uniform(0.99 * R, 1.002 * R, ang.shape)
+        px.append((mp.xs + rad * np.cos(ang)).ravel())
+        py.append((mp.ys + rad * np.sin(ang)).ravel())
+        x0, y0, x1, y1 = mp.bbox()
+        px.append(rng.uniform(x0 - 2 * R, x1 + 2 * R, 300))
+        py.append(rng.uniform(y0 - 2 * R, y1 + 2 * R, 300))
+    px = np.round(np.concatenate(px)).astype(np.int64)
+    py = np.round(np.concatenate(py)).astype(np.int64)
+    want, gap = set(), 0
+    for k, (_p, mp) in enumerate(tree):
+        ex = points_in_multipolygon(px, py, mp)
+        bf = points_in_buffered_chordal(px, py, mp)
+        gap += int((points_in_buffered(px, py, mp) & ~bf).sum())
+        want |= {(int(i), k, bool(ex[i])) for i in np.flatnonzero(bf)}
+    assert gap > 20 and sum(1 for *_k, e in want if not e) > 200
+    index = PolyTreeIndex(tree)
+    for chunks in ({}, {"chunk_rows": 97, "chunk_pairs": 31, "chunk_edges": 5}):
+        for name, value in chunks.items():
+            setattr(index, name, value)
+        got = {(int(i), int(k), bool(e)) for i, k, e in zip(*index.point_hits(px, py))}
+        assert got == want, chunks
+
+
+def test_box_refine_with_containment_shortcut_matches_geom():
+    """``_boxes_in_polys_pairs`` (which accepts a box containing the
+    polygon's bbox at once) and ``box_hits`` against geom's
+    per-polygon box tests, on boxes that contain the polygon, that
+    straddle its bbox, and degenerate ones (points and lines)."""
+    tree = _test_polys()
+    rng = np.random.default_rng(9)
+    boxes = []
+    for _p, mp in tree:
+        x0, y0, x1, y1 = mp.bbox()
+        w, h = x1 - x0, y1 - y0
+        m = rng.integers(0, 2 * BUFFER_DECIMICRO, (40, 4))
+        boxes.append(np.c_[x0 - m[:, 0], y0 - m[:, 1], x1 + m[:, 2], y1 + m[:, 3]])
+        m[:3] = 0  # exactly the bbox, and on it
+        boxes.append(np.c_[x0 - m[:, 0], y0 - m[:, 1], x1 + m[:, 2], y1 + m[:, 3]])
+        cx = rng.integers(x0 - w // 2, x1 + w // 2, 120)
+        cy = rng.integers(y0 - h // 2, y1 + h // 2, 120)
+        bw, bh = rng.integers(0, w, 120), rng.integers(0, h, 120)
+        boxes.append(np.c_[cx, cy, cx + bw, cy + bh])  # straddling
+        boxes.append(np.c_[cx, cy, cx, cy])  # points
+        boxes.append(np.c_[cx, cy, cx + bw, cy])  # horizontal lines
+        boxes.append(np.c_[cx, cy, cx, cy + 2 * bh])  # vertical lines
+    b = np.concatenate(boxes).astype(np.int64)
+    index = PolyTreeIndex(tree)
+    n = len(b)
+    row = np.repeat(np.arange(n), len(tree))
+    poly = np.tile(np.arange(len(tree)), n)
+    got = index._boxes_in_polys_pairs(*b[row].T, poly)
+    want = np.zeros(len(row), bool)
+    buffered = set()
+    contains = np.zeros(len(row), bool)
+    for k, (_p, mp) in enumerate(tree):
+        sel = poly == k
+        want[sel] = boxes_intersect_multipolygon(*b.T, mp)
+        x0, y0, x1, y1 = mp.bbox()
+        contains[sel] = (b[:, 0] <= x0) & (b[:, 1] <= y0) & (b[:, 2] >= x1) & (b[:, 3] >= y1)
+        buffered |= {(int(i), k) for i in np.flatnonzero(boxes_intersect_buffered(*b.T, mp))}
+    assert contains.sum() >= 80 * len(tree) and (want & ~contains).sum() > 200
+    assert (~want).sum() > 200
+    assert np.array_equal(got, want)
+    assert {(int(i), int(k)) for i, k in zip(*index.box_hits(*b.T))} == buffered

@@ -9,11 +9,14 @@ order-insensitive value hash. Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -55,7 +58,7 @@ def main() -> int:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

@@ -9,11 +9,15 @@ Prints one JSON line with wall seconds + throughput per operator.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
 import numpy as np
 import pyarrow as pa
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
 
 
 def main() -> int:
@@ -28,7 +32,7 @@ def main() -> int:
         ray.init(address="local", num_cpus=cpus,
                  include_dashboard=False, logging_level="ERROR")
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     from osm_replication_rust_ray.functions.agg import sorted_distinct
     from osm_replication_rust_ray.functions.cc import connected_components
     from osm_replication_rust_ray.functions.triangles import triangle_counts

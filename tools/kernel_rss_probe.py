@@ -11,6 +11,7 @@ calling process, so its peak is the memory one diff needs).
     python tools/kernel_rss_probe.py tri 1000000 2000000 4000000
     python tools/kernel_rss_probe.py filter 100000 1000000 2000000 4000000
     python tools/kernel_rss_probe.py store 40000 400000 4000000
+    python tools/kernel_rss_probe.py filter-grid 12 120 1080
 
 ``store`` measures how a replication sequence scales with the store
 behind it: one child seeds an ``ElementStore`` of ``n`` synthetic
@@ -19,6 +20,13 @@ elements (``synth_store_elements``), then a fresh child runs three
 the 12-polygon tree against it.  Its line gives each sequence's wall,
 the median of sequences 2-3 (``seq_wall_s``), the ``Resolver.from_store``
 time before each, and that child's own peak RSS.
+
+``filter-grid`` measures how the tree filter scales with the polygon
+count: each size is a number of polygons of the flat rectangle grid
+(``synth_polygon_grid``), filtered with a 4000-element diff over a
+4000-element store (``GRID_DIFF``).  Its line gives the ``filter_tree``
+wall (best of ``GRID_REPEATS`` calls, the first of which also builds
+each polygon's cached fan triangles) and the child's peak RSS.
 
 For the other kinds, each size runs in a fresh child process (no Ray), so
 ``RUSAGE_CHILDREN.ru_maxrss`` is that child's own peak; sizes must be
@@ -77,6 +85,38 @@ def _filter_input(n: int):
         info["filter_tree_s"] = round(time.perf_counter() - t, 2)
 
     return changes, run, info
+
+
+GRID_DIFF = 4000
+GRID_REPEATS = 3
+
+
+def _filter_grid(n_polys: int) -> dict:
+    import time
+
+    from osm_replication_rust_ray.sources.store import Resolver
+    from osm_replication_rust_ray.sources.synth import (
+        synth_changes,
+        synth_polygon_grid,
+        synth_store,
+    )
+    from osm_replication_rust_ray.stages.bbox import annotate_bbox, closure_node_ids
+    from osm_replication_rust_ray.stages.filter import filter_tree
+
+    tree = [(p, p, mp) for p, mp in synth_polygon_grid(n_polys)]
+    parent = dict.fromkeys((p for p, _n, _mp in tree), None)
+    resolver = Resolver(*synth_store(GRID_DIFF))
+    annotated = annotate_bbox(synth_changes(GRID_DIFF), resolver)
+    node_ids = closure_node_ids(annotated, resolver)
+    walls = []
+    for _ in range(GRID_REPEATS):
+        t = time.perf_counter()
+        assigned = filter_tree(annotated, tree, parent, resolver, node_ids).num_rows
+        walls.append(time.perf_counter() - t)
+    return {"polygons": n_polys, "assigned": assigned,
+            "filter_tree_s": round(min(walls), 4),
+            "first_call_s": round(walls[0], 4),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}
 
 
 STORE_DIFF = 4000
@@ -155,6 +195,9 @@ def _child(kind: str, rows: int, *args) -> None:
     if kind == "store":
         print(json.dumps(_store_sequences(*args)))
         return
+    if kind == "filter-grid":
+        print(json.dumps(_filter_grid(rows)))
+        return
     rng = np.random.default_rng(rows)
     info = {}
     if kind == "filter":
@@ -192,6 +235,10 @@ def main() -> int:
     kind, sizes = sys.argv[1], [int(s) for s in sys.argv[2:]]
     if kind == "store":
         _store_main(sizes)
+        return 0
+    if kind == "filter-grid":
+        for n_polys in sizes:
+            print(json.dumps({"kind": kind, **_run_child(kind, n_polys)}), flush=True)
         return 0
     rows_out = []
     for rows in sizes:

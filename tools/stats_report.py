@@ -7,9 +7,13 @@ wall time, UDF time, and throughput so regressions show up per stage
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import time
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
 
 
 def main() -> int:
@@ -20,7 +24,7 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=32, include_dashboard=False,
                  logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     from osm_replication_rust_ray.pipelines.spatial import (
         assignment_counts,
         flagship_assignments,
