@@ -54,7 +54,11 @@ def run_sequence(
     downloader's hooks for its bbox-diff file and ``state.txt`` symlinks.
     """
     # one resolver serves bbox AND filter phases — the engine analogue
-    # of the OsmCache handoff (src/update.rs:124-131, src/osmcache.rs)
+    # of the OsmCache handoff (src/update.rs:124-131, src/osmcache.rs):
+    # it keeps the diff's store closure (stages/filter.py:diff_closure),
+    # so annotate_bbox walks the store once, and closure_node_ids and
+    # filter_tree reuse that walk (the annotated table keeps the columns
+    # it reads)
     resolver = Resolver.from_store(store)
     annotated = annotate_bbox(changes, resolver)
     if on_annotated is not None:

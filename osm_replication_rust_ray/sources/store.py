@@ -362,6 +362,9 @@ class Resolver:
         self.num_read_nodes = 0
         self.num_read_ways = 0
         self.num_read_relations = 0
+        # the last diff closure walked over this resolver
+        # (stages/filter.py:diff_closure); it lives as long as the resolver
+        self.closure = None
 
     @staticmethod
     def from_store(store: ElementStore, node_ids=None, way_ids=None, rel_ids=None):

@@ -17,7 +17,9 @@ Semantics reproduced exactly:
   visited-set walk gives the same box.
 
 One pass of numpy over the whole diff, on the diff's store closure
-(``stages/filter.py:DiffClosure``, the walk the filter uses too):
+(``stages/filter.py:diff_closure``).  The resolver keeps that closure,
+so `closure_node_ids` and the filter of the same sequence reuse this
+walk rather than walking the store again:
 
 1. nodes: new point ∪ store point, running union per id in pos order.
 2. ways: store refs (one CSR read for every way) and new refs, each
@@ -48,7 +50,7 @@ import pyarrow as pa
 
 from ..sources.store import Resolver
 from .dist import REL_ROUNDS_CAP, FixpointCapError
-from .filter import DiffClosure, _np
+from .filter import DiffClosure, _csr, _csr_rows, _np, diff_closure
 
 SENT_MIN = np.iinfo(np.int64).max  # empty value for min-aggregated cols
 SENT_MAX = np.iinfo(np.int64).min  # empty value for max-aggregated cols
@@ -112,19 +114,6 @@ class _PrefixBoxes:
         return np.where((k >= 0) & (self.key[i] == keys), self.boxes[:, i], _EMPTY)
 
 
-def _csr(keys: np.ndarray, n: int):
-    """(offsets, order): ``keys`` grouped by value in ``range(n)``."""
-    order = np.argsort(keys, kind="stable")
-    return np.searchsorted(keys[order], np.arange(n + 1)), order
-
-
-def _csr_rows(off: np.ndarray, sel: np.ndarray):
-    """(i, k): for each ``sel[i]``, every flat index ``k`` of its row."""
-    n = off[sel + 1] - off[sel]
-    i = np.repeat(np.arange(len(sel)), n)
-    return i, off[sel][i] + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
-
-
 def _reach(c: DiffClosure, row: np.ndarray, start: np.ndarray):
     """(row, relation) pairs: every relation of ``c.R`` that a row's
     ``start`` relations reach through store relation members, the
@@ -145,14 +134,16 @@ def closure_node_ids(elements: pa.Table, resolver: Resolver) -> np.ndarray:
     and store refs of every way it may probe, and member nodes through
     the store relation closure (``DiffClosure.N``).  The reference reads
     store geometry on demand (src/osmxml/filter.rs:118-148), so the
-    filter's old points must cover all of them."""
-    return DiffClosure(elements, resolver).N
+    filter's old points must cover all of them.  After `annotate_bbox`
+    over the same resolver this is the closure it walked, not a new
+    walk; the name stays, because the benchmark tracer times it."""
+    return diff_closure(elements, resolver).N
 
 
 def annotate_bbox(elements: pa.Table, resolver: Resolver) -> pa.Table:
     """Return ``elements`` with minlat/maxlat/minlon/maxlon filled
     (see module docstring)."""
-    c = DiffClosure(elements, resolver)
+    c = diff_closure(elements, resolver)
     pos = _np(elements["pos"]).astype(np.int64)
     box = np.repeat(_EMPTY, c.n, axis=1)
     stored = np.where(c.found, np.stack([c.lat, c.lat, c.lon, c.lon]), _EMPTY)

@@ -9,7 +9,7 @@ Classifies every diff element into a 3-way verdict against each polygon:
               no bbox annotation are silently dropped
               (src/osmxml/filter.rs:238-243,267-272)
 
-One kernel, in process, numpy over the whole diff.  The reference
+One kernel, in process, in numpy.  The reference
 walks the diff in file order and memoizes evidence per polygon
 (`PolyInfo::*_seen_in_poly`, src/osmxml/filter.rs:13-18).  Every memo
 set only grows, so "id X is in the memo when row t is probed" is
@@ -32,33 +32,39 @@ later relation rows probe, so relation verdicts iterate to a fixpoint
 `DiffClosure` is the diff's one relation walk: exploded way refs and
 relation members, the store members of every relation the walk can
 reach (a visited set bounds it; no depth cap), the store refs of every
-way and the store point of every node it can probe.  The bbox pass
-(`stages/bbox.py`) runs on it too.  `DiffEvidence` adds what else does
-not depend on the polygon: new points, boxes, and the old points of
-the ids in ``node_ids``.
+way and the store point of every node it can probe.  `diff_closure`
+keeps it on the resolver, so the bbox pass (`stages/bbox.py`),
+`closure_node_ids` and the filter of one sequence share one walk.
+`DiffEvidence` adds what else does not depend on the polygon: new
+points, boxes, the old points of the ids in ``node_ids``, and the
+inverse edges the sparse kernel follows.
 
 The geometry is one pass over the whole tree, not one per polygon
 (the batched many-query join of *Joinable Search Over Multi-Source
 Spatial Datasets*, ICDE 2025): a `PolyTreeIndex` over the tree's
 polygons (the tile join's STRtree and pair-segmented kernels) takes
-one candidate query each for the old points, the new node points and
-the row boxes, refines the pairs (exact PIP, the chordal point buffer
-of GEOS buffer(0.1, 8), src/osmxml/filter.rs:44-56, and the Euclidean
-box gate, which only gates candidacy), and `DiffEvidence.tree_hits`
-groups the sparse hits by polygon (`PolyHits`).
+one candidate query each for the old points and the new node points,
+and refines the pairs (exact PIP, then the chordal point buffer of
+GEOS buffer(0.1, 8), src/osmxml/filter.rs:44-56).  Every piece of
+evidence starts at such a point hit, so a way or relation row's box
+meets the Euclidean box gate (which only gates candidacy) only in the
+polygons where the row may reach one, pair by pair
+(`DiffEvidence.tree_hits`).
 
-The polygon-tree driver (`filter_tree`) replaces the reference's
-recursive rayon fan-out (src/diffs.rs:168-191): each child runs the
-evidence kernel (`DiffEvidence.verdicts`) with its hits on its
-parent's ``live`` rows (a bool mask over the diff), and a ``deleted``
-mask carries the parent's action rewrite; a polygon with no hit
-drops every row without a kernel run.  `filter_elements` is the same
-pass on a one-polygon tree.  Every diff, whatever its
-size, runs here in the calling process; its peak memory is about 1 kB
-per element of store plus diff (SCALE.md §2).  The per-row
-automaton that mirrors the reference's memo sets is the test oracle
-(``tests/filter_oracle.py``); it also pins the reference's store-lookup
-counts.
+The tree walk (`_tree_rows`) replaces the reference's recursive rayon
+fan-out (src/diffs.rs:168-191) with one evidence-kernel call per tree
+level (`DiffEvidence.verdicts`; a wide level runs in batches of about
+``DiffEvidence.batch_hits`` hits): each polygon reads its parent's
+output rows, and a delete verdict on its root path rewrites the
+action.  The kernel is sparse, keyed by (polygon, row) and (polygon,
+id): every piece of evidence starts at a buffered point hit, so it
+only touches rows whose polygon has evidence for them, compacted
+rather than masked over the whole diff.  `filter_elements` is the same
+pass on a one-polygon tree.  Every diff, whatever its size, runs here
+in the calling process; its peak memory is about 1 kB per element of
+store plus diff (SCALE.md §2).  The per-row automaton that mirrors the
+reference's memo sets is the test oracle (``tests/filter_oracle.py``);
+it also pins the reference's store-lookup counts.
 """
 
 from __future__ import annotations
@@ -133,20 +139,17 @@ def _mask(n: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(n_polys: int, poly: np.ndarray, item: np.ndarray) -> list[np.ndarray]:
-    """``item`` grouped by ``poly``: one array per polygon in ``range(n_polys)``."""
-    o = np.argsort(poly, kind="stable")
-    return np.split(item[o], np.searchsorted(poly[o], np.arange(1, n_polys)))
+def _csr(keys: np.ndarray, n: int):
+    """(offsets, order): ``keys`` grouped by value in ``range(n)``."""
+    order = np.argsort(keys, kind="stable")
+    return np.searchsorted(keys[order], np.arange(n + 1)), order
 
 
-class PolyHits(NamedTuple):
-    """One polygon's sparse geometry hits over one diff."""
-
-    old_ex: np.ndarray   # closure nodes (``N`` indices): old point in the polygon
-    old_bf: np.ndarray   # ... in its chordal buffer
-    node_ex: np.ndarray  # node rows (``nrow`` indices): new point in the polygon
-    node_bf: np.ndarray  # ... in its chordal buffer
-    box: np.ndarray      # boxed rows (``boxrow`` indices): box meets the buffered polygon
+def _csr_rows(off: np.ndarray, sel: np.ndarray):
+    """(i, k): for each ``sel[i]``, every flat index ``k`` of its row."""
+    n = off[sel + 1] - off[sel]
+    i = np.repeat(np.arange(len(sel)), n)
+    return i, off[sel][i] + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _first(n: int, idx: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -154,6 +157,58 @@ def _first(n: int, idx: np.ndarray, ev: np.ndarray) -> np.ndarray:
     out = np.full(n, EV_NONE)
     np.minimum.at(out, idx, ev)
     return out
+
+
+# ---- sparse evidence: (sorted unique keys, values), a key packing
+#      (batch polygon, id index) as ``polygon * universe + index``;
+#      a key that is absent holds EV_NONE
+
+def _min_by_key(keys: np.ndarray, vals: np.ndarray):
+    """The sparse map of the MIN of ``vals`` per key."""
+    if not len(keys):
+        return keys, vals
+    o = np.argsort(keys)
+    k = keys[o]
+    start = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    return k[start], np.minimum.reduceat(vals[o], start)
+
+
+def _merge(*maps):
+    return _min_by_key(*(np.concatenate(a) for a in zip(*maps)))
+
+
+def _find(keys: np.ndarray, q: np.ndarray):
+    """(i, ok): ``keys[i] == q`` where ``ok``."""
+    if not len(keys):
+        return np.zeros(len(q), np.int64), np.zeros(len(q), bool)
+    i = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return i, keys[i] == q
+
+
+def _at(ev, q: np.ndarray) -> np.ndarray:
+    """The sparse map ``ev`` at keys ``q``."""
+    i, ok = _find(ev[0], q)
+    return np.where(ok, ev[1][i], EV_NONE) if len(ev[0]) else np.full(len(q), EV_NONE)
+
+
+def _keys(keys: np.ndarray):
+    """The sparse map of a key set (values 0)."""
+    return _min_by_key(keys, np.zeros(len(keys), np.int64))
+
+
+def _carry(ev, off: np.ndarray, dst: np.ndarray, n_from: int, n_to: int):
+    """The sparse map ``ev`` over ``range(n_from)`` carried along the
+    CSR edges ``off``/``dst`` into ``range(n_to)``, MIN per key."""
+    q, u = np.divmod(ev[0], n_from)
+    i, k = _csr_rows(off, u)
+    return _min_by_key(q[i] * n_to + dst[k], ev[1][i])
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+_EMPTY_EV = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 class DiffClosure:
@@ -170,7 +225,11 @@ class DiffClosure:
     after one read per relation.  ``W`` is every diff way, member way
     and store member way, with its store refs as CSR (``wst_off``,
     ``wst_u``); ``N`` every diff node, diff or store way ref and
-    member node, with its store point (``found``, ``lat``, ``lon``)."""
+    member node, with its store point (``found``, ``lat``, ``lon``).
+
+    Built through `diff_closure`, which hands the same closure to the
+    bbox pass and the filter; so its arrays are read-only, and a
+    consumer that assigned into one would raise."""
 
     def __init__(self, elements: pa.Table, resolver: Resolver):
         self.n = elements.num_rows
@@ -222,146 +281,358 @@ class DiffClosure:
         st_u, leaf = np.searchsorted(self.R, st_src), st_kind != MTYPE_REL
         self.sleaf_r, self.sleaf = st_u[leaf], self._member_index(st_kind[leaf], st_ref[leaf])
         self.edge_src, self.edge_dst = st_u[~leaf], np.searchsorted(self.R, st_ref[~leaf])
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def _member_index(self, kind: np.ndarray, ref: np.ndarray) -> np.ndarray:
         return np.where(kind == MTYPE_NODE, np.searchsorted(self.N, ref),
                         len(self.N) + np.searchsorted(self.W, ref))
 
 
-class DiffEvidence(DiffClosure):
-    """The polygon-independent part of one diff's filter: its closure,
-    the new points and boxes of its rows, and the old points of the
-    closure's nodes that are in ``node_ids``.  A node or way member
-    indexes the evidence vector ``[node ev | way ev]``."""
+# the only columns the closure walk reads
+CLOSURE_COLUMNS = ("id", "etype", "refs", "members")
+
+
+def diff_closure(elements: pa.Table, resolver: Resolver) -> DiffClosure:
+    """The `DiffClosure` of ``elements`` over ``resolver``, walked once:
+    the resolver keeps the last closure built over it, keyed on the
+    columns the walk reads, so the bbox pass, `closure_node_ids` and the
+    filter of one sequence share one walk (the reference hands one
+    OsmCache from the bbox pass to the filter, src/update.rs:122-131).
+    A table that differs in any of those columns, or another resolver,
+    gets a fresh walk."""
+    cols = [elements[c] for c in CLOSURE_COLUMNS]
+    if resolver.closure is not None:
+        held, closure = resolver.closure
+        if all(a.equals(b) for a, b in zip(held, cols)):
+            return closure
+    closure = DiffClosure(elements, resolver)
+    resolver.closure = (cols, closure)
+    return closure
+
+
+class _ByPoly:
+    """The items of (polygon, item) pairs grouped by polygon, CSR over
+    the tree's polygons, ascending within each polygon."""
+
+    def __init__(self, n_polys: int, poly: np.ndarray, item: np.ndarray):
+        o = np.argsort(poly * (int(item.max(initial=0)) + 1) + item)
+        self.off = np.searchsorted(poly[o], np.arange(n_polys + 1))
+        self.item = item[o]
+        self.count = np.diff(self.off)
+
+    def take(self, polys: np.ndarray):
+        """(i, item) for every item of ``polys[i]``, ascending."""
+        i, k = _csr_rows(self.off, polys)
+        return i, self.item[k]
+
+
+class TreeHits(NamedTuple):
+    """The sparse geometry hits of one diff over the polygons of a tree."""
+
+    old_ex: _ByPoly   # closure nodes (``N`` indices): old point in the polygon
+    old_bf: _ByPoly   # ... in its chordal buffer
+    node_ex: _ByPoly  # node rows (``nrow`` indices): new point in the polygon
+    node_bf: _ByPoly  # ... in its chordal buffer
+    way_box: _ByPoly  # way rows (``wrow`` indices) that may have evidence: box
+    #                   meets the buffered polygon
+    rel_box: _ByPoly  # relation rows (``rrow`` indices): box meets the buffered polygon
+
+
+class DiffEvidence:
+    """The polygon-independent part of one diff's filter: its closure
+    ``c`` (`diff_closure`), the new points and boxes of its rows, the
+    old points of the closure's nodes that are in ``node_ids``, and the
+    inverse edges the sparse kernel walks.  A node or way member indexes
+    the evidence universe ``[N | W]``."""
+
+    # hits (buffered old and new points, gated way and relation rows)
+    # per kernel call: a tree level whose polygons hold more runs in
+    # batches of polygons, which bounds the kernel's working arrays
+    batch_hits = 1 << 20
 
     def __init__(self, elements: pa.Table, resolver: Resolver, node_ids: np.ndarray):
-        super().__init__(elements, resolver)
-        self.nlat = _np(elements["lat"])[self.nrow].astype(np.int64)
-        self.nlon = _np(elements["lon"])[self.nrow].astype(np.int64)
+        c = self.c = diff_closure(elements, resolver)
+        self.n = c.n
+        self.nlat = _np(elements["lat"])[c.nrow].astype(np.int64)
+        self.nlon = _np(elements["lon"])[c.nrow].astype(np.int64)
         boxed = _np(pc.is_valid(elements["minlat"]))
-        boxed[self.nrow] = False
-        self.boxrow = np.flatnonzero(boxed)
-        self.boxes = [_np(elements[c].take(self.boxrow)).astype(np.int64)
-                      for c in ("minlon", "minlat", "maxlon", "maxlat")]
-        found = self.found & np.isin(self.N, node_ids)
+        self.wboxed, self.rboxed = boxed[c.wrow], boxed[c.rrow]
+        self.wbox, self.rbox = ([_np(elements[col].take(rows).fill_null(0)).astype(np.int64)
+                                 for col in ("minlon", "minlat", "maxlon", "maxlat")]
+                                for rows in (c.wrow, c.rrow))
+        found = c.found if node_ids is c.N else c.found & np.isin(c.N, node_ids)
         self.old = np.flatnonzero(found)
-        self.old_lon, self.old_lat = self.lon[found], self.lat[found]
-        self.wst_w = np.repeat(np.arange(len(self.W)), np.diff(self.wst_off))
+        self.old_lon, self.old_lat = c.lon[found], c.lat[found]
 
-    def _reach_min(self, base: np.ndarray) -> np.ndarray:
-        """``base`` minimized over the relations each reaches through
-        store relation members (the reference's cycle guard drops only
-        revisits, so any reachable relation counts)."""
-        val = base.copy()
-        while len(self.edge_src):
-            prev = val.copy()
-            np.minimum.at(val, self.edge_src, val[self.edge_dst])
-            if np.array_equal(val, prev):
+        # key universes (at least 1, so a packed key keeps its polygon)
+        self.nn, self.nw, self.nr, self.nj, self.nrr = (
+            max(len(a), 1) for a in (c.N, c.W, c.R, c.nrow, c.rrow))
+        nu = self.nn + self.nw
+        # the inverse edges, CSR: node -> its rows, the way rows with it
+        # as a new ref, the ways with it as a store ref; way -> its rows;
+        # [N | W] -> the relations with it as a store member, the
+        # relation rows with it as a diff member; relation -> its rows,
+        # the relations and the relation rows with it as a member
+        self.node_rows_off, self.node_rows = _csr(c.nrow_u, self.nn)
+        self.ref_ways_off, o = _csr(c.wnew_u, self.nn)
+        self.ref_ways = c.wnew_row[o]
+        self.node_ways_off, o = _csr(c.wst_u, self.nn)
+        self.node_ways = np.repeat(np.arange(len(c.W)), np.diff(c.wst_off))[o]
+        self.way_rows_off, self.way_rows = _csr(c.wrow_u, self.nw)
+        self.leaf_rels_off, o = _csr(c.sleaf, nu)
+        self.leaf_rels = c.sleaf_r[o]
+        self.leaf_rows_off, o = _csr(c.dleaf, nu)
+        self.leaf_rows = c.dleaf_row[o]
+        self.rel_rows_off, self.rel_rows = _csr(c.rrow_u, self.nr)
+        self.rel_up_off, o = _csr(c.edge_dst, self.nr)
+        self.rel_up = c.edge_src[o]
+        self.drel_rows_off, o = _csr(c.drel, self.nr)
+        self.drel_rows = c.drel_row[o]
+        # per way row its new refs, per relation row its diff members
+        # (the exploded lists are in row order)
+        self.wnew_off = np.searchsorted(c.wnew_row, np.arange(len(c.wrow) + 1))
+        self.dleaf_off = np.searchsorted(c.dleaf_row, np.arange(len(c.rrow) + 1))
+        self.drel_off = np.searchsorted(c.drel_row, np.arange(len(c.rrow) + 1))
+
+    def tree_hits(self, index: PolyTreeIndex) -> TreeHits:
+        """Per polygon of ``index``, its hits over the whole diff, for
+        every polygon at once, whatever rows a polygon's parent passes
+        on: one candidate query and one pair-segmented refine for the
+        old points and the new node points together.  Every piece of
+        evidence starts at such a point hit, so only the way and
+        relation rows that may reach one in a polygon have their box
+        tested against it, in one pair-segmented pass: a way or
+        relation box often spans many polygons, and most of those pairs
+        could never output."""
+        c, nn, nw, nr, nrr = self.c, self.nn, self.nw, self.nr, self.nrr
+        nu, n_polys = nn + nw, len(index.polys)
+        n_old = len(self.old)
+        pi, pk, px = index.point_hits(np.concatenate([self.old_lon, self.nlon]),
+                                      np.concatenate([self.old_lat, self.nlat]))
+        is_old = pi < n_old
+        oi, ok, ox = pi[is_old], pk[is_old], px[is_old]
+        ni, nk, nx = pi[~is_old] - n_old, pk[~is_old], px[~is_old]
+        node = _keys(np.concatenate([ok * nn + self.old[oi], nk * nn + c.nrow_u[ni]]))
+        # ways: a new ref or a store ref with a point hit
+        way = _merge(_carry(node, self.ref_ways_off, c.wrow_u[self.ref_ways], nn, nw),
+                     _carry(node, self.node_ways_off, self.node_ways, nn, nw))
+        # relations: a diff or store member (or one reached through
+        # relation members) with a possible hit, where a relation row's
+        # own id counts once the row is in; rounds until no row joins
+        p, w = np.divmod(way[0], nw)
+        leaf = _keys(np.concatenate([node[0] // nn * nu + node[0] % nn, p * nu + nn + w]))
+        src = _carry(leaf, self.leaf_rels_off, self.leaf_rels, nu, nr)
+        rows = first = _carry(leaf, self.leaf_rows_off, self.leaf_rows, nu, nrr)
+        while True:
+            q, jr = np.divmod(rows[0], nrr)
+            reach = self._reach_min(_merge(src, _keys(q * nr + c.rrow_u[jr])))
+            nxt = _merge(first, _carry(reach, self.rel_rows_off, self.rel_rows, nr, nrr),
+                         _carry(reach, self.drel_rows_off, self.drel_rows, nr, nrr))
+            if _same(nxt, rows):
                 break
-        return val
+            rows = nxt
 
-    def tree_hits(self, index: PolyTreeIndex) -> list[PolyHits]:
-        """Per polygon of ``index``, its hits over the whole diff: one
-        candidate query and one pair-segmented refine for each input
-        (old points, new node points, row boxes), for every polygon at
-        once, whatever rows a polygon's parent passes on."""
-        n_polys = len(index.polys)
-        oi, ok, ox = index.point_hits(self.old_lon, self.old_lat)
-        ni, nk, nx = index.point_hits(self.nlon, self.nlat)
-        bi, bk = index.box_hits(*self.boxes)
-        return [PolyHits(*h) for h in zip(
-            _split(n_polys, ok[ox], self.old[oi[ox]]), _split(n_polys, ok, self.old[oi]),
-            _split(n_polys, nk[nx], ni[nx]), _split(n_polys, nk, ni),
-            _split(n_polys, bk, bi),
-        )]
+        # one box gate for both: the way rows of those ways, the
+        # relation rows, each with a box
+        i, k = _csr_rows(self.way_rows_off, w)
+        p, jw = p[i], self.way_rows[k]
+        p, jw = p[self.wboxed[jw]], jw[self.wboxed[jw]]
+        q, jr = q[self.rboxed[jr]], jr[self.rboxed[jr]]
+        gate = index.box_pair_hits(*(np.concatenate([wb[jw], rb[jr]])
+                                     for wb, rb in zip(self.wbox, self.rbox)),
+                                   np.concatenate([p, q]))
+        wg, rg = gate[:len(jw)], gate[len(jw):]
+        return TreeHits(
+            _ByPoly(n_polys, ok[ox], self.old[oi[ox]]), _ByPoly(n_polys, ok, self.old[oi]),
+            _ByPoly(n_polys, nk[nx], ni[nx]), _ByPoly(n_polys, nk, ni),
+            _ByPoly(n_polys, p[wg], jw[wg]), _ByPoly(n_polys, q[rg], jr[rg]),
+        )
 
-    def verdicts(self, hits: PolyHits, live: np.ndarray) -> np.ndarray:
-        """int8 verdict per row (KEEP / DELETE / DROP) for the polygon of
-        ``hits`` over the rows where ``live`` is set; other rows DROP
-        and memoize nothing."""
-        v = np.full(self.n, DROP, np.int8)
-        ex, bf = np.full(len(self.N), EV_NONE), np.full(len(self.N), EV_NONE)
-        ex[hits.old_ex] = EV_OLD
-        bf[hits.old_bf] = EV_OLD
+    def _reach_min(self, ev):
+        """``ev`` over ``R`` minimized over the relations each reaches
+        through store relation members (the reference's cycle guard
+        drops only revisits, so any reachable relation counts)."""
+        while True:
+            nxt = _merge(ev, _carry(ev, self.rel_up_off, self.rel_up, self.nr, self.nr))
+            if _same(nxt, ev):
+                return ev
+            ev = nxt
 
-        m = live[self.nrow]
-        rows, u = self.nrow[m], self.nrow_u[m]
-        new_ex = _mask(len(self.nrow), hits.node_ex)[m]
-        new_bf = _mask(len(self.nrow), hits.node_bf)[m]
-        np.minimum.at(bf, u[new_bf], rows[new_bf])
-        keep, event = node_ladder(bf[u], new_ex, rows)
-        np.minimum.at(ex, u[keep], rows[keep])
-        v[rows] = verdict_codes(keep, event)
+    def batches(self, polys: np.ndarray, hits: TreeHits) -> list[np.ndarray]:
+        """``polys`` cut into runs of about ``batch_hits`` hits."""
+        if not len(polys):
+            return []
+        cum = np.cumsum(sum(h.count[polys] for h in (hits.old_bf, hits.node_bf,
+                                                    hits.way_box, hits.rel_box)))
+        cuts = np.searchsorted(cum, np.arange(1, -(-int(cum[-1]) // self.batch_hits))
+                               * self.batch_hits) + 1
+        return [b for b in np.split(polys, np.unique(cuts)) if len(b)]
 
-        # read at live rows only, so hits on other rows do not matter
-        gate = _mask(self.n, self.boxrow[hits.box])
+    def verdicts(self, hits: TreeHits, polys: np.ndarray, live):
+        """(i, row, code) of every KEEP or DELETE row of the polygons
+        ``polys`` (tree indices; ``i`` indexes ``polys``), each over the
+        rows ``live(i, rows)`` lets it read; every other row DROPs and
+        memoizes nothing.  Every map is sparse, keyed (i, id): all
+        evidence starts at a buffered point hit, so a node row is a
+        candidate only where its polygon has evidence for its id, and a
+        way or relation row only where ``hits`` gates it (its box meets
+        the polygon; for a way, a ref of its id has a point hit).  The
+        arrays scale with the hits, not with polygons × diff."""
+        c, nn, nw, nr, nj = self.c, self.nn, self.nw, self.nr, self.nj
+        nu = nn + nw
+        out = []
 
-        st_ex, st_bf = (_first(len(self.W), self.wst_w, e[self.wst_u]) for e in (ex, bf))
-        m = live[self.wrow]
-        rows, u = self.wrow[m], self.wrow_u[m]
-        new_ex_ev, new_bf_ev = (_first(len(self.wrow), self.wnew_row, e[self.wnew_u])[m]
+        # nodes: buffered evidence from old points and live new points,
+        # then every live row of an id that has some
+        q, j = hits.node_bf.take(polys)
+        ok = live(q, c.nrow[j])
+        q, j = q[ok], j[ok]
+        oq, ou = hits.old_bf.take(polys)
+        bf = _min_by_key(np.concatenate([oq * nn + ou, q * nn + c.nrow_u[j]]),
+                         np.concatenate([np.full(len(oq), EV_OLD), c.nrow[j]]))
+        bq, bu = np.divmod(bf[0], nn)
+        i, k = _csr_rows(self.node_rows_off, bu)
+        q, j = bq[i], self.node_rows[k]
+        rows = c.nrow[j]
+        ok = live(q, rows)
+        i, q, j, rows = i[ok], q[ok], j[ok], rows[ok]
+        eq, ej = hits.node_ex.take(polys)
+        new_ex = _find(eq * nj + ej, q * nj + j)[1]
+        keep, event = node_ladder(bf[1][i], new_ex, rows)
+        out.append((q, rows, verdict_codes(keep, event)))
+        eq, eu = hits.old_ex.take(polys)
+        ex = _min_by_key(np.concatenate([eq * nn + eu, q[keep] * nn + c.nrow_u[j[keep]]]),
+                         np.concatenate([np.full(len(eq), EV_OLD), rows[keep]]))
+
+        # ways: the live rows that may have evidence and whose box
+        # meets the polygon
+        st_ex, st_bf = (_carry(e, self.node_ways_off, self.node_ways, nn, nw) for e in (ex, bf))
+        q, jw = hits.way_box.take(polys)
+        rows = c.wrow[jw]
+        ok = live(q, rows)
+        q, jw, rows = q[ok], jw[ok], rows[ok]
+        wkey = q * nw + c.wrow_u[jw]
+        i, k = _csr_rows(self.wnew_off, jw)
+        new_ex_ev, new_bf_ev = (_first(len(jw), i, _at(e, q[i] * nn + c.wnew_u[k]))
                                 for e in (ex, bf))
-        buf_ev = np.minimum(new_bf_ev, st_bf[u])
-        keep, event = ladder(gate[rows], new_ex_ev, buf_ev, rows)
+        buf_ev = np.minimum(new_bf_ev, _at(st_bf, wkey))
+        keep, event = ladder(True, new_ex_ev, buf_ev, rows)
         # the first keep-or-delete row also memoizes the id for its
         # later rows; it is an event without that term
-        first_event = _first(len(self.W), u[event], rows[event])
-        keep, event = ladder(gate[rows], new_ex_ev, np.minimum(buf_ev, first_event[u]), rows)
-        v[rows] = verdict_codes(keep, event)
-        ex = np.concatenate([ex, np.minimum(st_ex, _first(len(self.W), u[keep], rows[keep]))])
-        bf = np.concatenate([bf, np.minimum(st_bf, first_event)])
+        first_event = _min_by_key(wkey[event], rows[event])
+        keep, event = ladder(True, new_ex_ev, np.minimum(buf_ev, _at(first_event, wkey)), rows)
+        out.append((q, rows, verdict_codes(keep, event)))
+        first_keep = _min_by_key(wkey[keep], rows[keep])
 
-        m = live[self.rrow]
-        if not m.any():
-            return v
-        rows, u, g = self.rrow[m], self.rrow_u[m], gate[self.rrow[m]]
-        n_r = len(self.rrow)
-        dm_ex, dm_bf = (_first(n_r, self.dleaf_row, e[self.dleaf])[m] for e in (ex, bf))
-        sl_ex, sl_bf = (_first(len(self.R), self.sleaf_r, e[self.sleaf]) for e in (ex, bf))
-        first_keep = first_event = np.full(len(self.R), EV_NONE)
-        for _ in range(REL_ROUNDS_CAP):
-            r_ex = self._reach_min(np.minimum(sl_ex, first_keep))
-            r_bf = self._reach_min(np.minimum(sl_bf, first_event))
-            keep, event = ladder(
-                g,
-                np.minimum(dm_ex, _first(n_r, self.drel_row, r_ex[self.drel])[m]),
-                np.minimum.reduce([dm_bf, _first(n_r, self.drel_row, r_bf[self.drel])[m], r_bf[u]]),
-                rows,
-            )
-            nk = _first(len(self.R), u[keep], rows[keep])
-            ne = _first(len(self.R), u[event], rows[event])
-            if np.array_equal(nk, first_keep) and np.array_equal(ne, first_event):
-                break
-            first_keep, first_event = nk, ne
-        else:
-            raise FixpointCapError(
-                f"filter relation fixpoint did not converge within "
-                f"REL_ROUNDS_CAP={REL_ROUNDS_CAP} rounds (earlier-row "
-                f"relation memo chain deeper than the cap)"
-            )
-        v[rows] = verdict_codes(keep, event)
-        return v
+        # relations: the live rows whose box meets the polygon
+        q, jr = hits.rel_box.take(polys)
+        rows = c.rrow[jr]
+        ok = live(q, rows)
+        q, jr, rows = q[ok], jr[ok], rows[ok]
+        if len(q):
+            def leaves(node_ev, way_ev):
+                """Node and way evidence as one map over ``[N | W]``."""
+                wq, w = np.divmod(way_ev[0], nw)
+                return _min_by_key(np.concatenate([node_ev[0] // nn * nu + node_ev[0] % nn,
+                                                   wq * nu + nn + w]),
+                                   np.concatenate([node_ev[1], way_ev[1]]))
+
+            ex = leaves(ex, _merge(st_ex, first_keep))
+            bf = leaves(bf, _merge(st_bf, first_event))
+            rkey = q * nr + c.rrow_u[jr]
+            i, k = _csr_rows(self.dleaf_off, jr)
+            dm_ex, dm_bf = (_first(len(jr), i, _at(e, q[i] * nu + c.dleaf[k])) for e in (ex, bf))
+            sl_ex, sl_bf = (_carry(e, self.leaf_rels_off, self.leaf_rels, nu, nr)
+                            for e in (ex, bf))
+            di, k = _csr_rows(self.drel_off, jr)
+            dkey = q[di] * nr + c.drel[k]
+            first_keep = first_event = _EMPTY_EV
+            for _ in range(REL_ROUNDS_CAP):
+                r_ex = self._reach_min(_merge(sl_ex, first_keep))
+                r_bf = self._reach_min(_merge(sl_bf, first_event))
+                keep, event = ladder(
+                    True,
+                    np.minimum(dm_ex, _first(len(jr), di, _at(r_ex, dkey))),
+                    np.minimum.reduce([dm_bf, _first(len(jr), di, _at(r_bf, dkey)),
+                                       _at(r_bf, rkey)]),
+                    rows,
+                )
+                nk = _min_by_key(rkey[keep], rows[keep])
+                ne = _min_by_key(rkey[event], rows[event])
+                if _same(nk, first_keep) and _same(ne, first_event):
+                    break
+                first_keep, first_event = nk, ne
+            else:
+                raise FixpointCapError(
+                    f"filter relation fixpoint did not converge within "
+                    f"REL_ROUNDS_CAP={REL_ROUNDS_CAP} rounds (earlier-row "
+                    f"relation memo chain deeper than the cap)"
+                )
+            out.append((q, rows, verdict_codes(keep, event)))
+
+        q, rows, v = (np.concatenate(a) for a in zip(*out))
+        kept = v != DROP
+        return q[kept], rows[kept], v[kept]
 
 
-def _tree_masks(elements, tree_polys, tree_parent, resolver, node_ids):
-    """Per tree polygon, in ``tree_polys`` order: (live, deleted) bool
-    row masks — the rows it outputs, and those whose action a delete
-    verdict on its root path rewrites.  Each polygon filters its
-    parent's output rows (the reference chains outputs,
-    src/diffs.rs:174-185)."""
+def _levels(paths: list[str], tree_parent: dict[str, str | None]):
+    """(up, depth) per polygon: its parent's index (-1 at the top) and
+    its depth (0 at the top).  A polygon whose parent path carries no
+    polygon of the tree reads no rows, nor do its descendants: depth -1."""
+    at = {p: i for i, p in enumerate(paths)}
+    up = np.array([-1 if tree_parent.get(p) is None else at.get(tree_parent[p], -2)
+                   for p in paths], np.int64)
+    depth = np.full(len(paths), -1)
+    level, d = np.flatnonzero(up == -1), 0
+    while len(level):
+        depth[level] = d
+        level, d = np.flatnonzero(np.isin(up, level)), d + 1
+    return up, depth
+
+
+def _tree_rows(elements, tree_polys, tree_parent, resolver, node_ids):
+    """(polygon, row, deleted) of every row each tree polygon outputs,
+    ordered by polygon (``tree_polys`` order) then row; ``deleted`` marks
+    the rows whose action a delete verdict on the root path rewrites.
+    Each polygon filters its parent's output rows (the reference chains
+    outputs, src/diffs.rs:174-185), so the tree runs level by level,
+    from the top: one kernel call per level (per batch of a wide
+    level) over its polygons that have a hit and a parent with output."""
     diff = DiffEvidence(elements, resolver, node_ids)
     index = PolyTreeIndex([(path, mp) for path, _name, mp in tree_polys])
-    none = np.zeros(diff.n, bool)
-    live, deleted = {None: ~none}, {None: none}
-    for (path, _name, _mp), hits in zip(tree_polys, diff.tree_hits(index)):
-        parent = tree_parent.get(path)  # topological order: parents first
-        rows = live.get(parent, none)
-        # no buffered hit at all: every row drops
-        any_hit = len(hits.old_bf) or len(hits.node_bf) or len(hits.box)
-        v = diff.verdicts(hits, rows) if any_hit and rows.any() else np.full(diff.n, DROP)
-        live[path] = v != DROP
-        deleted[path] = deleted.get(parent, none) | (v == DELETE)
-    return [(live[p], deleted[p]) for p, _n, _mp in tree_polys]
+    hits = diff.tree_hits(index)
+    up, depth = _levels(index.paths, tree_parent)
+    n = diff.n
+    # all evidence starts at a buffered point hit: a polygon with none
+    # drops every row
+    hit = (hits.old_bf.count + hits.node_bf.count) > 0
+    out = [(np.empty(0, np.int64),) * 2 + (np.empty(0, bool),)]
+    for d in range(depth.max(initial=-1) + 1):
+        prev_poly, prev_row, prev_del = out[-1]
+        prev_key = prev_poly * n + prev_row  # sorted: by polygon, then row
+        has_out = _mask(len(up), prev_poly)
+        polys = np.flatnonzero((depth == d) & hit & ((up < 0) | has_out[np.maximum(up, 0)]))
+        level = [out[0]]
+        for batch in diff.batches(polys, hits):
+            parent = up[batch]
+
+            def live(i, rows, parent=parent):
+                p = parent[i]
+                return (p < 0) | _find(prev_key, p * n + rows)[1]
+
+            i, rows, v = diff.verdicts(hits, batch, live)
+            k, found = _find(prev_key, parent[i] * n + rows)
+            dele = v == DELETE
+            dele[found] |= prev_del[k[found]]
+            level.append((batch[i], rows, dele))
+        poly, rows, dele = (np.concatenate(a) for a in zip(*level))
+        o = np.argsort(poly * n + rows)
+        out.append((poly[o], rows[o], dele[o]))
+    poly, rows, dele = (np.concatenate(a) for a in zip(*out))
+    o = np.argsort(poly * n + rows)
+    return poly[o], rows[o], dele[o]
 
 
 def filter_elements(
@@ -373,12 +644,11 @@ def filter_elements(
     """One polygon filter (a one-polygon tree): returns kept+deleted
     rows with the action rewrite applied (the engine's
     .osc-equivalent output)."""
-    (live, deleted), = _tree_masks(elements, [(".", ".", mp)], {}, resolver, node_ids)
-    rows = np.flatnonzero(live)
+    _poly, rows, deleted = _tree_rows(elements, [(".", ".", mp)], {}, resolver, node_ids)
     sub = elements.take(rows)
     return sub.set_column(
         sub.schema.get_field_index("action"), "action",
-        pc.if_else(pa.array(deleted[rows]), "delete", sub["action"]),
+        pc.if_else(pa.array(deleted), "delete", sub["action"]),
     )
 
 
@@ -396,19 +666,16 @@ def filter_tree(
     assignments table (pos, etype, id, poly_path, action) — one row per
     (element, tree path) the element survives to, exactly the union of
     the per-path .osc outputs, in tree order and then row order."""
-    masks = _tree_masks(elements, tree_polys, tree_parent, resolver, node_ids)
-    rows = [np.flatnonzero(live) for live, _d in masks]
-    take = pa.array(np.concatenate(rows) if rows else np.empty(0, np.int64))
-    paths = [p for p, _n, _mp in tree_polys]
-    which = np.repeat(np.arange(len(paths)), [len(r) for r in rows])
-    dele = np.concatenate([d[r] for (_l, d), r in zip(masks, rows)]) if rows else np.empty(0, bool)
+    poly, rows, deleted = _tree_rows(elements, tree_polys, tree_parent, resolver, node_ids)
+    take = pa.array(rows)
+    paths = np.asarray([p for p, _n, _mp in tree_polys], object)
     return pa.table(
         {
             "pos": elements["pos"].take(take),
             "etype": elements["etype"].take(take),
             "id": elements["id"].take(take),
-            "poly_path": pa.array(np.asarray(paths, object)[which], pa.string()),
-            "action": pc.if_else(pa.array(dele), "delete", elements["action"].take(take)),
+            "poly_path": pa.array(paths[poly], pa.string()),
+            "action": pc.if_else(pa.array(deleted), "delete", elements["action"].take(take)),
         }
     )
 

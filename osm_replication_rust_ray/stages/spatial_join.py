@@ -32,7 +32,8 @@ is O(candidate edges) rather than O(candidate polygons) numpy calls.
 The diff filter (``stages/filter.py``) runs its geometry on the same
 index: ``point_hits`` (exact PIP, then the chordal point buffer of the
 reference's GEOS buffer, from edge bands and per-polygon vertex fan
-triangles) and ``box_hits`` (the Euclidean box gate).
+triangles) and ``box_pair_hits`` (the Euclidean box gate, on the
+(box, polygon) pairs the filter picks).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class PolyTreeIndex:
     # bounds the refine's working arrays to a few MB each
     chunk_edges = 1 << 19
     # query rows per candidate query and candidate pairs per refine
-    # slice in point_hits / box_hits (_refined): bounds the per-pair
+    # slice in point_hits (_refined) and box_pair_hits: bounds the per-pair
     # arrays whatever the input size and a row's polygon fan-out
     chunk_rows = 1 << 15
     chunk_pairs = 1 << 16
@@ -399,12 +400,22 @@ class PolyTreeIndex:
         row_i, poly_i, code = self._refined((px, py, px, py), self._point_codes)
         return row_i, poly_i, code == 2
 
-    def box_hits(self, minlon, minlat, maxlon, maxlat):
-        """-> (row_idx, poly_idx): every (box, polygon) pair whose box
-        meets the Euclidean-buffered polygon
-        (geom.boxes_intersect_buffered)."""
-        row_i, poly_i, _code = self._refined((minlon, minlat, maxlon, maxlat), self._box_codes)
-        return row_i, poly_i
+    def box_pair_hits(self, minlon, minlat, maxlon, maxlat, poly_i) -> np.ndarray:
+        """Per given (box, polygon) PAIR: the box meets the
+        Euclidean-buffered polygon (geom.boxes_intersect_buffered).  The
+        caller picks the pairs; the candidate test (overlap with the
+        buffered bbox) comes first, then the refine on slices of
+        ``chunk_pairs`` pairs."""
+        q = [np.asarray(c, np.int64) for c in (minlon, minlat, maxlon, maxlat)]
+        poly_i = np.asarray(poly_i, np.int64)
+        bx0, by0, bx1, by1 = (c[poly_i] for c in self._bb)
+        b = self.buffer
+        out = (q[0] <= bx1 + b) & (q[1] <= by1 + b) & (q[2] >= bx0 - b) & (q[3] >= by0 - b)
+        todo = np.flatnonzero(out)
+        for t in range(0, len(todo), self.chunk_pairs):
+            s = todo[t:t + self.chunk_pairs]
+            out[s] = self._box_codes(*(c[s] for c in q), poly_i[s]) > 0
+        return out
 
     def verdicts(self, minlon, minlat, maxlon, maxlat, *, codes: bool = False):
         """-> (row_idx, poly_idx, verdict) for assigned pairs, ordered

@@ -9,10 +9,14 @@ fixpoint: one that needs several rounds, and one past the round cap.
 
 Also a multi-sequence soak: 18 synthetic sequences through
 `run_update` on one store (crossing two store folds) against the
-automaton tree plus `apply_changes` on a second store."""
+automaton tree plus `apply_changes` on a second store; and the store
+closure the resolver keeps (one walk per sequence, a new walk for other
+columns or another resolver, read-only arrays), the tree order, and one
+kernel call per tree level."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -348,8 +352,6 @@ def test_run_sequence_nodes_only_diff_with_sparse_pos(tmp_path):
     """A diff of node rows only: no way or relation row reaches the bbox
     gate, and the positions are sparse (the way and relation rows are
     gone), so nothing may index by position as if it were the row."""
-    import pyarrow.compute as pc
-
     from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
 
     changes = synth_changes(800)
@@ -438,3 +440,186 @@ def test_coordless_nodes_pin_todays_boxes_open_semantics(tmp_path):
         (16, "relation", 201, "modify", "./B"),
         (17, "node", 2, "modify", "./B"),
     ]
+
+
+def _synth_tree(work):
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.sources.synth import write_polygon_tree
+
+    return _load_tree(write_polygon_tree(f"{work}/polys"))
+
+
+def _count_closures(monkeypatch) -> list:
+    """Spy on `DiffClosure.__init__`: one entry per store walk."""
+    built = []
+    real = kernel.DiffClosure.__init__
+
+    def init(self, elements, resolver):
+        built.append(resolver)
+        real(self, elements, resolver)
+
+    monkeypatch.setattr(kernel.DiffClosure, "__init__", init)
+    return built
+
+
+def test_run_sequence_walks_the_closure_once(tmp_path, monkeypatch):
+    """bbox, closure_node_ids and the filter of one sequence share one
+    closure walk (three before it was kept on the resolver)."""
+    from osm_replication_rust_ray.pipelines.update import run_sequence
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    tree, parent = _synth_tree(tmp_path)
+    store = ElementStore(str(tmp_path / "db"))
+    store.init()
+    store.apply_changes(synth_store_elements(3000))
+    built = _count_closures(monkeypatch)
+    m = CheckpointManifest(str(tmp_path / "ckpt"))
+    for seq in (1, 2):
+        got = run_sequence(synth_changes(800, seq=seq), store, tree, parent,
+                           str(tmp_path / "out"), m, seq)
+        assert got.num_rows and len(built) == seq
+
+
+def _refs_changed(changes, new_refs):
+    """``changes`` with the refs of its first way row set to ``new_refs``."""
+    row = pc.index(changes["etype"], "way").as_py()
+    refs = changes["refs"].to_pylist()
+    refs[row] = new_refs
+    return changes.set_column(changes.schema.get_field_index("refs"), "refs",
+                              pa.array(refs, changes.schema.field("refs").type))
+
+
+def test_closure_walks_again_for_other_refs_or_another_resolver(tmp_path, monkeypatch):
+    """The kept closure serves only the same (id, etype, refs, members)
+    columns over the same resolver: a diff that differs in one way's
+    refs gets a new walk whose assignments equal a fresh resolver's, and
+    a second resolver over the same store never reuses the first's."""
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store_elements
+
+    tree, parent = _synth_tree(tmp_path)
+    store = ElementStore(str(tmp_path / "db"))
+    store.init()
+    store.apply_changes(synth_store_elements(3000))
+    changes = synth_changes(800)
+    unseen = [int(i) for i in pc.max(changes["id"]).as_py() + 1 + np.arange(3)]
+    other = _refs_changed(changes, unseen)
+    assert not other["refs"].equals(changes["refs"])
+
+    def assign(table, resolver):
+        annotated = annotate_bbox(table, resolver)
+        return filter_tree(annotated, tree, parent, resolver,
+                           closure_node_ids(annotated, resolver))
+
+    built = _count_closures(monkeypatch)
+    resolver = Resolver.from_store(store)
+    first = kernel.diff_closure(changes, resolver)
+    assert kernel.diff_closure(changes.select(["id", "etype", "refs", "members"]),
+                               resolver) is first
+    got = assign(other, resolver)
+    assert len(built) == 2 and set(unseen) <= set(resolver.closure[1].N) - set(first.N)
+    want = assign(other, Resolver.from_store(store))
+    assert len(built) == 3 and got.equals(want)
+
+    second = Resolver.from_store(store)
+    assert kernel.diff_closure(changes, second) is not first
+    assert built[-1] is second
+
+
+def test_node_ids_subset_drops_the_old_points_left_out():
+    """``node_ids`` a strict subset of the closure's ``N``: the nodes
+    left out give no old-point evidence, as in the automaton, and on
+    some diff that changes the assignments."""
+    changed = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        resolver = _store(rng)
+        elements = _diff(rng)
+        full = closure_node_ids(elements, resolver)
+        part = np.array(full[::2])
+        assert 0 < len(part) < len(full)
+        got = filter_tree(elements, TREE, PARENT, resolver, part)
+        assert _rows(got) == oracle_tree(elements, TREE, PARENT, resolver, part), seed
+        changed += _rows(got) != _rows(filter_tree(elements, TREE, PARENT, resolver, full))
+    assert changed
+
+
+def test_shared_closure_is_read_only(tmp_path):
+    """The closure the bbox pass and the filter share is read-only, so
+    neither can change what the other reads."""
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
+
+    tree, parent = _synth_tree(tmp_path)
+    resolver = Resolver(*synth_store(800))
+    annotated = annotate_bbox(synth_changes(800), resolver)
+    filter_tree(annotated, tree, parent, resolver, closure_node_ids(annotated, resolver))
+    c = resolver.closure[1]
+    arrays = {k: a for k, a in vars(c).items() if isinstance(a, np.ndarray)}
+    assert {"N", "W", "R", "found", "lat", "lon", "nrow", "wst_u", "sleaf"} <= set(arrays)
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+    with pytest.raises(ValueError):
+        c.N[0] = 0
+    with pytest.raises(ValueError):
+        c.lat += 1
+    # numpy 1.26's ufunc.at ignores the flag; no consumer calls it on
+    # closure arrays, only on arrays of its own
+
+
+def test_tree_order_does_not_matter(tmp_path):
+    """Polygons listed children first give the same assignments as the
+    tree in its own order: each polygon's depth comes from
+    ``tree_parent``, not from where it stands in the list."""
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
+
+    tree, parent = _synth_tree(tmp_path)
+    assert len(tree) == 12
+    resolver = Resolver(*synth_store(4000))
+    annotated = annotate_bbox(synth_changes(4000), resolver)
+    nid = closure_node_ids(annotated, resolver)
+
+    def assigned(polys):
+        t = filter_tree(annotated, polys, parent, resolver, nid)
+        return t.sort_by([("poly_path", "ascending"), ("pos", "ascending")])
+
+    want = assigned(tree)
+    assert len(set(want["poly_path"].to_pylist())) > 3
+    depth = {p: p.count("/") for p, _n, _mp in tree}
+    shuffled = [tree[k] for k in np.random.default_rng(3).permutation(len(tree))]
+    for polys in (shuffled, sorted(tree, key=lambda t: -depth[t[0]])):
+        assert assigned(polys).equals(want)
+
+
+def test_one_kernel_call_per_tree_level_and_small_batches(tmp_path, monkeypatch):
+    """The evidence kernel runs once per tree level that has a hit; with
+    a batch bound of one hit, every polygon runs alone, and the
+    assignments do not change."""
+    from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
+
+    tree, parent = _synth_tree(tmp_path)
+    resolver = Resolver(*synth_store(4000))
+    annotated = annotate_bbox(synth_changes(4000), resolver)
+    nid = closure_node_ids(annotated, resolver)
+    calls = []
+    real = kernel.DiffEvidence.verdicts
+
+    def verdicts(self, hits, polys, live):
+        calls.append(len(polys))
+        return real(self, hits, polys, live)
+
+    monkeypatch.setattr(kernel.DiffEvidence, "verdicts", verdicts)
+    want = filter_tree(annotated, tree, parent, resolver, nid)
+    depth = {}
+    for p, _n, _mp in tree:
+        up, d = parent[p], 0
+        while up is not None:
+            up, d = parent[up], d + 1
+        depth[p] = d
+    out_levels = {depth[p] for p in want["poly_path"].to_pylist()}
+    assert 2 <= len(out_levels) <= len(calls) <= len(set(depth.values())) == 3
+    assert sum(calls) > len(calls)
+    ran = sum(calls)
+    monkeypatch.setattr(kernel.DiffEvidence, "batch_hits", 1)
+    calls.clear()
+    assert filter_tree(annotated, tree, parent, resolver, nid).equals(want)
+    assert calls == [1] * ran

@@ -351,7 +351,8 @@ def test_point_hits_match_geom_chordal_buffer():
 
 def test_box_refine_with_containment_shortcut_matches_geom():
     """``_boxes_in_polys_pairs`` (which accepts a box containing the
-    polygon's bbox at once) and ``box_hits`` against geom's
+    polygon's bbox at once) and ``box_pair_hits`` (on every pair, most
+    of them outside the candidate bbox test) against geom's
     per-polygon box tests, on boxes that contain the polygon, that
     straddle its bbox, and degenerate ones (points and lines)."""
     tree = _test_polys()
@@ -389,4 +390,7 @@ def test_box_refine_with_containment_shortcut_matches_geom():
     assert contains.sum() >= 80 * len(tree) and (want & ~contains).sum() > 200
     assert (~want).sum() > 200
     assert np.array_equal(got, want)
-    assert {(int(i), int(k)) for i, k in zip(*index.box_hits(*b.T))} == buffered
+    hit = index.box_pair_hits(*b[row].T, poly)
+    assert {(int(i), int(k)) for i, k in zip(row[hit], poly[hit])} == buffered
+    index.chunk_pairs = 97  # many refine slices
+    assert np.array_equal(index.box_pair_hits(*b[row].T, poly), hit)

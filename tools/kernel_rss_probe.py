@@ -12,6 +12,20 @@ calling process, so its peak is the memory one diff needs).
     python tools/kernel_rss_probe.py filter 100000 1000000 2000000 4000000
     python tools/kernel_rss_probe.py store 40000 400000 4000000
     python tools/kernel_rss_probe.py filter-grid 12 120 1080
+    python tools/kernel_rss_probe.py phases 4000
+
+``phases`` splits a replication sequence into its layers at
+perfbench ``replicate``'s shape: ``run_sequence`` with ``n``-element
+diffs (``synth_changes``, two sequences per pass) over a 40,000-element
+store (``synth_store_elements``) on the 12-polygon tree.  Its line
+gives the median milliseconds per sequence of ``Resolver.from_store``,
+``annotate_bbox``, ``closure_node_ids``, ``filter_tree`` (and inside it
+``DiffEvidence.tree_hits``, the evidence kernel
+``DiffEvidence.verdicts`` and the rest), ``write_partitioned``,
+``apply_changes`` and ``commit``, each timed by wrapping its name, the
+time of the store closure walks (``closure_build``, inside the first
+caller's figure), and the walks (``DiffClosure`` builds) and kernel
+calls per sequence.
 
 ``store`` measures how a replication sequence scales with the store
 behind it: one child seeds an ``ElementStore`` of ``n`` synthetic
@@ -163,6 +177,88 @@ def _store_sequences(work: str) -> dict:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}
 
 
+PHASE_STORE = 40000
+PHASE_PASSES = 5
+PHASE_SEQS = 2
+
+
+def _phases(n_diff: int, work: str) -> dict:
+    """Per-phase wall of ``run_sequence`` at ``replicate``'s shape, with
+    every phase timed by wrapping its name (as perfbench's tracer does,
+    plus the filter's two parts); medians over ``PHASE_PASSES`` passes of
+    ``PHASE_SEQS`` sequences, each pass on a fresh copy of the store."""
+    import shutil
+    import time
+    from collections import defaultdict
+
+    from osm_replication_rust_ray.cli import _load_tree
+    from osm_replication_rust_ray.pipelines import update
+    from osm_replication_rust_ray.sources.store import ElementStore, Resolver
+    from osm_replication_rust_ray.sources.synth import (
+        synth_changes,
+        synth_store_elements,
+        write_polygon_tree,
+    )
+    from osm_replication_rust_ray.stages import filter as filt
+    from osm_replication_rust_ray.state.manifest import CheckpointManifest
+
+    seq_t, calls = defaultdict(float), defaultdict(int)
+
+    def timed(fn, name):
+        def wrapper(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seq_t[name] += time.perf_counter() - t
+                calls[name] += 1
+        return wrapper
+
+    from_store = Resolver.from_store
+    Resolver.from_store = staticmethod(timed(from_store, "from_store"))
+    for name in ("annotate_bbox", "closure_node_ids", "filter_tree", "write_partitioned"):
+        setattr(update, name, timed(getattr(update, name), name))
+    for owner, name, span in ((ElementStore, "apply_changes", "apply_changes"),
+                              (CheckpointManifest, "commit", "commit"),
+                              (filt.DiffEvidence, "tree_hits", "tree_hits"),
+                              (filt.DiffEvidence, "verdicts", "kernel"),
+                              (filt.DiffClosure, "__init__", "closure_build")):
+        setattr(owner, name, timed(getattr(owner, name), span))
+
+    tree, parent = _load_tree(write_polygon_tree(os.path.join(work, "polys")))
+    store0 = os.path.join(work, "store0")
+    seed = ElementStore(store0)
+    seed.init()
+    seed.apply_changes(synth_store_elements(PHASE_STORE, seed=1))
+    diffs = {k: synth_changes(n_diff, seed=1, seq=k) for k in range(1, PHASE_SEQS + 1)}
+    per_seq = defaultdict(list)
+    for p in range(PHASE_PASSES + 1):  # pass 0 warms up
+        pass_dir = os.path.join(work, f"pass{p}")
+        shutil.copytree(store0, os.path.join(pass_dir, "store"))
+        store = ElementStore(os.path.join(pass_dir, "store"))
+        manifest = CheckpointManifest(os.path.join(pass_dir, "ckpt"))
+        for k, changes in diffs.items():
+            seq_t.clear()
+            calls.clear()
+            t = time.perf_counter()
+            update.run_sequence(changes, store, tree, parent, os.path.join(pass_dir, "out"),
+                                manifest, k)
+            wall = time.perf_counter() - t
+            if p:
+                per_seq["sequence"].append(wall)
+                for name, v in seq_t.items():
+                    per_seq[name].append(v)
+                per_seq["filter_rest"].append(
+                    seq_t["filter_tree"] - seq_t["tree_hits"] - seq_t["kernel"])
+                per_seq["closure_builds"].append(calls["closure_build"])
+                per_seq["kernel_calls"].append(calls["kernel"])
+        shutil.rmtree(pass_dir)
+    counts = {k: per_seq.pop(k) for k in ("closure_builds", "kernel_calls")}
+    return {"diff": n_diff, "store": PHASE_STORE, "sequences": len(per_seq["sequence"]),
+            "median_ms": {k: round(1000 * float(np.median(v)), 2) for k, v in per_seq.items()},
+            **{f"{k}_per_seq": float(np.median(v)) for k, v in counts.items()}}
+
+
 def _run_child(*args) -> dict:
     out = subprocess.run([sys.executable, __file__, "--child", *map(str, args)],
                          check=True, capture_output=True, text=True).stdout
@@ -197,6 +293,9 @@ def _child(kind: str, rows: int, *args) -> None:
         return
     if kind == "filter-grid":
         print(json.dumps(_filter_grid(rows)))
+        return
+    if kind == "phases":
+        print(json.dumps(_phases(rows, *args)))
         return
     rng = np.random.default_rng(rows)
     info = {}
@@ -239,6 +338,13 @@ def main() -> int:
     if kind == "filter-grid":
         for n_polys in sizes:
             print(json.dumps({"kind": kind, **_run_child(kind, n_polys)}), flush=True)
+        return 0
+    if kind == "phases":
+        import tempfile
+
+        for n_diff in sizes:
+            with tempfile.TemporaryDirectory() as work:
+                print(json.dumps({"kind": kind, **_run_child(kind, n_diff, work)}), flush=True)
         return 0
     rows_out = []
     for rows in sizes:
