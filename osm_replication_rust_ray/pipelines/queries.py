@@ -140,49 +140,39 @@ def _pip_sql_expr(mp: MultiPolygon, px: str, py: str) -> str:
 # spatial queries
 # =====================================================================
 
-class _PipActor:
-    """Actor-pool PIP: candidates via the STRtree index, exact refine."""
-
-    def __init__(self, entries_or_ref):
-        import ray
-
-        from ..stages.spatial_join import PolyTreeIndex
-
-        entries = (
-            ray.get(entries_or_ref)
-            if isinstance(entries_or_ref, ray.ObjectRef)
-            else entries_or_ref
-        )
-        self.index = PolyTreeIndex(entries, buffer=0)
-        self.paths = pa.array(self.index.paths, pa.string())
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = derive.world_lon(batch["event_id"].to_numpy(zero_copy_only=False))
-        lat = derive.world_lat(batch["event_id"].to_numpy(zero_copy_only=False))
-        rows, polys, _ = self.index.verdicts(lon, lat, lon, lat, codes=True)
-        return pa.table(
-            {
-                "event_id": batch["event_id"].take(pa.array(rows)),
-                "poly_path": self.paths.take(pa.array(polys)),
-            }
-        )
+def _event_points(batch: pa.Table) -> pa.Table:
+    """``event_id`` -> the derived event point as a min = max extent,
+    the input ``SpatialJoinActor`` reads."""
+    ids = batch["event_id"].to_numpy(zero_copy_only=False)
+    lon = pa.array(derive.world_lon(ids), pa.int64())
+    lat = pa.array(derive.world_lat(ids), pa.int64())
+    return pa.table({"event_id": batch["event_id"], "minlon": lon,
+                     "minlat": lat, "maxlon": lon, "maxlat": lat})
 
 
-def q_pip_polygon_join(sf_dir: str):
-    """J4 headline: derived event points -> polygon-tree assignment."""
+def _event_pip(sf_dir: str, entries):
+    """Derived event points -> ``SpatialJoinActor`` over ``entries``
+    with no buffer: (event_id, poly_path, verdict), every verdict keep."""
     import ray
 
+    from ..stages.spatial_join import SpatialJoinActor
+
     ds = _read(sf_dir, "events", columns=["event_id"])
-    ref = ray.put(PIP_POLYS)
-    return ds.map_batches(
-        _PipActor,
-        fn_constructor_args=(ref,),
+    points = ds.map_batches(_event_points, batch_format="pyarrow", batch_size=8192)
+    return points.map_batches(
+        SpatialJoinActor,
+        fn_constructor_args=(ray.put(entries), 0, "event_id"),
         batch_format="pyarrow",
         batch_size=8192,
         concurrency=pool_concurrency(
             est_tasks(n_rows=table_rows(sf_dir, "events"), batch_rows=8192)
         ),
     )
+
+
+def q_pip_polygon_join(sf_dir: str):
+    """J4 headline: derived event points -> polygon-tree assignment."""
+    return _event_pip(sf_dir, PIP_POLYS).select_columns(["event_id", "poly_path"])
 
 
 def sql_pip_polygon_join() -> str:
@@ -685,76 +675,36 @@ WHERE {lon} - {half} <= maxx AND {lon} + {half} >= minx
   AND {lat} - {half} <= maxy AND {lat} + {half} >= miny"""
 
 
-class _GridPipActor:
-    """STRtree-candidate PIP under polygon-set LOAD (round-3 verdict
-    item #6): 1080 rectangle polygons in PolyTreeIndex, whose packed
-    STRtree yields the candidates for every row — the north-star's
-    "STRtree-backed point-in-polygon stage hosted in actor pools".
-    The polygon set is generated deterministically in ``__init__``
-    (once per actor; nothing shipped per batch)."""
-
-    def __init__(self):
-        from ..sources.synth import synth_polygon_grid
-        from ..stages.spatial_join import PolyTreeIndex
-
-        self.index = PolyTreeIndex(synth_polygon_grid(), buffer=0)
-        self.n_polys = len(self.index.polys)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["event_id"].to_numpy(zero_copy_only=False)
-        lon, lat = derive.world_lon(ids), derive.world_lat(ids)
-        _rows, polys, _codes = self.index.verdicts(lon, lat, lon, lat, codes=True)
-        # buffer=0 -> every assigned pair is keep; emit per-batch
-        # PARTIAL per-polygon counts (bounded by the 1080-poly domain)
-        counts = np.bincount(polys, minlength=self.n_polys)
-        nz = np.flatnonzero(counts)
-        return pa.table(
-            {
-                "poly_idx": pa.array(nz, pa.int64()),
-                "n": pa.array(counts[nz], pa.int64()),
-            }
-        )
-
-
 def q_strtree_pip(sf_dir: str):
     """North-star STRtree PIP at polygon-set load: derived event points
-    against 1080 disjoint rectangle polygons, candidates from the
-    packed R-tree, exact boundary-inclusive integer refine, per-path
-    assignment counts (partial bincount per batch -> adaptive merge)."""
+    against the 1080 disjoint rectangle polygons of
+    ``synth_polygon_grid`` (paths ``grid/r0000``...), broadcast once
+    with ``ray.put`` to ``SpatialJoinActor`` with no buffer: candidates
+    from the packed R-tree, exact boundary-inclusive integer refine.
+    Each batch's assignments are counted per ``poly_path``, and
+    ``adaptive_group_aggregate`` merges the partial counts."""
     from ..functions.agg import adaptive_group_aggregate
+    from ..sources.synth import synth_polygon_grid
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by("poly_path").aggregate([("poly_path", "count")])
+        return pa.table({"poly_path": g["poly_path"], "n": g["poly_path_count"]})
 
     n_rows = table_rows(sf_dir, "events")
-    ds = _read(sf_dir, "events", columns=["event_id"])
-    partials = ds.map_batches(
-        _GridPipActor,
-        batch_format="pyarrow",
-        batch_size=8192,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=8192)),
+    partials = _event_pip(sf_dir, synth_polygon_grid()).map_batches(
+        partial, batch_format="pyarrow", batch_size=None
     )
     # each batch emits <= one partial row per polygon; the merge input
     # is bounded by n_batches x n_polys, so the adaptive ladder picks
     # the single-task local aggregate at gate scale and the
     # sorted-segment path at 10^12-row scale (measured: Ray hash-agg
     # cost a flat ~2.9 s all-to-all here for 1080 groups).
-    agg = adaptive_group_aggregate(
+    return adaptive_group_aggregate(
         partials,
-        "poly_idx",
+        "poly_path",
         {"n_rows": ("n", "sum")},
         est_rows=-(-n_rows // 8192) * 1080,
     )
-
-    def name(batch: pa.Table) -> pa.Table:
-        k = batch["poly_idx"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "poly_path": pa.array(
-                    [f"grid/r{i:04d}" for i in k.tolist()], pa.string()
-                ),
-                "n_rows": pc.cast(batch["n_rows"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(name, batch_format="pyarrow")
 
 
 def sql_strtree_pip() -> str:

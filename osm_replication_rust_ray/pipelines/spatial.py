@@ -58,13 +58,9 @@ def flagship_assignments(
         concurrency = pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=batch_size))
     ds = payload_with_extents(n_rows, with_bytes=with_bytes, parallelism=parallelism)
     ref = ray.put(polygon_tree_entries())
-    return ds.map_batches(
-        SpatialJoinActor,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(SpatialJoinActor, fn_constructor_args=(ref,),
+                          batch_format="pyarrow", batch_size=batch_size,
+                          concurrency=concurrency)
 
 
 def assignment_counts(ds):
@@ -108,39 +104,22 @@ def route_payload_with_bytes(
     hard part #6).
 
     The wide work (extent derivation, cell encode, spatial join, tree
-    chaining) runs on a SKINNY projection — `bytes` never enters any
-    shuffle except the single final hash join that co-locates each
-    image with its assignment (the minimal possible payload movement).
-    Verdict='keep' rows only (the delete stream is key-only by design).
+    chaining) is ``flagship_assignments`` on the byte-less payload —
+    `bytes` never enters any shuffle except the single final hash join
+    that co-locates each image with its assignment (the minimal
+    possible payload movement).  Verdict='keep' rows only (the delete
+    stream is key-only by design).
 
     Returns the list of PartitionRecords written.
     """
     import pyarrow.compute as pc
-    import ray
 
     from ..state.manifest import write_partitioned
 
-    if concurrency is None:
-        concurrency = pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=8192))
     if num_join_partitions is None:
         # payload side dominates: ~64KiB of image bytes per row
         num_join_partitions = join_partitions(n_bytes=n_rows * (64 << 10))
-    # skinny side: ids + phash only (at a real source this is a column-
-    # pruned parquet read; here the generator is equally column-lazy)
-    skinny = payload_dataset(n_rows, with_bytes=False).select_columns(
-        ["image_id", "phash"]
-    )
-    skinny = skinny.map_batches(
-        add_extents_and_cells, batch_format="pyarrow", batch_size=8192
-    )
-    ref = ray.put(polygon_tree_entries())
-    assignments = skinny.map_batches(
-        SpatialJoinActor,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=8192,
-        concurrency=concurrency,
-    )
+    assignments = flagship_assignments(n_rows, concurrency=concurrency, batch_size=8192)
     keeps = assignments.map_batches(
         lambda b: b.filter(pc.equal(b["verdict"], "keep")),
         batch_format="pyarrow",

@@ -229,7 +229,10 @@ class DiffClosure:
 
     Built through `diff_closure`, which hands the same closure to the
     bbox pass and the filter; so its arrays are read-only, and a
-    consumer that assigned into one would raise."""
+    consumer that assigned into one would raise.  The flag stops item
+    and slice assignment and in-place operators, not ``np.<ufunc>.at``:
+    numpy 1.26's ``ufunc.at`` writes into a non-writeable array, so no
+    consumer may call one on a closure array."""
 
     def __init__(self, elements: pa.Table, resolver: Resolver):
         self.n = elements.num_rows

@@ -13,13 +13,17 @@ with ONE multi-label pass:
     classified buffer-only (the action-rewrite composition of
     src/osmxml/filter.rs:231,256,294 chained through src/diffs.rs:174-185).
 
-Scale shape (north_rule): a `map_batches` ACTOR POOL — each actor
-builds, once in ``__init__``, a packed STRtree over the polygons'
-bboxes expanded by the buffer (`functions/strtree.py`, one argsort);
-per batch, each row's extent queries the tree (vectorized), then only
-the (row, polygon) candidate pairs run the exact integer predicates.
-The polygon set is broadcast once via ``ray.put`` and read in the
-constructor — never re-shipped per batch.
+Scale shape (north_rule): a `map_batches` ACTOR POOL of
+``SpatialJoinActor`` — each actor builds, once in ``__init__``, a
+packed STRtree over the polygons' bboxes expanded by the buffer
+(`functions/strtree.py`, one argsort); per batch, each row's extent
+queries the tree (vectorized), then only the (row, polygon) candidate
+pairs run the exact integer predicates.  The polygon set is broadcast
+once via ``ray.put`` and read in the constructor — never re-shipped
+per batch.  It is the only actor that wraps a ``PolyTreeIndex``: the
+flagship tile join (``pipelines/spatial.py``) and the PIP queries
+(``pip_polygon_join``, ``strtree_pip``: event points as min = max
+extents, ``buffer=0``) all run through it.
 
 Refine is pair-segmented for points and boxes alike: every candidate
 pair expands to its polygon's edge slice of one CSR edge table, each
@@ -83,8 +87,9 @@ VERDICTS = ("delete", "keep")
 
 
 class PolyTreeIndex:
-    """Candidate index over a polygon tree (built per join actor, and
-    per ``stages/filter.py:filter_tree`` call): a packed
+    """Candidate index over a polygon tree (built once per
+    ``SpatialJoinActor``, and per ``stages/filter.py:filter_tree``
+    call): a packed
     STRtree over the buffered polygon bboxes (the north-star's
     "STRtree-backed PIP stage") yields a candidate SUPERSET of the
     (row, polygon) pairs whose extent meets the buffered polygon, and
@@ -478,13 +483,16 @@ def _box_sides(x0, y0, x1, y1):
 
 
 class SpatialJoinActor:
-    """`map_batches` actor: payload batch (with extent columns) ->
-    assignments (image_id, poly_path, verdict).
+    """`map_batches` actor: batch with extent columns (``minlon``,
+    ``minlat``, ``maxlon``, ``maxlat``; a point has min = max) ->
+    assignments (``id_col``, poly_path, verdict).
 
-    Constructor takes either the entries list directly or a
-    ``ray.ObjectRef`` to it (broadcast once with ``ray.put``)."""
+    The one actor around a ``PolyTreeIndex``: the flagship tile join
+    uses the defaults, the PIP queries pass ``buffer=0`` and their own
+    key column.  Constructor takes either the entries list directly or
+    a ``ray.ObjectRef`` to it (broadcast once with ``ray.put``)."""
 
-    def __init__(self, entries_or_ref):
+    def __init__(self, entries_or_ref, buffer=BUFFER_DECIMICRO, id_col="image_id"):
         import ray
 
         entries = (
@@ -492,7 +500,8 @@ class SpatialJoinActor:
             if isinstance(entries_or_ref, ray.ObjectRef)
             else entries_or_ref
         )
-        self.index = PolyTreeIndex(entries)
+        self.index = PolyTreeIndex(entries, buffer=buffer)
+        self.id_col = id_col
         self.paths = pa.array(self.index.paths, pa.string())
         self.verdict_names = pa.array(VERDICTS, pa.string())
 
@@ -506,7 +515,7 @@ class SpatialJoinActor:
         )
         return pa.table(
             {
-                "image_id": batch["image_id"].take(pa.array(rows)),
+                self.id_col: batch[self.id_col].take(pa.array(rows)),
                 "poly_path": self.paths.take(pa.array(polys)),
                 "verdict": self.verdict_names.take(pa.array(codes)),
             }

@@ -546,7 +546,9 @@ def test_node_ids_subset_drops_the_old_points_left_out():
 
 def test_shared_closure_is_read_only(tmp_path):
     """The closure the bbox pass and the filter share is read-only, so
-    neither can change what the other reads."""
+    neither can change what the other reads.  The ``writeable`` flag
+    blocks item and slice assignment and in-place operators, but not
+    ``np.<ufunc>.at``, which numpy 1.26 lets write into the array."""
     from osm_replication_rust_ray.sources.synth import synth_changes, synth_store
 
     tree, parent = _synth_tree(tmp_path)
@@ -562,8 +564,6 @@ def test_shared_closure_is_read_only(tmp_path):
         c.N[0] = 0
     with pytest.raises(ValueError):
         c.lat += 1
-    # numpy 1.26's ufunc.at ignores the flag; no consumer calls it on
-    # closure arrays, only on arrays of its own
 
 
 def test_tree_order_does_not_matter(tmp_path):

@@ -18,6 +18,7 @@ from osm_replication_rust_ray.sources.synth import (
 from osm_replication_rust_ray.stages.knn import CellKNNIndex, brute_force_nn
 from osm_replication_rust_ray.stages.spatial_join import (
     PolyTreeIndex,
+    SpatialJoinActor,
     parent_path,
     polygon_chains,
 )
@@ -140,6 +141,47 @@ def test_disjoint_grid_assigns_each_point_at_most_once():
     rows, polys, verd = idx.verdicts(px, py, px, py)
     assert len(np.unique(rows)) == len(rows)
     assert all(v == "keep" for v in verd)  # buffer=0: no delete zone
+
+
+def test_join_actor_pip_rows_equal_index_verdicts():
+    """``SpatialJoinActor(entries, 0, "event_id")`` on the event-point
+    batch the PIP queries build emits exactly the (row, polygon) pairs
+    of ``PolyTreeIndex(entries, buffer=0).verdicts``, keyed by event_id
+    — on the nested PIP tree and on the 1080-rectangle grid."""
+    from osm_replication_rust_ray.pipelines.queries import PIP_POLYS, _event_points
+    from osm_replication_rust_ray.sources.synth import synth_polygon_grid
+
+    ids = np.arange(1, 20001, dtype=np.int64) * 7919
+    batch = _event_points(pa.table({"event_id": ids}))
+    lon = batch["minlon"].to_numpy()
+    lat = batch["minlat"].to_numpy()
+    for entries in (PIP_POLYS, synth_polygon_grid()):
+        out = SpatialJoinActor(entries, buffer=0, id_col="event_id")(batch)
+        assert out.column_names == ["event_id", "poly_path", "verdict"]
+        index = PolyTreeIndex(entries, buffer=0)
+        rows, polys, verdicts = index.verdicts(lon, lat, lon, lat)
+        assert out["event_id"].to_pylist() == ids[rows].tolist()
+        assert out["poly_path"].to_pylist() == [index.paths[p] for p in polys]
+        assert out["verdict"].to_pylist() == verdicts
+        assert len(rows) > 1000 and set(verdicts) == {"keep"}
+
+
+def test_join_actor_default_emits_image_assignments():
+    """A one-argument ``SpatialJoinActor`` (the flagship tile join)
+    emits image_id, poly_path and verdict at the default buffer, equal
+    to the brute-force tree assignments."""
+    t, ext = _payload_extents(3000)
+    tree = polygon_tree_entries()
+    batch = t.select(["image_id"])
+    for k in ("minlon", "minlat", "maxlon", "maxlat"):
+        batch = batch.append_column(k, pa.array(ext[k], pa.int64()))
+    out = SpatialJoinActor(tree)(batch)
+    assert out.column_names == ["image_id", "poly_path", "verdict"]
+    image_id = t["image_id"].to_pylist()
+    want = {(image_id[i], p, v) for i, p, v in brute_force_assignments(ext, tree)}
+    got = set(zip(*(out[c].to_pylist() for c in out.column_names)))
+    assert got == want and len(got) == out.num_rows
+    assert {v for _, _, v in got} == {"keep", "delete"}
 
 
 def test_rect_pip_is_closed_box_test():

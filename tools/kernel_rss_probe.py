@@ -36,11 +36,17 @@ the median of sequences 2-3 (``seq_wall_s``), the ``Resolver.from_store``
 time before each, and that child's own peak RSS.
 
 ``filter-grid`` measures how the tree filter scales with the polygon
-count: each size is a number of polygons of the flat rectangle grid
-(``synth_polygon_grid``), filtered with a 4000-element diff over a
+count: each size ``n`` takes ``n`` rectangles spread evenly over the
+flat 1080-rectangle grid (``synth_polygon_grid``, every
+``1080 // n``-th one), filtered with a 4000-element diff over a
 4000-element store (``GRID_DIFF``).  Its line gives the ``filter_tree``
 wall (best of ``GRID_REPEATS`` calls, the first of which also builds
-each polygon's cached fan triangles) and the child's peak RSS.
+each polygon's cached fan triangles), the assigned rows and the
+child's peak RSS.  The first ``n`` rectangles all lie along the
+grid's south edge, where the diff puts no point, so 12 of them
+assigned 0 rows and measured only fixed overhead; figures taken
+before the spread selection (12 and 120 polygons) are not comparable
+with these.
 
 For the other kinds, each size runs in a fresh child process (no Ray), so
 ``RUSAGE_CHILDREN.ru_maxrss`` is that child's own peak; sizes must be
@@ -117,7 +123,8 @@ def _filter_grid(n_polys: int) -> dict:
     from osm_replication_rust_ray.stages.bbox import annotate_bbox, closure_node_ids
     from osm_replication_rust_ray.stages.filter import filter_tree
 
-    tree = [(p, p, mp) for p, mp in synth_polygon_grid(n_polys)]
+    grid = synth_polygon_grid()
+    tree = [(p, p, mp) for p, mp in grid[::len(grid) // n_polys][:n_polys]]
     parent = dict.fromkeys((p for p, _n, _mp in tree), None)
     resolver = Resolver(*synth_store(GRID_DIFF))
     annotated = annotate_bbox(synth_changes(GRID_DIFF), resolver)
