@@ -1,15 +1,21 @@
 """Similarity search over an embedding column (training-data ops).
 
-- ``TopKCosineActor``: brute-force cosine top-k of each corpus row
-  against a broadcast query matrix (numpy matmul per batch).  This is
-  Ray-Data-shaped for scale: the QUERY side is the small broadcast
-  (ray.put once, read per actor), the CORPUS streams through
-  map_batches, and the global top-k per query is a final small
-  groupby-reduce over per-block partial top-ks — the corpus is never
-  materialized.
-- ``lsh_bucket_ids``: random-hyperplane sign buckets for the LSH/IVF
-  scale path — bucket the corpus once, then probe only matching buckets
-  (plus neighbors by Hamming-1 probes) per query.
+- Partial top-k, one path for the five ANN queries: ``topk_dataset``
+  streams the corpus (vec_id, embedding) through a pool of one
+  ``TopKScorer`` subclass, which reduces each block to its best k per
+  query; a ``groupby("query_id")`` + ``topk_merge`` keeps the global
+  top-k.  The query side is small scorer state handed to each actor
+  by value; the corpus is never materialized.  Scorers:
+  ``CosineScorer`` (float64 ``sim``), ``SQ8Scorer`` (exact int64
+  ``score`` on int8 codes) and ``PQScorer`` (ADC shortlist, then exact
+  cosine ``sim`` on the shortlist only).  ``ann_topk``, ``ann_sq8``
+  and ``ann_pq`` feed it the whole corpus; ``ann_lsh`` and ``ann_ivf``
+  feed it their bucket- or centroid-filtered corpus.
+- ``lsh_bucket_ids`` / ``lsh_census_bucketize``: random-hyperplane
+  sign buckets for the LSH scale path — bucket the corpus once, then
+  probe only matching buckets (plus Hamming neighbours) per query.
+- ``kmeans_fit`` / ``ivf_assign``: the IVF coarse quantizer;
+  ``sq8_quantize`` and ``pq_fit`` / ``pq_encode``: the SQ8 and PQ codes.
 """
 
 from __future__ import annotations
@@ -20,78 +26,88 @@ import pyarrow as pa
 from .dedup import normalize_rows
 
 
-class TopKCosineActor:
-    """map_batches actor: corpus batch -> partial top-k rows per query.
+class TopKScorer:
+    """map_batches actor base: corpus batch -> this block's best ``k``
+    rows per query as ``(query_id, vec_id, SCORE)``, score descending
+    then vec_id ascending.
 
-    Output rows: (query_id, vec_id, sim) of this block's best k per
-    query; a downstream groupby(query_id).map_groups merge keeps the
-    global top-k. Deterministic tie-break: higher sim first, then lower
-    vec_id.
-    """
+    ``state`` is ``(query_ids, query_matrix, *extra)``; the matrix and
+    the extra state go to ``prepare``.  A subclass gives ``scores``:
+    the (queries x batch) score matrix of a (batch x dim) embedding
+    matrix."""
 
-    def __init__(self, queries_ref, k: int = 5):
-        import ray
+    SCORE = "sim"
+    SCORE_TYPE = pa.float64()
 
-        qids, qmat = (
-            ray.get(queries_ref)
-            if isinstance(queries_ref, ray.ObjectRef)
-            else queries_ref
-        )
+    def __init__(self, state: tuple, k: int = 5):
+        qids, qmat, *extra = state
         self.qids = np.asarray(qids, np.int64)
-        self.qmat = normalize_rows(qmat)  # (Q, D)
         self.k = k
+        self.prepare(np.asarray(qmat, np.float64), *extra)
+
+    def prepare(self, qmat: np.ndarray, *extra) -> None:
+        raise NotImplementedError
+
+    def scores(self, emb: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        c = normalize_rows(np.asarray(batch["embedding"].to_pylist(), np.float64))
-        cids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        sims = self.qmat @ c.T  # (Q, B)
-        k = min(self.k, sims.shape[1])
-        # per query: partial top-k of this block (sim desc, vec_id asc)
-        order = np.lexsort((cids[None, :].repeat(len(self.qids), 0), -sims), axis=1)
-        top = order[:, :k]
-        qcol = np.repeat(self.qids, k)
-        vcol = cids[top.reshape(-1)]
-        scol = np.take_along_axis(sims, top, axis=1).reshape(-1)
+        emb = np.asarray(batch["embedding"].to_pylist(), np.float64)
+        cids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = self.scores(emb)  # (Q, B)
+        k = min(self.k, s.shape[1])
+        top = np.lexsort((np.broadcast_to(cids, s.shape), -s), axis=1)[:, :k]
         return pa.table(
             {
-                "query_id": pa.array(qcol, pa.int64()),
-                "vec_id": pa.array(vcol, pa.int64()),
-                "sim": pa.array(scol, pa.float64()),
+                "query_id": pa.array(np.repeat(self.qids, k), pa.int64()),
+                "vec_id": pa.array(cids[top.reshape(-1)], pa.int64()),
+                self.SCORE: pa.array(
+                    np.take_along_axis(s, top, axis=1).reshape(-1),
+                    self.SCORE_TYPE,
+                ),
             }
         )
+
+
+class CosineScorer(TopKScorer):
+    """Brute-force cosine similarity (one matmul per batch)."""
+
+    def prepare(self, qmat: np.ndarray) -> None:
+        self.qmat = normalize_rows(qmat)  # (Q, D)
+
+    def scores(self, emb: np.ndarray) -> np.ndarray:
+        return self.qmat @ normalize_rows(emb).T
 
 
 def topk_merge(k: int):
-    """map_groups fn merging partial top-ks -> global top-k with rank."""
+    """map_groups fn: one query's partial top-ks -> its global top-k
+    with ``rank``, ordered by the block's score column (the third one,
+    ``sim`` or ``score``) descending, then vec_id ascending."""
 
     def merge(group: pa.Table) -> pa.Table:
-        sims = group["sim"].to_numpy(zero_copy_only=False)
+        score = group.column(2).to_numpy(zero_copy_only=False)
         vids = group["vec_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((vids, -sims))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "vec_id": pa.array(vids[order], pa.int64()),
-                "sim": pa.array(sims[order], pa.float64()),
-                "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),
-            }
+        order = np.lexsort((vids, -score))[:k]
+        return group.take(pa.array(order)).append_column(
+            "rank", pa.array(np.arange(1, len(order) + 1), pa.int64())
         )
 
     return merge
 
 
-def ann_topk_dataset(corpus_ds, queries: tuple[np.ndarray, np.ndarray], k: int = 5,
-                     concurrency: int | tuple = 2, batch_size: int = 4096):
-    """corpus Dataset (vec_id, embedding) -> global top-k Dataset."""
-    import ray
+def topk_dataset(corpus_ds, scorer: type[TopKScorer], state: tuple,
+                 k: int, n_rows: int):
+    """corpus Dataset (vec_id, embedding) -> global top-k Dataset
+    ``(query_id, vec_id, SCORE, rank)``: a ``scorer`` actor pool sized
+    to ``n_rows`` in 4096-row batches, then one merge per query."""
+    from ..tuning import est_tasks, pool_concurrency
 
-    ref = ray.put(queries)
     partial = corpus_ds.map_batches(
-        TopKCosineActor,
-        fn_constructor_args=(ref, k),
+        scorer,
+        fn_constructor_args=(state, k),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=4096,
+        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=4096)),
     )
     return partial.groupby("query_id").map_groups(
         topk_merge(k), batch_format="pyarrow"
@@ -481,84 +497,19 @@ def sq8_quantize(mat: np.ndarray) -> np.ndarray:
     return np.clip(q, -128, 127).astype(np.int64)
 
 
-class SQ8TopKActor:
-    """map_batches actor: int8-quantized dot-product partial top-k.
+class SQ8Scorer(TopKScorer):
+    """int8-quantized dot product: the score is an EXACT int64 (codes
+    quantized with the power-of-two rule above), so ordering and ties
+    are SQL-reproducible with no recall gate needed."""
 
-    Same shape as TopKCosineActor, but the score is an EXACT int64
-    (codes quantized with the power-of-two rule above), so ordering
-    and ties are SQL-reproducible with no recall gate needed.
-    """
+    SCORE = "score"
+    SCORE_TYPE = pa.int64()
 
-    def __init__(self, queries_ref, k: int = 5):
-        import ray
-
-        qids, qmat = (
-            ray.get(queries_ref)
-            if isinstance(queries_ref, ray.ObjectRef)
-            else queries_ref
-        )
-        self.qids = np.asarray(qids, np.int64)
+    def prepare(self, qmat: np.ndarray) -> None:
         self.qq = sq8_quantize(qmat)  # (Q, D) int64 codes
-        self.k = k
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cq = sq8_quantize(np.asarray(batch["embedding"].to_pylist(), np.float64))
-        cids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        scores = self.qq @ cq.T  # (Q, B) exact int64
-        k = min(self.k, scores.shape[1])
-        order = np.lexsort(
-            (cids[None, :].repeat(len(self.qids), 0), -scores), axis=1
-        )
-        top = order[:, :k]
-        return pa.table(
-            {
-                "query_id": pa.array(np.repeat(self.qids, k), pa.int64()),
-                "vec_id": pa.array(cids[top.reshape(-1)], pa.int64()),
-                "score": pa.array(
-                    np.take_along_axis(scores, top, axis=1).reshape(-1),
-                    pa.int64(),
-                ),
-            }
-        )
-
-
-def sq8_topk_merge(k: int):
-    """map_groups fn merging int64-score partial top-ks -> global
-    top-k with rank (score desc, vec_id asc)."""
-
-    def merge(group: pa.Table) -> pa.Table:
-        scores = group["score"].to_numpy(zero_copy_only=False)
-        vids = group["vec_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((vids, -scores))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "vec_id": pa.array(vids[order], pa.int64()),
-                "score": pa.array(scores[order], pa.int64()),
-                "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),
-            }
-        )
-
-    return merge
-
-
-def ann_sq8_dataset(corpus_ds, queries: tuple[np.ndarray, np.ndarray],
-                    k: int = 5, concurrency: int | tuple = 2,
-                    batch_size: int = 4096):
-    """corpus Dataset (vec_id, embedding) -> exact-int SQ8 top-k."""
-    import ray
-
-    ref = ray.put(queries)
-    partial = corpus_ds.map_batches(
-        SQ8TopKActor,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    return partial.groupby("query_id").map_groups(
-        sq8_topk_merge(k), batch_format="pyarrow"
-    )
+    def scores(self, emb: np.ndarray) -> np.ndarray:
+        return self.qq @ sq8_quantize(emb).T
 
 
 # ---------------- PQ (product quantization) scale path ---------------------
@@ -609,12 +560,12 @@ def pq_encode(mat: np.ndarray, books: np.ndarray,
     return codes
 
 
-class PQTopKActor:
-    """map_batches actor: PQ-encode the corpus batch, shortlist by
-    asymmetric distance (one (m_sub, k) LUT per query, built once in
-    __init__), then EXACT-refine only the shortlist — the standard
-    two-stage PQ serving shape (coarse compressed-domain filter, full
-    precision on ~1% of candidates).
+class PQScorer(TopKScorer):
+    """PQ-encode the corpus batch, shortlist by asymmetric distance
+    (one (m_sub, k) LUT per query, built once in ``prepare``), then
+    EXACT-refine only the shortlist — the standard two-stage PQ
+    serving shape (coarse compressed-domain filter, full precision on
+    ~1% of candidates).  ``state`` is ``(qids, qmat, books)``.
 
     ADC score(q, x) ~= <q, x> = sum_m lut[q, m, code_m(x)] — the
     inner-product decomposition over subspace centroids; after
@@ -623,70 +574,31 @@ class PQTopKActor:
     refine touches shortlist x Q full vectors per block (vs B x Q for
     brute force), so emitted sims are EXACT cosines of shortlist
     members — approximation shows up only as shortlist misses (the
-    recall the gate bounds)."""
+    recall the gate bounds).  Rows off the shortlist score -inf, and
+    ``k`` is capped at the shortlist, so they are never emitted."""
 
-    def __init__(self, ref, k: int = 5, shortlist: int = 64):
-        import ray
+    def __init__(self, state: tuple, k: int = 5, shortlist: int = 64):
+        self.shortlist = shortlist
+        super().__init__(state, min(k, shortlist))
 
-        qids, qmat, books = (
-            ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        )
-        self.qids = np.asarray(qids, np.int64)
+    def prepare(self, qmat: np.ndarray, books: np.ndarray) -> None:
         self.books = books
-        self.qn = normalize_rows(np.asarray(qmat, np.float64))
+        self.qn = normalize_rows(qmat)
         m_sub, _k, ds_ = books.shape
         qsub = self.qn.reshape(len(self.qn), m_sub, ds_)
         self.lut = np.einsum("qmd,mkd->qmk", qsub, books)  # (Q, M, K)
-        self.k = k
-        self.shortlist = shortlist
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cn = normalize_rows(
-            np.asarray(batch["embedding"].to_pylist(), np.float64)
-        )
+    def scores(self, emb: np.ndarray) -> np.ndarray:
+        cn = normalize_rows(emb)
         codes = pq_encode(cn, self.books, normalized=True)
-        cids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nq, nb = len(self.qids), len(cids)
-        adc = np.zeros((nq, nb), np.float64)
+        adc = np.zeros((len(self.qn), len(cn)), np.float64)
         for m in range(codes.shape[1]):
             adc += self.lut[:, m, codes[:, m]]
-        s = min(self.shortlist, nb)
-        k = min(self.k, s)
+        s = min(self.shortlist, len(cn))
         # per query: ADC shortlist (argpartition, order irrelevant)
         short = np.argpartition(-adc, s - 1, axis=1)[:, :s]  # (Q, S)
         # exact refine: one (S,) dot product row per query
-        qcol, vcol, scol = [], [], []
-        for qi in range(nq):
-            cand = short[qi]
-            sims = cn[cand] @ self.qn[qi]
-            ids = cids[cand]
-            order = np.lexsort((ids, -sims))[:k]
-            qcol.append(np.full(k, self.qids[qi], np.int64))
-            vcol.append(ids[order])
-            scol.append(sims[order])
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(qcol), pa.int64()),
-                "vec_id": pa.array(np.concatenate(vcol), pa.int64()),
-                "sim": pa.array(np.concatenate(scol), pa.float64()),
-            }
-        )
-
-
-def ann_pq_dataset(corpus_ds, queries: tuple[np.ndarray, np.ndarray],
-                   books: np.ndarray, k: int = 5,
-                   concurrency: int | tuple = 2, batch_size: int = 4096):
-    """corpus Dataset (vec_id, embedding) -> PQ/ADC approximate top-k."""
-    import ray
-
-    ref = ray.put((queries[0], queries[1], books))
-    partial = corpus_ds.map_batches(
-        PQTopKActor,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    return partial.groupby("query_id").map_groups(
-        topk_merge(k), batch_format="pyarrow"
-    )
+        out = np.full(adc.shape, -np.inf)
+        for qi, cand in enumerate(short):
+            out[qi, cand] = cn[cand] @ self.qn[qi]
+        return out

@@ -1067,13 +1067,11 @@ def q_outlier_flags(sf_dir: str):
     event values with |x - mean| > K*sigma via the cross-multiplied
     integer rule  n*(x*n - S)^2 > K^2 * n * (n*Q - S^2)  over cents
     (S, Q = per-user sum and sum of squares).  Two passes: mergeable
-    (n, S, Q) moments through the adaptive ladder, broadcast back into
-    a streaming flag pass — the standard feature-hygiene operator.
-    Emits flagged events only (event_id, user_id, cents)."""
-    import ray as _ray
-
+    (n, S, Q) moments through the adaptive ladder, joined back onto
+    the events for a streaming flag pass — the standard
+    feature-hygiene operator.  Emits flagged events only (event_id,
+    user_id, cents)."""
     from ..functions.agg import adaptive_group_aggregate
-    from ..stages.dist import _collect_table
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "value"])
@@ -1097,15 +1095,18 @@ def q_outlier_flags(sf_dir: str):
         {"n": ("n", "sum"), "s": ("s", "sum"), "q": ("q", "sum")},
         # partial-combined input is <= blocks x users, itself <= rows
         est_rows=table_rows(sf_dir, "events"),
+    ).materialize()
+    # per-key moments table is keys+3 ints: its exact row count and
+    # bytes pick the join — broadcast under the crossover (users <<
+    # crossover at gate scale), the shuffle join past it, so a large
+    # key cardinality never collects on the driver
+    joined = crossover_join(
+        ds, moments, on=("user_id",), right_on=None,
+        num_partitions=join_partitions(n_rows=table_rows(sf_dir, "events")),
+        est_rows=moments.count(), est_bytes=moments.size_bytes(),
     )
-    # per-key moments table is keys+3 ints — broadcast once (at a key
-    # cardinality past the crossover this becomes the shuffle join,
-    # same decision as everywhere else; here users << crossover)
-    ref = _ray.put(_collect_table(moments.materialize()))
 
-    def flag(batch: pa.Table) -> pa.Table:
-        t = _ray.get(ref)
-        j = batch.join(t, keys=["user_id"], join_type="inner")
+    def flag(j: pa.Table) -> pa.Table:
         c = np.floor(j["value"].to_numpy(zero_copy_only=False)
                      * 100.0 + 0.5).astype(np.int64)
         n = j["n"].to_numpy(zero_copy_only=False)
@@ -1120,7 +1121,7 @@ def q_outlier_flags(sf_dir: str):
             "cents": pa.array(c[keep], pa.int64()),
         })
 
-    return ds.map_batches(flag, batch_format="pyarrow", batch_size=65536)
+    return joined.map_batches(flag, batch_format="pyarrow", batch_size=65536)
 
 
 def sql_outlier_flags() -> str:
@@ -2927,41 +2928,48 @@ SELECT doc_id,
 FROM documents"""
 
 
+def _ingest_roundtrip(sf_dir: str, prefix: str, write, read,
+                      cols=("doc_id", "text", "lang", "n_chars"),
+                      src_cols=None, check=None):
+    """The documents table (``src_cols``, default ``cols``) round-trips
+    through a fresh temp dir: ``write(ds, dir)``, ``read(dir)``, each
+    of ``cols`` cast back to its source type, materialized before the
+    dir is removed (bounded: the documents table is gate-scale; real
+    ingests keep streaming).  ``check(dir, out)``, if given, runs
+    before the removal.  The gates hash-compare the round-tripped rows
+    against the parquet originals, pinning the writer/reader pair by
+    value, not just by row count."""
+    import shutil
+    import tempfile
+
+    types = {"doc_id": pa.int64(), "text": pa.string(), "lang": pa.string(),
+             "source": pa.string(), "n_chars": pa.int64()}
+    ds = _read(sf_dir, "documents", columns=list(src_cols or cols))
+    work = tempfile.mkdtemp(prefix=prefix)
+    try:
+        write(ds, work)
+
+        def cast(batch: pa.Table) -> pa.Table:
+            return pa.table({c: pc.cast(batch[c], types[c]) for c in cols})
+
+        out = read(work).map_batches(cast, batch_format="pyarrow").materialize()
+        if check is not None:
+            check(work, out)
+        return out
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def q_jsonl_ingest(sf_dir: str):
     """JSONL corpus ingestion round-trip (the format most LLM corpora
     actually arrive in): the documents table is exported to sharded
     JSONL (one deterministic shard per input block, written with
-    Dataset.write_json) and read back with ray.data.read_json; the
-    gate hash-compares the round-tripped rows against the parquet
-    originals, pinning the writer/reader pair — encoding, escaping,
-    column types — not just row counts."""
-    import shutil
-    import tempfile
-
+    Dataset.write_json) and read back with ray.data.read_json —
+    encoding, escaping and column types are pinned by value."""
     import ray.data as rd
 
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "text", "lang", "n_chars"])
-    work = tempfile.mkdtemp(prefix="jsonl_ingest_", dir="/tmp")
-    try:
-        ds.write_json(work)
-        back = rd.read_json(work)
-
-        def project(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "text": pc.cast(batch["text"], pa.string()),
-                    "lang": pc.cast(batch["lang"], pa.string()),
-                    "n_chars": pc.cast(batch["n_chars"], pa.int64()),
-                }
-            )
-
-        # materialize before the tmp dir disappears (bounded: the
-        # documents table is gate-scale; real ingests keep streaming)
-        return back.map_batches(project, batch_format="pyarrow").materialize()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    return _ingest_roundtrip(sf_dir, "jsonl_ingest_",
+                             lambda ds, d: ds.write_json(d), rd.read_json)
 
 
 def sql_jsonl_ingest() -> str:
@@ -2972,37 +2980,13 @@ def q_csv_ingest(sf_dir: str):
     """CSV corpus ingestion round-trip (the other interchange format
     corpora arrive in): the documents table exported to sharded CSV
     with ``Dataset.write_csv`` and read back with
-    ``ray.data.read_csv``; the gate hash-compares round-tripped rows
-    against the parquet originals, pinning quoting/escaping and type
-    inference — a writer/reader pair that silently mangled embedded
-    separators or quotes would fail the value hash, not just counts."""
-    import shutil
-    import tempfile
-
+    ``ray.data.read_csv`` — a writer/reader pair that silently mangled
+    embedded separators or quotes (or mis-inferred types) would fail
+    the value hash, not just counts."""
     import ray.data as rd
 
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "text", "lang", "n_chars"])
-    work = tempfile.mkdtemp(prefix="csv_ingest_", dir="/tmp")
-    try:
-        ds.write_csv(work)
-        back = rd.read_csv(work)
-
-        def project(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "text": pc.cast(batch["text"], pa.string()),
-                    "lang": pc.cast(batch["lang"], pa.string()),
-                    "n_chars": pc.cast(batch["n_chars"], pa.int64()),
-                }
-            )
-
-        # materialize before the tmp dir disappears (bounded: the
-        # documents table is gate-scale; real ingests keep streaming)
-        return back.map_batches(project, batch_format="pyarrow").materialize()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    return _ingest_roundtrip(sf_dir, "csv_ingest_",
+                             lambda ds, d: ds.write_csv(d), rd.read_csv)
 
 
 def sql_csv_ingest() -> str:
@@ -3018,33 +3002,13 @@ def q_partitioned_ingest(sf_dir: str):
     PRUNING inside the gate — a single-partition read must return
     exactly that partition's rows or the query raises."""
     import os
-    import shutil
-    import tempfile
 
     import ray.data as rd
 
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "text", "lang", "n_chars"])
-    work = tempfile.mkdtemp(prefix="pq_part_", dir="/tmp")
-    try:
-        ds.write_parquet(work, partition_cols=["lang"])
+    def check_pruning(work: str, out) -> None:
         parts = sorted(p for p in os.listdir(work) if p.startswith("lang="))
         if not parts:
             raise RuntimeError("partitioned write produced no lang= dirs")
-        back = rd.read_parquet(work)
-
-        def project(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "text": pc.cast(batch["text"], pa.string()),
-                    "lang": pc.cast(batch["lang"], pa.string()),
-                    "n_chars": pc.cast(batch["n_chars"], pa.int64()),
-                }
-            )
-
-        out = back.map_batches(project,
-                               batch_format="pyarrow").materialize()
         # pruning invariant: one partition directory = exactly its rows
         first_lang = parts[0].split("=", 1)[1]
         pruned = rd.read_parquet(os.path.join(work, parts[0])).materialize()
@@ -3059,9 +3023,12 @@ def q_partitioned_ingest(sf_dir: str):
             raise RuntimeError(
                 f"partition pruning broken: {got} rows / langs {langs}, "
                 f"expected {want} rows of lang={first_lang}")
-        return out
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+
+    return _ingest_roundtrip(
+        sf_dir, "pq_part_",
+        lambda ds, d: ds.write_parquet(d, partition_cols=["lang"]),
+        rd.read_parquet, check=check_pruning,
+    )
 
 
 def sql_partitioned_ingest() -> str:
@@ -3075,37 +3042,17 @@ def q_ipc_ingest(sf_dir: str):
     public random-access stand-in for the north star's Lance tables —
     and read back through ``read_datasource`` with column projection
     AT THE FORMAT LAYER (the text column is pruned by the reader, not
-    a downstream select).  The gate hash-compares round-tripped rows
-    against the parquet originals, so the full extension surface
-    (footer addressing, schema, per-block files, pruning) is pinned
-    by value, not just row counts."""
-    import shutil
-    import tempfile
-
+    a downstream select).  The round trip pins the full extension
+    surface (footer addressing, schema, per-block files, pruning) by
+    value, not just row counts."""
     from ..sources.ipc import read_ipc, write_ipc
 
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "text", "lang", "source", "n_chars"])
-    work = tempfile.mkdtemp(prefix="ipc_ingest_", dir="/tmp")
-    try:
-        write_ipc(ds, work)
-        back = read_ipc(work, columns=["doc_id", "lang", "source", "n_chars"])
-
-        def project(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "lang": pc.cast(batch["lang"], pa.string()),
-                    "source": pc.cast(batch["source"], pa.string()),
-                    "n_chars": pc.cast(batch["n_chars"], pa.int64()),
-                }
-            )
-
-        # materialize before the tmp dir disappears (bounded: the
-        # documents table is gate-scale; real ingests keep streaming)
-        return back.map_batches(project, batch_format="pyarrow").materialize()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    cols = ["doc_id", "lang", "source", "n_chars"]
+    return _ingest_roundtrip(
+        sf_dir, "ipc_ingest_", write_ipc,
+        lambda d: read_ipc(d, columns=cols), cols=cols,
+        src_cols=["doc_id", "text", "lang", "source", "n_chars"],
+    )
 
 
 def sql_ipc_ingest() -> str:
@@ -5160,24 +5107,41 @@ def _load_queries_embeddings(sf_dir: str, n_queries: int = 8):
     return ids[order], mat[order]
 
 
+def _embedding_sample(sf_dir: str, n: int = 512) -> np.ndarray:
+    """Driver-side quantizer sample: the first ``n`` rows of the first
+    row group (deterministic) — a full-column driver read would not
+    survive the design scale."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
+    t = pf.read_row_group(0, columns=["embedding"])
+    return np.asarray(t["embedding"].to_pylist()[:n], np.float64)
+
+
+def _probed_corpus(sf_dir: str, assign, probe):
+    """The (vec_id, embedding) corpus, only rows whose ``assign(matrix)``
+    list id (LSH bucket, IVF centroid) is in ``probe``."""
+    value_set = pa.array(np.asarray(probe, np.int64))
+
+    def keep(batch: pa.Table) -> pa.Table:
+        mat = np.asarray(batch["embedding"].to_pylist(), np.float64)
+        if len(mat) == 0:
+            return batch
+        ids = pa.array(assign(mat), pa.int64())
+        return batch.filter(pc.is_in(ids, value_set=value_set))
+
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    return ds.map_batches(keep, batch_format="pyarrow", batch_size=4096)
+
+
 def q_ann_topk(sf_dir: str, k: int = 5):
-    """Brute-force cosine top-k vs broadcast queries, partial-topk merge."""
-    from ..functions.similarity import ann_topk_dataset
+    """Brute-force cosine top-k vs the query vectors, partial-topk merge."""
+    from ..functions.similarity import CosineScorer, topk_dataset
 
     corpus = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    queries = _load_queries_embeddings(sf_dir)
-    out = ann_topk_dataset(corpus, queries, k=k)
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "query_id": batch["query_id"],
-                "vec_id": batch["vec_id"],
-                "rank": batch["rank"],
-            }
-        )
-
-    return out.map_batches(project, batch_format="pyarrow")
+    out = topk_dataset(corpus, CosineScorer, _load_queries_embeddings(sf_dir),
+                       k, n_rows=table_rows(sf_dir, "embeddings"))
+    return out.select_columns(["query_id", "vec_id", "rank"])
 
 
 def sql_ann_topk(k: int = 5) -> str:
@@ -5202,12 +5166,13 @@ def q_ann_sq8(sf_dir: str, k: int = 5):
     bit-exact between numpy and SQL and the integer dot-product
     scores (emitted) have NO float tie ambiguity — unlike the cosine
     gates, this one needs no recall bound.  Shape: queries quantized
-    once and broadcast via ray.put; corpus quantized per batch in the
-    actor pool; per-block partial top-k; per-query bounded merge."""
-    from ..functions.similarity import ann_sq8_dataset
+    once per actor; corpus quantized per batch in the actor pool;
+    per-block partial top-k; per-query bounded merge."""
+    from ..functions.similarity import SQ8Scorer, topk_dataset
 
     corpus = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return ann_sq8_dataset(corpus, _load_queries_embeddings(sf_dir), k=k)
+    return topk_dataset(corpus, SQ8Scorer, _load_queries_embeddings(sf_dir),
+                        k, n_rows=table_rows(sf_dir, "embeddings"))
 
 
 def sql_ann_sq8(k: int = 5) -> str:
@@ -5237,33 +5202,20 @@ QUALIFY rank <= {k}"""
 
 def q_ann_pq(sf_dir: str, k: int = 5):
     """PQ (product quantization) approximate top-k — the IVF-PQ
-    compression path at its core: 8 subspaces x 16 centroids = 8
-    bytes/vector (32x smaller than f32), scored by asymmetric
+    compression path at its core: 16 subspaces x 64 centroids = 16
+    bytes/vector (16x smaller than f32), scored by asymmetric
     distance (per-query LUT over subspace centroids, built once per
     actor).  Codebooks fit driver-side on the same deterministic
     512-row first-row-group sample the IVF quantizer uses; corpus
     encoding + scoring stay distributed."""
-    import pyarrow.parquet as pqt
-
-    from ..functions.similarity import ann_pq_dataset, pq_fit
+    from ..functions.similarity import PQScorer, pq_fit, topk_dataset
 
     qids, qmat = _load_queries_embeddings(sf_dir)
-    pf = pqt.ParquetFile(f"{sf_dir}/embeddings.parquet")
-    t = pf.read_row_group(0, columns=["embedding"])
-    sample = np.asarray(t["embedding"].to_pylist()[:512], np.float64)
-    books = pq_fit(sample)
+    books = pq_fit(_embedding_sample(sf_dir))
     corpus = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = ann_pq_dataset(corpus, (qids, qmat), books, k=k)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "query_id": b["query_id"],
-                "vec_id": b["vec_id"],
-                "rank": b["rank"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    out = topk_dataset(corpus, PQScorer, (qids, qmat, books), k,
+                       n_rows=table_rows(sf_dir, "embeddings"))
+    return out.select_columns(["query_id", "vec_id", "rank"])
 
 
 def q_kmeans_assign(sf_dir: str, k: int = 8):
@@ -7539,53 +7491,25 @@ def q_ann_lsh(sf_dir: str, k: int = 5, n_bits: int = 6, probe_hamming: int = 2):
     rows only compete when their sign-bucket is within ``probe_hamming``
     bits of a query bucket (multi-probe) — rows-only check; recall vs
     brute force is pinned by tests/test_similarity_skew.py."""
-    import pyarrow.parquet as pq
-    import ray
-
     from ..functions.similarity import (
-        TopKCosineActor,
+        CosineScorer,
         hyperplanes,
         lsh_bucket_ids,
-        topk_merge,
+        topk_dataset,
     )
-    from .queries import _load_queries_embeddings  # self-import safe
 
     qids, qmat = _load_queries_embeddings(sf_dir)
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    dim_probe = qmat.shape[1]
-    planes = hyperplanes(dim_probe, n_bits=n_bits)
+    planes = hyperplanes(qmat.shape[1], n_bits=n_bits)
     qbuckets = lsh_bucket_ids(qmat, planes)
     probe = set(qbuckets.tolist())
     frontier = set(probe)
     for _ in range(probe_hamming):
         frontier = {b ^ (1 << i) for b in frontier for i in range(n_bits)}
         probe |= frontier
-    probe_arr = pa.array(sorted(probe), pa.int64())
-    ref = ray.put((qids, qmat))
-
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def bucket_filter(batch: pa.Table) -> pa.Table:
-        mat = np.asarray(batch["embedding"].to_pylist(), np.float64)
-        if len(mat) == 0:
-            return batch
-        b = lsh_bucket_ids(mat, planes)
-        mask = pc.is_in(pa.array(b, pa.int64()), value_set=probe_arr)
-        return batch.filter(mask)
-
-    filtered = ds.map_batches(bucket_filter, batch_format="pyarrow", batch_size=4096)
-    partial = filtered.map_batches(
-        TopKCosineActor,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=pool_concurrency(
-            est_tasks(n_rows=table_rows(sf_dir, "embeddings"), batch_rows=4096)
-        ),
-    )
-    return partial.groupby("query_id").map_groups(
-        topk_merge(k), batch_format="pyarrow"
-    )
+    corpus = _probed_corpus(sf_dir, lambda m: lsh_bucket_ids(m, planes),
+                            sorted(probe))
+    return topk_dataset(corpus, CosineScorer, (qids, qmat), k,
+                        n_rows=table_rows(sf_dir, "embeddings"))
 
 
 def q_hot_cell_stats(sf_dir: str):
@@ -8208,55 +8132,21 @@ def q_ann_ivf(sf_dir: str, k: int = 5, n_centroids: int = 16, nprobe: int = 6):
     (driver-side, tiny), corpus rows assigned to centroids in
     map_batches, queries probe only their ``nprobe`` nearest centroid
     lists — the inverted-file scale path beside the LSH one."""
-    import pyarrow.parquet as pq
-    import ray
-
     from ..functions.similarity import (
-        TopKCosineActor,
+        CosineScorer,
         ivf_assign,
         kmeans_fit,
         normalize_rows,
-        topk_merge,
+        topk_dataset,
     )
 
     qids, qmat = _load_queries_embeddings(sf_dir)
-    # sample for the quantizer: first corpus row group only, sliced to
-    # 512 rows (deterministic) — a full-column driver read would not
-    # survive the design scale
-    pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
-    t = pf.read_row_group(0, columns=["embedding"])
-    sample = np.asarray(t["embedding"].to_pylist()[:512], np.float64)
-    centroids = kmeans_fit(sample, n_centroids)
+    centroids = kmeans_fit(_embedding_sample(sf_dir), n_centroids)
     qsims = normalize_rows(qmat) @ centroids.T
     probe = np.unique(np.argsort(-qsims, axis=1)[:, :nprobe])
-    probe_arr = pa.array(probe.astype(np.int64), pa.int64())
-    ref = ray.put((qids, qmat))
-
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def centroid_filter(batch: pa.Table) -> pa.Table:
-        mat = np.asarray(batch["embedding"].to_pylist(), np.float64)
-        if len(mat) == 0:
-            return batch
-        c = ivf_assign(mat, centroids)
-        mask = pc.is_in(pa.array(c, pa.int64()), value_set=probe_arr)
-        return batch.filter(mask)
-
-    filtered = ds.map_batches(
-        centroid_filter, batch_format="pyarrow", batch_size=4096
-    )
-    partial = filtered.map_batches(
-        TopKCosineActor,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=pool_concurrency(
-            est_tasks(n_rows=table_rows(sf_dir, "embeddings"), batch_rows=4096)
-        ),
-    )
-    return partial.groupby("query_id").map_groups(
-        topk_merge(k), batch_format="pyarrow"
-    )
+    corpus = _probed_corpus(sf_dir, lambda m: ivf_assign(m, centroids), probe)
+    return topk_dataset(corpus, CosineScorer, (qids, qmat), k,
+                        n_rows=table_rows(sf_dir, "embeddings"))
 
 
 def q_cell_tile_map(sf_dir: str):

@@ -313,6 +313,49 @@ def test_crossover_join_broadcast_shuffle_parity(ray_session, join_regime):
     assert len(bc) > 0
 
 
+def test_outlier_flags_shuffle_arm_parity(ray_session, join_regime, tmp_path):
+    """outlier_flags joins its per-user moments through crossover_join:
+    broadcast under the crossover, the shuffle join past it, with the
+    same flagged rows — the integer z-score rule's, recomputed here."""
+    import pyarrow.parquet as pq
+
+    from osm_replication_rust_ray.pipelines.queries import (
+        OUTLIER_K,
+        q_outlier_flags,
+    )
+
+    rng = np.random.RandomState(4)
+    n = 3000
+    users = rng.randint(0, 40, n).astype(np.int64)
+    value = np.round(rng.normal(50.0, 5.0, n), 2)
+    value[rng.choice(n, 30, replace=False)] += 400.0
+    pq.write_table(pa.table({"event_id": np.arange(n, dtype=np.int64),
+                             "user_id": users, "value": value}),
+                   tmp_path / "events.parquet")
+    c = np.floor(value * 100.0 + 0.5).astype(np.int64)
+    want = []
+    for u in np.unique(users):
+        m = users == u
+        cn, s, q = m.sum(), c[m].sum(), (c[m] * c[m]).sum()
+        hit = cn * (c[m] * cn - s) ** 2 > OUTLIER_K ** 2 * cn * (cn * q - s * s)
+        want += [(int(e), int(u), int(x))
+                 for e, x in zip(np.flatnonzero(m)[hit], c[m][hit])]
+    force, ran = join_regime
+
+    def run():
+        df = q_outlier_flags(str(tmp_path)).to_pandas()
+        return sorted(map(tuple, df[["event_id", "user_id", "cents"]]
+                          .to_numpy().tolist()))
+
+    bc = run()
+    assert ran() == "broadcast"
+    force("shuffle")
+    sh = run()
+    assert ran() == "shuffle"
+    assert bc == sh == sorted(want)
+    assert len(want) >= 20
+
+
 def test_crossover_join_right_on_parity(ray_session, join_regime):
     """The right_on != on broadcast branch (right-key coalescing in the
     per-block pyarrow join) must match the shuffle join; ngram_jaccard
