@@ -2846,7 +2846,8 @@ def q_idw_grid(sf_dir: str, grid: int = _IDW_GRID):
         fn_constructor_args=(ref,),
         batch_format="pyarrow",
         batch_size=512,
-        concurrency=2,
+        concurrency=pool_concurrency(
+            est_tasks(n_rows=grid * grid, batch_rows=512)),
     )
 
 
@@ -8652,12 +8653,13 @@ SELECT i, w, h, bidx, (bidx // 3) // w AS y, (bidx // 3) % w AS x,
 FROM ({_stream_byte_sql(grid)})"""
 
 
-def _image_pool(actor, sf_dir: str, n_rows: int, gate_rows: int,
-                reencode=None, batch_size: int = 128):
+def _image_map(kernel, sf_dir: str, n_rows: int, gate_rows: int,
+               reencode=None, batch_size: int = 128):
     """Image payload rows (``gate_rows`` of them at the sf0.01 gate,
     see ``_gate_rows``), re-encoded by the stateless ``reencode``
-    batch function when given, through ``actor`` as an actor pool;
-    both stages run at ``batch_size``."""
+    batch function when given, then mapped by ``kernel`` (a function
+    or a kernel instance such as ``HistEq()``) as Ray Data tasks; both
+    stages run at ``batch_size``."""
     from ..sources.synth import payload_dataset
 
     n_rows = _gate_rows(sf_dir, n_rows, gate_rows)
@@ -8665,35 +8667,26 @@ def _image_pool(actor, sf_dir: str, n_rows: int, gate_rows: int,
     if reencode is not None:
         ds = ds.map_batches(reencode, batch_format="pyarrow",
                             batch_size=batch_size)
-    return ds.map_batches(
-        actor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=pool_concurrency(
-            est_tasks(n_rows=n_rows, batch_rows=batch_size)),
-    )
+    return ds.map_batches(kernel, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
-def _clip_pool(actor, sf_dir: str, n_rows: int, gate_rows: int):
-    """Synthetic clip ids ``rd.range(n_rows)`` through ``actor`` as an
-    actor pool at batch 64; ``gate_rows`` as in ``_image_pool``."""
+def _clip_map(kernel, sf_dir: str, n_rows: int, gate_rows: int):
+    """Synthetic clip ids ``rd.range(n_rows)`` mapped by ``kernel`` as
+    Ray Data tasks at batch 64; ``gate_rows`` as in ``_image_map``."""
     import ray.data as rd
 
     n_rows = _gate_rows(sf_dir, n_rows, gate_rows)
-    return rd.range(n_rows).map_batches(
-        actor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return rd.range(n_rows).map_batches(kernel, batch_format="pyarrow",
+                                        batch_size=64)
 
 
 def q_image_ops(sf_dir: str, n_rows: int = 500):
-    """Multimodal actor-pool stage: decode -> nearest resize ->
+    """Multimodal map stage: decode -> nearest resize ->
     per-channel feature extraction over the payload (rows-only)."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500, batch_size=256)
+    return _image_map(image_features, sf_dir, n_rows, 1500, batch_size=256)
 
 
 def sql_image_ops(posterize: bool = False) -> str:
@@ -8742,20 +8735,20 @@ def q_patch_stats(sf_dir: str, n_rows: int = 120):
     sums/extrema keep the gate hash-exact against the pixel-regen
     oracle (same regen arithmetic as sql_image_ops, but over the FULL
     pixel stream, not the 8x8 thumb)."""
-    from ..stages.decode import PatchStatsActor
+    from ..stages.decode import patch_stats
 
-    return _image_pool(PatchStatsActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(patch_stats, sf_dir, n_rows, gate_rows=400)
 
 
 def q_hist_equalize(sf_dir: str, n_rows: int = 120):
     """Global histogram equalization over the image payload — contrast
-    normalization as an exact-integer actor-pool stage (the CDF remap
+    normalization as an exact-integer map stage (the CDF remap
     formula is pure integer floor arithmetic, so the gate is
     hash-exact, no PSNR bound needed).  One row per image: pixel
     count, equalized sum, destination-position-weighted checksum."""
-    from ..stages.decode import HistEqActor
+    from ..stages.decode import HistEq
 
-    return _image_pool(HistEqActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(HistEq(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_hist_equalize() -> str:
@@ -8785,11 +8778,11 @@ GROUP BY p.i"""
 
 def q_morph_ops(sf_dir: str, n_rows: int = 120):
     """3x3 morphological erosion + dilation over the image payload
-    (stages/decode.MorphActor) — min/max neighborhood filters with
+    (stages/decode.Morph) — min/max neighborhood filters with
     replicate border, exact integer, position-weighted checksums."""
-    from ..stages.decode import MorphActor
+    from ..stages.decode import Morph
 
-    return _image_pool(MorphActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Morph(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_morph_ops() -> str:
@@ -8822,14 +8815,14 @@ FROM eo GROUP BY i"""
 
 
 def q_conv_ops(sf_dir: str, n_rows: int = 120):
-    """2-D convolution over the image payload (stages/decode.ConvActor):
+    """2-D convolution over the image payload (stages/decode.Conv):
     3x3 integer box blur via an INTEGRAL IMAGE (the separable
     O(1)-per-pixel form) + Sobel gradient magnitude |gx|+|gy|, both on
     the valid interior so the oracle needs no border model;
     destination-position-weighted checksums pin placement."""
-    from ..stages.decode import ConvActor
+    from ..stages.decode import Conv
 
-    return _image_pool(ConvActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Conv(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_conv_ops() -> str:
@@ -8866,16 +8859,16 @@ FROM cw GROUP BY i"""
 
 
 def q_blob_ops(sf_dir: str, n_rows: int = 120):
-    """Blob labeling (stages/decode.BlobActor): threshold channel 0,
+    """Blob labeling (stages/decode.Blob): threshold channel 0,
     4-connectivity connected components per image, deterministic
     min-pixel-index labels; per image foreground/blob counts, largest
     blob, and the label sum (partition-sensitive).  Each image is
-    independent — an embarrassingly parallel actor pool, no shuffle."""
-    from ..stages.decode import BlobActor
+    independent — an embarrassingly parallel map, no shuffle."""
+    from ..stages.decode import Blob
 
     # 200 (not the 400 of the other image gates): the oracle's
     # recursive min-label closure costs ~8 s / 100 images
-    return _image_pool(BlobActor, sf_dir, n_rows, gate_rows=200)
+    return _image_map(Blob(), sf_dir, n_rows, gate_rows=200)
 
 
 def sql_blob_ops() -> str:
@@ -8920,12 +8913,12 @@ LEFT JOIN agg2 a2 ON a2.i = b.i"""
 
 
 def q_otsu_ops(sf_dir: str, n_rows: int = 120):
-    """Otsu automatic thresholding (stages/decode.OtsuActor): exact
+    """Otsu automatic thresholding (stages/decode.Otsu): exact
     integer argmax of between-class variance over channel 0, smallest-t
     ties; emits the threshold plus class-0 count/sum per image."""
-    from ..stages.decode import OtsuActor
+    from ..stages.decode import Otsu
 
-    return _image_pool(OtsuActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Otsu(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_otsu_ops() -> str:
@@ -8970,12 +8963,12 @@ FROM ({_payload_img_sql(n)}) b LEFT JOIN best bs ON bs.i = b.i"""
 
 def q_blend_ops(sf_dir: str, n_rows: int = 120):
     """Alpha compositing / watermark overlay over the image payload
-    (stages/decode.BlendActor): out = (64*img + 192*wm) // 256, wm a
+    (stages/decode.Blend): out = (64*img + 192*wm) // 256, wm a
     deterministic coordinate pattern — exact integer blend,
     position-weighted checksums."""
-    from ..stages.decode import BlendActor
+    from ..stages.decode import Blend
 
-    return _image_pool(BlendActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Blend(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_blend_ops() -> str:
@@ -9010,8 +9003,8 @@ FROM ({_payload_pix_sql(n)})
 GROUP BY i, y // (h // 4), x // (w // 4)"""
 
 
-class _BilinearActor(ImageHarness):
-    """map_batches actor: decode -> EXACT Q8.8 integer bilinear resize
+class _Bilinear(ImageHarness):
+    """Image kernel: decode -> EXACT Q8.8 integer bilinear resize
     to 8x8 -> position-weighted checksum + extrema (one row per image;
     the checksum weight depends on the destination index so wrong
     interpolation PLACEMENT breaks the gate, like augment_ops)."""
@@ -9030,7 +9023,7 @@ def q_resize_bilinear(sf_dir: str, n_rows: int = 120):
     OUTPUT BYTE via a destination-position-weighted checksum whose SQL
     twin recomputes every blend from the four regenerated corner
     pixels."""
-    return _image_pool(_BilinearActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(_Bilinear(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_resize_bilinear() -> str:
@@ -9084,8 +9077,8 @@ def _aug_checksum(img: np.ndarray) -> int:
     return int((flat * w).sum())
 
 
-class _AugmentActor(ImageHarness):
-    """map_batches actor: decode -> three standard training-time
+class _Augment(ImageHarness):
+    """Image kernel: decode -> three standard training-time
     augmentations (horizontal flip, 90-degree CCW rotation, center
     half crop), each verified by a position-weighted exact checksum
     (weight depends on the DESTINATION index, so the gate catches
@@ -9102,11 +9095,11 @@ class _AugmentActor(ImageHarness):
 
 
 def q_augment_ops(sf_dir: str, n_rows: int = 120):
-    """Training-time image augmentation (flip / rotate / crop) as an
-    actor-pool stage, each output pinned by a destination-position-
+    """Training-time image augmentation (flip / rotate / crop) as a
+    map stage, each output pinned by a destination-position-
     weighted exact checksum so the oracle verifies WHERE every source
     pixel landed — the augmentation analogue of the codec gates."""
-    return _image_pool(_AugmentActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(_Augment(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_augment_ops() -> str:
@@ -9175,11 +9168,11 @@ def _reencode_png(batch: pa.Table) -> pa.Table:
 def q_png_ops(sf_dir: str, n_rows: int = 500):
     """Real-PNG decode path: payload re-encoded to PNG (stdlib-zlib
     codec, stages/png.py) mid-pipeline, then the standard decode ->
-    resize -> stats actor pool.  The pixel-regen oracle only matches if
+    resize -> stats map.  The pixel-regen oracle only matches if
     encode->decode is bit-exact for all five scanline filters."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_png, batch_size=256)
 
 
@@ -9205,11 +9198,11 @@ def q_container_ops(sf_dir: str, n_rows: int = 500):
     """Real-BMP/TIFF decode path: payload re-encoded mid-pipeline
     (alternating 24-bit BI_RGB BMP and uncompressed RGB TIFF — both
     stdlib+numpy codecs, stages/bmp.py, stages/tiff.py), then the
-    standard decode -> resize -> stats actor pool.  The pixel-regen
+    standard decode -> resize -> stats map.  The pixel-regen
     oracle only matches if BOTH encode->decode paths are bit-exact."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_container, batch_size=256)
 
 
@@ -9223,12 +9216,12 @@ def _reencode_webp(batch: pa.Table) -> pa.Table:
 def q_webp_ops(sf_dir: str, n_rows: int = 500):
     """Real-WebP decode path: payload re-encoded as VP8L lossless
     (prefix codes + LZ77 + subtract-green, stages/webp.py) mid-
-    pipeline, then the standard decode -> resize -> stats actor pool.
+    pipeline, then the standard decode -> resize -> stats map.
     Same pixel-regen oracle as image_ops: a hash match proves the
     VP8L encode->decode roundtrip is bit-exact end to end."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_webp, batch_size=256)
 
 
@@ -9266,16 +9259,16 @@ def _reencode_gif(batch: pa.Table) -> pa.Table:
 def q_gif_ops(sf_dir: str, n_rows: int = 500):
     """Real-GIF decode path: payload posterized to the deterministic
     216-color cube, encoded with the from-scratch LZW codec, then the
-    standard decode -> resize -> stats actor pool.  The oracle is
+    standard decode -> resize -> stats map.  The oracle is
     sql_image_ops(posterize=True) — pixel regen with ``(v//43)*51``
     applied — so a hash match proves quantize -> palette -> LZW ->
     decode bit-exact across interlaced and animated layouts.  (GIF is
     excluded from mixed_media_ops on purpose: the palette codec is only
     lossless on quantized content, and that gate's shared oracle
     regenerates UN-quantized pixels.)"""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_gif, batch_size=256)
 
 
@@ -9314,11 +9307,11 @@ def q_mixed_media_ops(sf_dir: str, n_rows: int = 500):
     """Heterogeneous-corpus decode: every row re-encoded with a
     DIFFERENT lossless codec (7-way round-robin incl. Adam7 PNG,
     VP8L WebP and QOI), all flowing through the same fmt-dispatching
-    actor pool.  Same pixel-regen oracle as image_ops — one hash
+    map.  Same pixel-regen oracle as image_ops — one hash
     proves all seven dispatch paths bit-exact in one pipeline."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_mixed, batch_size=256)
 
 
@@ -9332,12 +9325,12 @@ def _reencode_qoi(batch: pa.Table) -> pa.Table:
 def q_qoi_ops(sf_dir: str, n_rows: int = 500):
     """Real-QOI decode path: payload re-encoded as QOI (vectorized
     RUN/DIFF/LUMA/RGB encoder, stages/qoi.py) mid-pipeline, then the
-    standard decode -> resize -> stats actor pool.  Same pixel-regen
+    standard decode -> resize -> stats map.  Same pixel-regen
     oracle as image_ops: a hash match proves the QOI encode->decode
     roundtrip is bit-exact end to end."""
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
-    return _image_pool(ImageOpsActor, sf_dir, n_rows, 1500,
+    return _image_map(image_features, sf_dir, n_rows, 1500,
                        reencode=_reencode_qoi, batch_size=256)
 
 
@@ -9366,9 +9359,9 @@ def q_jpeg_psnr(sf_dir: str, n_rows: int = 500):
     pixels checked against the 40 dB bar + caption equality.  The bar
     column is SQL-predictable (TRUE for every row), so the gate is an
     exact oracle even though the codec is lossy."""
-    from ..stages.decode import DecodeStatsActor
+    from ..stages.decode import decode_stats
 
-    stats = _image_pool(DecodeStatsActor, sf_dir, n_rows, 1000,
+    stats = _image_map(decode_stats, sf_dir, n_rows, 1000,
                         reencode=_reencode_jpeg)
 
     def threshold(batch: pa.Table) -> pa.Table:
@@ -9393,9 +9386,9 @@ def q_flac_ops(sf_dir: str, n_rows: int = 300):
     count, the stream's frame count (ceil(n/block)), and the lossless
     roundtrip bit.  Variable clip lengths exercise short last frames
     and the explicit 16-bit blocksize header code."""
-    from ..stages.decode import FlacRoundtripActor
+    from ..stages.decode import FlacRoundtrip
 
-    return _clip_pool(FlacRoundtripActor, sf_dir, n_rows, gate_rows=1000)
+    return _clip_map(FlacRoundtrip(), sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_flac_ops() -> str:
@@ -9421,9 +9414,9 @@ def q_adpcm_ops(sf_dir: str, n_rows: int = 300):
     WAV container dispatch, and emit SQL-predictable evidence — sample
     count, block count, the exact container size, and the SNR>=25dB
     quality bit (measured floor 27.1 dB on this corpus)."""
-    from ..stages.decode import AdpcmRoundtripActor
+    from ..stages.decode import AdpcmRoundtrip
 
-    return _clip_pool(AdpcmRoundtripActor, sf_dir, n_rows, gate_rows=1000)
+    return _clip_map(AdpcmRoundtrip(), sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_adpcm_ops() -> str:
@@ -9453,9 +9446,9 @@ def q_g711_ops(sf_dir: str, n_rows: int = 300):
     and emit SQL-predictable evidence — sample count, the exact
     container size, the SNR>=30dB quality bit and the bit-exact
     stream-requantization bit."""
-    from ..stages.decode import G711RoundtripActor
+    from ..stages.decode import G711Roundtrip
 
-    return _clip_pool(G711RoundtripActor, sf_dir, n_rows, gate_rows=1000)
+    return _clip_map(G711Roundtrip(), sf_dir, n_rows, gate_rows=1000)
 
 
 def sql_g711_ops() -> str:
@@ -9504,23 +9497,22 @@ def q_image_similarity(sf_dir: str, n_rows: int = 500, k: int = 5,
     every IEEE operation; equal distances (byte-identical duplicate
     images exist in the payload) tie-break on the zero-padded id."""
     from ..sources.synth import payload_dataset
-    from ..stages.decode import ImageOpsActor
+    from ..stages.decode import image_features
 
     FEATS = ["mean_r", "mean_g", "mean_b", "std_r", "std_g", "std_b"]
     import pandas as pd
 
-    # query side: first n_queries images, feature-extracted through the
-    # SAME actor code path as the corpus (bounded take: n_queries rows)
+    # query side: first n_queries images, feature-extracted by the
+    # SAME kernel as the corpus (bounded take: n_queries rows)
     qdf = pd.DataFrame(
         payload_dataset(n_queries, with_bytes=True)
-        # instance (task pool): 8 rows never justify actor spawn
-        .map_batches(ImageOpsActor(), batch_format="pyarrow", batch_size=64)
+        .map_batches(image_features, batch_format="pyarrow", batch_size=64)
         .take_all()
     ).sort_values("image_id")
     q_ids = qdf["image_id"].tolist()
     q_mat = qdf[FEATS].to_numpy(np.float64)  # (n_queries, 6)
 
-    corpus = _image_pool(ImageOpsActor, sf_dir, n_rows, 1500, batch_size=256)
+    corpus = _image_map(image_features, sf_dir, n_rows, 1500, batch_size=256)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
         # vectorized 'img%09d' -> int64 (no per-row Python)
@@ -9639,9 +9631,9 @@ FROM (SELECT unnest(generate_series(0, {n} - 1)) AS i)"""
 
 def q_decode_psnr(sf_dir: str, n_rows: int = 1000):
     """Multimodal decode + per-row PSNR/caption invariant check."""
-    from ..stages.decode import DecodeStatsActor
+    from ..stages.decode import decode_stats
 
-    return _image_pool(DecodeStatsActor, sf_dir, n_rows, 2000,
+    return _image_map(decode_stats, sf_dir, n_rows, 2000,
                        batch_size=512)
 
 
@@ -9651,23 +9643,19 @@ def q_decode_psnr(sf_dir: str, n_rows: int = 1000):
 
 def q_video_frames(sf_dir: str, n_rows: int = 200):
     """Multimodal VIDEO stage: raw multi-frame decode -> stride frame
-    sampling -> per-sampled-frame channel means via an actor pool —
+    sampling -> per-sampled-frame channel means as Ray Data tasks —
     the third modality (image/audio/video) of the training-data
     pipeline surface.  Compressed codecs stay stubbed
     (stages/decode.py:decode_video, no ffmpeg in this container); the
     "rawv" layout exercises the full plumbing: wide binary rows, small
     batches, one->many row fan-out, scalar feature columns."""
     from ..sources.synth import video_dataset
-    from ..stages.decode import VideoFrameActor
+    from ..stages.decode import video_frame_means
 
     n_rows = _gate_rows(sf_dir, n_rows, 600)
     ds = video_dataset(n_rows)
-    return ds.map_batches(
-        VideoFrameActor,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=64)),
-    )
+    return ds.map_batches(video_frame_means, batch_format="pyarrow",
+                          batch_size=64)
 
 
 def q_video_motion(sf_dir: str, n_rows: int = 200):
@@ -9754,9 +9742,9 @@ def sql_video_frames() -> str:
     payload is one splitmix64 counter stream per video
     (sources/synth.make_video_bytes), so every sampled-frame byte is
     (mix64(base + bidx//8) >> 8*(bidx%8)) & 255; channel means are
-    integer sums / 64.0, the exact op order of VideoFrameActor."""
+    integer sums / 64.0, the exact op order of video_frame_means."""
     n = _gate_rows_sql(200, 600)
-    # sampled frames: f = 0, 4, 8, ... < nf (VideoFrameActor every_n=4)
+    # sampled frames: f = 0, 4, 8, ... < nf (video_frame_means every_n=4)
     frames = f"""
 SELECT i, base, s * 4 AS f
 FROM ({_video_sql(n)}), (SELECT unnest(generate_series(0, 5)) AS s)
@@ -10310,15 +10298,15 @@ SELECT node, CAST(min(d) AS BIGINT) AS dist FROM reach GROUP BY node"""
 
 
 def q_dominant_color(sf_dir: str, n_rows: int = 120):
-    """Dominant color per image (stages/decode.DominantColorActor):
+    """Dominant color per image (stages/decode.DominantColor):
     decode -> 4-bit/channel quantize -> packed-code histogram ->
     argmax with the smallest-code tie rule.  Each image is independent
-    — an embarrassingly parallel actor pool, no shuffle; the oracle
+    — an embarrassingly parallel map, no shuffle; the oracle
     regenerates every pixel byte and replays the identical mode rule
     with a count-desc/code-asc window."""
-    from ..stages.decode import DominantColorActor
+    from ..stages.decode import DominantColor
 
-    return _image_pool(DominantColorActor, sf_dir, n_rows, gate_rows=200)
+    return _image_map(DominantColor(), sf_dir, n_rows, gate_rows=200)
 
 
 def sql_dominant_color() -> str:
@@ -10511,15 +10499,15 @@ FROM ({arms})""")
 
 
 def q_silence_segments(sf_dir: str, n_rows: int = 150):
-    """Silence splitting (stages/decode.SilenceSegmentsActor): per
+    """Silence splitting (stages/decode.SilenceSegments): per
     clip, integer PCM -> WAV container round trip -> |s| <= 100 mask
     -> run statistics (silent total, runs >= 150, longest run).  Each
-    clip is independent — embarrassingly parallel actor pool; the
+    clip is independent — embarrassingly parallel map; the
     oracle regenerates every sample and reduces the same mask with a
     gaps-and-islands window."""
-    from ..stages.decode import SilenceSegmentsActor
+    from ..stages.decode import SilenceSegments
 
-    return _clip_pool(SilenceSegmentsActor, sf_dir, n_rows, gate_rows=400)
+    return _clip_map(SilenceSegments(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_silence_segments() -> str:
@@ -11299,13 +11287,13 @@ UNION ALL SELECT 3, t0, t1, CAST(cnt AS BIGINT) FROM m3"""
 
 
 def q_median_filter(sf_dir: str, n_rows: int = 120):
-    """3x3 median rank filter (stages/decode.MedianFilterActor) over
+    """3x3 median rank filter (stages/decode.MedianFilter) over
     the image payload — valid interior, exact integer order
     statistic; destination-position-weighted checksums pin window
-    placement.  Embarrassingly parallel actor pool, no shuffle."""
-    from ..stages.decode import MedianFilterActor
+    placement.  Embarrassingly parallel map, no shuffle."""
+    from ..stages.decode import MedianFilter
 
-    return _image_pool(MedianFilterActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(MedianFilter(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_median_filter() -> str:
@@ -11340,16 +11328,16 @@ _LUMA_CASE = ("sum(CASE c WHEN 0 THEN 299 * v WHEN 1 THEN 587 * v "
 
 
 def q_image_moments(sf_dir: str, n_rows: int = 120):
-    """Image moments (stages/decode.MomentsActor): six exact-integer
+    """Image moments (stages/decode.Moments): six exact-integer
     raw power sums of the x1000 luma plane per image — the base of
     centroid/orientation/spread descriptors.  Per-x/per-y marginal
     sums keep the kernel O(w+h) multiplies after one luma pass.
-    Embarrassingly parallel actor pool, no shuffle (the derived-
+    Embarrassingly parallel map, no shuffle (the derived-
     attribute pass shape of the reference's bbox annotation,
     src/osmxml/bbox.rs:85-120)."""
-    from ..stages.decode import MomentsActor
+    from ..stages.decode import Moments
 
-    return _image_pool(MomentsActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Moments(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_image_moments() -> str:
@@ -11372,13 +11360,13 @@ FROM lum GROUP BY i"""
 
 
 def q_bayer_dither(sf_dir: str, n_rows: int = 120):
-    """Ordered (Bayer 8x8) dithering (stages/decode.DitherActor) to
+    """Ordered (Bayer 8x8) dithering (stages/decode.Dither) to
     1 bit per channel under a pure-integer threshold ladder; the gate
     pins total set bits AND their destination positions.
-    Embarrassingly parallel actor pool, no shuffle."""
-    from ..stages.decode import DitherActor
+    Embarrassingly parallel map, no shuffle."""
+    from ..stages.decode import Dither
 
-    return _image_pool(DitherActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Dither(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_bayer_dither() -> str:
@@ -11405,15 +11393,15 @@ FROM bits GROUP BY i"""
 
 
 def q_hough_lines(sf_dir: str, n_rows: int = 120):
-    """Hough line transform (stages/decode.HoughActor): 8-direction
+    """Hough line transform (stages/decode.Hough): 8-direction
     integer vote accumulator over thresholded-luma edge pixels, exact
     argmax line per image under the (votes desc, angle asc, rho asc)
     tie rule.  The per-image vote matrix is one vectorized bincount
-    over packed (angle, rho-bin) keys.  Embarrassingly parallel actor
-    pool, no shuffle."""
-    from ..stages.decode import HoughActor
+    over packed (angle, rho-bin) keys.  Embarrassingly parallel map,
+    no shuffle."""
+    from ..stages.decode import Hough
 
-    return _image_pool(HoughActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Hough(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_hough_lines() -> str:
@@ -11564,13 +11552,13 @@ FROM cnt c LEFT JOIN area a ON a.cell = c.cell"""
 
 
 def q_marching_squares(sf_dir: str, n_rows: int = 120):
-    """Marching-squares case census (stages/decode.MarchingSquaresActor):
+    """Marching-squares case census (stages/decode.marching_squares):
     2x2-cell isoline case indices over the thresholded luma, one row
     per (image, case 1..15) — the exact contour-segment census.
     Vectorized shifts + bincount; embarrassingly parallel."""
-    from ..stages.decode import MarchingSquaresActor
+    from ..stages.decode import marching_squares
 
-    return _image_pool(MarchingSquaresActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(marching_squares, sf_dir, n_rows, gate_rows=400)
 
 
 def sql_marching_squares() -> str:
@@ -11600,13 +11588,13 @@ FROM cases GROUP BY i, mc"""
 
 
 def q_lbp_texture(sf_dir: str, n_rows: int = 120):
-    """Local binary patterns (stages/decode.LBPActor): 8-bit texture
+    """Local binary patterns (stages/decode.LBP): 8-bit texture
     codes from neighbor>=center luma comparisons over the interior;
     per-image code sum + position-weighted checksum.  Eight shifted
     views; embarrassingly parallel."""
-    from ..stages.decode import LBPActor
+    from ..stages.decode import LBP
 
-    return _image_pool(LBPActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(LBP(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_lbp_texture() -> str:
@@ -11639,15 +11627,15 @@ FROM codes GROUP BY i"""
 
 
 def q_harris_corners(sf_dir: str, n_rows: int = 120):
-    """Harris corner response (stages/decode.HarrisActor) in exact
+    """Harris corner response (stages/decode.Harris) in exact
     integers: Sobel gradient products on the /1000 luma, 3x3 window
     sums, R16 = 16*det - trace^2 (k = 1/16) over the interior-of-
     interior.  Per image: valid count, positive-response count,
     response sum and max — all int64-exact by construction.
     Embarrassingly parallel."""
-    from ..stages.decode import HarrisActor
+    from ..stages.decode import Harris
 
-    return _image_pool(HarrisActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Harris(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_harris_corners() -> str:
@@ -11908,14 +11896,14 @@ GROUP BY cx, cy"""
 
 
 def q_pitch_lag(sf_dir: str, n_rows: int = 60):
-    """Autocorrelation pitch detection (stages/decode.PitchActor):
+    """Autocorrelation pitch detection (stages/decode.Pitch):
     per clip the argmax lag of the exact integer autocorrelation over
     the triangle+noise PCM (make_tri_pcm) in lag range [16, 128],
     tie -> smallest lag, plus zero-lag energy.  Embarrassingly
-    parallel actor pool; the oracle regenerates every sample."""
-    from ..stages.decode import PitchActor
+    parallel map; the oracle regenerates every sample."""
+    from ..stages.decode import Pitch
 
-    return _clip_pool(PitchActor, sf_dir, n_rows, gate_rows=200)
+    return _clip_map(Pitch(), sf_dir, n_rows, gate_rows=200)
 
 
 def sql_pitch_lag() -> str:
@@ -12021,13 +12009,13 @@ FROM codes GROUP BY code"""
 
 
 def q_seam_cost(sf_dir: str, n_rows: int = 120):
-    """Minimum vertical seam cost (stages/decode.SeamActor) — the
+    """Minimum vertical seam cost (stages/decode.Seam) — the
     seam-carving dynamic program over the integer luma; per image the
     min bottom-row cost and its smallest argmin column.  h vectorized
     row sweeps per image, exact int64.  Embarrassingly parallel."""
-    from ..stages.decode import SeamActor
+    from ..stages.decode import Seam
 
-    return _image_pool(SeamActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Seam(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_seam_cost() -> str:
@@ -12261,12 +12249,12 @@ ORDER BY d2, id_lo, id_hi LIMIT 1"""
 
 def q_dist_transform(sf_dir: str, n_rows: int = 120):
     """Saturated L1 distance transform (stages/decode.
-    DistTransformActor): per pixel the city-block distance to the
+    DistTransform): per pixel the city-block distance to the
     nearest foreground pixel, capped at 7 (6 BFS rounds).  Vectorized
     shifted mins; embarrassingly parallel."""
-    from ..stages.decode import DistTransformActor
+    from ..stages.decode import DistTransform
 
-    return _image_pool(DistTransformActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(DistTransform(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_dist_transform() -> str:
@@ -12299,17 +12287,17 @@ FROM dt WHERE k = 6 GROUP BY i"""
 
 
 def q_hist_match(sf_dir: str, n_rows: int = 120):
-    """Histogram matching (stages/decode.HistMatchActor): remap each
+    """Histogram matching (stages/decode.HistMatch): remap each
     image's channels to follow its partner's histogram (j = i XOR 1,
-    regenerated in the actor — no shuffle) under the exact cross-
+    regenerated in the kernel — no shuffle) under the exact cross-
     multiplied mapping m(v) = min g with cdf_t(g)*n_s >= cdf_s(v)*n_t.
     One bincount + cumsum + searchsorted per channel.
 
     200 (not 400) at the sf0.01 gate: the oracle's min-g inequality
     join costs ~35M intermediate rows at 400 images."""
-    from ..stages.decode import HistMatchActor
+    from ..stages.decode import HistMatch
 
-    return _image_pool(HistMatchActor, sf_dir, n_rows, gate_rows=200)
+    return _image_map(HistMatch(), sf_dir, n_rows, gate_rows=200)
 
 
 def sql_hist_match() -> str:
@@ -12508,15 +12496,15 @@ FROM cls GROUP BY user_id"""
 
 
 def q_ntt_spectrum(sf_dir: str, n_rows: int = 60):
-    """Exact MODULAR SPECTRUM (stages/decode.NttActor): 256-point
+    """Exact MODULAR SPECTRUM (stages/decode.ntt_spectrum): 256-point
     number-theoretic transform mod 65537 of the regenerable integer
     PCM — the exact-integer Fourier analogue next to hadamard_bands'
     +-1 ring.  Fast radix-2 butterfly in the engine; the oracle
     computes coefficients from the DEFINITION (power-table scatter),
     so the transform is verified against the spec at gate scale."""
-    from ..stages.decode import NttActor
+    from ..stages.decode import ntt_spectrum
 
-    return _clip_pool(NttActor, sf_dir, n_rows, gate_rows=200)
+    return _clip_map(ntt_spectrum, sf_dir, n_rows, gate_rows=200)
 
 
 def sql_ntt_spectrum() -> str:
@@ -12565,15 +12553,15 @@ FROM coef GROUP BY i"""
 
 
 def q_canny_edges(sf_dir: str, n_rows: int = 120):
-    """Canny edge detection (stages/decode.CannyActor), exact-integer
+    """Canny edge detection (stages/decode.Canny), exact-integer
     formulation: Sobel -> L1 magnitude -> direction-quantized NMS ->
     double threshold -> BOUNDED hysteresis (weak pixels within 4
     8-connected rounds of a strong pixel).  The classical multi-stage
     vision composition, all vectorized shifts; embarrassingly
     parallel."""
-    from ..stages.decode import CannyActor
+    from ..stages.decode import Canny
 
-    return _image_pool(CannyActor, sf_dir, n_rows, gate_rows=400)
+    return _image_map(Canny(), sf_dir, n_rows, gate_rows=400)
 
 
 def sql_canny_edges() -> str:
@@ -12658,7 +12646,7 @@ def q_resample_audio(sf_dir: str, n_rows: int = 60):
     with linear interpolation in x5 fixed point: out5[t] = v[ip]*(5-r)
     + v[ip+1]*r with ip = (7t)//5, r = (7t)%5 — no floats anywhere,
     so the SQL twin reproduces every sample.  Vectorized gather per
-    clip; embarrassingly parallel actor pool."""
+    clip; embarrassingly parallel map."""
     from ..stages.decode import ClipHarness, make_tri_pcm
 
     class Resample(ClipHarness):
@@ -12672,7 +12660,7 @@ def q_resample_audio(sf_dir: str, n_rows: int = 60):
             v5 = v[ip] * (5 - r) + v[ip + 1] * r
             return self.N_OUT, v5.sum(), ((t + 1) * v5).sum()
 
-    return _clip_pool(Resample, sf_dir, n_rows, gate_rows=200)
+    return _clip_map(Resample(), sf_dir, n_rows, gate_rows=200)
 
 
 def sql_resample_audio() -> str:

@@ -1,5 +1,5 @@
-"""Multimodal decode stages: codecs, media actors, and the two row
-harnesses most of the actors share.
+"""Multimodal decode stages: codecs, media kernels, and the two row
+harnesses most of the kernels share.
 
 The payload table carries images as opaque ``bytes`` with typed
 metadata (w, h, fmt).  ``decode_image`` turns one buffer into the
@@ -17,20 +17,25 @@ opaque webp drops its alpha plane to match.  Formats:
 Any other fmt (avif, heic, ...) raises ``NotImplementedError``: those
 codecs need an image library this engine does not ship.
 
-Harnesses.  ``ImageHarness`` owns the per-image loop of the
-one-row-per-image actors: it reads ``image_id/w/h/fmt/bytes``, decodes
-each image once, calls the subclass's ``kernel(img)`` and assembles
-the declared int64 ``COLUMNS`` after ``image_id``.  ``ClipHarness``
-does the same for the synthetic-clip actors: one ``kernel(i)`` per
-``id`` of an ``rd.range`` input, keyed ``clip{i:09d}``.  Kernels
-checksum their output streams with ``_sum_possum`` (value sum plus
-destination-position-weighted sum), which the SQL oracles recompute.
-Actors with another row shape (one row per patch, frame or case, or
-a batch-vectorized transform) keep their own ``__call__``.
+Every media kernel is stateless, so ``map_batches`` runs it as Ray
+Data tasks: a harness kernel as an instance (``HistEq()``), a kernel
+with another row shape as a module function (``image_features``).
 
-``DecodeStatsActor`` re-synthesizes the reference pixels from the
-row's deterministic generator and checks PSNR and caption equality —
-the engine-side half of the reference-parity gate.
+Harnesses.  ``ImageHarness`` owns the per-image loop of the
+one-row-per-image kernels: it reads ``image_id/w/h/fmt/bytes``,
+decodes each image once, calls the subclass's ``kernel(img)`` and
+assembles the declared int64 ``COLUMNS`` after ``image_id``.
+``ClipHarness`` does the same for the synthetic-clip kernels: one
+``kernel(i)`` per ``id`` of an ``rd.range`` input, keyed
+``clip{i:09d}``.  Kernels checksum their output streams with
+``_sum_possum`` (value sum plus destination-position-weighted sum),
+which the SQL oracles recompute.  Kernels with another row shape (one
+row per patch, frame or case, or a batch-vectorized transform) are
+plain batch functions.
+
+``decode_stats`` re-synthesizes the reference pixels from the row's
+deterministic generator and checks PSNR and caption equality — the
+engine-side half of the reference-parity gate.
 """
 
 from __future__ import annotations
@@ -191,7 +196,7 @@ class _RowHarness:
 
 
 class ImageHarness(_RowHarness):
-    """map_batches actor base for one output row per payload image:
+    """Kernel base for one output row per payload image:
     reads ``image_id/w/h/fmt/bytes``, decodes each image once, and
     calls ``kernel(img)`` for the row's ``COLUMNS`` values.  A kernel
     that also needs the image id overrides ``row`` instead."""
@@ -217,7 +222,7 @@ class ImageHarness(_RowHarness):
 
 
 class ClipHarness(_RowHarness):
-    """map_batches actor base for one output row per synthetic clip:
+    """Kernel base for one output row per synthetic clip:
     reads the ``id`` column of an ``rd.range`` input, calls
     ``kernel(i)`` per id and keys the row ``clip{i:09d}``."""
 
@@ -252,89 +257,87 @@ def sample_frames(buf: bytes, w: int, h: int, n_frames: int, fmt: str,
     return idx, vid[::every_n]
 
 
-class VideoFrameActor:
-    """map_batches actor: decode -> stride frame-sample -> per-frame
-    per-channel mean.  Output rows per input row: one per SAMPLED
-    frame (video_id, frame_idx, mean_r/g/b) — integer channel sums
-    divided once in float64, so the DuckDB pixel-regen oracle
-    (sql_video_frames) is bit-identical."""
+FRAME_EVERY_N = 4  # video_frame_means samples frames 0, 4, 8, ...
 
-    EVERY_N = 4
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["video_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        nfs = batch["n_frames"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        out_id, out_f, means = [], [], []
-        for j in range(len(bufs)):
-            idx, frames = sample_frames(
-                bufs[j], int(ws[j]), int(hs[j]), int(nfs[j]), fmts[j],
-                every_n=self.EVERY_N,
-            )
-            npix = float(ws[j]) * float(hs[j])
-            s = frames.astype(np.int64).sum(axis=(1, 2))  # (k, 3)
-            out_id.extend([ids[j]] * len(idx))
-            out_f.append(idx)
-            means.append(s / npix)
-        m = (
-            np.concatenate(means)
-            if means
-            else np.empty((0, 3), np.float64)
+def video_frame_means(batch: pa.Table) -> pa.Table:
+    """Decode -> stride frame-sample -> per-frame per-channel mean.
+    Output rows per input row: one per SAMPLED frame (video_id,
+    frame_idx, mean_r/g/b) — integer channel sums divided once in
+    float64, so the DuckDB pixel-regen oracle (sql_video_frames) is
+    bit-identical."""
+    ids = batch["video_id"].to_pylist()
+    ws = batch["w"].to_numpy(zero_copy_only=False)
+    hs = batch["h"].to_numpy(zero_copy_only=False)
+    nfs = batch["n_frames"].to_numpy(zero_copy_only=False)
+    fmts = batch["fmt"].to_pylist()
+    bufs = batch["bytes"].to_pylist()
+    out_id, out_f, means = [], [], []
+    for j in range(len(bufs)):
+        idx, frames = sample_frames(
+            bufs[j], int(ws[j]), int(hs[j]), int(nfs[j]), fmts[j],
+            every_n=FRAME_EVERY_N,
         )
-        return pa.table(
-            {
-                "video_id": pa.array(out_id, pa.string()),
-                "frame_idx": pa.array(
-                    np.concatenate(out_f) if out_f else
-                    np.array([], np.int64)
-                ),
-                "mean_r": pa.array(m[:, 0], pa.float64()),
-                "mean_g": pa.array(m[:, 1], pa.float64()),
-                "mean_b": pa.array(m[:, 2], pa.float64()),
-            }
-        )
+        npix = float(ws[j]) * float(hs[j])
+        s = frames.astype(np.int64).sum(axis=(1, 2))  # (k, 3)
+        out_id.extend([ids[j]] * len(idx))
+        out_f.append(idx)
+        means.append(s / npix)
+    m = (
+        np.concatenate(means)
+        if means
+        else np.empty((0, 3), np.float64)
+    )
+    return pa.table(
+        {
+            "video_id": pa.array(out_id, pa.string()),
+            "frame_idx": pa.array(
+                np.concatenate(out_f) if out_f else
+                np.array([], np.int64)
+            ),
+            "mean_r": pa.array(m[:, 0], pa.float64()),
+            "mean_g": pa.array(m[:, 1], pa.float64()),
+            "mean_b": pa.array(m[:, 2], pa.float64()),
+        }
+    )
 
 
-class ImageOpsActor:
-    """map_batches actor: decode -> resize -> feature-extract.
+THUMB = 8  # image_features' nearest-resize thumbnail side
+
+
+def image_features(batch: pa.Table) -> pa.Table:
+    """Decode -> resize -> feature-extract.
 
     Output per row: image_id, thumb_w, thumb_h, mean_r/g/b, std_r/g/b
     (scalar float64 stats of the nearest-resized thumb — scalar columns
     rather than a list so the DuckDB oracle can compare values).
-    Setup (codec tables / target size) binds once per actor; batches of
-    binary payloads stay small (batch_size chosen by the caller so
-    batch x concurrency fits worker heap — wide-binary-row rule)."""
-
-    THUMB = 8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"]
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        feats = np.empty((len(bufs), 6), np.float64)
-        for i in range(len(bufs)):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            small = resize_nearest(img, self.THUMB, self.THUMB)
-            feats[i] = channel_stats(small)
-        n = len(bufs)
-        return pa.table(
-            {
-                "image_id": ids,
-                "thumb_w": pa.array([self.THUMB] * n, pa.int32()),
-                "thumb_h": pa.array([self.THUMB] * n, pa.int32()),
-                "mean_r": pa.array(feats[:, 0], pa.float64()),
-                "mean_g": pa.array(feats[:, 1], pa.float64()),
-                "mean_b": pa.array(feats[:, 2], pa.float64()),
-                "std_r": pa.array(feats[:, 3], pa.float64()),
-                "std_g": pa.array(feats[:, 4], pa.float64()),
-                "std_b": pa.array(feats[:, 5], pa.float64()),
-            }
-        )
+    Batches of binary payloads stay small (batch_size chosen by the
+    caller so one batch per task fits worker heap — wide-binary-row
+    rule)."""
+    ids = batch["image_id"]
+    ws = batch["w"].to_numpy(zero_copy_only=False)
+    hs = batch["h"].to_numpy(zero_copy_only=False)
+    fmts = batch["fmt"].to_pylist()
+    bufs = batch["bytes"].to_pylist()
+    feats = np.empty((len(bufs), 6), np.float64)
+    for i in range(len(bufs)):
+        img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
+        small = resize_nearest(img, THUMB, THUMB)
+        feats[i] = channel_stats(small)
+    n = len(bufs)
+    return pa.table(
+        {
+            "image_id": ids,
+            "thumb_w": pa.array([THUMB] * n, pa.int32()),
+            "thumb_h": pa.array([THUMB] * n, pa.int32()),
+            "mean_r": pa.array(feats[:, 0], pa.float64()),
+            "mean_g": pa.array(feats[:, 1], pa.float64()),
+            "mean_b": pa.array(feats[:, 2], pa.float64()),
+            "std_r": pa.array(feats[:, 3], pa.float64()),
+            "std_g": pa.array(feats[:, 4], pa.float64()),
+            "std_b": pa.array(feats[:, 5], pa.float64()),
+        }
+    )
 
 
 def patch_grid_stats(img: np.ndarray, grid: int = 4):
@@ -353,94 +356,90 @@ def patch_grid_stats(img: np.ndarray, grid: int = 4):
     return psum, pmin, pmax
 
 
-class PatchStatsActor:
-    """map_batches actor: decode -> grid x grid patch extraction with
-    exact per-patch statistics (one output row per patch).
+PATCH_GRID = 4  # patch_stats' lattice side: 4 x 4 patches per image
+
+
+def patch_stats(batch: pa.Table) -> pa.Table:
+    """Decode -> grid x grid patch extraction with exact per-patch
+    statistics (one output row per patch).
 
     The patch lattice is the standard ViT preprocessing step (image ->
     fixed grid of patches); emitting exact integer sums/extrema keeps
-    the gate hash-exact against the pixel-regen SQL oracle.  Codec
-    dispatch binds once per actor; the per-image work is a single numpy
-    reshape + three axis reductions."""
-
-    GRID = 4
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        g = self.GRID
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        n = len(bufs)
-        out_ids: list[str] = []
-        sums = np.empty(n * g * g, np.int64)
-        mins = np.empty(n * g * g, np.int32)
-        maxs = np.empty(n * g * g, np.int32)
-        for i in range(n):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            s, lo, hi = patch_grid_stats(img, g)
-            k = i * g * g
-            sums[k : k + g * g] = s.ravel()
-            mins[k : k + g * g] = lo.ravel()
-            maxs[k : k + g * g] = hi.ravel()
-            out_ids.extend([ids[i]] * (g * g))
-        pr = np.tile(np.repeat(np.arange(g, dtype=np.int32), g), n)
-        pc_ = np.tile(np.arange(g, dtype=np.int32), g * n)
-        return pa.table(
-            {
-                "image_id": pa.array(out_ids, pa.string()),
-                "patch_r": pa.array(pr, pa.int32()),
-                "patch_c": pa.array(pc_, pa.int32()),
-                "psum": pa.array(sums, pa.int64()),
-                "pmin": pa.array(mins, pa.int32()),
-                "pmax": pa.array(maxs, pa.int32()),
-            }
-        )
+    the gate hash-exact against the pixel-regen SQL oracle.  The
+    per-image work is a single numpy reshape + three axis
+    reductions."""
+    g = PATCH_GRID
+    ids = batch["image_id"].to_pylist()
+    ws = batch["w"].to_numpy(zero_copy_only=False)
+    hs = batch["h"].to_numpy(zero_copy_only=False)
+    fmts = batch["fmt"].to_pylist()
+    bufs = batch["bytes"].to_pylist()
+    n = len(bufs)
+    out_ids: list[str] = []
+    sums = np.empty(n * g * g, np.int64)
+    mins = np.empty(n * g * g, np.int32)
+    maxs = np.empty(n * g * g, np.int32)
+    for i in range(n):
+        img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
+        s, lo, hi = patch_grid_stats(img, g)
+        k = i * g * g
+        sums[k : k + g * g] = s.ravel()
+        mins[k : k + g * g] = lo.ravel()
+        maxs[k : k + g * g] = hi.ravel()
+        out_ids.extend([ids[i]] * (g * g))
+    pr = np.tile(np.repeat(np.arange(g, dtype=np.int32), g), n)
+    pc_ = np.tile(np.arange(g, dtype=np.int32), g * n)
+    return pa.table(
+        {
+            "image_id": pa.array(out_ids, pa.string()),
+            "patch_r": pa.array(pr, pa.int32()),
+            "patch_c": pa.array(pc_, pa.int32()),
+            "psum": pa.array(sums, pa.int64()),
+            "pmin": pa.array(mins, pa.int32()),
+            "pmax": pa.array(maxs, pa.int32()),
+        }
+    )
 
 
-class DecodeStatsActor:
-    """map_batches actor: payload rows -> per-row decode stats.
+PAYLOAD_SEED = 42  # the seed decode_stats regenerates references from
+
+
+def decode_stats(batch: pa.Table) -> pa.Table:
+    """Payload rows -> per-row decode stats.
 
     Output: image_id, psnr (vs the deterministic reference pixels),
-    caption_ok, n_pixels. Setup (nothing heavy here, but the pattern
-    holds: codec tables etc. belong in __init__) happens once per actor.
-    """
+    caption_ok, n_pixels."""
+    from ..sources.synth import make_image_bytes, payload_batch
 
-    SEED = 42
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..sources.synth import make_image_bytes, payload_batch
-
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        caps = batch["caption"].to_pylist()
-        idx = np.array([int(s[3:]) for s in ids], np.int64)
-        # reference pixels + captions regenerated from the deterministic
-        # source (stand-in for "compare against the reference pipeline")
-        ref = payload_batch(idx, self.SEED, with_bytes=False)
-        ref_caps = ref["caption"].to_pylist()
-        psnrs = np.empty(len(ids))
-        for i in range(len(ids)):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            w, h = int(ws[i]), int(hs[i])
-            want = decode_raw(make_image_bytes(int(idx[i]), w, h, self.SEED),
-                              w, h)
-            psnrs[i] = psnr_db(img, want)
-        cap_ok = np.array([a == b for a, b in zip(caps, ref_caps)])
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "psnr": pa.array(psnrs, pa.float64()),
-                "caption_ok": pa.array(cap_ok, pa.bool_()),
-                "n_pixels": pa.array(
-                    ws.astype(np.int64) * hs.astype(np.int64), pa.int64()
-                ),
-            }
-        )
+    ids = batch["image_id"].to_pylist()
+    ws = batch["w"].to_numpy(zero_copy_only=False)
+    hs = batch["h"].to_numpy(zero_copy_only=False)
+    fmts = batch["fmt"].to_pylist()
+    bufs = batch["bytes"].to_pylist()
+    caps = batch["caption"].to_pylist()
+    idx = np.array([int(s[3:]) for s in ids], np.int64)
+    # reference pixels + captions regenerated from the deterministic
+    # source (stand-in for "compare against the reference pipeline")
+    ref = payload_batch(idx, PAYLOAD_SEED, with_bytes=False)
+    ref_caps = ref["caption"].to_pylist()
+    psnrs = np.empty(len(ids))
+    for i in range(len(ids)):
+        img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
+        w, h = int(ws[i]), int(hs[i])
+        want = decode_raw(make_image_bytes(int(idx[i]), w, h, PAYLOAD_SEED),
+                          w, h)
+        psnrs[i] = psnr_db(img, want)
+    cap_ok = np.array([a == b for a, b in zip(caps, ref_caps)])
+    return pa.table(
+        {
+            "image_id": batch["image_id"],
+            "psnr": pa.array(psnrs, pa.float64()),
+            "caption_ok": pa.array(cap_ok, pa.bool_()),
+            "n_pixels": pa.array(
+                ws.astype(np.int64) * hs.astype(np.int64), pa.int64()
+            ),
+        }
+    )
 
 
 # ---------------- audio modality (same plumbing pattern) ----------------
@@ -594,8 +593,8 @@ def audio_features(pcm: np.ndarray, n_bands: int = 4) -> np.ndarray:
     return np.array([rms, zcr] + [float(b.sum()) / total for b in bands])
 
 
-class AdpcmRoundtripActor(ClipHarness):
-    """map_batches actor: generate the deterministic PCM clip, encode
+class AdpcmRoundtrip(ClipHarness):
+    """Clip kernel: generate the deterministic PCM clip, encode
     it as mono IMA-ADPCM WAV (stages/adpcm.py), decode it back through
     the standard WAV container dispatch, and emit SQL-predictable
     evidence — sample count, block count, the exact container byte
@@ -621,8 +620,8 @@ class AdpcmRoundtripActor(ClipHarness):
                 _snr_db(pcm, out) >= self.SNR_BAR_DB)
 
 
-class G711RoundtripActor(ClipHarness):
-    """map_batches actor: generate the deterministic PCM clip, encode
+class G711Roundtrip(ClipHarness):
+    """Clip kernel: generate the deterministic PCM clip, encode
     it as a mono G.711 WAV (stages/g711.py; even clips mu-law fmt 7,
     odd clips A-law fmt 6), decode it back through the standard WAV
     container dispatch, and emit SQL-predictable evidence — sample
@@ -653,8 +652,8 @@ class G711RoundtripActor(ClipHarness):
                 bytes(enc(out).tobytes()) == buf[58:58 + len(out)])
 
 
-class FlacRoundtripActor(ClipHarness):
-    """map_batches actor: generate the deterministic PCM clip, encode
+class FlacRoundtrip(ClipHarness):
+    """Clip kernel: generate the deterministic PCM clip, encode
     it as real FLAC (stages/flac.py), decode it back, and emit the
     evidence columns the SQL oracle can predict — sample count, frame
     count (stream structure) and the lossless roundtrip bit (decoded
@@ -677,37 +676,36 @@ class FlacRoundtripActor(ClipHarness):
         return len(out), frames, np.array_equal(out, pcm)
 
 
-class AudioOpsActor:
-    """map_batches actor: decode PCM -> feature-extract.
+N_BANDS = 4  # audio_ops' band-energy columns band_0..band_3
+
+
+def audio_ops(batch: pa.Table) -> pa.Table:
+    """Decode PCM -> feature-extract.
 
     Output per row: clip_id, n_samples, rms, zcr, band_0..band_3.
-    Identical plumbing rules to ImageOpsActor (small batches of binary
-    payloads, setup once per actor)."""
-
-    N_BANDS = 4
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        bufs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        feats = np.empty((len(bufs), 2 + self.N_BANDS), np.float64)
-        ns = np.empty(len(bufs), np.int64)
-        for i, (buf, fmt) in enumerate(zip(bufs, fmts)):
-            pcm = decode_audio(buf, fmt)
-            ns[i] = len(pcm)
-            feats[i] = audio_features(pcm, self.N_BANDS)
-        cols = {
-            "clip_id": batch["clip_id"],
-            "n_samples": pa.array(ns, pa.int64()),
-            "rms": pa.array(feats[:, 0], pa.float64()),
-            "zcr": pa.array(feats[:, 1], pa.float64()),
-        }
-        for b in range(self.N_BANDS):
-            cols[f"band_{b}"] = pa.array(feats[:, 2 + b], pa.float64())
-        return pa.table(cols)
+    Identical plumbing rules to image_features (small batches of
+    binary payloads)."""
+    bufs = batch["bytes"].to_pylist()
+    fmts = batch["fmt"].to_pylist()
+    feats = np.empty((len(bufs), 2 + N_BANDS), np.float64)
+    ns = np.empty(len(bufs), np.int64)
+    for i, (buf, fmt) in enumerate(zip(bufs, fmts)):
+        pcm = decode_audio(buf, fmt)
+        ns[i] = len(pcm)
+        feats[i] = audio_features(pcm, N_BANDS)
+    cols = {
+        "clip_id": batch["clip_id"],
+        "n_samples": pa.array(ns, pa.int64()),
+        "rms": pa.array(feats[:, 0], pa.float64()),
+        "zcr": pa.array(feats[:, 1], pa.float64()),
+    }
+    for b in range(N_BANDS):
+        cols[f"band_{b}"] = pa.array(feats[:, 2 + b], pa.float64())
+    return pa.table(cols)
 
 
-class HistEqActor(ImageHarness):
-    """map_batches actor: global histogram equalization — the classic
+class HistEq(ImageHarness):
+    """Image kernel: global histogram equalization — the classic
     contrast-normalization preprocessing step, kept EXACT: the remap is
     the integer CDF formula eq(v) = ((cdf(v) - cdf_min) * 255)
     // (n_px - cdf_min) with cdf_min the CDF at the smallest present
@@ -735,8 +733,8 @@ class HistEqActor(ImageHarness):
         return (flat.size, *_sum_possum(lut[flat]))
 
 
-class MorphActor(ImageHarness):
-    """map_batches actor: 3x3 morphological erosion + dilation — the
+class Morph(ImageHarness):
+    """Image kernel: 3x3 morphological erosion + dilation — the
     classic binary/grayscale cleanup filters (min / max over the 3x3
     neighborhood, per channel, replicate border).  For extrema the
     replicated border pixels never change the window result, so the
@@ -774,10 +772,10 @@ class MorphActor(ImageHarness):
         return (e.size, *_sum_possum(e), *_sum_possum(d))
 
 
-class MedianFilterActor(ImageHarness):
-    """map_batches actor: 3x3 MEDIAN filter (the rank/order-statistic
+class MedianFilter(ImageHarness):
+    """Image kernel: 3x3 MEDIAN filter (the rank/order-statistic
     denoiser, completing the neighborhood-filter family next to
-    MorphActor's min/max and ConvActor's linear kernels) over the
+    Morph's min/max and Conv's linear kernels) over the
     VALID interior per channel — 9 values per window, odd count, so
     the median is an exact integer with no interpolation and the SQL
     oracle's ``CAST(median(v) AS BIGINT)`` over the scattered window
@@ -803,8 +801,8 @@ class MedianFilterActor(ImageHarness):
         return (med.size, *_sum_possum(med))
 
 
-class ConvActor(ImageHarness):
-    """map_batches actor: 2-D convolution — 3x3 integer box blur
+class Conv(ImageHarness):
+    """Image kernel: 2-D convolution — 3x3 integer box blur
     (floor(window sum / 9)) and Sobel gradient magnitude (|gx| + |gy|,
     no sqrt so everything stays exact int), both over the VALID
     (interior) region so the oracle needs no border model.
@@ -851,8 +849,8 @@ class ConvActor(ImageHarness):
                 *_sum_possum(sob.reshape(-1)))
 
 
-class OtsuActor(ImageHarness):
-    """map_batches actor: Otsu's automatic threshold on channel 0 —
+class Otsu(ImageHarness):
+    """Image kernel: Otsu's automatic threshold on channel 0 —
     maximize between-class variance  (S*c - n*s)^2 / (c*(n-c))  over
     thresholds t (class 0 = v <= t), kept EXACT: the squared term
     exceeds int64 at 64x64 images, so the 255-candidate argmax runs in
@@ -889,8 +887,8 @@ class OtsuActor(ImageHarness):
         return (v.size, *self._otsu(v))
 
 
-class BlobActor(ImageHarness):
-    """map_batches actor: connected-component BLOB LABELING — the
+class Blob(ImageHarness):
+    """Image kernel: connected-component BLOB LABELING — the
     classic CV segmentation primitive.  Threshold channel 0 at >= 200
     (foreground density ~0.22, subcritical for site percolation on the
     square lattice, so blobs stay small at any image size),
@@ -901,7 +899,7 @@ class BlobActor(ImageHarness):
     Per image: foreground count, blob count, largest blob size, and
     the label sum over foreground pixels (a wrong PARTITION changes
     labelsum even when counts survive).  Each image is independent —
-    the stage is an embarrassingly parallel actor pool, no shuffle."""
+    the stage is an embarrassingly parallel map, no shuffle."""
 
     THRESH = 200
     COLUMNS = ("n_fg", "n_blobs", "max_blob_px", "labelsum")
@@ -909,7 +907,7 @@ class BlobActor(ImageHarness):
     @staticmethod
     def _label(img: np.ndarray):
         h, w, _ = img.shape
-        fg = img[:, :, 0] >= BlobActor.THRESH
+        fg = img[:, :, 0] >= Blob.THRESH
         idx = (np.arange(h * w, dtype=np.int64).reshape(h, w))
         pairs = []
         right = fg[:, :-1] & fg[:, 1:]
@@ -944,8 +942,8 @@ class BlobActor(ImageHarness):
         return len(nodes), len(uniq), counts.max(), labels.sum()
 
 
-class BlendActor(ImageHarness):
-    """map_batches actor: alpha compositing (watermark overlay) — the
+class Blend(ImageHarness):
+    """Image kernel: alpha compositing (watermark overlay) — the
     standard augmentation blend out = (a*img + (256-a)*wm) // 256 kept
     EXACT in integers (a = 64): the watermark is a deterministic
     coordinate pattern ((x*7 + y*13 + c*29) % 256), so the oracle can
@@ -967,8 +965,8 @@ class BlendActor(ImageHarness):
         return (flat.size, *_sum_possum(flat))
 
 
-class DominantColorActor(ImageHarness):
-    """map_batches actor: DOMINANT COLOR per image — quantize every
+class DominantColor(ImageHarness):
+    """Image kernel: DOMINANT COLOR per image — quantize every
     pixel to 4 bits per channel (a 4096-color cube, the classic
     palette-summary / thumbnail-indexing primitive) and report the
     most frequent cell (ties -> smallest packed code, scan-order
@@ -1009,8 +1007,8 @@ def make_silence_pcm(i: int, n_samples: int, seed: int = 42) -> np.ndarray:
     return (gain * loud + resid).astype(np.int16)
 
 
-class SilenceSegmentsActor(ClipHarness):
-    """map_batches actor: SILENCE SPLITTING — the audio-pipeline
+class SilenceSegments(ClipHarness):
+    """Clip kernel: SILENCE SPLITTING — the audio-pipeline
     segmentation primitive (VAD front-end, clip trimming).  Per clip:
     generate the integer PCM, round-trip it through the engine's WAV
     container (encode_wav -> decode_audio, so the container path is in
@@ -1042,8 +1040,8 @@ def _luma_fixed(img: np.ndarray) -> np.ndarray:
     return 299 * v[:, :, 0] + 587 * v[:, :, 1] + 114 * v[:, :, 2]
 
 
-class MomentsActor(ImageHarness):
-    """map_batches actor: IMAGE MOMENTS — the classical shape/intensity
+class Moments(ImageHarness):
+    """Image kernel: IMAGE MOMENTS — the classical shape/intensity
     descriptors (centroid, orientation, spread all derive from these)
     over the x1000 integer luma plane.  Emits the six raw power sums
     m00, m10, m01, sxx (=sum l*x^2), syy, sxy per image; every value
@@ -1085,14 +1083,14 @@ def _bayer8() -> np.ndarray:
 BAYER8 = _bayer8()
 
 
-class DitherActor(ImageHarness):
-    """map_batches actor: ORDERED (Bayer) DITHERING to 1 bit per
+class Dither(ImageHarness):
+    """Image kernel: ORDERED (Bayer) DITHERING to 1 bit per
     channel — the classic print/display quantizer.  Threshold rule is
     pure integer (bit = v*65 > (B(y%8, x%8)+1)*255, i.e. v above the
     dispersed-dot threshold ladder), so the SQL twin reproduces every
     bit.  Emits per image the channel-value count, total set bits and
     the destination-position-weighted checksum (placement-sensitive).
-    Embarrassingly parallel actor pool, no shuffle."""
+    Embarrassingly parallel map, no shuffle."""
 
     COLUMNS = ("n_pix", "ones", "possum")
 
@@ -1114,8 +1112,8 @@ HOUGH_BINW = 256            # rho quantum at the x1024 trig scale
 HOUGH_MAXBIN = 2048         # > (63*1024*2 + OFF) / 256; packs (k, bin)
 
 
-class HoughActor(ImageHarness):
-    """map_batches actor: HOUGH LINE TRANSFORM — per image, threshold
+class Hough(ImageHarness):
+    """Image kernel: HOUGH LINE TRANSFORM — per image, threshold
     the x1000 integer luma (edge := luma > 127500), vote every edge
     pixel into 8 quantized line directions (integer cos/sin tables at
     x1024 scale, rho binned by 256 after a positivity offset), and
@@ -1144,38 +1142,36 @@ class HoughActor(ImageHarness):
         return eys.size, best // HOUGH_MAXBIN, best % HOUGH_MAXBIN, int(top)
 
 
-class MarchingSquaresActor:
-    """map_batches actor: MARCHING-SQUARES case census — the isoline
-    extractor's inner table.  Threshold the x1000 luma (fg := luma >
-    127500), then every 2x2 pixel cell gets its 4-bit case index
-    (bit 1 = top-left, 2 = top-right, 4 = bottom-left, 8 =
-    bottom-right); emit one row per (image, case 1..15) with its
-    count.  Case counts determine the contour-segment census exactly.
-    Vectorized shifts + bincount; embarrassingly parallel."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        fmts = batch["fmt"].to_pylist()
-        bufs = batch["bytes"].to_pylist()
-        out_id, out_case, out_cnt = [], [], []
-        for i in range(len(bufs)):
-            img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
-            b = (_luma_fixed(img) > 127500).astype(np.int64)
-            case = (b[:-1, :-1] + 2 * b[:-1, 1:]
-                    + 4 * b[1:, :-1] + 8 * b[1:, 1:]).reshape(-1)
-            counts = np.bincount(case, minlength=16)
-            for c in range(1, 16):
-                if counts[c]:
-                    out_id.append(ids[i])
-                    out_case.append(c)
-                    out_cnt.append(int(counts[c]))
-        return pa.table({
-            "image_id": pa.array(out_id, pa.string()),
-            "mcase": pa.array(out_case, pa.int64()),
-            "cnt": pa.array(out_cnt, pa.int64()),
-        })
+def marching_squares(batch: pa.Table) -> pa.Table:
+    """MARCHING-SQUARES case census — the isoline extractor's inner
+    table.  Threshold the x1000 luma (fg := luma > 127500), then every
+    2x2 pixel cell gets its 4-bit case index (bit 1 = top-left, 2 =
+    top-right, 4 = bottom-left, 8 = bottom-right); emit one row per
+    (image, case 1..15) with its count.  Case counts determine the
+    contour-segment census exactly.  Vectorized shifts + bincount;
+    embarrassingly parallel."""
+    ids = batch["image_id"].to_pylist()
+    ws = batch["w"].to_numpy(zero_copy_only=False)
+    hs = batch["h"].to_numpy(zero_copy_only=False)
+    fmts = batch["fmt"].to_pylist()
+    bufs = batch["bytes"].to_pylist()
+    out_id, out_case, out_cnt = [], [], []
+    for i in range(len(bufs)):
+        img = decode_image(bufs[i], int(ws[i]), int(hs[i]), fmts[i])
+        b = (_luma_fixed(img) > 127500).astype(np.int64)
+        case = (b[:-1, :-1] + 2 * b[:-1, 1:]
+                + 4 * b[1:, :-1] + 8 * b[1:, 1:]).reshape(-1)
+        counts = np.bincount(case, minlength=16)
+        for c in range(1, 16):
+            if counts[c]:
+                out_id.append(ids[i])
+                out_case.append(c)
+                out_cnt.append(int(counts[c]))
+    return pa.table({
+        "image_id": pa.array(out_id, pa.string()),
+        "mcase": pa.array(out_case, pa.int64()),
+        "cnt": pa.array(out_cnt, pa.int64()),
+    })
 
 
 # clockwise neighbor ring from top-left: bit j = 2^j at offset (dy, dx)
@@ -1183,8 +1179,8 @@ LBP_OFFS = [(-1, -1), (-1, 0), (-1, 1), (0, 1),
             (1, 1), (1, 0), (1, -1), (0, -1)]
 
 
-class LBPActor(ImageHarness):
-    """map_batches actor: LOCAL BINARY PATTERNS — the classical
+class LBP(ImageHarness):
+    """Image kernel: LOCAL BINARY PATTERNS — the classical
     texture descriptor.  Per interior pixel, an 8-bit code from
     neighbor >= center comparisons on the x1000 integer luma
     (clockwise ring from top-left); emits per image the interior
@@ -1204,8 +1200,8 @@ class LBPActor(ImageHarness):
         return (code.size, *_sum_possum(code.reshape(-1)))
 
 
-class HarrisActor(ImageHarness):
-    """map_batches actor: HARRIS CORNER RESPONSE in exact integers —
+class Harris(ImageHarness):
+    """Image kernel: HARRIS CORNER RESPONSE in exact integers —
     R16 = 16*(Sxx*Syy - Sxy^2) - (Sxx+Syy)^2 (k = 1/16) where S* are
     3x3 window sums of Sobel gradient products on the /1000 luma
     (0..255), valid over the interior-of-interior so the oracle needs
@@ -1269,8 +1265,8 @@ def make_tri_pcm(i: int, n_samples: int = 512, seed: int = 42) -> np.ndarray:
     return tri + noise
 
 
-class PitchActor(ClipHarness):
-    """map_batches actor: AUTOCORRELATION PITCH DETECTION in exact
+class Pitch(ClipHarness):
+    """Clip kernel: AUTOCORRELATION PITCH DETECTION in exact
     integers — per clip, the lag in [16, 128] maximizing the CENTERED
     autocorrelation sum(c_t * c_{t+lag}) with c_t = N*v_t - sum(v)
     (integer-scaled mean removal: the raw product of a positive-mean
@@ -1297,8 +1293,8 @@ class PitchActor(ClipHarness):
         return best_lag, best_score, int(np.dot(c, c))
 
 
-class SeamActor(ImageHarness):
-    """map_batches actor: MINIMUM VERTICAL SEAM COST (the seam-carving
+class Seam(ImageHarness):
+    """Image kernel: MINIMUM VERTICAL SEAM COST (the seam-carving
     DP) over the x1000 integer luma — dp(y, x) = l(y, x) +
     min(dp(y-1, x-1..x+1)), edges clipped; per image the minimum
     bottom-row cost and its first (smallest-x) argmin column.  The DP
@@ -1320,8 +1316,8 @@ class SeamActor(ImageHarness):
         return dp.min(), int(np.argmin(dp))  # first min = smallest x
 
 
-class DistTransformActor(ImageHarness):
-    """map_batches actor: L1 DISTANCE TRANSFORM saturated at 7 — per
+class DistTransform(ImageHarness):
+    """Image kernel: L1 DISTANCE TRANSFORM saturated at 7 — per
     pixel the city-block distance to the nearest foreground pixel
     (luma > 127500), capped so the oracle's fixpoint is 6 bounded
     BFS rounds.  Each round is one vectorized 4-neighbor shifted min
@@ -1352,10 +1348,10 @@ def payload_dims(i: int) -> tuple[int, int]:
     return w, h
 
 
-class HistMatchActor(ImageHarness):
-    """map_batches actor: HISTOGRAM MATCHING — remap each image's
+class HistMatch(ImageHarness):
+    """Image kernel: HISTOGRAM MATCHING — remap each image's
     per-channel values so its histogram follows its partner image
-    (j = i XOR 1, regenerated in the actor from the deterministic
+    (j = i XOR 1, regenerated in the kernel from the deterministic
     payload ladder; sizes may differ).  Exact integer mapping rule:
     m(v) = min g with cdf_t(g) * n_s >= cdf_s(v) * n_t (cross-
     multiplied, no normalization floats), realized as one bincount +
@@ -1421,29 +1417,26 @@ def ntt256(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class NttActor:
-    """map_batches actor: exact modular spectrum — 256-point NTT mod
-    65537 of the integer triangle+noise PCM (first 256 samples of
-    make_tri_pcm); emits the DC residue and plain/position-weighted
-    residue checksums.  One vectorized butterfly per batch."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        m = len(ids)
-        pcm = np.stack([make_tri_pcm(int(i), NTT_N) for i in ids])
-        x = ntt256(pcm)
-        k = np.arange(NTT_N, dtype=np.int64)
-        return pa.table({
-            "clip_id": pa.array(
-                [f"clip{int(i):09d}" for i in ids], pa.string()),
-            "x0": pa.array(x[:, 0], pa.int64()),
-            "xs": pa.array(x.sum(axis=1), pa.int64()),
-            "xks": pa.array((x * k).sum(axis=1), pa.int64()),
-        })
+def ntt_spectrum(batch: pa.Table) -> pa.Table:
+    """Exact modular spectrum — 256-point NTT mod 65537 of the integer
+    triangle+noise PCM (first 256 samples of make_tri_pcm); emits the
+    DC residue and plain/position-weighted residue checksums.  One
+    vectorized butterfly per batch."""
+    ids = batch["id"].to_numpy(zero_copy_only=False)
+    pcm = np.stack([make_tri_pcm(int(i), NTT_N) for i in ids])
+    x = ntt256(pcm)
+    k = np.arange(NTT_N, dtype=np.int64)
+    return pa.table({
+        "clip_id": pa.array(
+            [f"clip{int(i):09d}" for i in ids], pa.string()),
+        "x0": pa.array(x[:, 0], pa.int64()),
+        "xs": pa.array(x.sum(axis=1), pa.int64()),
+        "xks": pa.array((x * k).sum(axis=1), pa.int64()),
+    })
 
 
-class CannyActor(ImageHarness):
-    """map_batches actor: CANNY EDGES, exact-integer formulation —
+class Canny(ImageHarness):
+    """Image kernel: CANNY EDGES, exact-integer formulation —
     Sobel on the /1000 luma, L1 gradient magnitude, direction-
     quantized non-maximum suppression (4 classes by integer
     comparisons: horizontal if 2|gy| <= |gx|, vertical if 2|gx| <=
@@ -1462,7 +1455,7 @@ class CannyActor(ImageHarness):
 
     def kernel(self, img: np.ndarray) -> tuple:
         g = _luma_fixed(img) // 1000
-        gx, gy = HarrisActor._grad(g)
+        gx, gy = Harris._grad(g)
         mag = np.abs(gx) + np.abs(gy)
         hh, ww = mag.shape
         # mag padded with 0 so border neighbors read 0

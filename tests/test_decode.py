@@ -1,5 +1,5 @@
 """Multimodal decode stage: codecs, PSNR invariant, stub gating, and
-the actor-pool pipeline over the synthetic payload."""
+the map pipeline over the synthetic payload."""
 
 import numpy as np
 import pytest
@@ -94,20 +94,19 @@ def test_video_decode_and_frame_sampling():
 
 
 def test_video_frame_actor_means_deterministic(ray_session):
-    """Actor pipeline: one output row per sampled frame; channel means
+    """Task pipeline: one output row per sampled frame; channel means
     equal the direct numpy computation; repeated runs identical."""
     from osm_replication_rust_ray.sources.synth import (
         make_video_bytes,
         video_dataset,
         video_frames_for,
     )
-    from osm_replication_rust_ray.stages.decode import VideoFrameActor
+    from osm_replication_rust_ray.stages.decode import video_frame_means
 
     n = 20
     out = (
         video_dataset(n)
-        .map_batches(VideoFrameActor, batch_format="pyarrow",
-                     batch_size=8, concurrency=2)
+        .map_batches(video_frame_means, batch_format="pyarrow", batch_size=8)
         .to_pandas()
         .sort_values(["video_id", "frame_idx"])
         .reset_index(drop=True)
@@ -174,7 +173,7 @@ def test_audio_ops_actor_pipeline(ray_session):
     import ray.data
 
     from osm_replication_rust_ray.stages.decode import (
-        AudioOpsActor,
+        audio_ops,
         make_audio_bytes,
     )
 
@@ -188,8 +187,7 @@ def test_audio_ops_actor_pipeline(ray_session):
     )
     out = (
         ray.data.from_arrow(t)
-        .map_batches(AudioOpsActor, batch_format="pyarrow", batch_size=64,
-                     concurrency=2)
+        .map_batches(audio_ops, batch_format="pyarrow", batch_size=64)
         .to_pandas()
     )
     assert len(out) == n
@@ -198,8 +196,7 @@ def test_audio_ops_actor_pipeline(ray_session):
     # deterministic across runs
     out2 = (
         ray.data.from_arrow(t)
-        .map_batches(AudioOpsActor, batch_format="pyarrow", batch_size=64,
-                     concurrency=2)
+        .map_batches(audio_ops, batch_format="pyarrow", batch_size=64)
         .to_pandas()
         .sort_values("clip_id")
         .reset_index(drop=True)
@@ -260,16 +257,16 @@ def test_wav_stereo_downmix_and_errors():
 
 
 def test_conv_actor_brute_parity():
-    """ConvActor: integral-image box blur + Sobel vs a direct 3x3
+    """Conv: integral-image box blur + Sobel vs a direct 3x3
     window walk, odd shapes included."""
     import numpy as np
 
-    from osm_replication_rust_ray.stages.decode import ConvActor
+    from osm_replication_rust_ray.stages.decode import Conv
 
     rng = np.random.default_rng(11)
     for (h, w) in [(16, 16), (17, 23), (3, 3), (5, 4)]:
         img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
-        blur, sob = ConvActor._conv(img)
+        blur, sob = Conv._conv(img)
         v = img.astype(np.int64)
         kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
         for yo in range(h - 2):
@@ -283,18 +280,18 @@ def test_conv_actor_brute_parity():
 
 
 def test_blob_actor_brute_parity():
-    """BlobActor: min-union labels vs a reference flood fill."""
+    """Blob: min-union labels vs a reference flood fill."""
     from collections import deque
 
     import numpy as np
 
-    from osm_replication_rust_ray.stages.decode import BlobActor
+    from osm_replication_rust_ray.stages.decode import Blob
 
     rng = np.random.default_rng(23)
     for (h, w) in [(16, 16), (9, 31), (3, 3)]:
         img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
-        nodes, labels = BlobActor._label(img)
-        fg = img[:, :, 0] >= BlobActor.THRESH
+        nodes, labels = Blob._label(img)
+        fg = img[:, :, 0] >= Blob.THRESH
         exp = {}
         seen = set()
         for y in range(h):
@@ -319,16 +316,16 @@ def test_blob_actor_brute_parity():
 
 
 def test_otsu_actor_brute_parity():
-    """OtsuActor vs a direct float argmax (exact rule must agree where
+    """Otsu vs a direct float argmax (exact rule must agree where
     floats are unambiguous) + hand-checked tiny cases."""
     import numpy as np
 
-    from osm_replication_rust_ray.stages.decode import OtsuActor
+    from osm_replication_rust_ray.stages.decode import Otsu
 
     rng = np.random.default_rng(3)
     for _ in range(10):
         v = rng.integers(0, 256, rng.integers(20, 5000)).astype(np.uint8)
-        t, c0, s0 = OtsuActor._otsu(v)
+        t, c0, s0 = Otsu._otsu(v)
         n = v.size
         hist = np.bincount(v, minlength=256)
         cs, ss = np.cumsum(hist), np.cumsum(hist * np.arange(256))
@@ -345,7 +342,7 @@ def test_otsu_actor_brute_parity():
         assert c0 == cs[t] and s0 == ss[t]
     # bimodal: two spikes -> threshold between them
     v = np.array([10] * 50 + [200] * 50, np.uint8)
-    t, c0, s0 = OtsuActor._otsu(v)
+    t, c0, s0 = Otsu._otsu(v)
     assert 10 <= t < 200 and c0 == 50 and s0 == 500
     # constant image: no valid split
-    assert OtsuActor._otsu(np.full(64, 7, np.uint8)) == (-1, 0, 0)
+    assert Otsu._otsu(np.full(64, 7, np.uint8)) == (-1, 0, 0)

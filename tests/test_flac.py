@@ -232,13 +232,13 @@ def test_decode_audio_routes_flac():
 
 
 def test_audio_ops_actor_flac_features_match_pcm16(ray_session):
-    """AudioOpsActor over FLAC payloads produces IDENTICAL features to
+    """audio_ops over FLAC payloads produces IDENTICAL features to
     the same PCM routed as raw pcm16 — lossless end to end through the
-    actor-pool plumbing."""
+    map_batches plumbing."""
     import pyarrow as pa
     import ray.data as rd
 
-    from osm_replication_rust_ray.stages.decode import AudioOpsActor
+    from osm_replication_rust_ray.stages.decode import audio_ops
 
     rows_flac, rows_pcm = [], []
     for i in range(24):
@@ -252,9 +252,7 @@ def test_audio_ops_actor_flac_features_match_pcm16(ray_session):
 
     def run(rows):
         ds = rd.from_arrow(pa.Table.from_pylist(rows))
-        out = ds.map_batches(
-            AudioOpsActor, batch_format="pyarrow", batch_size=8, concurrency=2
-        )
+        out = ds.map_batches(audio_ops, batch_format="pyarrow", batch_size=8)
         return out.to_pandas().sort_values("clip_id").reset_index(drop=True)
 
     a, b = run(rows_flac), run(rows_pcm)

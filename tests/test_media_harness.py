@@ -1,6 +1,6 @@
 """The per-image and per-clip row harnesses of stages/decode.py: output
-schema and row order for every actor on them, hand-computable values
-for the actors without their own unit test, and the codec table of
+schema and row order for every kernel on them, hand-computable values
+for the kernels without their own unit test, and the codec table of
 ``decode_image``."""
 
 import importlib
@@ -12,26 +12,26 @@ import pytest
 from osm_replication_rust_ray.sources.synth import payload_batch
 from osm_replication_rust_ray.stages import decode as D
 
-IMAGE_ACTORS = [
-    D.HistEqActor, D.MorphActor, D.MedianFilterActor, D.ConvActor,
-    D.OtsuActor, D.BlobActor, D.BlendActor, D.DominantColorActor,
-    D.MomentsActor, D.DitherActor, D.HoughActor, D.LBPActor,
-    D.HarrisActor, D.SeamActor, D.DistTransformActor, D.HistMatchActor,
-    D.CannyActor,
+IMAGE_KERNELS = [
+    D.HistEq, D.Morph, D.MedianFilter, D.Conv,
+    D.Otsu, D.Blob, D.Blend, D.DominantColor,
+    D.Moments, D.Dither, D.Hough, D.LBP,
+    D.Harris, D.Seam, D.DistTransform, D.HistMatch,
+    D.Canny,
 ]
-CLIP_ACTORS = [
-    D.SilenceSegmentsActor, D.PitchActor, D.AdpcmRoundtripActor,
-    D.G711RoundtripActor, D.FlacRoundtripActor,
+CLIP_KERNELS = [
+    D.SilenceSegments, D.Pitch, D.AdpcmRoundtrip,
+    D.G711Roundtrip, D.FlacRoundtrip,
 ]
 
 
 def test_tables_list_every_harness_actor():
-    def actors(base):
+    def kernels(base):
         return {c for c in vars(D).values()
                 if isinstance(c, type) and issubclass(c, base) and c is not base}
 
-    assert actors(D.ImageHarness) == set(IMAGE_ACTORS)
-    assert actors(D.ClipHarness) == set(CLIP_ACTORS)
+    assert kernels(D.ImageHarness) == set(IMAGE_KERNELS)
+    assert kernels(D.ClipHarness) == set(CLIP_KERNELS)
 
 
 def _same_schema(a: pa.Table, b: pa.Table):
@@ -39,25 +39,32 @@ def _same_schema(a: pa.Table, b: pa.Table):
     assert [f.type for f in a.schema] == [f.type for f in b.schema]
 
 
-@pytest.mark.parametrize("actor", IMAGE_ACTORS, ids=lambda a: a.__name__)
-def test_image_actor_schema_and_row_order(actor):
+def _test_id(kernel) -> str:
+    """The kernel's class name with the ``Actor`` suffix it carried
+    while the kernels ran as actor pools, so test ids stay comparable
+    across that rename."""
+    return kernel.__name__ + "Actor"
+
+
+@pytest.mark.parametrize("kernel", IMAGE_KERNELS, ids=_test_id)
+def test_image_actor_schema_and_row_order(kernel):
     batch = payload_batch(np.arange(6)).take([3, 0, 5, 1, 4, 2])
-    full = actor()(batch)
-    empty = actor()(batch.slice(0, 0))
+    full = kernel()(batch)
+    empty = kernel()(batch.slice(0, 0))
     _same_schema(full, empty)
     assert empty.num_rows == 0
-    assert full.column_names == ["image_id", *actor.COLUMNS]
+    assert full.column_names == ["image_id", *kernel.COLUMNS]
     assert full["image_id"].to_pylist() == batch["image_id"].to_pylist()
 
 
-@pytest.mark.parametrize("actor", CLIP_ACTORS, ids=lambda a: a.__name__)
-def test_clip_actor_schema_and_row_order(actor):
+@pytest.mark.parametrize("kernel", CLIP_KERNELS, ids=_test_id)
+def test_clip_actor_schema_and_row_order(kernel):
     ids = pa.table({"id": pa.array([4, 0, 5, 2, 1, 3], pa.int64())})
-    full = actor()(ids)
-    empty = actor()(ids.slice(0, 0))
+    full = kernel()(ids)
+    empty = kernel()(ids.slice(0, 0))
     _same_schema(full, empty)
     assert empty.num_rows == 0
-    assert full.column_names == ["clip_id", *actor.COLUMNS]
+    assert full.column_names == ["clip_id", *kernel.COLUMNS]
     assert full["clip_id"].to_pylist() == [
         f"clip{i:09d}" for i in (4, 0, 5, 2, 1, 3)]
 
@@ -86,13 +93,13 @@ SOLID = np.broadcast_to(np.array(COLOUR, np.uint8), (H, W, 3))
 
 def test_hist_eq_of_a_constant_image_is_zero():
     grey = np.full((H, W, 3), 137, np.uint8)
-    row = D.HistEqActor()(_raw_batch(grey)).to_pylist()[0]
+    row = D.HistEq()(_raw_batch(grey)).to_pylist()[0]
     assert row["n_px"] == H * W * 3
     assert row["eq_sum"] == 0 and row["eq_possum"] == 0
 
 
 def test_morph_of_a_constant_image_is_the_constant():
-    row = D.MorphActor()(_raw_batch(SOLID)).to_pylist()[0]
+    row = D.Morph()(_raw_batch(SOLID)).to_pylist()[0]
     s, ps = _checksums(SOLID.reshape(-1))
     assert row["n_px"] == H * W * 3
     assert (row["ero_sum"], row["ero_possum"]) == (s, ps)
@@ -100,17 +107,17 @@ def test_morph_of_a_constant_image_is_the_constant():
 
 
 def test_median_of_a_constant_image_is_the_constant():
-    row = D.MedianFilterActor()(_raw_batch(SOLID)).to_pylist()[0]
+    row = D.MedianFilter()(_raw_batch(SOLID)).to_pylist()[0]
     interior = SOLID[1:-1, 1:-1].reshape(-1)
     assert row["n_val"] == (H - 2) * (W - 2) * 3
     assert (row["med_sum"], row["med_possum"]) == _checksums(interior)
 
 
 def test_blend_of_a_constant_image_matches_closed_form():
-    a = D.BlendActor.ALPHA
+    a = D.Blend.ALPHA
     want = [(a * COLOUR[c] + (256 - a) * ((x * 7 + y * 13 + c * 29) % 256)) // 256
             for y in range(H) for x in range(W) for c in range(3)]
-    row = D.BlendActor()(_raw_batch(SOLID)).to_pylist()[0]
+    row = D.Blend()(_raw_batch(SOLID)).to_pylist()[0]
     assert row["n_px"] == H * W * 3
     assert (row["blend_sum"], row["blend_possum"]) == _checksums(want)
 
@@ -119,13 +126,13 @@ CLIP = 7
 CLIP_N = 3000 + (CLIP % 5) * 512  # 4024 samples
 
 
-def _clip_row(actor) -> dict:
-    out = actor()(pa.table({"id": pa.array([CLIP], pa.int64())}))
+def _clip_row(kernel) -> dict:
+    out = kernel(pa.table({"id": pa.array([CLIP], pa.int64())}))
     return out.to_pylist()[0]
 
 
 def test_adpcm_roundtrip_one_clip():
-    row = _clip_row(D.AdpcmRoundtripActor)
+    row = _clip_row(D.AdpcmRoundtrip())
     blocks = -(-CLIP_N // 505)  # 505 samples per 256-byte block
     assert row == {"clip_id": "clip000000007", "n_samples": CLIP_N,
                    "n_blocks": blocks, "wav_bytes": 60 + blocks * 256,
@@ -133,16 +140,16 @@ def test_adpcm_roundtrip_one_clip():
 
 
 def test_g711_roundtrip_one_clip():
-    row = _clip_row(D.G711RoundtripActor)
+    row = _clip_row(D.G711Roundtrip())
     assert row == {"clip_id": "clip000000007", "law": "alaw",
                    "n_samples": CLIP_N, "wav_bytes": 58 + CLIP_N,
                    "snr_ok": True, "requant_ok": True}
 
 
 def test_flac_roundtrip_one_clip():
-    row = _clip_row(D.FlacRoundtripActor)
+    row = _clip_row(D.FlacRoundtrip())
     assert row == {"clip_id": "clip000000007", "n_samples": CLIP_N,
-                   "n_frames": -(-CLIP_N // D.FlacRoundtripActor.BLOCK_SIZE),
+                   "n_frames": -(-CLIP_N // D.FlacRoundtrip.BLOCK_SIZE),
                    "lossless_ok": True}
 
 

@@ -9,8 +9,8 @@ import pyarrow as pa
 
 from osm_replication_rust_ray.pipelines import queries as Q
 from osm_replication_rust_ray.stages.decode import (
-    SilenceSegmentsActor,
-    DominantColorActor,
+    SilenceSegments,
+    DominantColor,
     decode_audio,
     encode_wav,
     make_silence_pcm,
@@ -48,7 +48,7 @@ def test_nms_matches_greedy_walk(ray_session):
 def test_dominant_color_matches_counter():
     idx = np.array([0, 1, 2, 7], np.int64)
     batch = payload_batch(idx, with_bytes=True)
-    out = DominantColorActor()(batch).to_pylist()
+    out = DominantColor()(batch).to_pylist()
     for row, i in zip(out, idx):
         w = [16, 32, 64][i % 3]
         h = [16, 32, 64][(i + 1) % 3]
@@ -65,7 +65,7 @@ def test_dominant_color_matches_counter():
 
 def test_silence_segments_matches_python_loop():
     batch = pa.table({"id": pa.array([0, 3, 9], pa.int64())})
-    out = SilenceSegmentsActor()(batch).to_pylist()
+    out = SilenceSegments()(batch).to_pylist()
     for row, i in zip(out, (0, 3, 9)):
         n = 3000 + (i % 5) * 512
         pcm = decode_audio(encode_wav(make_silence_pcm(i, n)), "wav")

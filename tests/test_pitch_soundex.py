@@ -7,7 +7,7 @@ from osm_replication_rust_ray.functions.text import (
     soundex_codes,
     soundex_words,
 )
-from osm_replication_rust_ray.stages.decode import PitchActor, make_tri_pcm
+from osm_replication_rust_ray.stages.decode import Pitch, make_tri_pcm
 
 
 def _soundex_ref(word: str) -> str:
@@ -46,7 +46,7 @@ def test_soundex_word_extraction():
 
 def test_pitch_actor_matches_brute():
     ids = np.arange(12, dtype=np.int64)
-    out = PitchActor()(pa.table({"id": pa.array(ids, pa.int64())}))
+    out = Pitch()(pa.table({"id": pa.array(ids, pa.int64())}))
     for row, i in zip(out.to_pylist(), ids):
         v = make_tri_pcm(int(i))
         c = [512 * int(a) - int(v.sum()) for a in v]  # exact Python ints
@@ -74,7 +74,7 @@ def test_pitch_finds_triangle_period():
         if f < 17:
             continue
         period = 2000 / f
-        out = PitchActor()(pa.table({"id": pa.array([i], pa.int64())}))
+        out = Pitch()(pa.table({"id": pa.array([i], pa.int64())}))
         lag = out["best_lag"][0].as_py()
         k = round(lag / period)
         # non-divisor frequencies re-phase each cycle, so the exact

@@ -8,9 +8,9 @@ import pyarrow as pa
 from osm_replication_rust_ray.sources.synth import payload_batch
 from osm_replication_rust_ray.stages.decode import (
     BAYER8,
-    DitherActor,
-    HoughActor,
-    MomentsActor,
+    Dither,
+    Hough,
+    Moments,
     decode_image,
     _bayer8,
     _luma_fixed,
@@ -42,7 +42,7 @@ def test_bayer_matrix_matches_recursive_construction():
 
 def test_moments_actor_matches_per_pixel_brute():
     batch = _payload()
-    out = MomentsActor()(batch)
+    out = Moments()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         l = _luma_fixed(img)
         h, w = l.shape
@@ -62,7 +62,7 @@ def test_moments_actor_matches_per_pixel_brute():
 
 def test_dither_actor_matches_per_pixel_brute():
     batch = _payload()
-    out = DitherActor()(batch)
+    out = Dither()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         h, w, _ = img.shape
         ones = possum = pos = 0
@@ -82,7 +82,7 @@ def test_hough_actor_matches_per_pixel_brute():
     cos = [1024, 946, 724, 392, 0, -392, -724, -946]
     sin = [0, 392, 724, 946, 1024, 946, 724, 392]
     batch = _payload()
-    out = HoughActor()(batch)
+    out = Hough()(batch)
     saw_edges = False
     for row, img in zip(out.to_pylist(), _images(batch)):
         l = _luma_fixed(img)
@@ -116,15 +116,15 @@ def test_hough_zero_edge_sentinel():
         "h": pa.array([8], pa.int32()),
         "fmt": pa.array(["raw"], pa.string()),
     })
-    row = HoughActor()(batch).to_pylist()[0]
+    row = Hough()(batch).to_pylist()[0]
     assert (row["n_edges"], row["best_k"], row["best_bin"], row["best_votes"]) \
         == (0, -1, -1, 0)
 
 
 def test_marching_squares_matches_brute():
-    from osm_replication_rust_ray.stages.decode import MarchingSquaresActor
+    from osm_replication_rust_ray.stages.decode import marching_squares
     batch = _payload()
-    out = MarchingSquaresActor()(batch)
+    out = marching_squares(batch)
     got = {}
     for r in out.to_pylist():
         got.setdefault(r["image_id"], {})[r["mcase"]] = r["cnt"]
@@ -143,9 +143,9 @@ def test_marching_squares_matches_brute():
 
 
 def test_lbp_actor_matches_brute():
-    from osm_replication_rust_ray.stages.decode import LBP_OFFS, LBPActor
+    from osm_replication_rust_ray.stages.decode import LBP_OFFS, LBP
     batch = _payload()
-    out = LBPActor()(batch)
+    out = LBP()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         l = _luma_fixed(img)
         h, w = l.shape
@@ -165,9 +165,9 @@ def test_lbp_actor_matches_brute():
 
 
 def test_harris_actor_matches_brute():
-    from osm_replication_rust_ray.stages.decode import HarrisActor
+    from osm_replication_rust_ray.stages.decode import Harris
     batch = _payload(3)
-    out = HarrisActor()(batch)
+    out = Harris()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         g = (_luma_fixed(img) // 1000).astype(int)
         h, w = g.shape
@@ -207,9 +207,9 @@ def test_harris_actor_matches_brute():
 
 
 def test_seam_actor_matches_brute_dp():
-    from osm_replication_rust_ray.stages.decode import SeamActor
+    from osm_replication_rust_ray.stages.decode import Seam
     batch = _payload()
-    out = SeamActor()(batch)
+    out = Seam()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         l = _luma_fixed(img).tolist()
         h, w = len(l), len(l[0])
@@ -223,9 +223,9 @@ def test_seam_actor_matches_brute_dp():
 
 
 def test_dist_transform_matches_brute_bfs():
-    from osm_replication_rust_ray.stages.decode import DistTransformActor
+    from osm_replication_rust_ray.stages.decode import DistTransform
     batch = _payload(6)
-    out = DistTransformActor()(batch)
+    out = DistTransform()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         fg = (_luma_fixed(img) > 127500)
         h, w = fg.shape
@@ -247,10 +247,10 @@ def test_dist_transform_matches_brute_bfs():
 
 def test_hist_match_properties():
     from osm_replication_rust_ray.sources.synth import payload_batch
-    from osm_replication_rust_ray.stages.decode import HistMatchActor
+    from osm_replication_rust_ray.stages.decode import HistMatch
 
     batch = payload_batch(np.arange(4, dtype=np.int64))
-    out = HistMatchActor()(batch).to_pylist()
+    out = HistMatch()(batch).to_pylist()
     # self-matching identity: with cdf_s == cdf_t and n_s == n_t the
     # min-g rule returns v itself for every PRESENT value
     from osm_replication_rust_ray.stages.decode import decode_image
@@ -269,9 +269,9 @@ def test_hist_match_properties():
 
 
 def test_canny_actor_matches_brute():
-    from osm_replication_rust_ray.stages.decode import CannyActor
+    from osm_replication_rust_ray.stages.decode import Canny
     batch = _payload(4)
-    out = CannyActor()(batch)
+    out = Canny()(batch)
     for row, img in zip(out.to_pylist(), _images(batch)):
         g = (_luma_fixed(img) // 1000).astype(int)
         h, w = g.shape
