@@ -5,8 +5,8 @@ near-dup.
 
 Ray-Data shape (the canonical iterative-broadcast pattern):
 
-- centroids are a (k, dim) float64 matrix broadcast once per
-  iteration via ``ray.put``;
+- centroids are a (k, dim) float64 matrix bound by value into each
+  iteration's map function;
 - each Lloyd iteration is ONE ``map_batches`` pass emitting per-batch
   PARTIAL per-cluster (count, sum-vector) rows — k rows per batch, so
   the driver reduce is bounded by k x blocks, never by N;
@@ -73,17 +73,13 @@ def kmeans_fit(ds, k: int, n_iter: int, init: np.ndarray,
     iteration streams the dataset once; the driver reduce handles only
     k x blocks partial rows.  Returns (centroids, counts) after
     ``n_iter`` iterations."""
-    import ray
-
     centroids = np.asarray(init, np.float64).copy()
     k, dim = centroids.shape
     counts = np.zeros(k, np.int64)
     for _ in range(n_iter):
-        ref = ray.put(centroids)
-
-        def partial(batch: pa.Table, _ref=ref) -> pa.Table:
+        def partial(batch: pa.Table, cents=centroids.copy()) -> pa.Table:
             x = embedding_matrix(batch, col)
-            c, s = kmeans_partials(x, ray.get(_ref))
+            c, s = kmeans_partials(x, cents)
             return pa.table(
                 {
                     "cluster": pa.array(np.arange(len(c)), pa.int64()),
@@ -105,15 +101,13 @@ def kmeans_fit(ds, k: int, n_iter: int, init: np.ndarray,
     return centroids, counts
 
 
-class AssignActor:
-    """map_batches actor for the assignment pass: fetches the
-    broadcast centroid matrix once per actor, emits (vec_id, cluster)
-    with the fixed-order distance walk."""
+class CentroidAssign:
+    """map_batches fn for the assignment pass: the centroid matrix,
+    bound by value; emits (vec_id, cluster) with the fixed-order
+    distance walk."""
 
-    def __init__(self, centroids_ref):
-        import ray
-
-        self.centroids = ray.get(centroids_ref)
+    def __init__(self, centroids: np.ndarray):
+        self.centroids = centroids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = embedding_matrix(batch)

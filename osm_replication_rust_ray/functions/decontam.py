@@ -8,8 +8,8 @@ benchmark set is small BY DEFINITION (eval suites are thousands of
 documents, the corpus is billions), which fixes the 100-TB shape:
 
 - pass 1 streams the benchmark subset once and reduces it to a set of
-  64-bit shingle hashes (hashes only — never text) that is `ray.put`
-  once and read zero-copy by every corpus task;
+  64-bit shingle hashes (hashes only — never text) that is bound into
+  the pass-2 map function and read zero-copy by every corpus task;
 - pass 2 streams the corpus once through ``map_batches``, computing
   per-document distinct window hashes and membership against the
   broadcast sorted array — no shuffle, no join, no driver loop.
@@ -161,15 +161,13 @@ class BenchShingleExtractor:
 
 
 class DecontamScorer:
-    """map_batches actor for pass 2: per document, the number of its
-    DISTINCT k-token windows present in the broadcast benchmark set
-    and the contaminated flag.  The sorted hash set is fetched from
-    the object store once per actor (zero-copy numpy)."""
+    """map_batches fn for pass 2: per document, the number of its
+    DISTINCT k-token windows present in the benchmark set and the
+    contaminated flag.  ``bench`` is the sorted uint64 hash set, bound
+    by value (a task reads it zero-copy)."""
 
-    def __init__(self, bench_ref, k: int = 8):
-        import ray
-
-        self.bench = ray.get(bench_ref)
+    def __init__(self, bench: np.ndarray, k: int = 8):
+        self.bench = bench
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:

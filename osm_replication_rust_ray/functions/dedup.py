@@ -15,9 +15,10 @@ Scale notes (100 TB design):
   doc_id with Dataset.join (hash shuffle).
 - SimHash: 64-bit signatures, bucket by rotated prefixes for candidate
   generation.
-- embedding near-dup: per-batch numpy matmul against a broadcast
-  (ray.put) normalized matrix — brute-force baseline; the LSH-bucketed
-  variant shards comparisons by random-hyperplane sign buckets.
+- embedding near-dup: per-batch numpy matmul against a normalized
+  corpus matrix bound into the map function — brute-force baseline;
+  the LSH-bucketed variant shards comparisons by random-hyperplane
+  sign buckets.
 """
 
 from __future__ import annotations
@@ -213,20 +214,17 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingNearDup:
-    """map_batches actor: rows vs broadcast corpus matrix -> near-dup
-    pairs (vec_id_a < vec_id_b, cosine >= threshold).
+    """map_batches fn: rows vs the corpus matrix -> near-dup pairs
+    (vec_id_a < vec_id_b, cosine >= threshold).
 
     Brute-force baseline: per batch one (B x D) @ (D x N) matmul against
-    the ray.put corpus.  Scale path: pre-bucket by LSH sign bits and run
-    this per bucket (see similarity.py).
+    the corpus, normalized once when the instance is built (on the
+    driver) and bound by value.  Scale path: pre-bucket by LSH sign
+    bits and run this per bucket (see similarity.py).
     """
 
-    def __init__(self, corpus_ref, threshold: float = 0.85):
-        import ray
-
-        ids, mat = (
-            ray.get(corpus_ref) if isinstance(corpus_ref, ray.ObjectRef) else corpus_ref
-        )
+    def __init__(self, ids: np.ndarray, mat: np.ndarray,
+                 threshold: float = 0.85):
         self.ids = np.asarray(ids, np.int64)
         self.mat = normalize_rows(mat).T  # (D, N)
         self.threshold = threshold

@@ -14,8 +14,8 @@ Scale shape (two regimes, identical outputs):
 - "duplicated" is decided by a grouped min/max of doc_id per hash
   (dup iff min < max) — partial-combinable, no count-distinct;
 - the duplicated-hash SET then routes by its measured size: under the
-  broadcast crossover it ships once via ``ray.put`` and a second
-  corpus pass counts hits per document (no join at all); past it —
+  broadcast crossover it is bound into a second corpus pass, which
+  counts hits per document (no join at all); past it —
   web-scale corpora where the dup set itself is corpus-sized — the
   pair stream shuffle-joins the set back and per-document counts come
   from a grouped aggregate.
@@ -57,15 +57,13 @@ class PairEmitter:
 
 
 class DupSpanScorer:
-    """map_batches actor (pass 2, broadcast regime): per document, the
+    """map_batches fn (pass 2, broadcast regime): per document, the
     count of distinct k-token windows and of those present in the
-    broadcast duplicated-window set.  The sorted uint64 set is fetched
-    from the object store once per actor (zero-copy numpy)."""
+    duplicated-window set.  ``dup`` is the sorted uint64 set, bound by
+    value (a task reads it zero-copy)."""
 
-    def __init__(self, dup_ref, k: int = 8):
-        import ray
-
-        self.dup = ray.get(dup_ref)
+    def __init__(self, dup: np.ndarray, k: int = 8):
+        self.dup = dup
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -256,8 +256,6 @@ def edit_distance_join(docs, d: int, n_part: int, est_docs: int,
     ``<= d``, plus the exact distance.  ``docs`` must expose
     ``(id_col, text_col)``; returns a Dataset
     ``(id_a, id_b, dist)``."""
-    import ray as _ray
-
     from ..functions.agg import sorted_distinct
     from ..stages.dist import (_collect_table, broadcast_decision,
                                crossover_join)
@@ -304,10 +302,9 @@ def edit_distance_join(docs, d: int, n_part: int, est_docs: int,
     docs2 = docs.map_batches(
         lambda b: b.select([id_col, text_col]), batch_format="pyarrow")
     if broadcast_decision(est_docs, est_docs * 512):
-        docs_ref = _ray.put(_collect_table(docs2.materialize()))
+        t = _collect_table(docs2.materialize())
 
         def attach_texts(b: pa.Table) -> pa.Table:
-            t = _ray.get(docs_ref)
             b = b.join(t.rename_columns(["id_a", "text_a"]),
                        keys=["id_a"], join_type="inner")
             return b.join(t.rename_columns(["id_b", "text_b"]),

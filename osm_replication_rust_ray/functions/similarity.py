@@ -1,11 +1,11 @@
 """Similarity search over an embedding column (training-data ops).
 
 - Partial top-k, one path for the five ANN queries: ``topk_dataset``
-  streams the corpus (vec_id, embedding) through a pool of one
-  ``TopKScorer`` subclass, which reduces each block to its best k per
+  streams the corpus (vec_id, embedding) through map tasks of one
+  ``TopKScorer`` instance, which reduces each block to its best k per
   query; a ``groupby("query_id")`` + ``topk_merge`` keeps the global
-  top-k.  The query side is small scorer state handed to each actor
-  by value; the corpus is never materialized.  Scorers:
+  top-k.  The query side is small scorer state, prepared once on the
+  driver and bound by value; the corpus is never materialized.  Scorers:
   ``CosineScorer`` (float64 ``sim``), ``SQ8Scorer`` (exact int64
   ``score`` on int8 codes) and ``PQScorer`` (ADC shortlist, then exact
   cosine ``sim`` on the shortlist only).  ``ann_topk``, ``ann_sq8``
@@ -27,12 +27,13 @@ from .dedup import normalize_rows
 
 
 class TopKScorer:
-    """map_batches actor base: corpus batch -> this block's best ``k``
+    """map_batches fn base: corpus batch -> this block's best ``k``
     rows per query as ``(query_id, vec_id, SCORE)``, score descending
     then vec_id ascending.
 
     ``state`` is ``(query_ids, query_matrix, *extra)``; the matrix and
-    the extra state go to ``prepare``.  A subclass gives ``scores``:
+    the extra state go to ``prepare``, which runs where the instance
+    is built (the driver).  A subclass gives ``scores``:
     the (queries x batch) score matrix of a (batch x dim) embedding
     matrix."""
 
@@ -95,19 +96,12 @@ def topk_merge(k: int):
     return merge
 
 
-def topk_dataset(corpus_ds, scorer: type[TopKScorer], state: tuple,
-                 k: int, n_rows: int):
+def topk_dataset(corpus_ds, scorer: TopKScorer, k: int):
     """corpus Dataset (vec_id, embedding) -> global top-k Dataset
-    ``(query_id, vec_id, SCORE, rank)``: a ``scorer`` actor pool sized
-    to ``n_rows`` in 4096-row batches, then one merge per query."""
-    from ..tuning import est_tasks, pool_concurrency
-
+    ``(query_id, vec_id, SCORE, rank)``: ``scorer`` maps 4096-row
+    batches as Ray Data tasks, then one merge per query keeps ``k``."""
     partial = corpus_ds.map_batches(
-        scorer,
-        fn_constructor_args=(state, k),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=pool_concurrency(est_tasks(n_rows=n_rows, batch_rows=4096)),
+        scorer, batch_format="pyarrow", batch_size=4096
     )
     return partial.groupby("query_id").map_groups(
         topk_merge(k), batch_format="pyarrow"

@@ -217,21 +217,6 @@ class ElementStore:
         base, overlay = self.read_layers(etype)
         return base if overlay is None else _merged(base, overlay)
 
-    def read_for_ids(self, etype: str, ids: np.ndarray) -> pa.Table | None:
-        """The rows of ``ids``, ascending by id: point reads into the base
-        and the overlay."""
-        if len(ids) == 0:
-            return None
-        ids = np.unique(np.asarray(ids, np.int64))
-        base, overlay = self.read_layers(etype)
-        if base is not None:
-            found, idx = _lookup(_ids(base), ids)
-            base = base.take(pa.array(idx[found]))
-        if overlay is None:
-            return base
-        found, idx = _lookup(_ids(overlay), ids)
-        return _merged(base, overlay.take(pa.array(idx[found])))
-
     # ---------------- Δ-apply ----------------
     def apply_changes(self, elements: pa.Table):
         """Apply an OsmChange elements table (engine Δ-semantics of
@@ -367,19 +352,16 @@ class Resolver:
         self.closure = None
 
     @staticmethod
-    def from_store(store: ElementStore, node_ids=None, way_ids=None, rel_ids=None):
+    def from_store(store: ElementStore):
         """The store's Resolver: per type, the pending deltas' overlay over
-        the memory-mapped base; given ids, only the rows of those ids."""
-        def layers(etype, ids, column):
-            if ids is not None:
-                rows = store.read_for_ids(etype, np.asarray(ids, np.int64))
-                return [_Layer(rows, column, dedupe=False)]
+        the memory-mapped base."""
+        def layers(etype, column):
             base, overlay = store.read_layers(etype)
             return [_Layer(overlay, column, dedupe=False), _Layer(base, column, dedupe=False)]
 
         r = Resolver.__new__(Resolver)
-        r._set_layers(layers("nodes", node_ids, None), layers("ways", way_ids, "refs"),
-                      layers("relations", rel_ids, "members"))
+        r._set_layers(layers("nodes", None), layers("ways", "refs"),
+                      layers("relations", "members"))
         return r
 
     @staticmethod

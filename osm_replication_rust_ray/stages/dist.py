@@ -54,8 +54,8 @@ def safe_join(left, right, join_type: str, num_partitions: int,
     explicitly.
 
     Broadcast path: when one side is provably small (rows AND bytes
-    under ``BROADCAST_ROWS`` / ``BROADCAST_BYTES``), ship it once via
-    ``ray.put`` and run a local pyarrow/Acero join per streamed block
+    under ``BROADCAST_ROWS`` / ``BROADCAST_BYTES``), bind it into the
+    map function and run a local pyarrow/Acero join per streamed block
     of the big side — no all-to-all, no aggregator-actor spawn.  The
     output schema is identical to Ray's hash join (verified: left
     columns + right non-key columns, right keys dropped) so the two
@@ -87,13 +87,10 @@ def safe_join(left, right, join_type: str, num_partitions: int,
             if lsch is not None and not (
                 (set(rsch.names) - set(ron)) & set(lsch.names)
             ):
-                import ray
-
-                ref = ray.put(_collect_table(right))
+                t = _collect_table(right)
                 jt = _PA_JOIN_TYPE[join_type]
 
                 def join_r(b: pa.Table) -> pa.Table:
-                    t = ray.get(ref)
                     return b.join(t, keys=list(on), right_keys=list(ron),
                                   join_type=jt)
 
@@ -213,17 +210,15 @@ def crossover_join(left, right, on: tuple, right_on: tuple | None,
 
     Each Ray hash-shuffle join pays a ~1.5 s fixed aggregator-pool
     cost regardless of data size; under the measured crossover the
-    right side ships once via ``ray.put`` and joins per streamed
+    right side is bound into the map function and joins per streamed
     block.  Past it — always at the 10^12-row design scale — only the
     shuffle path runs, so no node collects a data-sized table."""
     right_on = right_on or on
     if broadcast_decision(est_rows, est_bytes):
-        import ray as _ray
-
-        ref = _ray.put(_collect_table(right.materialize()))
+        t = _collect_table(right.materialize())
 
         def local_join(b: pa.Table) -> pa.Table:
-            return b.join(_ray.get(ref), keys=list(on),
+            return b.join(t, keys=list(on),
                           right_keys=list(right_on), join_type="inner")
 
         return left.map_batches(local_join, batch_format="pyarrow")
@@ -280,12 +275,9 @@ def _broadcast_inner_swapped(left, right, on: tuple,
     # don't replicate -> shuffle path handles (or errors) as before
     if (set(rsch.names) - set(ron)) & set(lsch.names):
         return None
-    import ray
-
-    ref = ray.put(_collect_table(left))
+    t = _collect_table(left)
 
     def join_l(b: pa.Table) -> pa.Table:
-        t = ray.get(ref)
         return t.join(b, keys=list(on), right_keys=list(ron),
                       join_type="inner")
 

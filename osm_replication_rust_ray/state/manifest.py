@@ -99,24 +99,31 @@ class CheckpointManifest:
             self._state["sequence"] = sequence
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".manifest-tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(self._state, f, indent=1, sort_keys=True)
+            # one C-encoded string: json.dump with indent runs the
+            # pure-Python encoder over every committed partition
+            f.write(json.dumps(self._state, sort_keys=True))
         os.replace(tmp, self.path)  # the commit point
         self._staged.clear()
 
 
 def atomic_write_parquet(table, path: str) -> int:
-    """Write a pyarrow table via tmp + rename; returns bytes written."""
+    """Write a pyarrow table via tmp + rename; returns bytes written.
+    The file is serialized in memory and written through the fd that
+    ``mkstemp`` opened, so the tmp path is opened once."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path), suffix="-tmp.parquet"
     )
-    os.close(fd)
-    pq.write_table(table, tmp)
-    nbytes = os.path.getsize(tmp)
+    sink = pa.BufferOutputStream()
+    pq.write_table(table, sink)
+    buf = sink.getvalue()
+    with os.fdopen(fd, "wb") as f:
+        f.write(buf)
     os.replace(tmp, path)
-    return nbytes
+    return buf.size
 
 
 def _drop_done(table, key_col: str, done: set[str]):

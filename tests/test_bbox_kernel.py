@@ -34,7 +34,7 @@ from osm_replication_rust_ray.state.manifest import CheckpointManifest
 
 import bbox_oracle
 from filter_oracle import oracle_tree
-from test_bbox_stage import MockResolver
+from test_bbox_stage import MockResolver, walk_scoped_resolver
 
 POOL = 12
 NODES = 1 + np.arange(POOL)
@@ -285,8 +285,7 @@ def test_walk_scoped_resolver_gives_the_whole_store_output(tmp_path):
         walk = DiffClosure(changes, Resolver.from_store(store))
         outputs = []
         for resolver in (Resolver.from_store(store),
-                         Resolver.from_store(store, node_ids=walk.N, way_ids=walk.W,
-                                             rel_ids=walk.R)):
+                         walk_scoped_resolver(store, walk)):
             annotated = annotate_bbox(changes, resolver)
             nid = closure_node_ids(annotated, resolver)
             outputs.append((annotated, filter_tree(annotated, tree, parent, resolver, nid)))

@@ -43,9 +43,7 @@ def test_pair_emitter_matches_python_reference():
     assert got[2] <= got[0]
 
 
-def test_scorer_counts_dups(ray_session):
-    import ray
-
+def test_scorer_counts_dups():
     docs = [
         "a b c d e f g h i j",
         "a b c d e f g h extra tail tokens",
@@ -62,8 +60,7 @@ def test_scorer_counts_dups(ray_session):
     for h in np.unique(wh):
         if len(np.unique(d[wh == h])) >= 2:
             dup.append(h)
-    ref = ray.put(np.sort(np.array(dup, np.uint64)))
-    out = DupSpanScorer(ref, k=8)(batch)
+    out = DupSpanScorer(np.sort(np.array(dup, np.uint64)), k=8)(batch)
     rows = {
         r["doc_id"]: (r["n_grams"], r["n_dup_grams"], r["has_dup"])
         for r in out.to_pylist()

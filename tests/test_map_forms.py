@@ -11,7 +11,16 @@ modules themselves):
 - ``concurrency=`` never takes an integer or tuple literal: a fixed
   pool either leaves actors idle on small inputs or, wider than the
   cluster, holds every CPU so the upstream read never runs.  Pools
-  are sized from the input (``pool_concurrency(est_tasks(...))``).
+  are sized from the input (``pool_concurrency(est_tasks(...))``);
+- only the actors that build an index in ``__init__`` run as actor
+  pools: ``SpatialJoinActor`` (polygon tree), ``KNNActor`` (cell kNN
+  index) and ``_SegClipActor`` (edge STRtree).  Any other class is
+  passed as an instance, so a stage whose only state is a broadcast
+  computes it on the driver and binds it by value: no
+  ``fn_constructor_args=`` (a ref fetched in ``__init__``), no
+  ``ray.get`` in a package ``__init__``.  Ray Data puts a stage's map
+  function into the object store once per operator, so the bound
+  state ships once either way.
 """
 
 import ast
@@ -20,6 +29,9 @@ from pathlib import Path
 import osm_replication_rust_ray
 
 PKG = Path(osm_replication_rust_ray.__file__).parent
+INDEX_ACTORS = {"SpatialJoinActor", "KNNActor", "_SegClipActor"}
+# the index actors whose index input is a ray.put broadcast
+BROADCAST_INDEX_ACTORS = {"SpatialJoinActor", "KNNActor"}
 
 
 def _modules():
@@ -97,13 +109,47 @@ def _violations() -> tuple[list[str], list[str]]:
     return class_args, literal_pools
 
 
+def _pool_violations() -> tuple[list[str], list[str], list[str]]:
+    """(constructor args for a class other than a broadcast index actor,
+    classes other than the index actors passed un-called, ``ray.get``
+    calls inside an ``__init__`` outside the index actors)."""
+    trees = list(_modules())
+    classes = {node.name for _, tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    ctor_args, class_args, init_gets = [], [], []
+    for rel, tree in trees:
+        for call in _calls(tree):
+            kws = {k.arg for k in call.keywords}
+            if kws & {"fn_constructor_args", "fn_constructor_kwargs"}:
+                fn = _name(call.args[0]) if call.args else None
+                if fn not in BROADCAST_INDEX_ACTORS:
+                    ctor_args.append(f"{rel}:{call.lineno} {fn}")
+            if _name(call.func) in ("isinstance", "issubclass", "__new__"):
+                continue
+            for arg in [*call.args, *(k.value for k in call.keywords)]:
+                if _name(arg) in classes - INDEX_ACTORS:
+                    class_args.append(f"{rel}:{arg.lineno} {_name(arg)}")
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in INDEX_ACTORS:
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    init_gets += [
+                        f"{rel}:{c.lineno} {cls.name}" for c in _calls(fn)
+                        if isinstance(c.func, ast.Attribute)
+                        and c.func.attr == "get"
+                        and _name(c.func.value) in ("ray", "_ray")]
+    return ctor_args, class_args, init_gets
+
+
 def test_scan_tells_stateless_from_stateful_classes():
     stateless = _stateless_callables(list(_modules()))
     # the row harnesses and hull.py's kernel are stateless classes; the
     # stateful actors (an index or broadcast state built in __init__)
     # are not
     assert {"ImageHarness", "ClipHarness", "HullCandidates"} <= stateless
-    assert not {"SpatialJoinActor", "KNNActor", "IdwActor"} & stateless
+    assert not {"SpatialJoinActor", "KNNActor", "_SegClipActor",
+                "DecontamScorer"} & stateless
 
 
 def test_no_stateless_class_is_passed_uncalled():
@@ -114,3 +160,18 @@ def test_no_stateless_class_is_passed_uncalled():
 def test_no_literal_pool_size():
     _, literal_pools = _violations()
     assert literal_pools == []
+
+
+def test_only_broadcast_index_actors_take_constructor_args():
+    ctor_args, _, _ = _pool_violations()
+    assert ctor_args == []
+
+
+def test_only_index_actors_are_passed_as_classes():
+    _, class_args, _ = _pool_violations()
+    assert class_args == []
+
+
+def test_no_ray_get_in_an_init_outside_the_index_actors():
+    _, _, init_gets = _pool_violations()
+    assert init_gets == []

@@ -290,8 +290,6 @@ def test_delta_store_matches_a_last_writer_wins_model(tmp_path, fold):
             ids = np.unique(np.concatenate(
                 [rng.choice(p, min(len(p), 40), replace=False) for p in pools]
                 + [np.array([-5, 10**12], np.int64)]))
-            want_ids = [model[t][i] for i in ids.tolist() if i in model[t]]
-            assert _sorted_rows(store.read_for_ids(t, ids)) == want_ids
             probes.append(ids)
         _check_resolver(r, model, np.unique(np.concatenate(probes)))
         got = check_store(store).to_pylist()
@@ -366,7 +364,6 @@ def test_a_tombstone_hides_a_base_row_until_a_later_create(tmp_path):
     store = _hand_store(tmp_path / "db")
     store.apply_changes(_elements([_node(4, None, "delete"), _node(9, 90, "create")]))
     assert 4 not in _lat_of(store) and _lat_of(store)[9] == 90
-    assert store.read_for_ids("nodes", np.array([4], np.int64)).num_rows == 0
     # the base file still holds the row: only the delta hides it
     assert 4 in _read_ipc(store._base_path("nodes"))["id"].to_pylist()
     assert not Resolver.from_store(store).node_points(np.array([4], np.int64))[0][0]

@@ -1,7 +1,8 @@
 """Queries finish on a 2-CPU Ray cluster.
 
 A map stage that pins its actor pool wider than the cluster holds
-every CPU, so the read feeding it never runs and the query hangs.  Each
+every CPU, so the read feeding it never runs and the query hangs.  The
+queries here ran such pools once; they now map as Ray Data tasks.  Each
 query here runs in a child process that starts its own 2-CPU local
 cluster (the session cluster of the other tests is not touched), under
 a hard timeout.  The fixture kills the child's whole process group on
@@ -95,8 +96,14 @@ def two_cpu_child():
 
 
 def test_queries_finish_on_two_cpus(two_cpu_child):
-    counts, pgid = two_cpu_child("idw_grid", "hist_equalize", "flac_ops")
+    names = ("idw_grid", "hist_equalize", "flac_ops", "radius_join",
+             "bloom_blocklist", "ann_topk")
+    counts, pgid = two_cpu_child(*names)
     # idw_grid: the 46 of 32 x 32 cells within radius of a feature;
-    # the media queries: one row per payload image / clip (defaults)
-    assert counts == {"idw_grid": 46, "hist_equalize": 120, "flac_ops": 300}
+    # the media queries and bloom_blocklist: one row per payload image /
+    # clip (defaults); radius_join: the (customer, feature) pairs within
+    # radius; ann_topk: 5 neighbours for each of 8 query vectors
+    assert counts == {"idw_grid": 46, "hist_equalize": 120, "flac_ops": 300,
+                      "radius_join": 1796, "bloom_blocklist": 2000,
+                      "ann_topk": 40}
     assert _group_gone(pgid, wait_s=60), "the child left processes running"

@@ -138,16 +138,10 @@ def main() -> None:
         if bench_rows
         else np.empty(0, np.uint64)
     )
-    ref = ray.put(bench)
     out = (
         corpus()
         .map_batches(
-            DecontamScorer,
-            fn_constructor_args=(ref,),
-            fn_constructor_kwargs={"k": 8},
-            batch_format="pyarrow",
-            batch_size=8192,
-            concurrency=max(2, num_cpus - 4),
+            DecontamScorer(bench, 8), batch_format="pyarrow", batch_size=8192
         )
         .sum("n_hits")
     )
